@@ -327,27 +327,25 @@ def sieve_category(cat: FinCat, s: Sieve) -> MappedCat:
 _SIEVE_ENUM_LIMIT = 18
 
 
-def all_sieves(cat: FinCat, x: ObjId) -> tuple[Sieve, ...]:
-    """Every sieve on x, by brute force over subsets of hom(-, x).
+def _sieve_masks(cat: FinCat, x: ObjId) -> tuple[tuple[MorId, ...], list[int]]:
+    """hom(-, x) and every sieve on x, as a bitmask over that tuple.
 
-    Desk scale only; refuses when the fan-in is too large to enumerate.
+    Brute force over all subsets: desk scale only, so it refuses when the
+    fan-in is too large to enumerate.
     """
     into = cat.hom_into(x)
-    if len(into) > _SIEVE_ENUM_LIMIT:
-        raise InputError(
-            f"cannot enumerate sieves: {len(into)} morphisms into {cstr(x)}"
-        )
-    # closure demand as a bitmask: choosing f forces every f.g
     n = len(into)
+    if n > _SIEVE_ENUM_LIMIT:
+        raise InputError(f"cannot enumerate sieves: {n} morphisms into {cstr(x)}")
+    # closure demand as a bitmask: choosing f forces every f.g
     index = {f: i for i, f in enumerate(into)}
     need = [0] * n
     for f in into:
         bits = 1 << index[f]
-        for g in cat.morphisms.values():
-            if g.tgt == cat.src(f):
-                bits |= 1 << index[cat.compose(f, g.mid)]
+        for g in cat.hom_into(cat.src(f)):
+            bits |= 1 << index[cat.compose(f, g)]
         need[index[f]] = bits
-    sieves = []
+    masks = []
     for mask in range(1 << n):
         closure = 0
         m = mask
@@ -356,7 +354,18 @@ def all_sieves(cat: FinCat, x: ObjId) -> tuple[Sieve, ...]:
             closure |= need[low.bit_length() - 1]
             m ^= low
         if closure == mask:
-            sieves.append(Sieve(x, frozenset(into[i] for i in range(n) if mask >> i & 1)))
+            masks.append(mask)
+    return into, masks
+
+
+def _members(into: tuple[MorId, ...], mask: int) -> frozenset:
+    return frozenset(f for i, f in enumerate(into) if mask >> i & 1)
+
+
+def all_sieves(cat: FinCat, x: ObjId) -> tuple[Sieve, ...]:
+    """Every sieve on x, in canonical order."""
+    into, masks = _sieve_masks(cat, x)
+    sieves = [Sieve(x, _members(into, mask)) for mask in masks]
     return tuple(sorted(sieves, key=lambda s: ckey(s.key())))
 
 
@@ -490,42 +499,24 @@ def site_from_finite_space(space: FiniteSpace) -> Site:
     cat = poset_category(by_id.keys(), lambda a, b: by_id[a] <= by_id[b])
     coverings: dict[str, list[Sieve]] = {}
     point_index = {p: i for i, p in enumerate(space.points)}
-    for uid in by_id:
-        u = by_id[uid]
-        inside = [vid for vid in by_id if by_id[vid] <= u]
-        if len(inside) > _SIEVE_ENUM_LIMIT:
-            raise InputError(
-                f"open {uid} has {len(inside)} opens below; too large to saturate"
-            )
-        n = len(inside)
-        # per open: its down-set among inside, and its points, as bitmasks
-        down = [0] * n
-        pts = [0] * n
-        for i, vid in enumerate(inside):
-            v = by_id[vid]
-            down[i] = sum(1 << j for j, wid in enumerate(inside) if by_id[wid] <= v)
-            pts[i] = sum(1 << point_index[p] for p in v)
-        target = sum(1 << point_index[p] for p in u)
+
+    def point_bits(o: frozenset) -> int:
+        return sum(1 << point_index[p] for p in o)
+
+    # largest open first: it has the most opens below it, so an oversized
+    # space is refused before any enumeration
+    for uid in reversed(by_id):
+        into, masks = _sieve_masks(cat, uid)
+        pts = [point_bits(by_id[cat.src(f)]) for f in into]
+        target = point_bits(by_id[uid])
         sieves = []
-        for mask in range(1 << n):
-            closure = 0
+        for mask in masks:
             union = 0
-            m = mask
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                closure |= down[i]
-                union |= pts[i]
-                m ^= low
-            if closure == mask and union == target:
-                sieves.append(
-                    Sieve(
-                        uid,
-                        frozenset(
-                            f"{inside[i]}<={uid}" for i in range(n) if mask >> i & 1
-                        ),
-                    )
-                )
+            for i, p in enumerate(pts):
+                if mask >> i & 1:
+                    union |= p
+            if union == target:
+                sieves.append(Sieve(uid, _members(into, mask)))
         coverings[uid] = sieves
     return Site(cat, coverings)
 

@@ -1,8 +1,8 @@
 """Command line interface.
 
-Every run with the same inputs produces byte-identical output, including
-across --threads settings: JSON is rendered canonically (sorted keys, tight
-separators) and text output is built from the same already-sorted data.
+Every run with the same inputs produces byte-identical output: JSON is
+rendered canonically (sorted keys, tight separators) and text output is built
+from the same already-sorted data.  --threads is accepted and has no effect.
 
 Exit codes: 0 success, 2 bad input, 3 validation failure, 4 internal check
 failure.  Errors are written to stderr as one-line JSON records.
@@ -24,6 +24,7 @@ from finsite.catsite import (
     category_from_json,
     category_to_json,
     generate_sieve,
+    has_final_object,
     maximal_sieve,
     site_from_finite_space,
     space_from_json,
@@ -31,22 +32,22 @@ from finsite.catsite import (
     validate_category,
     validate_space,
 )
-from finsite.homology import induced_map, sset_homology
+from finsite.homology import induced_map, sset_homology, summands_label
 from finsite.presheaf import (
-    Presheaf,
-    SetPresheaf,
+    Functor,
+    SetFunctor,
     SetPresheafMap,
     constant_set_presheaf,
+    discretize,
+    discretize_map,
     illusie_pi0_certificate,
     is_sheaf_set,
-    point_diagram,
+    point_functor,
     representable_set_presheaf,
     sheafify_set,
-    terminal_presheaf,
     terminal_set_presheaf,
-    to_presheaf,
-    to_presheaf_map,
-    validate_set_presheaf,
+    validate_functor,
+    validate_set_functor,
     validate_set_presheaf_map,
 )
 from finsite.realization import (
@@ -114,7 +115,21 @@ def _require_site(site: Site | None) -> Site:
     return site
 
 
-def set_presheaf_from_json(cat: FinCat, data: dict) -> SetPresheaf:
+def _name_table(obj, what: str) -> dict:
+    """A JSON object whose values are all names, else an InputError."""
+    if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
+        raise InputError(f"{what} must be an object mapping names to names")
+    return obj
+
+
+def _actions(data: dict) -> dict:
+    raw_actions = data.get("actions", {})
+    if not isinstance(raw_actions, dict):
+        raise InputError('presheaf "actions" must be an object')
+    return raw_actions
+
+
+def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
     """Set-valued presheaf from {"values": {obj: [..]}, "actions": {mid: {..}}}.
 
     Actions may be omitted for identity morphisms only.
@@ -128,22 +143,26 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetPresheaf:
     extra = [x for x in raw_values if x not in set(cat.objects)]
     if extra:
         raise InputError(f"presheaf values name an unknown object {extra[0]}")
+    for x in cat.objects:
+        vals = raw_values[x]
+        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
+            raise InputError(f"presheaf values at {x} must be a list of names")
     values = {x: tuple(raw_values[x]) for x in cat.objects}
-    raw_actions = data.get("actions", {})
+    raw_actions = _actions(data)
     action = {}
     for m in cat.morphisms.values():
         if m.mid in raw_actions:
-            action[m.mid] = dict(raw_actions[m.mid])
+            action[m.mid] = _name_table(raw_actions[m.mid], f"presheaf action of {m.mid}")
         elif cat.is_identity(m.mid):
             action[m.mid] = {v: v for v in values[m.src]}
         else:
             raise InputError(f"presheaf action missing for morphism {m.mid}")
-    sp = SetPresheaf(cat, values, action)
-    validate_set_presheaf(sp).raise_if_failed()
+    sp = SetFunctor(cat, values, action, covariant=False)
+    validate_set_functor(sp).raise_if_failed()
     return sp
 
 
-def _parse_set_presheaf(spec: str, cat: FinCat, site: Site | None) -> SetPresheaf:
+def _parse_set_presheaf(spec: str, cat: FinCat, site: Site | None) -> SetFunctor:
     """terminal | constant:v1,v2 | representable:OBJ | collapse | PATH"""
     if spec == "terminal":
         return terminal_set_presheaf(cat)
@@ -158,8 +177,6 @@ def _parse_set_presheaf(spec: str, cat: FinCat, site: Site | None) -> SetPreshea
             raise InputError(f"unknown object {z} for representable presheaf")
         return representable_set_presheaf(cat, z)
     if spec == "collapse":
-        from finsite.catsite import has_final_object
-
         top = has_final_object(cat)
         if top is None:
             raise InputError("collapse presheaf needs a category with a final object")
@@ -167,7 +184,7 @@ def _parse_set_presheaf(spec: str, cat: FinCat, site: Site | None) -> SetPreshea
     return set_presheaf_from_json(cat, _inline_or_file(spec))
 
 
-def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Presheaf:
+def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
     """Simplicial presheaf whose values are serialized simplicial sets.
 
     Actions map simplices by identifier, levelwise; omitted actions are
@@ -185,36 +202,41 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Presheaf:
             raise InputError(
                 f"value at {x} has dim cap {values[x].dim_cap}, expected {dim_cap}"
             )
-    raw_actions = data.get("actions", {})
+    raw_actions = _actions(data)
     action = {}
     for m in cat.morphisms.values():
         src, tgt = values[m.tgt], values[m.src]  # contravariant
         if m.mid in raw_actions:
             table = raw_actions[m.mid]
-            action[m.mid] = SimplicialMap.from_function(
-                src, tgt, lambda k, z, t=table: t[str(k)][z]
-            )
+            if not isinstance(table, dict):
+                raise InputError(f"presheaf action of {m.mid} must be an object")
+            what = f"each dimension of the presheaf action of {m.mid}"
+            levels = [_name_table(table.get(str(k), {}), what) for k in range(dim_cap + 1)]
+            try:
+                action[m.mid] = SimplicialMap.from_function(
+                    src, tgt, lambda k, z, t=levels: t[k][z]
+                )
+            except KeyError as exc:
+                raise InputError(f"presheaf action of {m.mid} misses simplex {exc}") from None
         elif cat.is_identity(m.mid):
             action[m.mid] = SimplicialMap.identity(src)
         else:
             raise InputError(f"presheaf action missing for morphism {m.mid}")
-    p = Presheaf(cat, dim_cap, values, action)
-    from finsite.presheaf import validate_presheaf
-
-    validate_presheaf(p).raise_if_failed()
+    p = Functor(cat, dim_cap, values, action, covariant=False)
+    validate_functor(p).raise_if_failed()
     return p
 
 
-def _parse_g(spec: str, cat: FinCat, site: Site | None, dim_cap: int) -> Presheaf:
+def _parse_g(spec: str, cat: FinCat, site: Site | None, dim_cap: int) -> Functor:
     """The contravariant side of a realization, at the given cap."""
     if spec == "terminal":
-        return terminal_presheaf(cat, dim_cap)
+        return point_functor(cat, dim_cap, covariant=False)
     if not spec.startswith(("constant:", "representable:")) and spec != "collapse":
         data = _inline_or_file(spec)
         vals = data.get("values", {})
         if vals and all(isinstance(v, dict) for v in vals.values()):
             return presheaf_from_json(cat, data, dim_cap)
-    return to_presheaf(_parse_set_presheaf(spec, cat, site), dim_cap)
+    return discretize(_parse_set_presheaf(spec, cat, site), dim_cap)
 
 
 def _parse_functor(name: str, args, site: Site | None, cat: FinCat, dim_cap: int):
@@ -225,7 +247,7 @@ def _parse_functor(name: str, args, site: Site | None, cat: FinCat, dim_cap: int
             raise InputError("order_complex needs --space")
         return order_complex_functor(space, dim_cap, site)
     if name == "point":
-        return point_diagram(cat, dim_cap)
+        return point_functor(cat, dim_cap, covariant=True)
     raise InputError(f"unknown functor {name}; known: order_complex, point")
 
 
@@ -233,8 +255,10 @@ def _load_sieve(arg: str, cat: FinCat) -> Sieve:
     data = _inline_or_file(arg)
     base = data.get("base")
     gens = data.get("generators")
-    if base is None or not isinstance(gens, list):
-        raise InputError('sieve JSON needs "base" and "generators"')
+    if not isinstance(base, str) or not isinstance(gens, list) or not all(
+        isinstance(g, str) for g in gens
+    ):
+        raise InputError('sieve JSON needs a "base" name and a "generators" list of names')
     if base not in set(cat.objects):
         raise InputError(f"sieve base {base} is not an object")
     for g in gens:
@@ -268,17 +292,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         sys.stdout.write(out)
 
 
-def _group_json_label(gj: dict) -> str:
-    parts = []
-    if gj["betti"] == 1:
-        parts.append("Z")
-    elif gj["betti"] > 1:
-        parts.append("Z^" + str(gj["betti"]))
-    parts.extend(f"Z/{d}" for d in gj["torsion"])
-    return " + ".join(parts) if parts else "0"
-
-
-def set_presheaf_to_json(sp: SetPresheaf) -> dict:
+def set_presheaf_to_json(sp: SetFunctor) -> dict:
     return {
         "values": {cstr(x): [cstr(v) for v in csorted(sp.values[x])] for x in sp.category.objects},
         "actions": {
@@ -300,7 +314,7 @@ def set_presheaf_map_to_json(pm: SetPresheafMap) -> dict:
 # -- example registry ---------------------------------------------------------------
 
 
-def _pseudo_circle_setup(dim_cap: int):
+def _pseudo_circle_setup():
     space = gallery.pseudo_circle_space()
     site = site_from_finite_space(space)
     return space, site
@@ -308,21 +322,24 @@ def _pseudo_circle_setup(dim_cap: int):
 
 def _realize_example(name: str, dim_cap: int):
     if name == "pseudo_circle_terminal":
-        space, site = _pseudo_circle_setup(dim_cap)
+        space, site = _pseudo_circle_setup()
         cat = site.category
-        return cat, order_complex_functor(space, dim_cap, site), terminal_presheaf(cat, dim_cap)
+        g = point_functor(cat, dim_cap, covariant=False)
+        return cat, order_complex_functor(space, dim_cap, site), g
     if name == "point_site":
         cat = gallery.point_category()
         circle = gallery.circle_sset(dim_cap)
-        g = Presheaf(cat, dim_cap, {"*": circle}, {"id:*": SimplicialMap.identity(circle)})
-        return cat, point_diagram(cat, dim_cap), g
+        ident = {"id:*": SimplicialMap.identity(circle)}
+        g = Functor(cat, dim_cap, {"*": circle}, ident, covariant=False)
+        return cat, point_functor(cat, dim_cap, covariant=True), g
     if name == "bz2":
         cat = gallery.bz2_category()
-        return cat, point_diagram(cat, dim_cap), terminal_presheaf(cat, dim_cap)
+        g = point_functor(cat, dim_cap, covariant=False)
+        return cat, point_functor(cat, dim_cap, covariant=True), g
     if name == "action_z2_free":
         cat = gallery.bz2_category()
-        g = to_presheaf(gallery.swap_set_presheaf(cat), dim_cap)
-        return cat, point_diagram(cat, dim_cap), g
+        g = discretize(gallery.swap_set_presheaf(cat), dim_cap)
+        return cat, point_functor(cat, dim_cap, covariant=True), g
     raise InputError(
         f"unknown realize example {name}; known: pseudo_circle_terminal, "
         "point_site, bz2, action_z2_free"
@@ -330,12 +347,10 @@ def _realize_example(name: str, dim_cap: int):
 
 
 def _sheafify_example(name: str):
-    space, site = _pseudo_circle_setup(0)
+    space, site = _pseudo_circle_setup()
     if name == "pseudo_circle_constant2":
         return site, constant_set_presheaf(site.category, ["0", "1"])
     if name == "collapse":
-        from finsite.catsite import has_final_object
-
         return site, gallery.collapse_set_presheaf(site.category, has_final_object(site.category))
     raise InputError(
         f"unknown sheafify example {name}; known: pseudo_circle_constant2, collapse"
@@ -344,13 +359,13 @@ def _sheafify_example(name: str):
 
 def _descent_example(name: str, dim_cap: int):
     if name == "pseudo_circle_order_complex":
-        space, site = _pseudo_circle_setup(dim_cap)
+        space, site = _pseudo_circle_setup()
         s = gallery.pseudo_circle_cover(site)
         return site, order_complex_functor(space, dim_cap, site), s.base, s
     if name == "pseudo_circle_constant_point_F":
-        space, site = _pseudo_circle_setup(dim_cap)
+        space, site = _pseudo_circle_setup()
         s = gallery.two_open_cover(site)
-        return site, point_diagram(site.category, dim_cap), s.base, s
+        return site, point_functor(site.category, dim_cap, covariant=True), s.base, s
     if name == "interval_cover":
         space = gallery.interval_cover_space()
         site = site_from_finite_space(space)
@@ -368,11 +383,9 @@ def _descent_example(name: str, dim_cap: int):
 
 
 def _compare_example(name: str):
-    space, site = _pseudo_circle_setup(0)
+    space, site = _pseudo_circle_setup()
     cat = site.category
     if name == "collapse":
-        from finsite.catsite import has_final_object
-
         return site, space, gallery.collapse_set_presheaf(cat, has_final_object(cat)), None
     if name == "constant2":
         return site, space, constant_set_presheaf(cat, ["0", "1"]), None
@@ -395,7 +408,7 @@ def cmd_realize(args) -> int:
         f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), args, site, cat, cap)
         g = _parse_g(args.presheaf or "terminal", cat, site, cap)
     re = realize(cat, f, g, cap)
-    h = sset_homology(re, max_deg, threads=args.threads)
+    h = sset_homology(re, max_deg)
     n0 = len(pi0(re))
     payload = {
         "command": "realize",
@@ -409,8 +422,8 @@ def cmd_realize(args) -> int:
         "realization": realization_to_json(re),
     }
     lines = [f"realize: pi0={n0}"]
-    for gj in payload["homology"]:
-        lines.append(f"H{gj['degree']}: {_group_json_label(gj)}")
+    for g_ in h.groups:
+        lines.append(f"H{g_.degree}: {g_.label()}")
     lines.append("counts: " + " ".join(str(c) for c in payload["counts"]))
     lines.append("nondegenerate: " + " ".join(str(c) for c in payload["nondegenerate"]))
     lines.append(f"trusted through degree {cap - 1} at dim cap {cap}")
@@ -481,11 +494,8 @@ def cmd_descent_check(args) -> int:
         f"over a sieve with {len(sieve.members)} members",
         f"pi0: {rep.pi0_realization} vs {rep.pi0_value}",
     ]
-    for d in payload["report"]["degrees"]:
-        lines.append(
-            f"H{d['degree']}: {_group_json_label(d['realization'])} vs "
-            f"{_group_json_label(d['value'])}"
-        )
+    for k, re_s, val_s in rep.degrees:
+        lines.append(f"H{k}: {summands_label(re_s)} vs {summands_label(val_s)}")
     lines.append(f"trusted through degree {max_deg}")
     _emit(args, payload, lines)
     return 0
@@ -511,7 +521,14 @@ def cmd_compare(args) -> int:
                 comps = data.get("components")
                 if not isinstance(comps, dict):
                     raise InputError('map JSON needs a "components" object')
-                pm_set = SetPresheafMap(sp, sp2, {x: dict(comps.get(x, {})) for x in site.category.objects})
+                pm_set = SetPresheafMap(
+                    sp,
+                    sp2,
+                    {
+                        x: _name_table(comps.get(x, {}), f"map component at {x}")
+                        for x in site.category.objects
+                    },
+                )
             elif sp.values == sp2.values:
                 pm_set = SetPresheafMap(sp, sp2, {x: {v: v for v in sp.values[x]} for x in site.category.objects})
             else:
@@ -521,15 +538,15 @@ def cmd_compare(args) -> int:
         # default comparison: the unit into the sheafification
         pm_set = sheafify_set(site, sp).unit
     validate_set_presheaf_map(pm_set).raise_if_failed()
-    pm = to_presheaf_map(pm_set, cap)
+    pm = discretize_map(pm_set, cap)
     cert = illusie_pi0_certificate(site, pm)
     rmap = induced_realization_map(f, pm, cap)
-    hs = sset_homology(rmap.source, max_deg, threads=args.threads)
-    ht = sset_homology(rmap.target, max_deg, threads=args.threads)
+    hs = sset_homology(rmap.source, max_deg)
+    ht = sset_homology(rmap.target, max_deg)
+    maps = [induced_map(rmap, hs, ht, k) for k in range(max_deg + 1)]
     degrees = []
     all_perm = True
-    for k in range(max_deg + 1):
-        im = induced_map(rmap, hs, ht, k)
+    for k, im in enumerate(maps):
         perm = im.permutation()
         all_perm = all_perm and perm is not None
         degrees.append(
@@ -561,14 +578,11 @@ def cmd_compare(args) -> int:
         f"compare: {'EQUIVALENT' if ok else 'DIFFERENT'} through degree {max_deg}",
         f"pi0: {n_src} vs {n_tgt}; certificate {'ok' if cert.ok else cert.kind}",
     ]
-    for d in degrees:
+    for d, im in zip(degrees, maps):
         tag = "identity" if d["identity"] else (
             "permutation" if d["permutation"] is not None else "no match"
         )
-        lines.append(
-            f"H{d['degree']}: {_group_json_label(d['source'])} -> "
-            f"{_group_json_label(d['target'])} ({tag})"
-        )
+        lines.append(f"H{d['degree']}: {im.source.label()} -> {im.target.label()} ({tag})")
     _emit(args, payload, lines)
     return 0
 
@@ -589,8 +603,6 @@ def cmd_examples(args) -> int:
         space = gallery.pseudo_circle_space()
         site = site_from_finite_space(space)
         cat = site.category
-        from finsite.catsite import has_final_object
-
         files["pseudo_circle.space.json"] = space_to_json(space)
         files["pseudo_circle.collapse.presheaf.json"] = set_presheaf_to_json(
             gallery.collapse_set_presheaf(cat, has_final_object(cat))
@@ -681,7 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--example", help="run a named built-in instance instead of files")
 
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1)
+    threads.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
 
     p = sub.add_parser("realize", parents=[base, caps, threads, io],
                        help="realization of (functor, presheaf) with homology")

@@ -17,7 +17,7 @@ from finsite.catsite import (
     generate_sieve,
     open_id,
 )
-from finsite.presheaf import SetPresheaf
+from finsite.presheaf import SetFunctor
 from finsite.sset import SimplicialSet, from_json
 
 I1 = frozenset({"a1", "b1", "a2"})
@@ -93,7 +93,7 @@ def circle_sset(dim_cap: int) -> SimplicialSet:
     )
 
 
-def collapse_set_presheaf(cat: FinCat, top) -> SetPresheaf:
+def collapse_set_presheaf(cat: FinCat, top) -> SetFunctor:
     """Two elements at the top object, a single element everywhere else."""
     values = {x: ("s",) for x in cat.objects}
     values[top] = ("0", "1")
@@ -105,13 +105,14 @@ def collapse_set_presheaf(cat: FinCat, top) -> SetPresheaf:
             action[m.mid] = {"0": "0", "1": "1"}
         else:
             action[m.mid] = {"s": "s"}
-    return SetPresheaf(cat, values, action)
+    return SetFunctor(cat, values, action, covariant=False)
 
 
-def swap_set_presheaf(cat: FinCat) -> SetPresheaf:
+def swap_set_presheaf(cat: FinCat) -> SetFunctor:
     """Order-two action on two elements over the bz2 category: a free action."""
-    return SetPresheaf(
+    return SetFunctor(
         cat,
         {"*": ("x", "y")},
         {"e": {"x": "x", "y": "y"}, "t": {"x": "y", "y": "x"}},
+        covariant=False,
     )

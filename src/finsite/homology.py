@@ -26,7 +26,8 @@ class IntMatrix:
         self.cols = cols
         if data is None:
             data = [[0] * cols for _ in range(rows)]
-        assert len(data) == rows and all(len(r) == cols for r in data)
+        elif len(data) != rows or any(len(r) != cols for r in data):
+            raise InputError(f"matrix data is not {rows}x{cols}")
         self.data = data
 
     @staticmethod
@@ -40,7 +41,8 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, [list(r) for r in self.data])
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise InputError(f"cannot multiply {self!r} by {other!r}")
         out = IntMatrix(self.rows, other.cols)
         for i in range(self.rows):
             row = self.data[i]
@@ -55,7 +57,8 @@ class IntMatrix:
         return out
 
     def apply(self, vec) -> tuple[int, ...]:
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise InputError(f"{self!r} cannot act on a vector of length {len(vec)}")
         return tuple(
             sum(row[j] * vec[j] for j in range(self.cols)) for row in self.data
         )
@@ -205,9 +208,10 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             row_neg(i)
     diag = tuple(d[i][i] for i in range(limit))
     rank = sum(1 for v in diag if v)
-    for i in range(rank - 1):
-        assert diag[i + 1] % diag[i] == 0
-    assert all(v == 0 for v in diag[rank:])
+    if any(diag[i + 1] % diag[i] for i in range(rank - 1)):
+        raise InternalCheckError("normal form diagonal is not a divisibility chain")
+    if any(diag[rank:]):
+        raise InternalCheckError("normal form has a nonzero entry after a zero")
     for i in range(rows):
         for j in range(cols):
             if i != j and d[i][j] != 0:
@@ -258,6 +262,27 @@ def normalized_chain_complex(s: SimplicialSet, top: int) -> ChainComplex:
     return ChainComplex(tuple(basis), tuple(boundary))
 
 
+def summands_json(summands: tuple[int, ...]) -> dict:
+    """Betti number and torsion coefficients of the group with these summands
+    (0 for a free Z summand, d > 1 for a Z/d summand)."""
+    return {
+        "betti": sum(1 for v in summands if v == 0),
+        "torsion": [v for v in summands if v],
+    }
+
+
+def summands_label(summands: tuple[int, ...]) -> str:
+    """Readable form such as 'Z^2 + Z/2', or '0' for the trivial group."""
+    gj = summands_json(summands)
+    parts = []
+    if gj["betti"] == 1:
+        parts.append("Z")
+    elif gj["betti"] > 1:
+        parts.append(f"Z^{gj['betti']}")
+    parts.extend(f"Z/{d}" for d in gj["torsion"])
+    return " + ".join(parts) if parts else "0"
+
+
 @dataclass(frozen=True)
 class HomologyGroup:
     """One homology group with canonical generators and coordinate reduction.
@@ -276,13 +301,7 @@ class HomologyGroup:
 
     @property
     def betti(self) -> int:
-        return sum(1 for v in self.summands if v == 0)
-
-    rank = betti
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(v for v in self.summands if v)
+        return summands_json(self.summands)["betti"]
 
     def reduce(self, chain) -> tuple[int, ...]:
         """Canonical coordinates of a cycle's class, one per summand."""
@@ -298,18 +317,10 @@ class HomologyGroup:
         return tuple(out)
 
     def label(self) -> str:
-        if not self.summands:
-            return "0"
-        parts = []
-        if self.betti == 1:
-            parts.append("Z")
-        elif self.betti > 1:
-            parts.append(f"Z^{self.betti}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts)
+        return summands_label(self.summands)
 
     def to_json(self) -> dict:
-        return {"degree": self.degree, "betti": self.betti, "torsion": list(self.torsion)}
+        return {"degree": self.degree, **summands_json(self.summands)}
 
 
 def _group_at(cx: ChainComplex, k: int) -> HomologyGroup:
@@ -384,12 +395,9 @@ class Homology:
         return self.groups[k]
 
 
-def sset_homology(s: SimplicialSet, max_deg: int, threads: int = 1) -> Homology:
-    """Homology in degrees 0..max_deg; requires max_deg < dim cap.
-
-    threads > 1 farms the per-degree work out to a thread pool; results are
-    merged back in degree order, so the output is independent of the count.
-    """
+def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
+    """Homology in degrees 0..max_deg, computed one degree after another;
+    requires max_deg < dim cap."""
     if max_deg < 0:
         raise InputError("max_deg must be nonnegative")
     if max_deg + 1 > s.dim_cap:
@@ -397,14 +405,7 @@ def sset_homology(s: SimplicialSet, max_deg: int, threads: int = 1) -> Homology:
             f"degree {max_deg} needs level {max_deg + 1}, past cap {s.dim_cap}"
         )
     cx = normalized_chain_complex(s, max_deg + 1)
-    degrees = range(max_deg + 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = tuple(pool.map(lambda k: homology(cx, k), degrees))
-    else:
-        groups = tuple(homology(cx, k) for k in degrees)
+    groups = tuple(homology(cx, k) for k in range(max_deg + 1))
     return Homology(s, max_deg, cx, groups)
 
 

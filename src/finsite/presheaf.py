@@ -1,95 +1,84 @@
-"""Functors on finite categories: set- and simplicial-set-valued, both variances.
+"""Functors on finite categories, set- and simplicial-set-valued.
 
-Diagram/SetDiagram are covariant, Presheaf/SetPresheaf are contravariant: the
-action of f: a -> b goes F(a) -> F(b) in the first case and P(b) -> P(a) in
-the second.  Sheafification of set presheaves runs the plus construction
-twice; on a finite site every object has a minimum covering sieve, so each
-plus step lands on sections over that sieve.
+Variance is data: a covariant functor acts by action[f]: F(src f) -> F(tgt f),
+a contravariant one (a presheaf) by action[f]: F(tgt f) -> F(src f).
+Sheafification of set presheaves runs the plus construction twice; on a
+finite site every object has a minimum covering sieve, so each plus step
+lands on sections over that sieve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from finsite.canon import csorted, cstr
-from finsite.catsite import FinCat, MappedCat, Sieve, Site, sieve_category
-from finsite.reports import InputError, Report, ValidationError
+from finsite.catsite import FinCat, MappedCat, Morphism, Sieve, Site, sieve_category
+from finsite.reports import InputError, InternalCheckError, Report, ValidationError
 from finsite.sset import (
     SimplicialMap,
     SimplicialSet,
     discrete_sset,
     pi0,
     point_sset,
+    validate_map,
 )
 
 ObjId = Any
 MorId = Any
 
 
-class Diagram:
-    """Covariant simplicial-set-valued functor; action[f]: F(src) -> F(tgt)."""
+@dataclass(eq=False)
+class Functor:
+    """Simplicial-set-valued functor; every value has the same dim cap."""
 
-    def __init__(
-        self,
-        category: FinCat,
-        dim_cap: int,
-        values: dict[ObjId, SimplicialSet],
-        action: dict[MorId, SimplicialMap],
-    ):
-        self.category = category
-        self.dim_cap = dim_cap
-        self.values = values
-        self.action = action
-        assert set(values) == set(category.objects)
-        assert all(v.dim_cap == dim_cap for v in values.values())
+    category: FinCat
+    dim_cap: int
+    values: dict[ObjId, SimplicialSet]
+    action: dict[MorId, SimplicialMap]
+    covariant: bool
 
-
-class Presheaf:
-    """Contravariant simplicial-set-valued functor; action[f]: P(tgt) -> P(src)."""
-
-    def __init__(
-        self,
-        category: FinCat,
-        dim_cap: int,
-        values: dict[ObjId, SimplicialSet],
-        action: dict[MorId, SimplicialMap],
-    ):
-        self.category = category
-        self.dim_cap = dim_cap
-        self.values = values
-        self.action = action
-        assert set(values) == set(category.objects)
-        assert all(v.dim_cap == dim_cap for v in values.values())
+    def __post_init__(self):
+        if set(self.values) != set(self.category.objects):
+            raise InputError("functor values must match the category's objects")
+        if any(v.dim_cap != self.dim_cap for v in self.values.values()):
+            raise InputError(f"functor values must all have dim cap {self.dim_cap}")
 
 
-class SetDiagram:
-    def __init__(self, category: FinCat, values: dict[ObjId, tuple], action: dict[MorId, dict]):
-        self.category = category
-        self.values = {x: tuple(csorted(v)) for x, v in values.items()}
-        self.action = action
+@dataclass(eq=False)
+class SetFunctor:
+    """Set-valued functor; each value is a canonically sorted tuple."""
+
+    category: FinCat
+    values: dict[ObjId, tuple]
+    action: dict[MorId, dict]
+    covariant: bool
+
+    def __post_init__(self):
+        self.values = {x: tuple(csorted(v)) for x, v in self.values.items()}
 
 
-class SetPresheaf:
-    def __init__(self, category: FinCat, values: dict[ObjId, tuple], action: dict[MorId, dict]):
-        self.category = category
-        self.values = {x: tuple(csorted(v)) for x, v in values.items()}
-        self.action = action
+def _ends(fun, m: Morphism) -> tuple[ObjId, ObjId]:
+    """The objects whose values the action of m goes from and to."""
+    return (m.src, m.tgt) if fun.covariant else (m.tgt, m.src)
 
 
-def _validate_simplicial_functor(fun, covariant: bool) -> Report:
+def _order(fun, g: MorId, f: MorId) -> tuple[MorId, MorId]:
+    """The actions (first, second) whose composite is the action of g . f."""
+    return (f, g) if fun.covariant else (g, f)
+
+
+def validate_functor(fun: Functor) -> Report:
     cat = fun.category
     for m in cat.morphisms.values():
         if m.mid not in fun.action:
             return Report.failure("action-missing", "morphism has no action", (m.mid,))
         sm = fun.action[m.mid]
-        a, b = (m.src, m.tgt) if covariant else (m.tgt, m.src)
+        a, b = _ends(fun, m)
         if sm.source is not fun.values[a] and sm.source != fun.values[a]:
             return Report.failure("action-source", "action starts at wrong value", (m.mid,))
         if sm.target is not fun.values[b] and sm.target != fun.values[b]:
             return Report.failure("action-target", "action ends at wrong value", (m.mid,))
-        from finsite.sset import validate_map
-
         rep = validate_map(sm)
         if not rep.ok:
             return Report.failure("action-map", f"action not simplicial: {rep.detail}", (m.mid,))
@@ -98,24 +87,13 @@ def _validate_simplicial_functor(fun, covariant: bool) -> Report:
         if fun.action[ix].mapping != SimplicialMap.identity(fun.values[x]).mapping:
             return Report.failure("action-identity", "identity acts nontrivially", (x,))
     for (g, f), h in cat.composition.items():
-        if covariant:
-            lhs = fun.action[g].compose(fun.action[f])
-        else:
-            lhs = fun.action[f].compose(fun.action[g])
-        if lhs.mapping != fun.action[h].mapping:
+        first, second = _order(fun, g, f)
+        if fun.action[second].compose(fun.action[first]).mapping != fun.action[h].mapping:
             return Report.failure("action-composition", "functoriality fails", (g, f))
     return Report.success()
 
 
-def validate_diagram(dg: Diagram) -> Report:
-    return _validate_simplicial_functor(dg, covariant=True)
-
-
-def validate_presheaf(p: Presheaf) -> Report:
-    return _validate_simplicial_functor(p, covariant=False)
-
-
-def _validate_set_functor(fun, covariant: bool) -> Report:
+def validate_set_functor(fun: SetFunctor) -> Report:
     cat = fun.category
     if set(fun.values) != set(cat.objects):
         return Report.failure("values", "value carrier does not match objects", ())
@@ -123,7 +101,7 @@ def _validate_set_functor(fun, covariant: bool) -> Report:
         if m.mid not in fun.action:
             return Report.failure("action-missing", "morphism has no action", (m.mid,))
         act = fun.action[m.mid]
-        a, b = (m.src, m.tgt) if covariant else (m.tgt, m.src)
+        a, b = _ends(fun, m)
         if set(act) != set(fun.values[a]):
             return Report.failure("action-domain", "action domain mismatch", (m.mid,))
         if not set(act.values()) <= set(fun.values[b]):
@@ -133,60 +111,42 @@ def _validate_set_functor(fun, covariant: bool) -> Report:
         if any(act[v] != v for v in fun.values[x]):
             return Report.failure("action-identity", "identity acts nontrivially", (x,))
     for (g, f), h in cat.composition.items():
-        ag, af, ah = fun.action[g], fun.action[f], fun.action[h]
-        if covariant:
-            ok = all(ag[af[v]] == ah[v] for v in ah)
-        else:
-            ok = all(af[ag[v]] == ah[v] for v in ah)
-        if not ok:
+        first, second = _order(fun, g, f)
+        a1, a2, ah = fun.action[first], fun.action[second], fun.action[h]
+        if not all(a2[a1[v]] == ah[v] for v in ah):
             return Report.failure("action-composition", "functoriality fails", (g, f))
     return Report.success()
-
-
-def validate_set_diagram(sd: SetDiagram) -> Report:
-    return _validate_set_functor(sd, covariant=True)
-
-
-def validate_set_presheaf(sp: SetPresheaf) -> Report:
-    return _validate_set_functor(sp, covariant=False)
 
 
 # -- maps -----------------------------------------------------------------------
 
 
+def _check_composable(first, then) -> None:
+    # rebuilt middles are fine as long as the simplices line up
+    if first.target is not then.source and first.target.values != then.source.values:
+        raise InputError("maps do not compose: target and source differ")
+
+
 @dataclass(frozen=True)
 class PresheafMap:
-    source: Presheaf
-    target: Presheaf
+    source: Functor
+    target: Functor
     components: dict[ObjId, SimplicialMap]
 
     def then(self, after: "PresheafMap") -> "PresheafMap":
-        # rebuilt middles are fine as long as the simplices line up
-        assert self.target is after.source or self.target.values == after.source.values
+        _check_composable(self, after)
         comps = {x: after.components[x].compose(self.components[x]) for x in self.components}
         return PresheafMap(self.source, after.target, comps)
 
 
 @dataclass(frozen=True)
-class DiagramMap:
-    source: Diagram
-    target: Diagram
-    components: dict[ObjId, SimplicialMap]
-
-    def then(self, after: "DiagramMap") -> "DiagramMap":
-        assert self.target is after.source or self.target.values == after.source.values
-        comps = {x: after.components[x].compose(self.components[x]) for x in self.components}
-        return DiagramMap(self.source, after.target, comps)
-
-
-@dataclass(frozen=True)
 class SetPresheafMap:
-    source: SetPresheaf
-    target: SetPresheaf
+    source: SetFunctor
+    target: SetFunctor
     components: dict[ObjId, dict]
 
     def then(self, after: "SetPresheafMap") -> "SetPresheafMap":
-        assert self.target is after.source or self.target.values == after.source.values
+        _check_composable(self, after)
         comps = {
             x: {v: after.components[x][w] for v, w in comp.items()}
             for x, comp in self.components.items()
@@ -202,16 +162,6 @@ def validate_presheaf_map(pm: PresheafMap) -> Report:
         rhs = pm.target.action[m.mid].compose(pm.components[m.tgt])
         if lhs.mapping != rhs.mapping:
             return Report.failure("naturality", "presheaf map square fails", (m.mid,))
-    return Report.success()
-
-
-def validate_diagram_map(dm: DiagramMap) -> Report:
-    cat = dm.source.category
-    for m in cat.morphisms.values():
-        lhs = dm.components[m.tgt].compose(dm.source.action[m.mid])
-        rhs = dm.target.action[m.mid].compose(dm.components[m.src])
-        if lhs.mapping != rhs.mapping:
-            return Report.failure("naturality", "diagram map square fails", (m.mid,))
     return Report.success()
 
 
@@ -235,43 +185,47 @@ def validate_set_presheaf_map(pm: SetPresheafMap) -> Report:
 # -- constructors ---------------------------------------------------------------
 
 
-def constant_set_presheaf(cat: FinCat, values: Iterable) -> SetPresheaf:
+def constant_set_presheaf(cat: FinCat, values: Iterable) -> SetFunctor:
     vals = tuple(csorted(values))
     ident = {v: v for v in vals}
-    return SetPresheaf(
-        cat, {x: vals for x in cat.objects}, {m: dict(ident) for m in cat.morphisms}
+    return SetFunctor(
+        cat,
+        {x: vals for x in cat.objects},
+        {m: dict(ident) for m in cat.morphisms},
+        covariant=False,
     )
 
 
-def terminal_set_presheaf(cat: FinCat) -> SetPresheaf:
+def terminal_set_presheaf(cat: FinCat) -> SetFunctor:
     return constant_set_presheaf(cat, ("*",))
 
 
-def representable_set_presheaf(cat: FinCat, z: ObjId) -> SetPresheaf:
+def representable_set_presheaf(cat: FinCat, z: ObjId) -> SetFunctor:
     values = {x: cat.hom(x, z) for x in cat.objects}
     action = {}
     for m in cat.morphisms.values():
         # precomposition hom(tgt, z) -> hom(src, z)
         action[m.mid] = {h: cat.compose(h, m.mid) for h in values[m.tgt]}
-    return SetPresheaf(cat, values, action)
+    return SetFunctor(cat, values, action, covariant=False)
 
 
-def to_presheaf(sp: SetPresheaf, dim_cap: int) -> Presheaf:
-    """Simplicially constant presheaf on the same values."""
-    values = {x: discrete_sset(sp.values[x], dim_cap) for x in sp.values}
+def discretize(sf: SetFunctor, dim_cap: int) -> Functor:
+    """Simplicially constant functor on the same values, of the same variance."""
+    values = {x: discrete_sset(sf.values[x], dim_cap) for x in sf.values}
     action = {}
-    for m in sp.category.morphisms.values():
-        act = sp.action[m.mid]
+    for m in sf.category.morphisms.values():
+        a, b = _ends(sf, m)
+        act = sf.action[m.mid]
         action[m.mid] = SimplicialMap.from_function(
-            values[m.tgt], values[m.src], lambda k, v, act=act: act[v]
+            values[a], values[b], lambda k, v, act=act: act[v]
         )
-    return Presheaf(sp.category, dim_cap, values, action)
+    return Functor(sf.category, dim_cap, values, action, sf.covariant)
 
 
-def to_presheaf_map(pm: SetPresheafMap, dim_cap: int) -> PresheafMap:
+def discretize_map(pm: SetPresheafMap, dim_cap: int) -> PresheafMap:
     """The same map between the discrete presheaves of its endpoints."""
-    src = to_presheaf(pm.source, dim_cap)
-    tgt = to_presheaf(pm.target, dim_cap)
+    src = discretize(pm.source, dim_cap)
+    tgt = discretize(pm.target, dim_cap)
     comps = {}
     for x, comp in pm.components.items():
         comps[x] = SimplicialMap.from_function(
@@ -280,77 +234,44 @@ def to_presheaf_map(pm: SetPresheafMap, dim_cap: int) -> PresheafMap:
     return PresheafMap(src, tgt, comps)
 
 
-def to_diagram(sd: SetDiagram, dim_cap: int) -> Diagram:
-    values = {x: discrete_sset(sd.values[x], dim_cap) for x in sd.values}
-    action = {}
-    for m in sd.category.morphisms.values():
-        act = sd.action[m.mid]
-        action[m.mid] = SimplicialMap.from_function(
-            values[m.src], values[m.tgt], lambda k, v, act=act: act[v]
-        )
-    return Diagram(sd.category, dim_cap, values, action)
-
-
-def point_diagram(cat: FinCat, dim_cap: int) -> Diagram:
+def point_functor(cat: FinCat, dim_cap: int, covariant: bool) -> Functor:
+    """The terminal functor: a point everywhere, identities acting."""
     pt = point_sset(dim_cap)
     ident = SimplicialMap.identity(pt)
-    return Diagram(cat, dim_cap, {x: pt for x in cat.objects}, {m: ident for m in cat.morphisms})
+    return Functor(
+        cat, dim_cap, {x: pt for x in cat.objects}, {m: ident for m in cat.morphisms}, covariant
+    )
 
 
-def terminal_presheaf(cat: FinCat, dim_cap: int) -> Presheaf:
-    pt = point_sset(dim_cap)
-    ident = SimplicialMap.identity(pt)
-    return Presheaf(cat, dim_cap, {x: pt for x in cat.objects}, {m: ident for m in cat.morphisms})
+# -- reindexing along a mapped category --------------------------------------------
 
 
-# -- restriction along a mapped category ------------------------------------------
+def reindex(fun: Functor | SetFunctor, mapped: MappedCat) -> Functor | SetFunctor:
+    """fun after the projection of mapped.category to its base: a functor of
+    the same kind and variance whose value at o is fun's value at base(o)."""
+    return replace(
+        fun,
+        category=mapped.category,
+        values={o: fun.values[mapped.obj_to_base[o]] for o in mapped.category.objects},
+        action={m: fun.action[mapped.mor_to_base[m]] for m in mapped.category.morphisms},
+    )
 
 
-def restrict_presheaf(p: Presheaf, mapped: MappedCat) -> Presheaf:
-    values = {o: p.values[mapped.obj_to_base[o]] for o in mapped.category.objects}
-    action = {
-        m: p.action[mapped.mor_to_base[m]] for m in mapped.category.morphisms
-    }
-    return Presheaf(mapped.category, p.dim_cap, values, action)
-
-
-def restrict_diagram(dg: Diagram, mapped: MappedCat) -> Diagram:
-    values = {o: dg.values[mapped.obj_to_base[o]] for o in mapped.category.objects}
-    action = {
-        m: dg.action[mapped.mor_to_base[m]] for m in mapped.category.morphisms
-    }
-    return Diagram(mapped.category, dg.dim_cap, values, action)
-
-
-def restrict_set_presheaf(sp: SetPresheaf, mapped: MappedCat) -> SetPresheaf:
-    values = {o: sp.values[mapped.obj_to_base[o]] for o in mapped.category.objects}
-    action = {
-        m: dict(sp.action[mapped.mor_to_base[m]]) for m in mapped.category.morphisms
-    }
-    return SetPresheaf(mapped.category, values, action)
-
-
-def restrict(g, s: Sieve):
+def restrict(fun: Functor | SetFunctor, s: Sieve) -> Functor | SetFunctor:
     """Restriction to the sieve category; objects are the sieve's members."""
-    if s.base not in g.category.objects:
+    if s.base not in fun.category.objects:
         raise InputError("sieve base is not an object of the functor's category")
-    mapped = sieve_category(g.category, s)
-    if isinstance(g, Presheaf):
-        return restrict_presheaf(g, mapped)
-    if isinstance(g, Diagram):
-        return restrict_diagram(g, mapped)
-    if isinstance(g, SetPresheaf):
-        return restrict_set_presheaf(g, mapped)
-    raise InputError("restrict expects a presheaf, diagram, or set presheaf")
+    return reindex(fun, sieve_category(fun.category, s))
 
 
 # -- sections (limit of a set presheaf) -----------------------------------------
 
 
-def sections_set(cat: FinCat, sp: SetPresheaf) -> tuple[tuple, ...]:
+def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
     """All global sections, each a tuple of (object, value) pairs in canonical
     object order.  A section picks s_x with action[f](s_tgt) == s_src."""
-    assert sp.category is cat or sp.category == cat
+    if sp.covariant or (sp.category is not cat and sp.category != cat):
+        raise InputError("sections need a set presheaf on the given category")
     objs = list(cat.objects)
     # constraints between assigned positions, precomputed per object pair
     pos = {x: i for i, x in enumerate(objs)}
@@ -401,26 +322,21 @@ def section_value(section: tuple, obj: ObjId):
 
 @dataclass(frozen=True)
 class PlusStep:
-    presheaf: SetPresheaf
+    presheaf: SetFunctor
     unit: SetPresheafMap
 
 
-def matching_sections(site: Site, sp: SetPresheaf, sieve: Sieve) -> tuple[tuple, ...]:
+def matching_sections(site: Site, sp: SetFunctor, sieve: Sieve) -> tuple[tuple, ...]:
     """Sections over the sieve category, keyed by the sieve's members."""
     mapped = sieve_category(site.category, sieve)
-    return sections_set(mapped.category, restrict_set_presheaf(sp, mapped))
+    return sections_set(mapped.category, reindex(sp, mapped))
 
 
-_matching_sections = matching_sections
+def _matching_image(site: Site, sp: SetFunctor, sieve, s) -> tuple:
+    return tuple((m, sp.action[m][s]) for m in csorted(sieve.members))
 
 
-def _matching_image(site: Site, sp: SetPresheaf, sieve, s) -> tuple:
-    cat = site.category
-    pairs = tuple((m, sp.action[m][s]) for m in csorted(sieve.members))
-    return pairs
-
-
-def gamma_prime_set(site: Site, sp: SetPresheaf) -> PlusStep:
+def gamma_prime_set(site: Site, sp: SetFunctor) -> PlusStep:
     """One plus step: value at x is the section set over the minimum covering
     sieve, which every covering sieve refines on a finite site."""
     cat = site.category
@@ -430,7 +346,7 @@ def gamma_prime_set(site: Site, sp: SetPresheaf) -> PlusStep:
             raise ValidationError(
                 "intersection of covering sieves fails to cover; site is invalid"
             )
-    values = {x: _matching_sections(site, sp, smin[x]) for x in cat.objects}
+    values = {x: matching_sections(site, sp, smin[x]) for x in cat.objects}
     action: dict[MorId, dict] = {}
     for m in cat.morphisms.values():
         f, v, u = m.mid, m.src, m.tgt
@@ -443,7 +359,7 @@ def gamma_prime_set(site: Site, sp: SetPresheaf) -> PlusStep:
             )
             act[sec] = moved
         action[f] = act
-    result = SetPresheaf(cat, values, action)
+    result = SetFunctor(cat, values, action, covariant=False)
     unit_components = {
         x: {s: _matching_image(site, sp, smin[x], s) for s in sp.values[x]}
         for x in cat.objects
@@ -474,28 +390,26 @@ def gamma_prime_map(
 
 @dataclass(frozen=True)
 class Sheafification:
-    sheaf: SetPresheaf
+    sheaf: SetFunctor
     unit: SetPresheafMap
 
 
-def sheafify_set(site: Site, sp: SetPresheaf) -> Sheafification:
+def sheafify_set(site: Site, sp: SetFunctor) -> Sheafification:
     """Two plus steps; the result is checked to satisfy the sheaf condition."""
     first = gamma_prime_set(site, sp)
     second = gamma_prime_set(site, first.presheaf)
     rep = is_sheaf_set(site, second.presheaf)
     if not rep.ok:
-        from finsite.reports import InternalCheckError
-
         raise InternalCheckError(f"double plus construction is not a sheaf: {rep.detail}")
     return Sheafification(second.presheaf, first.unit.then(second.unit))
 
 
-def is_sheaf_set(site: Site, sp: SetPresheaf) -> Report:
+def is_sheaf_set(site: Site, sp: SetFunctor) -> Report:
     """Sheaf condition: restriction to each covering sieve is a bijection
     onto matching sections."""
     for x in site.category.objects:
         for sieve in site.coverings[x]:
-            sections = _matching_sections(site, sp, sieve)
+            sections = matching_sections(site, sp, sieve)
             # section pairs are keyed by sieve-category objects, the members
             images = {}
             for s in sp.values[x]:
@@ -520,35 +434,22 @@ def is_sheaf_set(site: Site, sp: SetPresheaf) -> Report:
 # -- connected components of simplicial functors -----------------------------------
 
 
-def pi0_presheaf(p: Presheaf) -> tuple[SetPresheaf, dict]:
-    """Componentwise pi0; returns the set presheaf and the vertex class maps."""
-    comp = {x: pi0(p.values[x]) for x in p.category.objects}
-    values = {x: comp[x].ids for x in p.category.objects}
+def pi0_functor(fun: Functor) -> tuple[SetFunctor, dict]:
+    """Componentwise pi0, of the same variance; returns the set functor and
+    the vertex class maps."""
+    comp = {x: pi0(fun.values[x]) for x in fun.category.objects}
+    values = {x: comp[x].ids for x in fun.category.objects}
     action = {}
-    for m in p.category.morphisms.values():
-        sm = p.action[m.mid]
-        src_cm, tgt_cm = comp[m.tgt], comp[m.src]
+    for m in fun.category.morphisms.values():
+        sm = fun.action[m.mid]
+        a, b = _ends(fun, m)
+        src_cm, tgt_cm = comp[a], comp[b]
         act = {}
         for c in src_cm.ids:
             v = src_cm.a_vertex(c)
             act[c] = tgt_cm.of_vertex[sm.apply(0, v)]
         action[m.mid] = act
-    return SetPresheaf(p.category, values, action), comp
-
-
-def pi0_diagram(dg: Diagram) -> tuple[SetDiagram, dict]:
-    comp = {x: pi0(dg.values[x]) for x in dg.category.objects}
-    values = {x: comp[x].ids for x in dg.category.objects}
-    action = {}
-    for m in dg.category.morphisms.values():
-        sm = dg.action[m.mid]
-        src_cm, tgt_cm = comp[m.src], comp[m.tgt]
-        act = {}
-        for c in src_cm.ids:
-            v = src_cm.a_vertex(c)
-            act[c] = tgt_cm.of_vertex[sm.apply(0, v)]
-        action[m.mid] = act
-    return SetDiagram(dg.category, values, action), comp
+    return SetFunctor(fun.category, values, action, fun.covariant), comp
 
 
 # -- the pi0 half of the equivalence condition --------------------------------------
@@ -561,9 +462,10 @@ def illusie_pi0_certificate(site: Site, m: PresheafMap) -> Report:
     This covers only the pi0 condition; higher homotopy presheaves are not
     examined, and the report says so.
     """
-    assert m.source.category is site.category or m.source.category == site.category
-    p0s, comp_s = pi0_presheaf(m.source)
-    p0t, comp_t = pi0_presheaf(m.target)
+    if m.source.category is not site.category and m.source.category != site.category:
+        raise InputError("presheaf map must live on the site's category")
+    p0s, comp_s = pi0_functor(m.source)
+    p0t, comp_t = pi0_functor(m.target)
     comps = {}
     for x in site.category.objects:
         comp = {}

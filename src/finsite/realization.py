@@ -35,16 +35,14 @@ from finsite.catsite import (
     sieve_category,
     site_from_finite_space,
 )
-from finsite.homology import sset_homology
+from finsite.homology import summands_json, sset_homology
 from finsite.presheaf import (
-    Diagram,
-    Presheaf,
+    Functor,
     PresheafMap,
-    SetPresheaf,
+    SetFunctor,
     matching_sections,
-    restrict_diagram,
-    restrict_presheaf,
-    terminal_presheaf,
+    point_functor,
+    reindex,
 )
 from finsite.reports import InputError, InternalCheckError, Report, ValidationError
 from finsite.sset import (
@@ -65,12 +63,15 @@ def _same_category(a: FinCat, b: FinCat) -> bool:
     return a is b or a == b
 
 
-def realize(cat: FinCat, f: Diagram, g: Presheaf, dim_cap: int, validate: bool = False) -> SimplicialSet:
-    """Bar realization of f against g, truncated at dim_cap.
+def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int, validate: bool = False) -> SimplicialSet:
+    """Bar realization of the covariant f against the contravariant g,
+    truncated at dim_cap.
 
     Levels above dim_cap are cut off, so homology is trusted only in degrees
     up to dim_cap - 1.  f and g must be based on cat with caps >= dim_cap.
     """
+    if not f.covariant or g.covariant:
+        raise InputError("realize needs a covariant f and a contravariant g")
     if not _same_category(f.category, cat) or not _same_category(g.category, cat):
         raise InputError("diagram and presheaf must live on the given category")
     if f.dim_cap < dim_cap or g.dim_cap < dim_cap:
@@ -154,7 +155,7 @@ def realization_to_json(s: SimplicialSet) -> dict:
 
 def order_complex_functor(
     space: FiniteSpace, dim_cap: int, site: Site | None = None
-) -> Diagram:
+) -> Functor:
     """Covariant diagram on the open-set site of the space.
 
     The value at an open U is the nerve of the specialization order on the
@@ -175,17 +176,10 @@ def order_complex_functor(
         action[m.mid] = SimplicialMap.from_function(
             values[m.src], values[m.tgt], lambda k, z: z
         )
-    return Diagram(cat, dim_cap, values, action)
+    return Functor(cat, dim_cap, values, action, covariant=True)
 
 
 # -- covariant descent ------------------------------------------------------------
-
-
-def _summands_json(summands: tuple[int, ...]) -> dict:
-    return {
-        "betti": sum(1 for v in summands if v == 0),
-        "torsion": [v for v in summands if v],
-    }
 
 
 @dataclass(frozen=True)
@@ -215,8 +209,8 @@ class DescentReport:
             "degrees": [
                 {
                     "degree": k,
-                    "realization": _summands_json(re_s),
-                    "value": _summands_json(val_s),
+                    "realization": summands_json(re_s),
+                    "value": summands_json(val_s),
                     "equal": re_s == val_s,
                 }
                 for k, re_s, val_s in self.degrees
@@ -225,7 +219,7 @@ class DescentReport:
 
 
 def covariant_descent_check(
-    site: Site, f: Diagram, x: ObjId, s: Sieve, max_deg: int
+    site: Site, f: Functor, x: ObjId, s: Sieve, max_deg: int
 ) -> DescentReport:
     """Compares Re over the sieve category of (f restricted, terminal) with
     f(x) on pi0 and homology in degrees 0..max_deg.
@@ -245,9 +239,10 @@ def covariant_descent_check(
     if max_deg + 1 > f.dim_cap:
         raise InputError("max_deg needs one more level than the diagram cap")
     mapped = sieve_category(cat, s)
-    restricted = restrict_diagram(f, mapped)
+    restricted = reindex(f, mapped)
     cap = max_deg + 1
-    re = realize(mapped.category, restricted, terminal_presheaf(mapped.category, cap), cap)
+    terminal = point_functor(mapped.category, cap, covariant=False)
+    re = realize(mapped.category, restricted, terminal, cap)
     value = f.values[x]
     h_re = sset_homology(re, max_deg)
     h_val = sset_homology(value, max_deg)
@@ -262,7 +257,7 @@ def covariant_descent_check(
 # -- maps induced on realizations ---------------------------------------------------
 
 
-def induced_realization_map(f: Diagram, m: PresheafMap, dim_cap: int) -> SimplicialMap:
+def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> SimplicialMap:
     """The map Re(f, m.source) -> Re(f, m.target) acting on the g part only."""
     cat = f.category
     if not _same_category(m.source.category, cat):
@@ -353,16 +348,8 @@ def projector_image(d: ProjectorData) -> MappedCat:
     return MappedCat(sub, {x: x for x in objs}, {m: m for m in mids})
 
 
-def pullback_diagram(d: ProjectorData, f: Diagram) -> Diagram:
-    """The diagram x -> f(P(x)) on the whole category, for f on the image."""
-    cat = d.category
-    values = {x: f.values[d.obj_map[x]] for x in cat.objects}
-    action = {m: f.action[d.mor_map[m]] for m in cat.morphisms}
-    return Diagram(cat, f.dim_cap, values, action)
-
-
 def projector_maps(
-    d: ProjectorData, f: Diagram, g: Presheaf, dim_cap: int
+    d: ProjectorData, f: Functor, g: Functor, dim_cap: int
 ) -> tuple[SimplicialMap, SimplicialMap]:
     """The comparison maps a: Re_C(P*f, g) -> Re_D(f, g|_D) and its section b.
 
@@ -381,9 +368,10 @@ def projector_maps(
         raise InputError("diagram must live on the projector's image category")
     if not _same_category(g.category, cat):
         raise InputError("presheaf must live on the projector's category")
-    pf = pullback_diagram(d, f)
+    # f after P: the diagram x -> f(P(x)) on the whole category
+    pf = reindex(f, MappedCat(cat, d.obj_map, d.mor_map))
     re_c = realize(cat, pf, g, dim_cap)
-    re_d = realize(sub, f, restrict_presheaf(g, mapped), dim_cap)
+    re_d = realize(sub, f, reindex(g, mapped), dim_cap)
 
     def a_rule(k: int, z: tuple) -> tuple:
         x0, ms, fs, gs = z
@@ -456,8 +444,8 @@ def triples_category(site: Site) -> ProjectorData:
 
 
 def sections_presheaf_on_triples(
-    site: Site, g: SetPresheaf, d: ProjectorData
-) -> SetPresheaf:
+    site: Site, g: SetFunctor, d: ProjectorData
+) -> SetFunctor:
     """Set presheaf on the triples category: the value at (x, B, m) is the
     matching sections of g over B; (phi, rho) acts by precomposing with phi."""
     cat = site.category
@@ -477,4 +465,4 @@ def sections_presheaf_on_triples(
             by_member = dict(sec)
             act[sec] = tuple((h, by_member[cat.compose(phi, h)]) for h in b1key)
         action[mm.mid] = act
-    return SetPresheaf(tcat, values, action)
+    return SetFunctor(tcat, values, action, covariant=False)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import gcd
 
 from finsite.catsite import FiniteSpace, Site, open_id
-from finsite.presheaf import SetPresheaf
+from finsite.presheaf import SetFunctor
 
 # -- integer matrices ---------------------------------------------------------------
 
@@ -150,7 +150,7 @@ def _opens_by_id(space: FiniteSpace) -> dict[str, frozenset]:
     return {open_id(o): o for o in space.opens}
 
 
-def stalk_family_sheaf(space: FiniteSpace, site: Site, sp: SetPresheaf) -> SetPresheaf:
+def stalk_family_sheaf(space: FiniteSpace, site: Site, sp: SetFunctor) -> SetFunctor:
     """Sheafification by exhaustive search: a section over U is one value per
     point, drawn from the stalk (the value at the point's minimal open), such
     that every specialization relation is respected."""
@@ -188,10 +188,10 @@ def stalk_family_sheaf(space: FiniteSpace, site: Site, sp: SetPresheaf) -> SetPr
         action[m.mid] = {
             fam: tuple((p, v) for p, v in fam if p in set(vpts)) for fam in values[m.tgt]
         }
-    return SetPresheaf(cat, values, action)
+    return SetFunctor(cat, values, action, covariant=False)
 
 
-def stalk_family_unit(space: FiniteSpace, site: Site, sp: SetPresheaf) -> dict:
+def stalk_family_unit(space: FiniteSpace, site: Site, sp: SetFunctor) -> dict:
     """Per object: each plain section's stalk family of restrictions."""
     cat = site.category
     by_id = _opens_by_id(space)
@@ -208,7 +208,7 @@ def stalk_family_unit(space: FiniteSpace, site: Site, sp: SetPresheaf) -> dict:
     return out
 
 
-def germs(space: FiniteSpace, site: Site, g0: SetPresheaf, t, uid: str):
+def germs(space: FiniteSpace, site: Site, g0: SetFunctor, t, uid: str):
     """Stalk family of a twice-plus section, asserting choice independence.
 
     t is a tuple of (member, section) pairs whose sections are themselves

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 from finsite.catsite import FinCat, FiniteSpace, poset_category
 from finsite.presheaf import (
-    SetDiagram,
-    SetPresheaf,
+    SetFunctor,
     constant_set_presheaf,
+    discretize,
     representable_set_presheaf,
-    to_diagram,
-    validate_set_diagram,
-    validate_set_presheaf,
+    validate_set_functor,
 )
 
 
@@ -49,9 +47,9 @@ def random_nested_diagram(rng, cat: FinCat, cap: int):
                 base[m.tgt] = base[m.src]
     values = {x: tuple(pool[: base[x] + 1]) for x in cat.objects}
     action = {m.mid: {v: v for v in values[m.src]} for m in cat.morphisms.values()}
-    sd = SetDiagram(cat, values, action)
-    assert validate_set_diagram(sd).ok
-    return to_diagram(sd, cap)
+    sd = SetFunctor(cat, values, action, covariant=True)
+    assert validate_set_functor(sd).ok
+    return discretize(sd, cap)
 
 
 def random_space(rng, max_opens: int = 12) -> FiniteSpace:
@@ -77,7 +75,7 @@ def random_space(rng, max_opens: int = 12) -> FiniteSpace:
             return FiniteSpace.build(pts, sets)
 
 
-def disjoint_union_sp(a: SetPresheaf, b: SetPresheaf) -> SetPresheaf:
+def disjoint_union_sp(a: SetFunctor, b: SetFunctor) -> SetFunctor:
     """Objectwise disjoint union, tagged left/right."""
     cat = a.category
     values = {
@@ -90,10 +88,10 @@ def disjoint_union_sp(a: SetPresheaf, b: SetPresheaf) -> SetPresheaf:
         act = {("l", v): ("l", a.action[m.mid][v]) for v in a.values[m.tgt]}
         act.update({("r", v): ("r", b.action[m.mid][v]) for v in b.values[m.tgt]})
         action[m.mid] = act
-    return SetPresheaf(cat, values, action)
+    return SetFunctor(cat, values, action, covariant=False)
 
 
-def product_sp(a: SetPresheaf, b: SetPresheaf) -> SetPresheaf:
+def product_sp(a: SetFunctor, b: SetFunctor) -> SetFunctor:
     """Objectwise cartesian product."""
     cat = a.category
     values = {
@@ -106,17 +104,17 @@ def product_sp(a: SetPresheaf, b: SetPresheaf) -> SetPresheaf:
             for u in a.values[m.tgt]
             for v in b.values[m.tgt]
         }
-    return SetPresheaf(cat, values, action)
+    return SetFunctor(cat, values, action, covariant=False)
 
 
-def collapse_below(cat: FinCat, top) -> SetPresheaf:
+def collapse_below(cat: FinCat, top) -> SetFunctor:
     """Two elements at one object, one everywhere else; inclusions collapse."""
     from finsite.gallery import collapse_set_presheaf
 
     return collapse_set_presheaf(cat, top)
 
 
-def random_set_presheaf(rng, cat: FinCat, depth: int = 1) -> SetPresheaf:
+def random_set_presheaf(rng, cat: FinCat, depth: int = 1) -> SetFunctor:
     """Random functorial set presheaf built from closed families."""
     kinds = ["constant", "representable"]
     if depth > 0:
@@ -137,7 +135,7 @@ def random_set_presheaf(rng, cat: FinCat, depth: int = 1) -> SetPresheaf:
             random_set_presheaf(rng, cat, depth - 1),
             random_set_presheaf(rng, cat, depth - 1),
         )
-    assert validate_set_presheaf(sp).ok
+    assert validate_set_functor(sp).ok
     return sp
 
 

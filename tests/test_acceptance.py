@@ -29,14 +29,13 @@ from finsite.homology import (
 )
 from finsite.presheaf import (
     constant_set_presheaf,
+    discretize,
+    discretize_map,
     gamma_prime_set,
     is_sheaf_set,
-    point_diagram,
+    point_functor,
     representable_set_presheaf,
     sheafify_set,
-    terminal_presheaf,
-    to_presheaf,
-    to_presheaf_map,
 )
 from finsite.realization import (
     covariant_descent_check,
@@ -73,8 +72,8 @@ from randgen import (
 )
 
 
-def groups(s, max_deg, threads=1):
-    h = sset_homology(s, max_deg, threads=threads)
+def groups(s, max_deg):
+    h = sset_homology(s, max_deg)
     return tuple(h.group(k).summands for k in range(max_deg + 1))
 
 
@@ -85,7 +84,7 @@ def test_criterion_1_final_object():
     for _ in range(10):
         cat, mx = random_poset_with_max(rng, rng.randint(3, 7))
         f = random_nested_diagram(rng, cat, cap)
-        re_s = realize(cat, f, terminal_presheaf(cat, cap), cap)
+        re_s = realize(cat, f, point_functor(cat, cap, covariant=False), cap)
         val = f.values[mx]
         ok = ok and len(pi0(re_s)) == len(pi0(val))
         ok = ok and groups(re_s, cap - 1) == groups(val, cap - 1)
@@ -105,10 +104,10 @@ def test_criterion_2_representables_and_disjoint_unions():
         objs = sorted(cat.objects, key=str)
         z, w = rng.choice(objs), rng.choice(objs)
         ya, yb = representable_set_presheaf(cat, z), representable_set_presheaf(cat, w)
-        ha = groups(realize(cat, f, to_presheaf(ya, cap), cap), cap - 1)
-        hb = groups(realize(cat, f, to_presheaf(yb, cap), cap), cap - 1)
+        ha = groups(realize(cat, f, discretize(ya, cap), cap), cap - 1)
+        hb = groups(realize(cat, f, discretize(yb, cap), cap), cap - 1)
         ok = ok and ha == groups(f.values[z], cap - 1)
-        hu = groups(realize(cat, f, to_presheaf(disjoint_union_sp(ya, yb), cap), cap), cap - 1)
+        hu = groups(realize(cat, f, discretize(disjoint_union_sp(ya, yb), cap), cap), cap - 1)
         ok = ok and all(
             direct_sum_matches(ha[k], hb[k], hu[k]) for k in range(cap)
         )
@@ -137,7 +136,7 @@ def test_criterion_3_pseudo_circle_sheafification_comparisons():
         ("collapse", collapse_set_presheaf(cat, open_id("abcd"))),
         ("constant2", constant_set_presheaf(cat, ["0", "1"])),
     ):
-        pm = to_presheaf_map(sheafify_set(site, sp).unit, cap)
+        pm = discretize_map(sheafify_set(site, sp).unit, cap)
         sm = induced_realization_map(f, pm, cap)
         hs = sset_homology(sm.source, 1)
         ht = sset_homology(sm.target, 1)
@@ -200,7 +199,7 @@ def test_criterion_5_descent_certificates():
     oc_ok = oc_ok and irep.ok
     # claimed counterexample: some cover where the constant-point functor
     # fails with realization H1 = Z against value H1 = 0
-    pt = point_diagram(cat, 3)
+    pt = point_functor(cat, 3, covariant=True)
     failures = []
     claimed = False
     for x in cat.objects:
@@ -230,8 +229,8 @@ def test_criterion_6_projector_comparison_maps():
     img = projector_image(d)
     cap = 4
     g0 = constant_set_presheaf(site.category, ["0", "1"])
-    gp = to_presheaf(sections_presheaf_on_triples(site, g0, d), cap)
-    f = point_diagram(img.category, cap)
+    gp = discretize(sections_presheaf_on_triples(site, g0, d), cap)
+    f = point_functor(img.category, cap, covariant=True)
     a, b = projector_maps(d, f, gp, cap)
     ab = a.compose(b)
     table_ok = ab.mapping == SimplicialMap.identity(b.source).mapping
@@ -257,7 +256,8 @@ def test_criterion_7_homology_engine():
         a = IntMatrix(len(rows), len(rows[0]), [r[:] for r in rows])
         ok = ok and not snf_violations(rows, smith_normal_form(a))
     cat = bz2_category()
-    nerve = realize(cat, point_diagram(cat, 4), terminal_presheaf(cat, 4), 4)
+    pt, terminal = point_functor(cat, 4, covariant=True), point_functor(cat, 4, covariant=False)
+    nerve = realize(cat, pt, terminal, 4)
     circle = circle_sset(3)
     constructed = [
         standard_simplex(3, 4),

@@ -1,9 +1,11 @@
 """Categories, sieves, sites, finite spaces."""
 
+import itertools
 import random
 
 import pytest
 
+from finsite import catsite
 from finsite.catsite import (
     FinCat,
     FiniteSpace,
@@ -116,6 +118,26 @@ def test_all_sieves_on_sierpinski_top():
     assert len(sieves) == 3
     sizes = sorted(len(s.members) for s in sieves)
     assert sizes == [0, 1, 2]
+
+
+def test_sieve_enumeration_refuses_large_fan_in_up_front(monkeypatch):
+    # 18 incomparable atoms under a top: 19 morphisms into the top
+    atoms = [f"p{i:02d}" for i in range(18)]
+    cat = poset_category(atoms + ["top"], lambda a, b: a == b or b == "top")
+    # the discrete space on five points: 31 opens below the whole set
+    pts = "pqrst"
+    space = FiniteSpace.build(
+        pts, [c for r in range(1, 6) for c in itertools.combinations(pts, r)]
+    )
+
+    def no_sieves(*args):
+        raise AssertionError("a sieve was enumerated before the refusal")
+
+    monkeypatch.setattr(catsite, "Sieve", no_sieves)
+    with pytest.raises(InputError, match="19 morphisms"):
+        all_sieves(cat, "top")
+    with pytest.raises(InputError, match="31 morphisms"):
+        site_from_finite_space(space)
 
 
 def test_site_coverings_pseudo_circle():

@@ -231,3 +231,51 @@ def test_inline_sieve_json(capsys):
     data = json.loads(out)
     assert data["report"]["ok"] is True
     assert len(data["report"]["sieve"]) == 5
+
+
+
+def _collapse_with(kit, key, name, value):
+    """The kit's collapse presheaf with one action or value replaced."""
+    data = json.loads((kit / "pseudo_circle.collapse.presheaf.json").read_text())
+    data[key][name] = value
+    return json.dumps(data)
+
+
+MALFORMED = {
+    "action-number": lambda kit: [
+        "sheafify",
+        "--presheaf",
+        _collapse_with(kit, "actions", "{a}<={a,b}", 5),
+    ],
+    "values-number": lambda kit: [
+        "sheafify",
+        "--presheaf",
+        _collapse_with(kit, "values", "{a}", 3),
+    ],
+    "sieve-generator-list": lambda kit: [
+        "descent-check",
+        "--object",
+        "{a,b,c,d}",
+        "--sieve",
+        json.dumps({"base": "{a,b,c,d}", "generators": [["x"]]}),
+    ],
+    "map-component-list": lambda kit: [
+        "compare",
+        "--presheaf",
+        "constant:0,1",
+        "--presheaf2",
+        "constant:0,1",
+        "--map",
+        json.dumps({"components": {"{a}": [1]}}),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, case):
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
+    argv = MALFORMED[case](tmp_path)
+    space = str(tmp_path / "pseudo_circle.space.json")
+    code, out, err = run(capsys, argv[0], "--space", space, *argv[1:])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "InputError"

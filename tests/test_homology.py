@@ -106,13 +106,6 @@ def test_homology_disjoint_union_adds_betti():
     assert h.group(1).betti == 2
 
 
-def test_homology_threads_agree():
-    t = product(circle_sset(3), circle_sset(3))
-    h1 = sset_homology(t, 2, threads=1)
-    h4 = sset_homology(t, 2, threads=4)
-    assert [g.summands for g in h1.groups] == [g.summands for g in h4.groups]
-
-
 def test_homology_degree_guards():
     s = circle_sset(2)
     with pytest.raises(InputError):

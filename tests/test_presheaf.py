@@ -11,22 +11,23 @@ from finsite.gallery import (
     sierpinski_space,
 )
 from finsite.presheaf import (
+    Functor,
     constant_set_presheaf,
+    discretize,
+    discretize_map,
     gamma_prime_map,
     gamma_prime_set,
     illusie_pi0_certificate,
     is_sheaf_set,
     matching_sections,
-    pi0_presheaf,
+    pi0_functor,
     representable_set_presheaf,
     restrict,
     section_value,
     sections_set,
     sheafify_set,
     terminal_set_presheaf,
-    to_presheaf,
-    to_presheaf_map,
-    validate_set_presheaf,
+    validate_set_functor,
     validate_set_presheaf_map,
 )
 from finsite.reports import InputError
@@ -44,7 +45,7 @@ def test_representable_values_are_slices():
     _, site = _pc()
     cat = site.category
     y = representable_set_presheaf(cat, open_id("abc"))
-    assert validate_set_presheaf(y).ok
+    assert validate_set_functor(y).ok
     # hom(u, abc) is a point when u <= abc, empty otherwise
     assert len(y.values[open_id("ab")]) == 1
     assert len(y.values[open_id("abd")]) == 0
@@ -91,7 +92,7 @@ def test_restrict_dispatches_on_type():
     s = two_open_cover(site)
     out = restrict(sp, s)
     assert set(out.category.objects) == set(s.members)
-    p = to_presheaf(sp, 2)
+    p = discretize(sp, 2)
     out2 = restrict(p, s)
     assert set(out2.category.objects) == set(s.members)
 
@@ -191,16 +192,16 @@ def test_disjoint_union_and_product_presheaves_validate():
     cat = site.category
     a = constant_set_presheaf(cat, ["0", "1"])
     b = representable_set_presheaf(cat, open_id("ab"))
-    assert validate_set_presheaf(disjoint_union_sp(a, b)).ok
-    assert validate_set_presheaf(product_sp(a, b)).ok
+    assert validate_set_functor(disjoint_union_sp(a, b)).ok
+    assert validate_set_functor(product_sp(a, b)).ok
 
 
 def test_pi0_presheaf_counts_components_per_object():
     _, site = _pc()
     cat = site.category
     sp = constant_set_presheaf(cat, ["0", "1"])
-    p = to_presheaf(sp, 2)
-    classes, _ = pi0_presheaf(p)
+    p = discretize(sp, 2)
+    classes, _ = pi0_functor(p)
     assert all(len(classes.values[x]) == 2 for x in cat.objects)
 
 
@@ -209,7 +210,7 @@ def test_illusie_certificate_accepts_sheafification_unit():
     cat = site.category
     sp = constant_set_presheaf(cat, ["0", "1"])
     sh = sheafify_set(site, sp)
-    pm = to_presheaf_map(sh.unit, 2)
+    pm = discretize_map(sh.unit, 2)
     rep = illusie_pi0_certificate(site, pm)
     assert rep.ok
 
@@ -224,7 +225,7 @@ def test_illusie_certificate_rejects_component_collapse():
     crush = SetPresheafMap(
         two, one, {x: {v: one.values[x][0] for v in two.values[x]} for x in cat.objects}
     )
-    rep = illusie_pi0_certificate(site, to_presheaf_map(crush, 2))
+    rep = illusie_pi0_certificate(site, discretize_map(crush, 2))
     assert not rep.ok and rep.kind == "pi0-sheaf-not-bijective"
 
 
@@ -232,5 +233,14 @@ def test_sections_set_rejects_foreign_presheaf():
     _, site = _pc()
     other = site_from_finite_space(sierpinski_space())
     sp = terminal_set_presheaf(other.category)
-    with pytest.raises((AssertionError, InputError, KeyError)):
+    with pytest.raises(InputError):
         sections_set(site.category, sp)
+
+
+def test_functor_values_must_cover_every_object():
+    _, site = _pc()
+    cat = site.category
+    p = discretize(constant_set_presheaf(cat, ["0"]), 2)
+    del p.values[open_id("ab")]
+    with pytest.raises(InputError):
+        Functor(cat, 2, p.values, p.action, covariant=False)

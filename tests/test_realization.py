@@ -25,15 +25,14 @@ from finsite.gallery import (
 )
 from finsite.homology import induced_map, sset_homology
 from finsite.presheaf import (
-    Presheaf,
+    Functor,
     SetPresheafMap,
     constant_set_presheaf,
-    point_diagram,
+    discretize,
+    discretize_map,
+    point_functor,
     sheafify_set,
-    terminal_presheaf,
-    to_presheaf,
-    to_presheaf_map,
-    validate_presheaf,
+    validate_functor,
 )
 from finsite.realization import (
     covariant_descent_check,
@@ -61,8 +60,8 @@ def _pc_site():
 def test_realize_point_category_recovers_g_value():
     cat = point_category()
     circle = circle_sset(3)
-    g = Presheaf(cat, 3, {"*": circle}, {"id:*": SimplicialMap.identity(circle)})
-    re = realize(cat, point_diagram(cat, 3), g, 3, validate=True)
+    g = Functor(cat, 3, {"*": circle}, {"id:*": SimplicialMap.identity(circle)}, covariant=False)
+    re = realize(cat, point_functor(cat, 3, covariant=True), g, 3, validate=True)
     assert re.counts() == circle.counts()
     h = sset_homology(re, 2)
     assert [x.label() for x in h.groups] == ["Z", "Z", "0"]
@@ -70,7 +69,8 @@ def test_realize_point_category_recovers_g_value():
 
 def test_realize_nerve_of_group():
     cat = bz2_category()
-    re = realize(cat, point_diagram(cat, 4), terminal_presheaf(cat, 4), 4)
+    pt, terminal = point_functor(cat, 4, covariant=True), point_functor(cat, 4, covariant=False)
+    re = realize(cat, pt, terminal, 4)
     assert validate_sset(re).ok
     assert re.nondegenerate_counts() == (1, 1, 1, 1, 1)
     h = sset_homology(re, 3)
@@ -81,8 +81,8 @@ def test_realize_free_action_is_contractible():
     cat = bz2_category()
     from finsite.gallery import swap_set_presheaf
 
-    g = to_presheaf(swap_set_presheaf(cat), 4)
-    re = realize(cat, point_diagram(cat, 4), g, 4, validate=True)
+    g = discretize(swap_set_presheaf(cat), 4)
+    re = realize(cat, point_functor(cat, 4, covariant=True), g, 4, validate=True)
     assert len(pi0(re)) == 1
     h = sset_homology(re, 3)
     assert [x.label() for x in h.groups] == ["Z", "0", "0", "0"]
@@ -91,7 +91,7 @@ def test_realize_free_action_is_contractible():
 def test_realize_order_complex_of_pseudo_circle():
     space, site = _pc_site()
     f = order_complex_functor(space, 4, site)
-    re = realize(site.category, f, terminal_presheaf(site.category, 4), 4)
+    re = realize(site.category, f, point_functor(site.category, 4, covariant=False), 4)
     assert validate_sset(re).ok
     assert re.counts() == (14, 46, 100, 180, 290)
     assert re.nondegenerate_counts() == (14, 32, 22, 4, 0)
@@ -107,7 +107,7 @@ def test_realize_respects_final_object_on_random_posets():
         cat, mx = random_poset_with_max(rng, rng.randint(3, 6))
         assert has_final_object(cat) == mx
         f = random_nested_diagram(rng, cat, cap)
-        re = realize(cat, f, terminal_presheaf(cat, cap), cap)
+        re = realize(cat, f, point_functor(cat, cap, covariant=False), cap)
         h_re = sset_homology(re, cap - 1)
         h_val = sset_homology(f.values[mx], cap - 1)
         assert len(pi0(re)) == len(pi0(f.values[mx]))
@@ -120,12 +120,13 @@ def test_realize_validates_base_category_mismatch():
     f = order_complex_functor(space, 2, site)
     other = point_category()
     with pytest.raises(InputError):
-        realize(other, f, terminal_presheaf(other, 2), 2)
+        realize(other, f, point_functor(other, 2, covariant=False), 2)
 
 
 def test_realization_json_carries_annotations():
     cat = point_category()
-    re = realize(cat, point_diagram(cat, 2), terminal_presheaf(cat, 2), 2)
+    pt, terminal = point_functor(cat, 2, covariant=True), point_functor(cat, 2, covariant=False)
+    re = realize(cat, pt, terminal, 2)
     data = realization_to_json(re)
     assert set(data["annotations"]) == {
         name for level in data["simplices"].values() for name in level
@@ -167,7 +168,7 @@ def test_descent_constant_functor_passes_coned_cover():
     # the arc cover's sieve category has {a,b} below both arcs, so the nerve
     # is a cone and the constant functor still satisfies descent there
     space, site = _pc_site()
-    f = point_diagram(site.category, 3)
+    f = point_functor(site.category, 3, covariant=True)
     s = pseudo_circle_cover(site)
     rep = covariant_descent_check(site, f, s.base, s, 2)
     assert rep.ok
@@ -178,7 +179,7 @@ def test_descent_constant_functor_fails_two_open_cover():
     # {a} and {b} are disjoint, so the sieve nerve has two components while
     # the value is a single point: the failure shows up in degree zero
     space, site = _pc_site()
-    f = point_diagram(site.category, 3)
+    f = point_functor(site.category, 3, covariant=True)
     s = two_open_cover(site)
     rep = covariant_descent_check(site, f, s.base, s, 2)
     assert not rep.ok
@@ -206,7 +207,7 @@ def test_induced_realization_map_is_simplicial():
     f = order_complex_functor(space, 3, site)
     sp = constant_set_presheaf(cat, ["0", "1"])
     sh = sheafify_set(site, sp)
-    pm = to_presheaf_map(sh.unit, 3)
+    pm = discretize_map(sh.unit, 3)
     m = induced_realization_map(f, pm, 3)
     assert validate_map(m).ok
 
@@ -222,8 +223,8 @@ def test_induced_realization_map_functorial_in_composition():
         sh.sheaf,
         {x: {v: v for v in sh.sheaf.values[x]} for x in cat.objects},
     )
-    pm1 = to_presheaf_map(sh.unit, 2)
-    pm2 = to_presheaf_map(third, 2)
+    pm1 = discretize_map(sh.unit, 2)
+    pm2 = discretize_map(third, 2)
     m1 = induced_realization_map(f, pm1, 2)
     m2 = induced_realization_map(f, pm2, 2)
     m12 = induced_realization_map(f, pm1.then(pm2), 2)
@@ -261,9 +262,9 @@ def test_projector_maps_section_and_homology():
     img = projector_image(d)
     cap = 3
     g0 = constant_set_presheaf(site.category, ["0", "1"])
-    gp = to_presheaf(sections_presheaf_on_triples(site, g0, d), cap)
-    assert validate_presheaf(gp).ok
-    f = point_diagram(img.category, cap)
+    gp = discretize(sections_presheaf_on_triples(site, g0, d), cap)
+    assert validate_functor(gp).ok
+    f = point_functor(img.category, cap, covariant=True)
     a, b = projector_maps(d, f, gp, cap)
     assert validate_map(a).ok and validate_map(b).ok
     ab = a.compose(b)
@@ -300,8 +301,8 @@ def test_realize_disjoint_union_presheaf_splits():
     z = sorted(cat.objects)[0]
     y = representable_set_presheaf(cat, z)
     yy = disjoint_union_sp(y, y)
-    re1 = realize(cat, f, to_presheaf(y, cap), cap)
-    re2 = realize(cat, f, to_presheaf(yy, cap), cap)
+    re1 = realize(cat, f, discretize(y, cap), cap)
+    re2 = realize(cat, f, discretize(yy, cap), cap)
     assert len(pi0(re2)) == 2 * len(pi0(re1))
     h1 = sset_homology(re1, cap - 1)
     h2 = sset_homology(re2, cap - 1)

@@ -19,6 +19,7 @@ from finsite import gallery
 from finsite.canon import cjson, csorted, cstr
 from finsite.catsite import (
     FinCat,
+    FiniteSpace,
     Sieve,
     Site,
     category_from_json,
@@ -93,19 +94,19 @@ def _inline_or_file(arg: str) -> dict:
     return _load_json(arg)
 
 
-def _resolve_base(args) -> tuple[Site | None, FinCat]:
-    """A site from --space, or a bare category from --cat."""
+def _resolve_base(args) -> tuple[FiniteSpace | None, Site | None, FinCat]:
+    """A space and its site from --space, or a bare category from --cat."""
     if getattr(args, "space", None) and getattr(args, "cat", None):
         raise InputError("give --space or --cat, not both")
     if getattr(args, "space", None):
         space = space_from_json(_load_json(args.space))
         validate_space(space).raise_if_failed()
         site = site_from_finite_space(space)
-        return site, site.category
+        return space, site, site.category
     if getattr(args, "cat", None):
         cat = category_from_json(_load_json(args.cat))
         validate_category(cat).raise_if_failed()
-        return None, cat
+        return None, None, cat
     raise InputError("an input is required: --space, --cat, or --example")
 
 
@@ -239,13 +240,12 @@ def _parse_g(spec: str, cat: FinCat, site: Site | None, dim_cap: int) -> Functor
     return discretize(_parse_set_presheaf(spec, cat, site), dim_cap)
 
 
-def _parse_functor(name: str, args, site: Site | None, cat: FinCat, dim_cap: int):
+def _parse_functor(
+    name: str, space: FiniteSpace | None, site: Site | None, cat: FinCat, dim_cap: int
+):
     if name == "order_complex":
-        site = _require_site(site)
-        space = space_from_json(_load_json(args.space)) if args.space else None
-        if space is None:
-            raise InputError("order_complex needs --space")
-        return order_complex_functor(space, dim_cap, site)
+        # a site comes only with the space it was built from
+        return order_complex_functor(space, dim_cap, _require_site(site))
     if name == "point":
         return point_functor(cat, dim_cap, covariant=True)
     raise InputError(f"unknown functor {name}; known: order_complex, point")
@@ -404,8 +404,8 @@ def cmd_realize(args) -> int:
     if args.example:
         cat, f, g = _realize_example(args.example, cap)
     else:
-        site, cat = _resolve_base(args)
-        f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), args, site, cat, cap)
+        space, site, cat = _resolve_base(args)
+        f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), space, site, cat, cap)
         g = _parse_g(args.presheaf or "terminal", cat, site, cap)
     re = realize(cat, f, g, cap)
     h = sset_homology(re, max_deg)
@@ -435,7 +435,7 @@ def cmd_sheafify(args) -> int:
     if args.example:
         site, sp = _sheafify_example(args.example)
     else:
-        site, cat = _resolve_base(args)
+        _, site, cat = _resolve_base(args)
         site = _require_site(site)
         if not args.presheaf:
             raise InputError("sheafify needs --presheaf")
@@ -472,9 +472,9 @@ def cmd_descent_check(args) -> int:
     if args.example:
         site, f, obj, sieve = _descent_example(args.example, cap)
     else:
-        site, cat = _resolve_base(args)
+        space, site, cat = _resolve_base(args)
         site = _require_site(site)
-        f = _parse_functor(args.functor or "order_complex", args, site, cat, cap)
+        f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
         if not args.object or not args.sieve:
             raise InputError("descent-check needs --object and --sieve")
         if args.object not in set(site.category.objects):
@@ -508,9 +508,9 @@ def cmd_compare(args) -> int:
         site, space, sp, pm_set = _compare_example(args.example)
         f = order_complex_functor(space, cap, site)
     else:
-        site, cat = _resolve_base(args)
+        space, site, cat = _resolve_base(args)
         site = _require_site(site)
-        f = _parse_functor(args.functor or "order_complex", args, site, cat, cap)
+        f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
         if not args.presheaf:
             raise InputError("compare needs --presheaf")
         sp = _parse_set_presheaf(args.presheaf, site.category, site)

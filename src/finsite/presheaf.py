@@ -154,19 +154,15 @@ class SetPresheafMap:
         return SetPresheafMap(self.source, after.target, comps)
 
 
-def validate_presheaf_map(pm: PresheafMap) -> Report:
-    cat = pm.source.category
-    for m in cat.morphisms.values():
-        # naturality: eta_src . P(f) == Q(f) . eta_tgt on P(tgt)
-        lhs = pm.components[m.src].compose(pm.source.action[m.mid])
-        rhs = pm.target.action[m.mid].compose(pm.components[m.tgt])
-        if lhs.mapping != rhs.mapping:
-            return Report.failure("naturality", "presheaf map square fails", (m.mid,))
-    return Report.success()
-
-
 def validate_set_presheaf_map(pm: SetPresheafMap) -> Report:
+    """Components and naturality of a map of set presheaves; endpoints that
+    are not contravariant SetFunctors on one category are an InputError."""
+    ends = (pm.source, pm.target)
+    if not all(isinstance(e, SetFunctor) and not e.covariant for e in ends):
+        raise InputError("a set presheaf map needs contravariant set functors at both ends")
     cat = pm.source.category
+    if pm.target.category is not cat and pm.target.category != cat:
+        raise InputError("a set presheaf map needs both ends on the same category")
     for x in cat.objects:
         comp = pm.components.get(x)
         if comp is None or set(comp) != set(pm.source.values[x]):

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from finsite.catsite import FiniteSpace, Site, open_id
+from finsite.homology import IntMatrix
 from finsite.presheaf import SetFunctor
 
 # -- integer matrices ---------------------------------------------------------------
@@ -52,8 +54,153 @@ def bareiss_det(rows_: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+class DenseSNF(NamedTuple):
+    """A normal form with dense transforms: U @ A @ V == D."""
+
+    diag: tuple[int, ...]
+    rank: int
+    U: IntMatrix
+    V: IntMatrix
+    Uinv: IntMatrix
+    Vinv: IntMatrix
+
+
+def densify(res) -> DenseSNF:
+    """The package's normal form with its sparse transforms written out: U and
+    Vinv are stored as rows, V and Uinv as columns."""
+
+    def from_rows(lines):
+        n = len(lines)
+        return IntMatrix(n, n, [[line.get(j, 0) for j in range(n)] for line in lines])
+
+    def from_cols(lines):
+        n = len(lines)
+        return IntMatrix(n, n, [[lines[j].get(i, 0) for j in range(n)] for i in range(n)])
+
+    return DenseSNF(
+        res.diag, res.rank, from_rows(res.U), from_cols(res.V), from_cols(res.Uinv),
+        from_rows(res.Vinv),
+    )
+
+
+def dense_smith_normal_form(a: IntMatrix) -> DenseSNF:
+    """The dense elimination the package's sparse engine reproduces step for
+    step: pivot on the smallest (|v|, row, column) entry left, clear its column
+    then its row, and add a row that the pivot fails to divide into the pivot
+    row.  Every row and column operation updates four dense transforms."""
+    rows, cols = a.rows, a.cols
+    d = [list(r) for r in a.data]
+    U = IntMatrix.identity(rows)
+    Uinv = IntMatrix.identity(rows)
+    V = IntMatrix.identity(cols)
+    Vinv = IntMatrix.identity(cols)
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        U.data[i], U.data[j] = U.data[j], U.data[i]
+        for r in Uinv.data:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, t):
+        # row_i += t * row_j
+        ri, rj = d[i], d[j]
+        for k in range(cols):
+            ri[k] += t * rj[k]
+        ui, uj = U.data[i], U.data[j]
+        for k in range(rows):
+            ui[k] += t * uj[k]
+        for r in Uinv.data:
+            r[j] -= t * r[i]
+
+    def row_neg(i):
+        d[i] = [-v for v in d[i]]
+        U.data[i] = [-v for v in U.data[i]]
+        for r in Uinv.data:
+            r[i] = -r[i]
+
+    def col_swap(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        for r in V.data:
+            r[i], r[j] = r[j], r[i]
+        Vinv.data[i], Vinv.data[j] = Vinv.data[j], Vinv.data[i]
+
+    def col_add(j, i, t):
+        # col_j += t * col_i
+        for r in d:
+            r[j] += t * r[i]
+        for r in V.data:
+            r[j] += t * r[i]
+        vi, vj = Vinv.data[i], Vinv.data[j]
+        for k in range(cols):
+            vi[k] -= t * vj[k]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = None
+        for i in range(t, rows):
+            row = d[i]
+            for j in range(t, cols):
+                v = row[j]
+                if v != 0:
+                    key = (abs(v), i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        while True:
+            piv = d[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    q = d[i][t] // piv
+                    if q:
+                        row_add(i, t, -q)
+                    if d[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    q = d[t][j] // piv
+                    if q:
+                        col_add(j, t, -q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # pivot must divide the rest of the submatrix
+            piv = d[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                if any(v % piv for v in d[i][t + 1 :]):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        t += 1
+    for i in range(limit):
+        if d[i][i] < 0:
+            row_neg(i)
+    diag = tuple(d[i][i] for i in range(limit))
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    return DenseSNF(diag, sum(1 for v in diag if v), U, V, Uinv, Vinv)
+
+
 def snf_violations(a_rows: list[list[int]], res) -> list[str]:
     """Everything the normal form promises, checked with local arithmetic only."""
+    res = densify(res)
     rows, cols = len(a_rows), len(a_rows[0])
     probs = []
     want = [

@@ -279,3 +279,33 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, case):
     code, out, err = run(capsys, argv[0], "--space", space, *argv[1:])
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "InputError"
+
+
+def test_realize_reads_the_space_file_once(tmp_path, capsys, monkeypatch):
+    from finsite import cli
+
+    run(capsys, "examples", "interval_cover", "--dir", str(tmp_path))
+    space = str(tmp_path / "interval_cover.space.json")
+    reads = []
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    code, _, _ = run(capsys, "realize", "--space", space, "--dim-cap", "1")
+    assert code == 0
+    assert reads == [space]
+
+
+def test_realize_interval_cover_is_contractible_at_cap_3(tmp_path, capsys):
+    # the interval cover is contractible: one component, the homology of a point
+    run(capsys, "examples", "interval_cover", "--dir", str(tmp_path))
+    code, out, _ = run(
+        capsys, "realize", "--space", str(tmp_path / "interval_cover.space.json"),
+        "--dim-cap", "3", "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["pi0"] == 1
+    assert data["homology"] == [
+        {"degree": 0, "betti": 1, "torsion": []},
+        {"degree": 1, "betti": 0, "torsion": []},
+        {"degree": 2, "betti": 0, "torsion": []},
+    ]

@@ -12,6 +12,8 @@ from finsite.gallery import (
 )
 from finsite.presheaf import (
     Functor,
+    SetFunctor,
+    SetPresheafMap,
     constant_set_presheaf,
     discretize,
     discretize_map,
@@ -235,6 +237,20 @@ def test_sections_set_rejects_foreign_presheaf():
     sp = terminal_set_presheaf(other.category)
     with pytest.raises(InputError):
         sections_set(site.category, sp)
+
+
+def test_set_presheaf_map_rejects_covariant_endpoint():
+    _, site = _pc()
+    cat = site.category
+    sp = constant_set_presheaf(cat, ["0"])
+    # the same tables read as a covariant functor; naturality would hold
+    # square for square, but in the wrong direction
+    cov = SetFunctor(cat, sp.values, sp.action, covariant=True)
+    ident = {x: {"0": "0"} for x in cat.objects}
+    assert validate_set_presheaf_map(SetPresheafMap(sp, sp, ident)).ok
+    for ends in ((sp, cov), (cov, sp), (cov, cov)):
+        with pytest.raises(InputError):
+            validate_set_presheaf_map(SetPresheafMap(*ends, ident))
 
 
 def test_functor_values_must_cover_every_object():

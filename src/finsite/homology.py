@@ -24,25 +24,46 @@ Sparse = list[dict[int, int]]
 
 
 class IntMatrix:
-    """Dense integer matrix; rows x cols, data as a list of row lists."""
+    """Integer matrix, rows x cols: data holds the dense row lists and
+    sparse the same rows as {column: nonzero} dicts.
 
-    __slots__ = ("rows", "cols", "data")
+    Give either data or sparse; the other is derived once, here, so a later
+    change to one is not seen by the other.
+    """
 
-    def __init__(self, rows: int, cols: int, data: list[list[int]] | None = None):
+    __slots__ = ("rows", "cols", "data", "sparse")
+
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        data: list[list[int]] | None = None,
+        sparse: Sparse | None = None,
+    ):
         self.rows = rows
         self.cols = cols
         if data is None:
+            if sparse is None:
+                sparse = [{} for _ in range(rows)]
+            elif len(sparse) != rows or any(not 0 <= j < cols for line in sparse for j in line):
+                raise InputError(f"sparse rows are not {rows}x{cols}")
             data = [[0] * cols for _ in range(rows)]
+            for row, line in zip(data, sparse):
+                for j, v in line.items():
+                    row[j] = v
+        elif sparse is not None:
+            raise InputError("give a matrix as data or as sparse rows, not both")
         elif len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"matrix data is not {rows}x{cols}")
+        else:
+            columns = range(cols)
+            sparse = [{j: row[j] for j in compress(columns, row)} for row in data]
         self.data = data
+        self.sparse = sparse
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        m = IntMatrix(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return IntMatrix(n, n, sparse=_identity(n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -57,11 +78,6 @@ class IntMatrix:
 
 
 # -- sparse arithmetic -----------------------------------------------------------
-
-
-def _sparse_rows(a: IntMatrix) -> Sparse:
-    cols = range(a.cols)
-    return [{j: row[j] for j in compress(cols, row)} for row in a.data]
 
 
 def _identity(n: int) -> Sparse:
@@ -130,7 +146,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     rows holding an entry there; every step touches nonzeros only.
     """
     rows, cols = a.rows, a.cols
-    d = _sparse_rows(a)
+    d = [dict(line) for line in a.sparse]
     at: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(d):
         for j in row:
@@ -275,7 +291,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 def _verify_transforms(a: IntMatrix, res: SNFResult) -> None:
     """U*A*V == D, U*Uinv == I and V*Vinv == I, multiplied over the nonzeros."""
     v_rows = _transpose(res.V, a.cols)
-    for i, row in enumerate(_mul(_mul(res.U, _sparse_rows(a)), v_rows)):
+    for i, row in enumerate(_mul(_mul(res.U, a.sparse), v_rows)):
         dv = res.diag[i] if i < len(res.diag) else 0
         if row != ({i: dv} if dv else {}):
             raise InternalCheckError("transform identity U*A*V == D failed")
@@ -302,19 +318,22 @@ def normalized_chain_complex(s: SimplicialSet, top: int) -> ChainComplex:
     index = [{z: i for i, z in enumerate(b)} for b in basis]
     boundary = [IntMatrix(0, len(basis[0]))]
     for k in range(1, top + 1):
-        mat = IntMatrix(len(basis[k - 1]), len(basis[k]))
+        lines: Sparse = [{} for _ in basis[k - 1]]
         for j, z in enumerate(basis[k]):
             sign = 1
             for i in range(k + 1):
-                f = s.face(k, z, i)
-                pos = index[k - 1].get(f)
+                pos = index[k - 1].get(s.face(k, z, i))
                 if pos is not None:
-                    mat.data[pos][j] += sign
+                    line = lines[pos]
+                    v = line.get(j, 0) + sign
+                    if v:
+                        line[j] = v
+                    else:
+                        del line[j]
                 sign = -sign
-        boundary.append(mat)
-    sparse = [_sparse_rows(b) for b in boundary]
+        boundary.append(IntMatrix(len(basis[k - 1]), len(basis[k]), sparse=lines))
     for k in range(1, top):
-        if any(_mul(sparse[k], sparse[k + 1])):
+        if any(_mul(boundary[k].sparse, boundary[k + 1].sparse)):
             raise InternalCheckError(f"boundary squared is nonzero at degree {k}")
     return ChainComplex(tuple(basis), tuple(boundary))
 
@@ -390,14 +409,10 @@ def _group_at(cx: ChainComplex, k: int) -> HomologyGroup:
     r = snf_a.rank
     kappa = n_k - r
     b = cx.boundary[k + 1]
-    w = _mul(snf_a.Vinv, _sparse_rows(b))
+    w = _mul(snf_a.Vinv, b.sparse)
     if any(w[:r]):
         raise InternalCheckError("boundary chain has nonzero differential")
-    m = IntMatrix(kappa, b.cols)
-    for row, wrow in zip(m.data, w[r:]):
-        for j, v in wrow.items():
-            row[j] = v
-    snf_m = smith_normal_form(m)
+    snf_m = smith_normal_form(IntMatrix(kappa, b.cols, sparse=w[r:]))
     dfull = list(snf_m.diag) + [0] * (kappa - len(snf_m.diag))
     um = list(snf_m.U)
     # kernel basis in chain coordinates: trailing columns of V for the k-boundary

@@ -16,6 +16,7 @@ G simplex).  Serialization exposes the same data as per-simplex annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from finsite.canon import csorted, cstr
@@ -48,7 +49,6 @@ from finsite.reports import InputError, InternalCheckError, Report, ValidationEr
 from finsite.sset import (
     SimplicialMap,
     SimplicialSet,
-    canonical_names,
     pi0,
     tabulate,
     to_json as sset_to_json,
@@ -98,16 +98,14 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int, validate: bool = 
                     level.append((x0, ms, fs, gs))
         levels.append(level)
 
-    def chain_end(x0: ObjId, ms: tuple) -> ObjId:
-        return cat.tgt(ms[-1]) if ms else x0
+    end = {m.mid: m.tgt for m in cat.morphisms.values()}
 
     def face(k: int, z: tuple, i: int) -> tuple:
         x0, ms, fs, gs = z
-        xk = chain_end(x0, ms)
+        xk = end[ms[-1]] if ms else x0
         if i == 0:
-            x1 = cat.tgt(ms[0])
             fv = f.action[ms[0]].apply(k - 1, f.values[x0].face(k, fs, 0))
-            return (x1, ms[1:], fv, g.values[xk].face(k, gs, 0))
+            return (end[ms[0]], ms[1:], fv, g.values[xk].face(k, gs, 0))
         if i == k:
             fv = f.values[x0].face(k, fs, k)
             gv = g.action[ms[-1]].apply(k - 1, g.values[xk].face(k, gs, k))
@@ -117,8 +115,8 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int, validate: bool = 
 
     def deg(k: int, z: tuple, i: int) -> tuple:
         x0, ms, fs, gs = z
-        xk = chain_end(x0, ms)
-        at = x0 if i == 0 else cat.tgt(ms[i - 1])
+        xk = end[ms[-1]] if ms else x0
+        at = x0 if i == 0 else end[ms[i - 1]]
         ext = ms[:i] + (cat.identity(at),) + ms[i:]
         fv = f.values[x0].degeneracy(k, fs, i)
         gv = g.values[xk].degeneracy(k, gs, i)
@@ -134,17 +132,18 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int, validate: bool = 
 
 def realization_to_json(s: SimplicialSet) -> dict:
     """Simplicial-set JSON plus per-simplex (object, chain, f, g) annotations."""
-    names = canonical_names(s)
-    data = sset_to_json(s, names)
+    data = sset_to_json(s)
+    # bar simplices share their objects, morphisms and value simplices, so
+    # each is rendered once
+    text = lru_cache(maxsize=None)(cstr)
     annotations = {}
-    for k in range(s.dim_cap + 1):
-        for z in s.simplices(k):
-            x0, ms, fs, gs = z
-            annotations[names[(k, z)]] = {
-                "object": cstr(x0),
-                "chain": [cstr(m) for m in ms],
-                "f": cstr(fs),
-                "g": cstr(gs),
+    for k, level in enumerate(s.levels):
+        for p, (x0, ms, fs, gs) in enumerate(level):
+            annotations[f"{k}_{p}"] = {
+                "object": text(x0),
+                "chain": [text(m) for m in ms],
+                "f": text(fs),
+                "g": text(gs),
             }
     data["annotations"] = annotations
     return data

@@ -15,7 +15,14 @@ class InputError(FinsiteError):
 
 
 class ValidationError(FinsiteError):
-    """Structurally well-formed input that violates a required invariant."""
+    """Structurally well-formed input that violates a required invariant.
+
+    report, when set, is the failed Report that names the violation.
+    """
+
+    def __init__(self, message: str, report: "Report | None" = None):
+        super().__init__(message)
+        self.report = report
 
 
 class InternalCheckError(FinsiteError):
@@ -45,7 +52,7 @@ class Report:
 
     def raise_if_failed(self) -> None:
         if not self.ok:
-            raise ValidationError(f"{self.kind}: {self.detail}")
+            raise ValidationError(f"{self.kind}: {self.detail}", self)
 
     def to_json(self) -> dict:
         from finsite.canon import cstr

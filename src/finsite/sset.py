@@ -1,20 +1,28 @@
-"""Dimension-capped simplicial sets with explicit face/degeneracy tables.
+"""Dimension-capped simplicial sets with face/degeneracy tables by position.
 
 A simplicial set here is a finite family of simplex identifiers per dimension
-0..dim_cap together with total face tables d_i (dimensions 1..dim_cap) and
-degeneracy tables s_i (dimensions 0..dim_cap-1).  All simplices are
+0..dim_cap together with total face maps d_i (dimensions 1..dim_cap) and
+degeneracy maps s_i (dimensions 0..dim_cap-1).  All simplices are
 materialized, degenerate ones included; a simplex z of dimension k >= 1 is
 degenerate exactly when s_i(d_i z) == z for some i, and that criterion is the
 single source of truth for degeneracy.
 
+Storage is by position.  Each level lists its simplices once, in canonical
+order, with one {simplex: position} map per level; d_i and s_i are per-level
+lists of int tuples, one tuple per simplex, giving the positions of its
+images in the adjacent level.  tabulate is the one way to build a set: it
+sorts each level, evaluates the face and degeneracy formulas once per
+simplex, and refuses an image outside its level.
+
 Identifiers are opaque: strings for user data, nested tuples for constructed
-simplices (products, disjoint unions, bar simplices).  Serialization renames
-everything canonically, so internal tuple ids never leak into output.
+simplices (products, disjoint unions, bar simplices).  Serialization names
+the simplex at position p of level k "k_p", so internal tuple ids never leak
+into output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from finsite.canon import ckey, csorted, cstr
@@ -22,30 +30,33 @@ from finsite.reports import InputError, Report, ValidationError
 
 SimplexId = Any  # str | nested tuple of str/int
 
+# Per level, one tuple of image positions per simplex.
+Table = list[tuple[int, ...]]
+
 
 class SimplicialSet:
-    """Immutable-by-convention simplicial set truncated at dim_cap."""
+    """Immutable-by-convention simplicial set truncated at dim_cap.
+
+    levels[k] holds the k-simplices in canonical order.  _faces[k][p] lists
+    the positions in level k-1 of d_0..d_k of the simplex at position p of
+    level k, and _degeneracies[k][p] the positions in level k+1 of s_0..s_k;
+    both are empty tuples where the operators leave 0..dim_cap.  Build one
+    with tabulate, which guarantees that every position lies in its level.
+    """
 
     def __init__(
         self,
         dim_cap: int,
-        levels: Iterable[Iterable[SimplexId]],
-        faces: dict[tuple[int, SimplexId, int], SimplexId],
-        degeneracies: dict[tuple[int, SimplexId, int], SimplexId],
+        levels: tuple[tuple[SimplexId, ...], ...],
+        index: tuple[dict[SimplexId, int], ...],
+        faces: tuple[Table, ...],
+        degeneracies: tuple[Table, ...],
     ):
-        if dim_cap < 0:
-            raise InputError("dim_cap must be nonnegative")
         self.dim_cap = dim_cap
-        self.levels: tuple[tuple[SimplexId, ...], ...] = tuple(
-            tuple(csorted(level)) for level in levels
-        )
-        if len(self.levels) != dim_cap + 1:
-            raise InputError(
-                f"expected {dim_cap + 1} levels, got {len(self.levels)}"
-            )
-        self._faces = dict(faces)
-        self._degeneracies = dict(degeneracies)
-        self._level_sets = tuple(frozenset(level) for level in self.levels)
+        self.levels = levels
+        self._index = index
+        self._faces = faces
+        self._degeneracies = degeneracies
         self._nondeg_cache: dict[int, tuple[SimplexId, ...]] = {}
 
     # -- basic access ------------------------------------------------------
@@ -56,35 +67,42 @@ class SimplicialSet:
         return self.levels[k]
 
     def has(self, k: int, z: SimplexId) -> bool:
-        return 0 <= k <= self.dim_cap and z in self._level_sets[k]
+        return 0 <= k <= self.dim_cap and z in self._index[k]
 
     def face(self, k: int, z: SimplexId, i: int) -> SimplexId:
         """d_i on a k-simplex, 0 <= i <= k, k >= 1."""
-        try:
-            return self._faces[(k, z, i)]
-        except KeyError:
-            raise InputError(f"no face d_{i} for {cstr(z)} in dimension {k}") from None
+        if 1 <= k <= self.dim_cap and 0 <= i <= k:
+            p = self._index[k].get(z)
+            if p is not None:
+                return self.levels[k - 1][self._faces[k][p][i]]
+        raise InputError(f"no face d_{i} for {cstr(z)} in dimension {k}")
 
     def degeneracy(self, k: int, z: SimplexId, i: int) -> SimplexId:
         """s_i on a k-simplex, 0 <= i <= k, k < dim_cap."""
-        try:
-            return self._degeneracies[(k, z, i)]
-        except KeyError:
-            raise InputError(
-                f"no degeneracy s_{i} for {cstr(z)} in dimension {k}"
-            ) from None
+        if 0 <= k < self.dim_cap and 0 <= i <= k:
+            p = self._index[k].get(z)
+            if p is not None:
+                return self.levels[k + 1][self._degeneracies[k][p][i]]
+        raise InputError(f"no degeneracy s_{i} for {cstr(z)} in dimension {k}")
+
+    def _degenerate_at(self, k: int, p: int) -> bool:
+        """s_i(d_i z) == z for some i, on the simplex at position p of level k."""
+        fz = self._faces[k][p]
+        degs = self._degeneracies[k - 1]
+        return any(degs[fz[i]][i] == p for i in range(k))
 
     def is_degenerate(self, k: int, z: SimplexId) -> bool:
         if k == 0:
             return False
-        return any(
-            self.degeneracy(k - 1, self.face(k, z, i), i) == z for i in range(k)
-        )
+        p = self._index[k].get(z) if 1 <= k <= self.dim_cap else None
+        if p is None:
+            raise InputError(f"no simplex {cstr(z)} in dimension {k}")
+        return self._degenerate_at(k, p)
 
     def nondegenerate(self, k: int) -> tuple[SimplexId, ...]:
         if k not in self._nondeg_cache:
             self._nondeg_cache[k] = tuple(
-                z for z in self.simplices(k) if not self.is_degenerate(k, z)
+                z for p, z in enumerate(self.simplices(k)) if not self._degenerate_at(k, p)
             )
         return self._nondeg_cache[k]
 
@@ -107,25 +125,73 @@ class SimplicialSet:
         )
 
 
+def _refusal(kind: str, detail: str, witness: tuple) -> ValidationError:
+    """A ValidationError carrying the report validate_sset would give."""
+    return ValidationError(
+        f"{kind}: {detail} at {cstr(witness)}", Report.failure(kind, detail, witness)
+    )
+
+
+def _positions(
+    fn: Callable[[int, SimplexId, int], SimplexId],
+    k: int,
+    level: tuple[SimplexId, ...],
+    target: dict[SimplexId, int],
+    kind: str,
+    op: str,
+) -> Table:
+    """fn(k, z, i) for i = 0..k on every z of the level, as positions in the
+    target level."""
+    rows = []
+    ops = range(k + 1)
+    for z in level:
+        try:
+            rows.append(tuple([target[fn(k, z, i)] for i in ops]))
+        except KeyError:
+            for i in ops:
+                if fn(k, z, i) not in target:
+                    raise _refusal(
+                        f"{kind}-codomain", f"{op}_{i} lands outside", (k, z, i)
+                    ) from None
+            raise
+    return rows
+
+
 def tabulate(
     dim_cap: int,
     levels: Iterable[Iterable[SimplexId]],
     face_fn: Callable[[int, SimplexId, int], SimplexId],
     deg_fn: Callable[[int, SimplexId, int], SimplexId],
 ) -> SimplicialSet:
-    """Materialize a simplicial set from formulas for d_i and s_i."""
-    levels = [list(level) for level in levels]
-    faces = {}
-    degeneracies = {}
-    for k in range(1, dim_cap + 1):
-        for z in levels[k]:
-            for i in range(k + 1):
-                faces[(k, z, i)] = face_fn(k, z, i)
-    for k in range(dim_cap):
-        for z in levels[k]:
-            for i in range(k + 1):
-                degeneracies[(k, z, i)] = deg_fn(k, z, i)
-    return SimplicialSet(dim_cap, levels, faces, degeneracies)
+    """Materialize a simplicial set from formulas for d_i and s_i.
+
+    Each level is sorted into canonical order once; every face of levels
+    1..dim_cap is then evaluated, and after them every degeneracy of levels
+    0..dim_cap-1.  A level with a duplicate, or an image outside its level,
+    raises a ValidationError naming the level or the simplex.
+    """
+    if dim_cap < 0:
+        raise InputError("dim_cap must be nonnegative")
+    ordered = tuple(tuple(csorted(level)) for level in levels)
+    if len(ordered) != dim_cap + 1:
+        raise InputError(f"expected {dim_cap + 1} levels, got {len(ordered)}")
+    index = []
+    for k, level in enumerate(ordered):
+        at = {z: p for p, z in enumerate(level)}
+        if len(at) != len(level):
+            raise _refusal("duplicate-simplex", "level has duplicates", (k,))
+        index.append(at)
+    faces = [[()] * len(ordered[0])] + [
+        _positions(face_fn, k, ordered[k], index[k - 1], "face", "d")
+        for k in range(1, dim_cap + 1)
+    ]
+    degeneracies = [
+        _positions(deg_fn, k, ordered[k], index[k + 1], "degeneracy", "s")
+        for k in range(dim_cap)
+    ] + [[()] * len(ordered[dim_cap])]
+    return SimplicialSet(
+        dim_cap, ordered, tuple(index), tuple(faces), tuple(degeneracies)
+    )
 
 
 # -- standard constructions ------------------------------------------------
@@ -160,7 +226,7 @@ def standard_simplex(n: int, dim_cap: int) -> SimplicialSet:
 
 
 def empty_sset(dim_cap: int) -> SimplicialSet:
-    return SimplicialSet(dim_cap, [[] for _ in range(dim_cap + 1)], {}, {})
+    return discrete_sset([], dim_cap)
 
 
 def discrete_sset(elements: Iterable[str], dim_cap: int) -> SimplicialSet:
@@ -365,95 +431,59 @@ def pi0(s: SimplicialSet) -> ComponentMap:
 
 
 def validate_sset(s: SimplicialSet) -> Report:
-    """Check table domains, codomains, and every simplicial identity in range."""
-    for k in range(s.dim_cap + 1):
-        level = s.simplices(k)
-        if len(set(level)) != len(level):
-            return Report.failure("duplicate-simplex", "level has duplicates", (k,))
-    # domains and codomains
-    for k in range(1, s.dim_cap + 1):
-        for z in s.simplices(k):
-            for i in range(k + 1):
-                if (k, z, i) not in s._faces:
-                    return Report.failure("face-missing", f"d_{i} missing", (k, z))
-                if not s.has(k - 1, s._faces[(k, z, i)]):
-                    return Report.failure(
-                        "face-codomain", f"d_{i} lands outside", (k, z, i)
-                    )
-    for k in range(s.dim_cap):
-        for z in s.simplices(k):
-            for i in range(k + 1):
-                if (k, z, i) not in s._degeneracies:
-                    return Report.failure(
-                        "degeneracy-missing", f"s_{i} missing", (k, z)
-                    )
-                if not s.has(k + 1, s._degeneracies[(k, z, i)]):
-                    return Report.failure(
-                        "degeneracy-codomain", f"s_{i} lands outside", (k, z, i)
-                    )
-    extra_faces = {
-        key
-        for key in s._faces
-        if not (1 <= key[0] <= s.dim_cap and s.has(key[0], key[1]) and 0 <= key[2] <= key[0])
-    }
-    if extra_faces:
-        return Report.failure("face-domain", "face table has stray entries", (min(extra_faces, key=ckey),))
-    extra_degs = {
-        key
-        for key in s._degeneracies
-        if not (0 <= key[0] < s.dim_cap and s.has(key[0], key[1]) and 0 <= key[2] <= key[0])
-    }
-    if extra_degs:
-        return Report.failure("degeneracy-domain", "degeneracy table has stray entries", (min(extra_degs, key=ckey),))
-    # simplicial identities
+    """Check every simplicial identity in range, and that the degeneracy
+    images are exactly the simplices the s_i(d_i z) == z criterion flags.
+
+    Domains and codomains need no check here: tabulate builds total tables
+    whose positions all lie in their levels.
+    """
+    levels, faces, degs = s.levels, s._faces, s._degeneracies
     for k in range(2, s.dim_cap + 1):
-        for z in s.simplices(k):
+        below = faces[k - 1]
+        for p, fz in enumerate(faces[k]):
             for j in range(1, k + 1):
                 for i in range(j):
                     # d_i d_j = d_{j-1} d_i
-                    if s.face(k - 1, s.face(k, z, j), i) != s.face(
-                        k - 1, s.face(k, z, i), j - 1
-                    ):
+                    if below[fz[j]][i] != below[fz[i]][j - 1]:
                         return Report.failure(
-                            "identity-dd", f"d_{i} d_{j} != d_{j-1} d_{i}", (k, z, i, j)
+                            "identity-dd",
+                            f"d_{i} d_{j} != d_{j-1} d_{i}",
+                            (k, levels[k][p], i, j),
                         )
     for k in range(s.dim_cap - 1):
-        for z in s.simplices(k):
+        above = degs[k + 1]
+        for p, sz in enumerate(degs[k]):
             for j in range(k + 1):
                 for i in range(j + 1):
                     # s_i s_j = s_{j+1} s_i for i <= j
-                    if s.degeneracy(k + 1, s.degeneracy(k, z, j), i) != s.degeneracy(
-                        k + 1, s.degeneracy(k, z, i), j + 1
-                    ):
+                    if above[sz[j]][i] != above[sz[i]][j + 1]:
                         return Report.failure(
-                            "identity-ss", f"s_{i} s_{j} != s_{j+1} s_{i}", (k, z, i, j)
+                            "identity-ss",
+                            f"s_{i} s_{j} != s_{j+1} s_{i}",
+                            (k, levels[k][p], i, j),
                         )
     for k in range(s.dim_cap):
-        for z in s.simplices(k):
+        for p, sz in enumerate(degs[k]):
             for j in range(k + 1):
-                sz = s.degeneracy(k, z, j)
+                fs = faces[k + 1][sz[j]]
                 for i in range(k + 2):
-                    got = s.face(k + 1, sz, i)
                     if i == j or i == j + 1:
-                        want = z
+                        want = p
                     elif i < j:
-                        want = s.degeneracy(k - 1, s.face(k, z, i), j - 1)
+                        want = degs[k - 1][faces[k][p][i]][j - 1]
                     else:
-                        want = s.degeneracy(k - 1, s.face(k, z, i - 1), j)
-                    if got != want:
+                        want = degs[k - 1][faces[k][p][i - 1]][j]
+                    if fs[i] != want:
                         return Report.failure(
-                            "identity-ds", f"d_{i} s_{j} mismatch", (k, z, i, j)
+                            "identity-ds", f"d_{i} s_{j} mismatch", (k, levels[k][p], i, j)
                         )
     # degeneracy criterion agrees with the bookkeeping of degeneracy images
     for k in range(1, s.dim_cap + 1):
-        images = {
-            s.degeneracy(k - 1, z, i)
-            for z in s.simplices(k - 1)
-            for i in range(k)
-        }
-        flagged = {z for z in s.simplices(k) if s.is_degenerate(k, z)}
+        images = {q for sz in degs[k - 1] for q in sz}
+        flagged = {p for p in range(len(levels[k])) if s._degenerate_at(k, p)}
         if images != flagged:
-            witness = min(images.symmetric_difference(flagged), key=ckey)
+            # positions follow the canonical order, so the least is the witness
+            witness = levels[k][min(images.symmetric_difference(flagged))]
             return Report.failure(
                 "degeneracy-flag",
                 "degeneracy images disagree with the s_i(d_i z) = z criterion",
@@ -465,46 +495,45 @@ def validate_sset(s: SimplicialSet) -> Report:
 # -- serialization -------------------------------------------------------------
 
 
-def canonical_names(s: SimplicialSet) -> dict[tuple[int, SimplexId], str]:
-    """Rename simplices to 'k_i' per level, in canonical order."""
-    names = {}
-    for k in range(s.dim_cap + 1):
-        for i, z in enumerate(s.simplices(k)):
-            names[(k, z)] = f"{k}_{i}"
-    return names
-
-
-def to_json(
-    s: SimplicialSet, names: dict[tuple[int, SimplexId], str] | None = None
-) -> dict:
-    names = names or canonical_names(s)
-    simplices = {
-        str(k): [names[(k, z)] for z in s.simplices(k)] for k in range(s.dim_cap + 1)
-    }
-    faces = {
-        str(k): {
-            names[(k, z)]: [names[(k - 1, s.face(k, z, i))] for i in range(k + 1)]
-            for z in s.simplices(k)
+def to_json(s: SimplicialSet) -> dict:
+    """Tables with the simplex at position p of level k named "k_p"."""
+    names = [[f"{k}_{p}" for p in range(len(level))] for k, level in enumerate(s.levels)]
+    faces = {}
+    for k in range(1, s.dim_cap + 1):
+        below = names[k - 1]
+        faces[str(k)] = {
+            name: [below[q] for q in fz] for name, fz in zip(names[k], s._faces[k])
         }
-        for k in range(1, s.dim_cap + 1)
-    }
-    degeneracies = {
-        str(k): {
-            names[(k, z)]: [names[(k + 1, s.degeneracy(k, z, i))] for i in range(k + 1)]
-            for z in s.simplices(k)
+    degeneracies = {}
+    for k in range(s.dim_cap):
+        above = names[k + 1]
+        degeneracies[str(k)] = {
+            name: [above[q] for q in sz] for name, sz in zip(names[k], s._degeneracies[k])
         }
-        for k in range(s.dim_cap)
-    }
     return {
         "dim_cap": s.dim_cap,
-        "simplices": simplices,
+        "simplices": {str(k): names[k] for k in range(s.dim_cap + 1)},
         "faces": faces,
         "degeneracies": degeneracies,
     }
 
 
+def _named_table(raw: dict) -> dict[tuple[int, SimplexId, int], SimplexId]:
+    table = {}
+    for k_str, rows in raw.items():
+        k = int(k_str)
+        for z, imgs in rows.items():
+            for i, w in enumerate(imgs):
+                table[(k, z, i)] = w
+    return table
+
+
 def from_json(data: dict) -> SimplicialSet:
-    """Load either the full table form or the compact generator form."""
+    """Load either the full table form or the compact generator form.
+
+    Tables that are not total maps between the listed levels raise a
+    ValidationError whose report names the first defect.
+    """
     if not isinstance(data, dict):
         raise InputError("simplicial set JSON must be an object")
     if "nondegenerate" in data:
@@ -512,21 +541,39 @@ def from_json(data: dict) -> SimplicialSet:
     try:
         cap = int(data["dim_cap"])
         levels = [list(data["simplices"].get(str(k), [])) for k in range(cap + 1)]
-        faces = {}
-        for k_str, table in data.get("faces", {}).items():
-            k = int(k_str)
-            for z, imgs in table.items():
-                for i, w in enumerate(imgs):
-                    faces[(k, z, i)] = w
-        degeneracies = {}
-        for k_str, table in data.get("degeneracies", {}).items():
-            k = int(k_str)
-            for z, imgs in table.items():
-                for i, w in enumerate(imgs):
-                    degeneracies[(k, z, i)] = w
+        faces = _named_table(data.get("faces", {}))
+        degeneracies = _named_table(data.get("degeneracies", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad simplicial set JSON: {exc}") from exc
-    return SimplicialSet(cap, levels, faces, degeneracies)
+
+    def lookup(table: dict, kind: str, op: str):
+        def image(k: int, z: SimplexId, i: int) -> SimplexId:
+            try:
+                return table[(k, z, i)]
+            except KeyError:
+                raise _refusal(f"{kind}-missing", f"{op}_{i} missing", (k, z)) from None
+
+        return image
+
+    s = tabulate(
+        cap, levels, lookup(faces, "face", "d"), lookup(degeneracies, "degeneracy", "s")
+    )
+    for table, kind, lo, hi in (
+        (faces, "face", 1, cap),
+        (degeneracies, "degeneracy", 0, cap - 1),
+    ):
+        stray = {
+            key
+            for key in table
+            if not (lo <= key[0] <= hi and s.has(key[0], key[1]) and 0 <= key[2] <= key[0])
+        }
+        if stray:
+            raise _refusal(
+                f"{kind}-domain",
+                f"{kind} table has stray entries",
+                (min(stray, key=ckey),),
+            )
+    return s
 
 
 # Compact form: nondegenerate simplices plus their faces.  Degenerate
@@ -569,16 +616,16 @@ def _expand_compact(data: dict) -> SimplicialSet:
 
     def parse_ref(ref) -> tuple[tuple[int, ...], str]:
         if isinstance(ref, str):
-            return (), ref
-        if isinstance(ref, dict) and "of" in ref:
-            word = _normalize_word([int(i) for i in ref.get("degeneracy", [])])
-            return word, ref["of"]
-        raise InputError(f"bad simplex reference {ref!r}")
+            word, base = (), ref
+        elif isinstance(ref, dict) and "of" in ref:
+            word, base = _normalize_word([int(i) for i in ref.get("degeneracy", [])]), ref["of"]
+        else:
+            raise InputError(f"bad simplex reference {ref!r}")
+        if base not in base_dim:
+            raise InputError(f"reference to undeclared simplex {base!r}")
+        return word, base
 
     # simplex = (word, base); dimension = len(word) + base dimension
-    def dim_of(z: tuple[tuple[int, ...], str]) -> int:
-        return len(z[0]) + base_dim[z[1]]
-
     def s_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
         return (_normalize_word([i, *z[0]]), z[1])
 
@@ -614,33 +661,19 @@ def _expand_compact(data: dict) -> SimplicialSet:
                     seen.add(w)
                     levels[k + 1].append(w)
 
-    def face(k: int, z, i: int):
-        return d_apply(i, z)
-
-    def deg(k: int, z, i: int):
-        return s_apply(i, z)
-
-    s = tabulate(cap, levels, face, deg)
     # friendlier ids: nondegenerate keep their names, degenerate get a tag
-    rename = {}
-    for k in range(cap + 1):
-        for z in s.simplices(k):
-            word, base = z
-            if not word:
-                rename[z] = base
-            else:
-                rename[z] = "s" + ".".join(str(i) for i in word) + ":" + base
-    levels2 = [[rename[z] for z in s.simplices(k)] for k in range(cap + 1)]
-    faces2 = {
-        (k, rename[z], i): rename[s.face(k, z, i)]
-        for k in range(1, cap + 1)
-        for z in s.simplices(k)
-        for i in range(k + 1)
-    }
-    degs2 = {
-        (k, rename[z], i): rename[s.degeneracy(k, z, i)]
-        for k in range(cap)
-        for z in s.simplices(k)
-        for i in range(k + 1)
-    }
-    return SimplicialSet(cap, levels2, faces2, degs2)
+    def name(z) -> str:
+        word, base = z
+        if not word:
+            return base
+        return "s" + ".".join(str(i) for i in word) + ":" + base
+
+    named = {name(z): z for level in levels for z in level}
+
+    def face(k: int, z: str, i: int) -> str:
+        return name(d_apply(i, named[z]))
+
+    def deg(k: int, z: str, i: int) -> str:
+        return name(s_apply(i, named[z]))
+
+    return tabulate(cap, [[name(z) for z in level] for level in levels], face, deg)

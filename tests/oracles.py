@@ -12,9 +12,11 @@ from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
 
+from finsite.canon import ckey
 from finsite.catsite import FiniteSpace, Site, open_id
 from finsite.homology import IntMatrix
 from finsite.presheaf import SetFunctor
+from finsite.sset import to_json as sset_to_json
 
 # -- integer matrices ---------------------------------------------------------------
 
@@ -257,6 +259,91 @@ def composite_is_zero(cx) -> bool:
             if any(any(v for v in row) for row in prod_):
                 return False
     return True
+
+
+# -- simplicial set tables keyed by identifier --------------------------------------
+
+
+class DictSimplicialSet:
+    """The former table layout, kept as a reference: levels sorted by plain
+    ckey, and d_i and s_i in dicts keyed by (k, simplex, i)."""
+
+    def __init__(self, dim_cap: int, levels, face_fn, deg_fn):
+        self.dim_cap = dim_cap
+        self.levels = tuple(tuple(sorted(level, key=ckey)) for level in levels)
+        self.faces = {
+            (k, z, i): face_fn(k, z, i)
+            for k in range(1, dim_cap + 1)
+            for z in self.levels[k]
+            for i in range(k + 1)
+        }
+        self.degeneracies = {
+            (k, z, i): deg_fn(k, z, i)
+            for k in range(dim_cap)
+            for z in self.levels[k]
+            for i in range(k + 1)
+        }
+
+    def is_degenerate(self, k: int, z) -> bool:
+        return k > 0 and any(
+            self.degeneracies[(k - 1, self.faces[(k, z, i)], i)] == z for i in range(k)
+        )
+
+    def nondegenerate(self, k: int) -> tuple:
+        return tuple(z for z in self.levels[k] if not self.is_degenerate(k, z))
+
+    def to_json(self) -> dict:
+        names = {
+            (k, z): f"{k}_{i}"
+            for k, level in enumerate(self.levels)
+            for i, z in enumerate(level)
+        }
+        return {
+            "dim_cap": self.dim_cap,
+            "simplices": {
+                str(k): [names[(k, z)] for z in level] for k, level in enumerate(self.levels)
+            },
+            "faces": {
+                str(k): {
+                    names[(k, z)]: [names[(k - 1, self.faces[(k, z, i)])] for i in range(k + 1)]
+                    for z in self.levels[k]
+                }
+                for k in range(1, self.dim_cap + 1)
+            },
+            "degeneracies": {
+                str(k): {
+                    names[(k, z)]: [
+                        names[(k + 1, self.degeneracies[(k, z, i)])] for i in range(k + 1)
+                    ]
+                    for z in self.levels[k]
+                }
+                for k in range(self.dim_cap)
+            },
+        }
+
+
+def table_mismatches(s, ref: DictSimplicialSet) -> list[str]:
+    """Every way the package's set s differs from the reference tables."""
+    out = []
+    if s.dim_cap != ref.dim_cap or s.levels != ref.levels:
+        return ["levels differ"]
+    for table, op, get in (
+        (ref.faces, "d", s.face),
+        (ref.degeneracies, "s", s.degeneracy),
+    ):
+        out += [
+            f"{op}_{i} of {z!r} in dimension {k}"
+            for (k, z, i), w in table.items()
+            if get(k, z, i) != w
+        ]
+    for k in range(s.dim_cap + 1):
+        if s.nondegenerate(k) != ref.nondegenerate(k):
+            out.append(f"nondegenerate simplices of dimension {k}")
+        if any(s.is_degenerate(k, z) != ref.is_degenerate(k, z) for z in ref.levels[k]):
+            out.append(f"degeneracy flags of dimension {k}")
+    if sset_to_json(s) != ref.to_json():
+        out.append("JSON tables")
+    return out
 
 
 # -- abelian group bookkeeping ---------------------------------------------------

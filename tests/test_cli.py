@@ -144,6 +144,100 @@ def test_validate_requires_exactly_one_input(capsys):
     assert json.loads(err)["error"]["type"] == "InputError"
 
 
+def _interval_tables() -> dict:
+    """Full-table JSON of Delta^1 capped at 2: simplices are weak monotone
+    words in a <= b, d_i drops letter i and s_i doubles it."""
+    words = {0: ["a", "b"], 1: ["aa", "ab", "bb"], 2: ["aaa", "aab", "abb", "bbb"]}
+    return {
+        "dim_cap": 2,
+        "simplices": {str(k): list(ws) for k, ws in words.items()},
+        "faces": {
+            str(k): {w: [w[:i] + w[i + 1 :] for i in range(k + 1)] for w in words[k]}
+            for k in (1, 2)
+        },
+        "degeneracies": {
+            str(k): {w: [w[: i + 1] + w[i:] for i in range(k + 1)] for w in words[k]}
+            for k in (0, 1)
+        },
+    }
+
+
+def _drop_last_face(t):
+    t["faces"]["2"]["aab"].pop()
+
+
+def _face_in_own_level(t):
+    t["faces"]["2"]["abb"][1] = "abb"
+
+
+def _stray_face(t):
+    t["faces"]["1"]["ghost"] = ["a", "b"]
+
+
+def _duplicate_edge(t):
+    t["simplices"]["1"].insert(1, "ab")
+
+
+def _degeneracy_to_vertex(t):
+    t["degeneracies"]["0"]["a"][0] = "a"
+
+
+def _swapped_edge_faces(t):
+    t["faces"]["1"]["ab"] = ["a", "b"]
+
+
+def _degenerate_edge_not_an_image(t):
+    # s_0 a names the nondegenerate edge, so aa is flagged by no image
+    t["degeneracies"]["0"]["a"] = ["ab"]
+
+
+MALFORMED_TABLES = {
+    "missing-face": (_drop_last_face, "face-missing", "d_2 missing", ["2", "aab"]),
+    "face-outside-level": (
+        _face_in_own_level, "face-codomain", "d_1 lands outside", ["2", "abb", "1"]
+    ),
+    "stray-face": (
+        _stray_face, "face-domain", "face table has stray entries", ["(1,ghost,0)"]
+    ),
+    "duplicate-simplex": (_duplicate_edge, "duplicate-simplex", "level has duplicates", ["1"]),
+    "degeneracy-outside-level": (
+        _degeneracy_to_vertex, "degeneracy-codomain", "s_0 lands outside", ["0", "a", "0"]
+    ),
+    "broken-dd": (
+        _swapped_edge_faces, "identity-dd", "d_0 d_2 != d_1 d_0", ["2", "aab", "0", "2"]
+    ),
+    "degeneracy-flag": (
+        _degenerate_edge_not_an_image,
+        "identity-ss",
+        "s_0 s_0 != s_1 s_0",
+        ["0", "a", "0", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_validate_sset_reports_malformed_tables(tmp_path, capsys, case):
+    # One defect per file; the first failing check and its witness are pinned.
+    # A degeneracy-flag mismatch always breaks a simplicial identity, which is
+    # checked first, so its file reports that identity.
+    spoil, kind, detail, witness = MALFORMED_TABLES[case]
+    tables = _interval_tables()
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(tables))
+    code, out, _ = run(capsys, "validate", "--sset", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["report"]["ok"] is True
+    spoil(tables)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(tables))
+    code, out, err = run(capsys, "validate", "--sset", str(path), "--format", "json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "command": "validate",
+        "kind": "sset",
+        "report": {"ok": False, "kind": kind, "detail": detail, "witness": witness},
+    }
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "realize", "--space", "/nonexistent.json")
     assert code == 2

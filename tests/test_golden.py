@@ -65,6 +65,17 @@ FILE_RUNS = {
         "--dim-cap",
         "3",
     ],
+    # the benchmark's realize-render job one cap lower: bar tables, the
+    # nondegenerate scan and the full realization JSON
+    "realize-interval-cover-cap4-deg0": [
+        "realize",
+        "--space",
+        f"{KITS}/interval_cover.space.json",
+        "--dim-cap",
+        "4",
+        "--max-deg",
+        "0",
+    ],
     "validate-pseudo-circle-space": [
         "validate",
         "--space",
@@ -121,6 +132,8 @@ STDOUT_SHA256 = {
     "realize-bz2-circle-file.text": "627cc98466b217c3dae77a2cefb1c0df968380b7ef7bf73ac9593248eb123164",
     "realize-bz2.json": "489a506c21f296044c1ffb996b464c811db107cfabf8e6e9e4e1e64721cf8633",
     "realize-bz2.text": "551eebc116ffb6b7a4ad8b96369a53f7e5dfd1137652bcaf9c65c9c4acc097e3",
+    "realize-interval-cover-cap4-deg0.json": "68696062e4c1247ea1b61e60f84f6328c5465d5f4920403803f2d79024a134e6",
+    "realize-interval-cover-cap4-deg0.text": "ec1736d5fa75c9cf5910ce6e06308a8a22b3bbde756f6f95565689b09619f239",
     "realize-point_site.json": "b276effadea544f0cccb1a212646986a7feeed8d644cba8b7f43f6771a363491",
     "realize-point_site.text": "e2831dfe2081fd99f5c4e02100059a9f327efa04ddb55cdc3c1579d2365620d1",
     "realize-pseudo-circle-collapse-file.json": "4b718b8185649274e88e388131d4efe83231ba78396fb30fffba82b5e5c79a20",

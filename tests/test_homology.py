@@ -177,6 +177,34 @@ def test_chain_complex_refuses_nonzero_boundary_squared():
         normalized_chain_complex(BrokenFaces(), 2)
 
 
+def test_homology_scans_no_dense_matrix(monkeypatch):
+    # Boundaries are built as sparse rows and every normal form input keeps
+    # them, so no dense matrix is scanned for its nonzeros.
+    from finsite import homology as hmod
+
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return real(*args)
+
+    real = hmod.compress
+    monkeypatch.setattr(hmod, "compress", counted)
+    h = sset_homology(nerve(bz2_category(), 4), 3)
+    assert [g.summands for g in h.groups] == [(0,), (2,), (), (2,)]
+    assert scans == []
+
+
+def test_int_matrix_keeps_dense_and_sparse_rows_equal():
+    a = IntMatrix(2, 3, [[0, 2, 0], [-1, 0, 0]])
+    assert a.sparse == [{1: 2}, {0: -1}]
+    b = IntMatrix(2, 3, sparse=[{1: 2}, {0: -1}])
+    assert b == a and b.data == [[0, 2, 0], [-1, 0, 0]]
+    assert IntMatrix.identity(2).data == [[1, 0], [0, 1]]
+    with pytest.raises(InputError):
+        IntMatrix(2, 3, sparse=[{3: 1}, {}])
+
+
 def test_homology_point_and_simplex():
     h = sset_homology(standard_simplex(3, 4), 3)
     assert [g.label() for g in h.groups] == ["Z", "0", "0", "0"]

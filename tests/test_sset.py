@@ -2,10 +2,14 @@
 
 import random
 
-from finsite.reports import InputError
+from finsite import catsite, realization, sset
+from finsite.catsite import nerve, poset_category
+from finsite.gallery import bz2_category, circle_sset
+from finsite.presheaf import discretize
+from finsite.realization import realize
+from finsite.reports import InputError, ValidationError
 from finsite.sset import (
     SimplicialMap,
-    canonical_names,
     discrete_sset,
     disjoint_union,
     empty_sset,
@@ -21,6 +25,9 @@ from finsite.sset import (
 )
 
 import pytest
+
+from oracles import DictSimplicialSet, table_mismatches
+from randgen import random_nested_diagram, random_poset_with_max, random_set_presheaf
 
 
 def test_standard_simplex_counts():
@@ -135,7 +142,7 @@ def test_map_validation_rejects_nonsimplicial():
 
 def test_json_roundtrip_full():
     s = product(standard_simplex(1, 3), standard_simplex(1, 3))
-    data = to_json(s, canonical_names(s))
+    data = to_json(s)
     back = from_json(data)
     assert back.counts() == s.counts()
     assert back.nondegenerate_counts() == s.nondegenerate_counts()
@@ -176,3 +183,87 @@ def test_from_json_rejects_garbage():
         from_json({"nondegenerate": {}})
     with pytest.raises(InputError):
         from_json({"dim_cap": 1, "levels": "nope"})
+    with pytest.raises(InputError, match="undeclared simplex 'w'"):
+        from_json(
+            {
+                "dim_cap": 2,
+                "nondegenerate": {"0": ["v"], "1": ["e"]},
+                "faces": {"1": {"e": ["v", "w"]}},
+            }
+        )
+
+
+@pytest.fixture
+def tables_checked(monkeypatch):
+    """Checks every set built while the test runs against the identifier-keyed
+    reference tables computed from the same formulas; yields the list of sets
+    checked."""
+    built = []
+    real = sset.tabulate
+
+    def checked(dim_cap, levels, face_fn, deg_fn):
+        levels = [list(level) for level in levels]
+        out = real(dim_cap, levels, face_fn, deg_fn)
+        assert table_mismatches(out, DictSimplicialSet(dim_cap, levels, face_fn, deg_fn)) == []
+        built.append(out)
+        return out
+
+    for module in (sset, catsite, realization):
+        monkeypatch.setattr(module, "tabulate", checked)
+    yield built
+
+
+def test_tables_match_reference_on_constructions(tables_checked):
+    for n in range(4):
+        standard_simplex(n, 4)
+    product(standard_simplex(2, 3), standard_simplex(1, 3))
+    product(circle_sset(3), standard_simplex(1, 3))
+    disjoint_union([standard_simplex(2, 3), circle_sset(3), empty_sset(3)])
+    discrete_sset(["x", "y"], 2)
+    nerve(bz2_category(), 4)
+    nerve(poset_category("abc", lambda a, b: a <= b), 3)
+    assert len(tables_checked) >= 12
+
+
+def test_tables_match_reference_on_loaded_sets(tables_checked):
+    # the 2-sphere declares degenerate faces; to_json writes the full form back
+    sphere = from_json(
+        {
+            "dim_cap": 3,
+            "nondegenerate": {"0": ["v"], "2": ["n", "s"]},
+            "faces": {"2": {z: [{"degeneracy": [0], "of": "v"}] * 3 for z in "ns"}},
+        }
+    )
+    for s in (sphere, circle_sset(4)):
+        back = from_json(to_json(s))
+        assert back.nondegenerate_counts() == s.nondegenerate_counts()
+    assert len(tables_checked) == 4
+
+
+def test_tables_match_reference_on_random_realizations(tables_checked):
+    rng = random.Random(5)
+    cap = 3
+    for _ in range(6):
+        cat, _ = random_poset_with_max(rng, rng.randint(3, 6))
+        f = random_nested_diagram(rng, cat, cap)
+        g = discretize(random_set_presheaf(rng, cat), cap)
+        re = realize(cat, f, g, cap)
+        assert validate_sset(re).ok
+        assert tables_checked[-1] is re
+
+
+def test_tabulate_refuses_an_image_outside_its_level():
+    s = standard_simplex(1, 2)
+
+    def face(k, z, i):
+        return "nowhere" if (k, z, i) == (2, (0, 1, 1), 1) else s.face(k, z, i)
+
+    levels = [s.simplices(k) for k in range(3)]
+    outside = r"face-codomain: d_1 lands outside at \(2,\(0,1,1\),1\)"
+    with pytest.raises(ValidationError, match=outside) as err:
+        tabulate(2, levels, face, s.degeneracy)
+    assert err.value.report.witness == (2, (0, 1, 1), 1)
+    with pytest.raises(ValidationError, match="degeneracy-codomain"):
+        tabulate(2, levels, s.face, lambda k, z, i: z)
+    with pytest.raises(ValidationError, match="duplicate-simplex"):
+        tabulate(2, [levels[0] * 2, levels[1], levels[2]], s.face, s.degeneracy)

@@ -9,7 +9,6 @@ boundary out of level k + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from finsite.reports import InputError, InternalCheckError
 from finsite.sset import SimplicialMap, SimplicialSet
@@ -24,42 +23,37 @@ Sparse = list[dict[int, int]]
 
 
 class IntMatrix:
-    """Integer matrix, rows x cols: data holds the dense row lists and
-    sparse the same rows as {column: nonzero} dicts.
+    """Integer matrix, rows x cols, held sparse only: sparse holds one
+    {column: nonzero} dict per row, and no dense copy is kept.
 
-    Give either data or sparse; the other is derived once, here, so a later
-    change to one is not seen by the other.
+    A column out of range or an explicit zero entry is refused, so two
+    matrices are equal exactly when their sparse rows are.
     """
 
-    __slots__ = ("rows", "cols", "data", "sparse")
+    __slots__ = ("rows", "cols", "sparse")
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        data: list[list[int]] | None = None,
-        sparse: Sparse | None = None,
-    ):
+    def __init__(self, rows: int, cols: int, sparse: Sparse | None = None):
+        if sparse is None:
+            sparse = [{} for _ in range(rows)]
+        elif len(sparse) != rows or any(
+            not (v and 0 <= j < cols) for line in sparse for j, v in line.items()
+        ):
+            raise InputError(f"sparse rows are not {rows}x{cols} with nonzero entries")
         self.rows = rows
         self.cols = cols
-        if data is None:
-            if sparse is None:
-                sparse = [{} for _ in range(rows)]
-            elif len(sparse) != rows or any(not 0 <= j < cols for line in sparse for j in line):
-                raise InputError(f"sparse rows are not {rows}x{cols}")
-            data = [[0] * cols for _ in range(rows)]
-            for row, line in zip(data, sparse):
-                for j, v in line.items():
-                    row[j] = v
-        elif sparse is not None:
-            raise InputError("give a matrix as data or as sparse rows, not both")
-        elif len(data) != rows or any(len(r) != cols for r in data):
-            raise InputError(f"matrix data is not {rows}x{cols}")
-        else:
-            columns = range(cols)
-            sparse = [{j: row[j] for j in compress(columns, row)} for row in data]
-        self.data = data
         self.sparse = sparse
+
+    @property
+    def data(self) -> list[list[int]]:
+        """The dense rows, written out on each read."""
+        # Only the benchmark's tracer (perfbench/tracing.py) reads this, to
+        # count nonzeros.  Nothing in the package may: the dense copy of a
+        # large boundary does not fit in memory.
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for row, line in zip(out, self.sparse):
+            for j, v in line.items():
+                row[j] = v
+        return out
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -70,7 +64,7 @@ class IntMatrix:
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sparse == other.sparse
         )
 
     def __repr__(self) -> str:
@@ -289,12 +283,17 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
 
 def _verify_transforms(a: IntMatrix, res: SNFResult) -> None:
-    """U*A*V == D, U*Uinv == I and V*Vinv == I, multiplied over the nonzeros."""
-    v_rows = _transpose(res.V, a.cols)
-    for i, row in enumerate(_mul(_mul(res.U, a.sparse), v_rows)):
+    """U*A == D*Vinv, U*Uinv == I and V*Vinv == I, multiplied over the nonzeros.
+
+    Given V*Vinv == I, which for square integer matrices also gives
+    Vinv*V == I, U*A == D*Vinv holds exactly when U*A*V == D.  D*Vinv needs
+    no product: its row i is diag[i] * Vinv[i], and empty past the diagonal.
+    """
+    for i, row in enumerate(_mul(res.U, a.sparse)):
         dv = res.diag[i] if i < len(res.diag) else 0
-        if row != ({i: dv} if dv else {}):
-            raise InternalCheckError("transform identity U*A*V == D failed")
+        if row != ({j: dv * v for j, v in res.Vinv[i].items()} if dv else {}):
+            raise InternalCheckError("transform identity U*A == D*Vinv failed")
+    v_rows = _transpose(res.V, a.cols)
     for left, right in ((res.U, _transpose(res.Uinv, a.rows)), (v_rows, res.Vinv)):
         if any(row != {i: 1} for i, row in enumerate(_mul(left, right))):
             raise InternalCheckError("recorded transform inverse is wrong")

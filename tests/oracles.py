@@ -56,15 +56,27 @@ def bareiss_det(rows_: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def from_dense(rows: list[list[int]]) -> IntMatrix:
+    """The matrix with these dense rows; needs at least one row."""
+    return IntMatrix(
+        len(rows), len(rows[0]), [{j: v for j, v in enumerate(row) if v} for row in rows]
+    )
+
+
+def dense_rows(a: IntMatrix) -> list[list[int]]:
+    """The rows of a written out as plain lists."""
+    return [[line.get(j, 0) for j in range(a.cols)] for line in a.sparse]
+
+
 class DenseSNF(NamedTuple):
-    """A normal form with dense transforms: U @ A @ V == D."""
+    """A normal form with dense transforms, as lists of rows: U @ A @ V == D."""
 
     diag: tuple[int, ...]
     rank: int
-    U: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    U: list[list[int]]
+    V: list[list[int]]
+    Uinv: list[list[int]]
+    Vinv: list[list[int]]
 
 
 def densify(res) -> DenseSNF:
@@ -73,16 +85,20 @@ def densify(res) -> DenseSNF:
 
     def from_rows(lines):
         n = len(lines)
-        return IntMatrix(n, n, [[line.get(j, 0) for j in range(n)] for line in lines])
+        return [[line.get(j, 0) for j in range(n)] for line in lines]
 
     def from_cols(lines):
         n = len(lines)
-        return IntMatrix(n, n, [[lines[j].get(i, 0) for j in range(n)] for i in range(n)])
+        return [[lines[j].get(i, 0) for j in range(n)] for i in range(n)]
 
     return DenseSNF(
         res.diag, res.rank, from_rows(res.U), from_cols(res.V), from_cols(res.Uinv),
         from_rows(res.Vinv),
     )
+
+
+def _dense_identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def dense_smith_normal_form(a: IntMatrix) -> DenseSNF:
@@ -91,16 +107,16 @@ def dense_smith_normal_form(a: IntMatrix) -> DenseSNF:
     then its row, and add a row that the pivot fails to divide into the pivot
     row.  Every row and column operation updates four dense transforms."""
     rows, cols = a.rows, a.cols
-    d = [list(r) for r in a.data]
-    U = IntMatrix.identity(rows)
-    Uinv = IntMatrix.identity(rows)
-    V = IntMatrix.identity(cols)
-    Vinv = IntMatrix.identity(cols)
+    d = dense_rows(a)
+    U = _dense_identity(rows)
+    Uinv = _dense_identity(rows)
+    V = _dense_identity(cols)
+    Vinv = _dense_identity(cols)
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        U.data[i], U.data[j] = U.data[j], U.data[i]
-        for r in Uinv.data:
+        U[i], U[j] = U[j], U[i]
+        for r in Uinv:
             r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, t):
@@ -108,32 +124,32 @@ def dense_smith_normal_form(a: IntMatrix) -> DenseSNF:
         ri, rj = d[i], d[j]
         for k in range(cols):
             ri[k] += t * rj[k]
-        ui, uj = U.data[i], U.data[j]
+        ui, uj = U[i], U[j]
         for k in range(rows):
             ui[k] += t * uj[k]
-        for r in Uinv.data:
+        for r in Uinv:
             r[j] -= t * r[i]
 
     def row_neg(i):
         d[i] = [-v for v in d[i]]
-        U.data[i] = [-v for v in U.data[i]]
-        for r in Uinv.data:
+        U[i] = [-v for v in U[i]]
+        for r in Uinv:
             r[i] = -r[i]
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in V.data:
+        for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv.data[i], Vinv.data[j] = Vinv.data[j], Vinv.data[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def col_add(j, i, t):
         # col_j += t * col_i
         for r in d:
             r[j] += t * r[i]
-        for r in V.data:
+        for r in V:
             r[j] += t * r[i]
-        vi, vj = Vinv.data[i], Vinv.data[j]
+        vi, vj = Vinv[i], Vinv[j]
         for k in range(cols):
             vi[k] -= t * vj[k]
 
@@ -209,11 +225,11 @@ def snf_violations(a_rows: list[list[int]], res) -> list[str]:
         [res.diag[i] if i == j and i < len(res.diag) else 0 for j in range(cols)]
         for i in range(rows)
     ]
-    if mat_mul(mat_mul(res.U.data, a_rows), res.V.data) != want:
+    if mat_mul(mat_mul(res.U, a_rows), res.V) != want:
         probs.append("U*A*V != D")
-    if abs(bareiss_det(res.U.data)) != 1:
+    if abs(bareiss_det(res.U)) != 1:
         probs.append("U not unimodular")
-    if abs(bareiss_det(res.V.data)) != 1:
+    if abs(bareiss_det(res.V)) != 1:
         probs.append("V not unimodular")
     diag = list(res.diag)
     if any(v < 0 for v in diag):
@@ -255,7 +271,7 @@ def composite_is_zero(cx) -> bool:
         if a.cols != b.rows:
             return False
         if a.rows and b.cols:
-            prod_ = mat_mul(a.data, b.data)
+            prod_ = mat_mul(dense_rows(a), dense_rows(b))
             if any(any(v for v in row) for row in prod_):
                 return False
     return True

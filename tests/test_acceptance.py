@@ -21,7 +21,6 @@ from finsite.gallery import (
     sierpinski_space,
 )
 from finsite.homology import (
-    IntMatrix,
     induced_map,
     normalized_chain_complex,
     smith_normal_form,
@@ -57,6 +56,7 @@ from finsite.sset import (
 from oracles import (
     composite_is_zero,
     direct_sum_matches,
+    from_dense,
     germs,
     snf_violations,
     stalk_family_sheaf,
@@ -253,8 +253,7 @@ def test_criterion_7_homology_engine():
     ok = True
     for _ in range(100):
         rows = random_matrix(rng)
-        a = IntMatrix(len(rows), len(rows[0]), [r[:] for r in rows])
-        ok = ok and not snf_violations(rows, smith_normal_form(a))
+        ok = ok and not snf_violations(rows, smith_normal_form(from_dense(rows)))
     cat = bz2_category()
     pt, terminal = point_functor(cat, 4, covariant=True), point_functor(cat, 4, covariant=False)
     nerve = realize(cat, pt, terminal, 4)

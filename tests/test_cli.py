@@ -218,8 +218,8 @@ MALFORMED_TABLES = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
 def test_validate_sset_reports_malformed_tables(tmp_path, capsys, case):
     # One defect per file; the first failing check and its witness are pinned.
-    # A degeneracy-flag mismatch always breaks a simplicial identity, which is
-    # checked first, so its file reports that identity.
+    # A degeneracy-flag mismatch always breaks a simplicial identity, so its
+    # file reports that identity.
     spoil, kind, detail, witness = MALFORMED_TABLES[case]
     tables = _interval_tables()
     path = tmp_path / "good.json"

@@ -7,7 +7,7 @@ import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-from finsite.catsite import site_from_finite_space
+from finsite.catsite import FiniteSpace, site_from_finite_space
 from finsite.gallery import bz2_category, circle_sset, interval_cover_space
 from finsite.homology import (
     IntMatrix,
@@ -27,22 +27,25 @@ from finsite.reports import InputError, InternalCheckError
 from finsite.sset import (
     SimplicialMap,
     disjoint_union,
+    pi0,
     product,
     standard_simplex,
 )
 
 from oracles import (
     composite_is_zero,
+    dense_rows,
     dense_smith_normal_form,
     densify,
     determinant_divisor_diagonal,
+    from_dense,
     snf_violations,
 )
 from randgen import random_matrix
 
 
 def test_snf_known_diagonal():
-    a = IntMatrix(2, 2, [[2, 0], [0, 3]])
+    a = from_dense([[2, 0], [0, 3]])
     res = smith_normal_form(a)
     # invariant factors of diag(2,3) are 1, 6
     assert res.diag == (1, 6)
@@ -61,7 +64,7 @@ def test_snf_matches_determinant_divisors_small():
     rng = random.Random(5)
     for _ in range(60):
         rows = random_matrix(rng, max_n=4)
-        res = smith_normal_form(IntMatrix(len(rows), len(rows[0]), [r[:] for r in rows]))
+        res = smith_normal_form(from_dense(rows))
         assert list(res.diag) == determinant_divisor_diagonal(rows)
 
 
@@ -69,7 +72,7 @@ def test_snf_property_suite_larger():
     rng = random.Random(6)
     for _ in range(40):
         rows = random_matrix(rng, max_n=8)
-        res = smith_normal_form(IntMatrix(len(rows), len(rows[0]), [r[:] for r in rows]))
+        res = smith_normal_form(from_dense(rows))
         assert snf_violations(rows, res) == []
 
 
@@ -87,7 +90,7 @@ def _random_cases(rng, count):
             j = rng.randrange(len(rows[0]))
             for row in rows:
                 row[j] = 0
-        cases.append(IntMatrix(len(rows), len(rows[0]), rows))
+        cases.append(from_dense(rows))
     return cases
 
 
@@ -97,13 +100,13 @@ def test_snf_equals_dense_oracle_on_random_matrices():
         assert densify(smith_normal_form(a)) == dense_smith_normal_form(a)
     # the cases reach torsion, zero rows and zero columns
     assert sum(any(v > 1 for v in smith_normal_form(a).diag) for a in cases) >= 30
-    assert any(not any(row) for a in cases for row in a.data)
-    assert any(not any(row[j] for row in a.data) for a in cases if a.rows for j in range(a.cols))
+    assert any(not line for a in cases for line in a.sparse)
+    assert any(all(j not in line for line in a.sparse) for a in cases if a.rows for j in range(a.cols))
 
 
 def test_snf_diagonal_agrees_with_sympy():
     for a in _random_cases(random.Random(43), 60)[3:]:
-        d = sympy_smith_normal_form(Matrix(a.data), domain=ZZ)
+        d = sympy_smith_normal_form(Matrix(dense_rows(a)), domain=ZZ)
         want = tuple(abs(int(d[i, i])) for i in range(min(d.shape)))
         assert smith_normal_form(a).diag == want
 
@@ -151,6 +154,17 @@ def test_transform_check_catches_one_flipped_entry_above_200(interval_cover_boun
             _verify_transforms(a, replace(res, **{name: lines}))
 
 
+def test_transform_check_catches_a_wrong_diagonal(interval_cover_boundaries):
+    # Every transform is intact, so only the U*A == D*Vinv product can tell.
+    a = interval_cover_boundaries[2]
+    res = smith_normal_form(a)
+    for i in (0, res.rank - 1):
+        diag = list(res.diag)
+        diag[i] += 1
+        with pytest.raises(InternalCheckError, match="U\\*A == D\\*Vinv"):
+            _verify_transforms(a, replace(res, diag=tuple(diag)))
+
+
 def test_chain_complex_boundaries_compose_to_zero():
     for s in [
         standard_simplex(3, 4),
@@ -177,32 +191,26 @@ def test_chain_complex_refuses_nonzero_boundary_squared():
         normalized_chain_complex(BrokenFaces(), 2)
 
 
-def test_homology_scans_no_dense_matrix(monkeypatch):
-    # Boundaries are built as sparse rows and every normal form input keeps
-    # them, so no dense matrix is scanned for its nonzeros.
-    from finsite import homology as hmod
+def test_homology_never_reads_the_dense_view(monkeypatch):
+    # Boundaries are built as sparse rows and every step reads those, so the
+    # dense rows are never written out.
+    def refuse(self):
+        raise AssertionError("dense view read")
 
-    scans = []
-
-    def counted(*args):
-        scans.append(args)
-        return real(*args)
-
-    real = hmod.compress
-    monkeypatch.setattr(hmod, "compress", counted)
+    monkeypatch.setattr(IntMatrix, "data", property(refuse))
     h = sset_homology(nerve(bz2_category(), 4), 3)
     assert [g.summands for g in h.groups] == [(0,), (2,), (), (2,)]
-    assert scans == []
 
 
-def test_int_matrix_keeps_dense_and_sparse_rows_equal():
-    a = IntMatrix(2, 3, [[0, 2, 0], [-1, 0, 0]])
-    assert a.sparse == [{1: 2}, {0: -1}]
-    b = IntMatrix(2, 3, sparse=[{1: 2}, {0: -1}])
-    assert b == a and b.data == [[0, 2, 0], [-1, 0, 0]]
-    assert IntMatrix.identity(2).data == [[1, 0], [0, 1]]
-    with pytest.raises(InputError):
-        IntMatrix(2, 3, sparse=[{3: 1}, {}])
+def test_int_matrix_refuses_bad_entries_and_compares_sparse_rows():
+    a = IntMatrix(2, 3, [{1: 2}, {0: -1}])
+    assert a == IntMatrix(2, 3, sparse=[{1: 2}, {0: -1}])
+    assert a == from_dense([[0, 2, 0], [-1, 0, 0]])
+    assert a != IntMatrix(2, 3, [{1: 2}, {0: 1}])
+    assert IntMatrix.identity(2).sparse == [{0: 1}, {1: 1}]
+    for bad in ([{3: 1}, {}], [{-1: 1}, {}], [{1: 0}, {}], [{}]):
+        with pytest.raises(InputError):
+            IntMatrix(2, 3, bad)
 
 
 def test_homology_point_and_simplex():
@@ -227,6 +235,34 @@ def test_homology_classifying_space_of_z2():
     h = sset_homology(nerve(bz2_category(), 4), 3)
     assert [g.summands for g in h.groups] == [(0,), (2,), (), (2,)]
     assert [g.label() for g in h.groups] == ["Z", "Z/2", "0", "Z/2"]
+
+
+def mccord_sphere(n: int) -> FiniteSpace:
+    """The (2n+2)-point minimal finite model of S^n: points m_i and p_i for
+    i = 0..n, each above both points of level i - 1; the opens are the
+    down-closed sets."""
+    below: set[str] = set()
+    opens = []
+    for i in range(n + 1):
+        m, p = f"m{i}", f"p{i}"
+        opens += [below | {m}, below | {p}, below | {m, p}]
+        below |= {m, p}
+    return FiniteSpace.build(below, opens)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_homology_of_mccord_spheres(n):
+    # McCord: the order complex of the model is weakly equivalent to S^n.
+    space = mccord_sphere(n)
+    assert (len(space.points), len(space.opens)) == (2 * n + 2, 3 * n + 3)
+    site = site_from_finite_space(space)
+    cap = n + 1
+    f = order_complex_functor(space, cap, site)
+    g = point_functor(site.category, cap, covariant=False)
+    s = realize(site.category, f, g, cap)
+    assert len(pi0(s)) == 1
+    h = sset_homology(s, n)
+    assert [grp.label() for grp in h.groups] == ["Z"] + ["0"] * (n - 1) + ["Z"]
 
 
 def test_homology_disjoint_union_adds_betti():

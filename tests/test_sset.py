@@ -267,3 +267,41 @@ def test_tabulate_refuses_an_image_outside_its_level():
         tabulate(2, levels, s.face, lambda k, z, i: z)
     with pytest.raises(ValidationError, match="duplicate-simplex"):
         tabulate(2, [levels[0] * 2, levels[1], levels[2]], s.face, s.degeneracy)
+
+
+def _degeneracy_flags_disagree(s) -> bool:
+    """Whether some level's s_i images differ from the simplices z with
+    s_i(d_i z) == z, read straight off the position tables."""
+    for k in range(1, s.dim_cap + 1):
+        degs = s._degeneracies[k - 1]
+        images = {q for sz in degs for q in sz}
+        flagged = {
+            p for p, fz in enumerate(s._faces[k]) if any(degs[fz[i]][i] == p for i in range(k))
+        }
+        if images != flagged:
+            return True
+    return False
+
+
+def test_validate_sset_needs_no_degeneracy_flag_check():
+    # Rewrite one degeneracy entry to every other position of its level.
+    # Whenever that makes the images and the s_i(d_i z) == z criterion
+    # disagree, a simplicial identity already fails.
+    disagreements = 0
+    for s in (standard_simplex(2, 3), circle_sset(3), nerve(bz2_category(), 3)):
+        for k in range(s.dim_cap):
+            for p, sz in enumerate(s._degeneracies[k]):
+                for i in range(k + 1):
+                    for q in range(len(s.levels[k + 1])):
+                        if q == sz[i]:
+                            continue
+                        level = list(s._degeneracies[k])
+                        level[p] = sz[:i] + (q,) + sz[i + 1 :]
+                        degs = s._degeneracies[:k] + (level,) + s._degeneracies[k + 1 :]
+                        t = sset.SimplicialSet(s.dim_cap, s.levels, s._index, s._faces, degs)
+                        if _degeneracy_flags_disagree(t):
+                            disagreements += 1
+                            rep = validate_sset(t)
+                            assert not rep.ok and rep.kind.startswith("identity-")
+    # 16 rewrites of the 2-simplex and 11 of the nerve make them disagree
+    assert disagreements == 27

@@ -123,6 +123,20 @@ def _name_table(obj, what: str) -> dict:
     return obj
 
 
+def _presheaf_values(cat: FinCat, data: dict) -> dict:
+    """A presheaf's "values" object, with exactly the category's objects as keys."""
+    raw_values = data.get("values")
+    if not isinstance(raw_values, dict):
+        raise InputError('presheaf JSON needs a "values" object')
+    missing = [x for x in cat.objects if x not in raw_values]
+    if missing:
+        raise InputError(f"presheaf values missing for object {missing[0]}")
+    extra = [x for x in raw_values if x not in set(cat.objects)]
+    if extra:
+        raise InputError(f"presheaf values name an unknown object {extra[0]}")
+    return raw_values
+
+
 def _actions(data: dict) -> dict:
     raw_actions = data.get("actions", {})
     if not isinstance(raw_actions, dict):
@@ -135,15 +149,7 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
 
     Actions may be omitted for identity morphisms only.
     """
-    raw_values = data.get("values")
-    if not isinstance(raw_values, dict):
-        raise InputError('presheaf JSON needs a "values" object')
-    missing = [x for x in cat.objects if x not in raw_values]
-    if missing:
-        raise InputError(f"presheaf values missing for object {missing[0]}")
-    extra = [x for x in raw_values if x not in set(cat.objects)]
-    if extra:
-        raise InputError(f"presheaf values name an unknown object {extra[0]}")
+    raw_values = _presheaf_values(cat, data)
     for x in cat.objects:
         vals = raw_values[x]
         if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
@@ -163,7 +169,7 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
     return sp
 
 
-def _parse_set_presheaf(spec: str, cat: FinCat, site: Site | None) -> SetFunctor:
+def _parse_set_presheaf(spec: str, cat: FinCat) -> SetFunctor:
     """terminal | constant:v1,v2 | representable:OBJ | collapse | PATH"""
     if spec == "terminal":
         return terminal_set_presheaf(cat)
@@ -191,13 +197,9 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
     Actions map simplices by identifier, levelwise; omitted actions are
     identity-on-identifiers and allowed only for identity morphisms.
     """
-    raw_values = data.get("values")
-    if not isinstance(raw_values, dict):
-        raise InputError('presheaf JSON needs a "values" object')
+    raw_values = _presheaf_values(cat, data)
     values = {}
     for x in cat.objects:
-        if x not in raw_values:
-            raise InputError(f"presheaf values missing for object {x}")
         values[x] = sset_from_json(raw_values[x])
         if values[x].dim_cap != dim_cap:
             raise InputError(
@@ -228,16 +230,17 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
     return p
 
 
-def _parse_g(spec: str, cat: FinCat, site: Site | None, dim_cap: int) -> Functor:
+def _parse_g(spec: str, cat: FinCat, dim_cap: int) -> Functor:
     """The contravariant side of a realization, at the given cap."""
     if spec == "terminal":
         return point_functor(cat, dim_cap, covariant=False)
-    if not spec.startswith(("constant:", "representable:")) and spec != "collapse":
-        data = _inline_or_file(spec)
-        vals = data.get("values", {})
-        if vals and all(isinstance(v, dict) for v in vals.values()):
-            return presheaf_from_json(cat, data, dim_cap)
-    return discretize(_parse_set_presheaf(spec, cat, site), dim_cap)
+    if spec.startswith(("constant:", "representable:")) or spec == "collapse":
+        return discretize(_parse_set_presheaf(spec, cat), dim_cap)
+    data = _inline_or_file(spec)
+    vals = data.get("values")
+    if isinstance(vals, dict) and vals and all(isinstance(v, dict) for v in vals.values()):
+        return presheaf_from_json(cat, data, dim_cap)
+    return discretize(set_presheaf_from_json(cat, data), dim_cap)
 
 
 def _parse_functor(
@@ -406,7 +409,7 @@ def cmd_realize(args) -> int:
     else:
         space, site, cat = _resolve_base(args)
         f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), space, site, cat, cap)
-        g = _parse_g(args.presheaf or "terminal", cat, site, cap)
+        g = _parse_g(args.presheaf or "terminal", cat, cap)
     re = realize(cat, f, g, cap)
     h = sset_homology(re, max_deg)
     n0 = len(pi0(re))
@@ -439,7 +442,7 @@ def cmd_sheafify(args) -> int:
         site = _require_site(site)
         if not args.presheaf:
             raise InputError("sheafify needs --presheaf")
-        sp = _parse_set_presheaf(args.presheaf, site.category, site)
+        sp = _parse_set_presheaf(args.presheaf, site.category)
     rep_in = is_sheaf_set(site, sp)
     sh = sheafify_set(site, sp)
     rep_out = is_sheaf_set(site, sh.sheaf)
@@ -513,9 +516,9 @@ def cmd_compare(args) -> int:
         f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
         if not args.presheaf:
             raise InputError("compare needs --presheaf")
-        sp = _parse_set_presheaf(args.presheaf, site.category, site)
+        sp = _parse_set_presheaf(args.presheaf, site.category)
         if args.presheaf2:
-            sp2 = _parse_set_presheaf(args.presheaf2, site.category, site)
+            sp2 = _parse_set_presheaf(args.presheaf2, site.category)
             if args.map:
                 data = _inline_or_file(args.map)
                 comps = data.get("components")

@@ -120,9 +120,9 @@ def _apply(rows: Sparse, vec) -> tuple[int, ...]:
 class SNFResult:
     """U @ A @ V == D with U, V unimodular; diag holds the full diagonal of D.
 
-    U and Vinv are sparse rows, V and Uinv sparse columns: each is stored the
-    way the elimination updates it, U and Vinv by row operations, V and Uinv
-    by column operations.
+    Row operations update the pair (U, Uinv) and column operations the pair
+    (V, Vinv), each transform kept as the lines its operations touch: U and
+    Vinv as sparse rows, V and Uinv as sparse columns.
     """
 
     diag: tuple[int, ...]
@@ -133,83 +133,80 @@ class SNFResult:
     Vinv: Sparse
 
 
+class _Side:
+    """The working matrix seen along one orientation, rows or columns.
+
+    lines are its rows (or columns) and cross the same entries along the other
+    orientation; cross is the other side's lines.  T and Tinv are the
+    transform pair that operations on these lines update: U and Uinv for rows,
+    V and Vinv for columns.  T[i] follows line i, and Tinv[i] follows it
+    inversely.
+    """
+
+    __slots__ = ("lines", "cross", "T", "Tinv")
+
+    def __init__(self, lines: Sparse, cross: Sparse):
+        self.lines = lines
+        self.cross = cross
+        self.T = _identity(len(lines))
+        self.Tinv = _identity(len(lines))
+
+    def swap(self, i: int, j: int) -> None:
+        li, lj = self.lines[i], self.lines[j]
+        for k in li.keys() | lj.keys():
+            c = self.cross[k]
+            vi, vj = c.pop(i, 0), c.pop(j, 0)
+            if vi:
+                c[j] = vi
+            if vj:
+                c[i] = vj
+        self.lines[i], self.lines[j] = lj, li
+        for m in (self.T, self.Tinv):
+            m[i], m[j] = m[j], m[i]
+
+    def add(self, i: int, j: int, t: int) -> None:
+        """line_i += t * line_j"""
+        li = self.lines[i]
+        for k, v in self.lines[j].items():
+            w = li.get(k, 0) + t * v
+            if w:
+                li[k] = self.cross[k][i] = w
+            else:
+                del li[k], self.cross[k][i]
+        _axpy(self.T[i], self.T[j], t)
+        _axpy(self.Tinv[j], self.Tinv[i], -t)
+
+    def neg(self, i: int) -> None:
+        for k, v in self.lines[i].items():
+            self.cross[k][i] = -v
+        for m in (self.lines, self.T, self.Tinv):
+            m[i] = {k: -v for k, v in m[i].items()}
+
+    def clear(self, t: int, piv: int) -> bool:
+        """Reduce the entry at t of every other line by the pivot line, in
+        index order; on the first remainder, swap that line into place t and
+        return True."""
+        for i in sorted(self.cross[t].keys() - {t}):
+            q = self.lines[i][t] // piv
+            if q:
+                self.add(i, t, -q)
+            if t in self.lines[i]:
+                self.swap(t, i)
+                return True
+        return False
+
+
 def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Normal form by pivoting on the smallest (|v|, row, column) entry left.
 
-    The working matrix is kept as sparse rows plus, per column, the set of
-    rows holding an entry there; every step touches nonzeros only.
+    The working matrix is held twice, as sparse rows and as sparse columns,
+    one _Side each; a column operation is the row operation of the column
+    side, and every step touches nonzeros only.
     """
     rows, cols = a.rows, a.cols
     d = [dict(line) for line in a.sparse]
-    at: list[set[int]] = [set() for _ in range(cols)]
-    for i, row in enumerate(d):
-        for j in row:
-            at[j].add(i)
-    U = _identity(rows)
-    Uinv = _identity(rows)
-    V = _identity(cols)
-    Vinv = _identity(cols)
-
-    def row_swap(i, j):
-        for k in d[i].keys() ^ d[j].keys():
-            held = at[k]
-            if i in held:
-                held.remove(i)
-                held.add(j)
-            else:
-                held.remove(j)
-                held.add(i)
-        d[i], d[j] = d[j], d[i]
-        U[i], U[j] = U[j], U[i]
-        Uinv[i], Uinv[j] = Uinv[j], Uinv[i]
-
-    def row_add(i, j, t):
-        # row_i += t * row_j
-        ri = d[i]
-        for k, v in d[j].items():
-            w = ri.get(k, 0) + t * v
-            if w:
-                if k not in ri:
-                    at[k].add(i)
-                ri[k] = w
-            else:
-                del ri[k]
-                at[k].remove(i)
-        _axpy(U[i], U[j], t)
-        _axpy(Uinv[j], Uinv[i], -t)
-
-    def row_neg(i):
-        d[i] = {k: -v for k, v in d[i].items()}
-        U[i] = {k: -v for k, v in U[i].items()}
-        Uinv[i] = {k: -v for k, v in Uinv[i].items()}
-
-    def col_swap(i, j):
-        for r in at[i] | at[j]:
-            row = d[r]
-            vi, vj = row.pop(i, 0), row.pop(j, 0)
-            if vi:
-                row[j] = vi
-            if vj:
-                row[i] = vj
-        at[i], at[j] = at[j], at[i]
-        V[i], V[j] = V[j], V[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def col_add(j, i, t):
-        # col_j += t * col_i
-        for r in at[i]:
-            row = d[r]
-            w = row.get(j, 0) + t * row[i]
-            if w:
-                if j not in row:
-                    at[j].add(r)
-                row[j] = w
-            else:
-                del row[j]
-                at[j].remove(r)
-        _axpy(V[j], V[i], t)
-        _axpy(Vinv[i], Vinv[j], -t)
-
+    R = _Side(d, _transpose(d, cols))
+    C = _Side(R.cross, d)
     # Rows and columns before t hold only their diagonal entry, so every entry
     # of rows t.. lies in columns t.., and column t has no entry above row t.
     t = 0
@@ -227,35 +224,16 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             break
         _, bi, bj = best
         if bi != t:
-            row_swap(t, bi)
+            R.swap(t, bi)
         if bj != t:
-            col_swap(t, bj)
+            C.swap(t, bj)
         while True:
+            # row operations leave row t, and so the pivot, as it is
             piv = d[t][t]
-            dirty = False
-            for i in sorted(at[t] - {t}):
-                q = d[i][t] // piv
-                if q:
-                    row_add(i, t, -q)
-                if t in d[i]:
-                    row_swap(t, i)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in sorted(d[t].keys() - {t}):
-                q = d[t][j] // piv
-                if q:
-                    col_add(j, t, -q)
-                if j in d[t]:
-                    col_swap(t, j)
-                    dirty = True
-                    break
-            if dirty:
+            if R.clear(t, piv) or C.clear(t, piv):
                 continue
             # pivot must divide the rest of the submatrix; every integer is
             # divisible by a unit
-            piv = d[t][t]
             if abs(piv) == 1:
                 break
             offender = next(
@@ -264,11 +242,11 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             )
             if offender is None:
                 break
-            row_add(t, offender, 1)
+            R.add(t, offender, 1)
         t += 1
     for i in range(limit):
         if d[i].get(i, 0) < 0:
-            row_neg(i)
+            R.neg(i)
     diag = tuple(d[i].get(i, 0) for i in range(limit))
     rank = sum(1 for v in diag if v)
     if any(diag[i + 1] % diag[i] for i in range(rank - 1)):
@@ -277,25 +255,28 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         raise InternalCheckError("normal form has a nonzero entry after a zero")
     if any(j != i for i, row in enumerate(d) for j in row):
         raise InternalCheckError("normal form left an off-diagonal entry")
-    res = SNFResult(diag, rank, U, V, Uinv, Vinv)
+    res = SNFResult(diag, rank, R.T, C.T, R.Tinv, C.Tinv)
     _verify_transforms(a, res)
     return res
 
 
 def _verify_transforms(a: IntMatrix, res: SNFResult) -> None:
-    """U*A == D*Vinv, U*Uinv == I and V*Vinv == I, multiplied over the nonzeros.
+    """Three products over the nonzeros: U*A == D*Vinv, U*Uinv == I and
+    (Vinv*V)^T == I.
 
-    Given V*Vinv == I, which for square integer matrices also gives
-    Vinv*V == I, U*A == D*Vinv holds exactly when U*A*V == D.  D*Vinv needs
-    no product: its row i is diag[i] * Vinv[i], and empty past the diagonal.
+    Each inverse identity multiplies a transform's stored lines by its
+    inverse's lines transposed: U's rows by Uinv's rows give U*Uinv, and V's
+    columns by Vinv's columns give (Vinv*V)^T.  For square integer matrices
+    Vinv*V == I also gives V*Vinv == I, so U*A == D*Vinv holds exactly when
+    U*A*V == D.  D*Vinv needs no product: its row i is diag[i] * Vinv[i], and
+    empty past the diagonal.
     """
     for i, row in enumerate(_mul(res.U, a.sparse)):
         dv = res.diag[i] if i < len(res.diag) else 0
         if row != ({j: dv * v for j, v in res.Vinv[i].items()} if dv else {}):
             raise InternalCheckError("transform identity U*A == D*Vinv failed")
-    v_rows = _transpose(res.V, a.cols)
-    for left, right in ((res.U, _transpose(res.Uinv, a.rows)), (v_rows, res.Vinv)):
-        if any(row != {i: 1} for i, row in enumerate(_mul(left, right))):
+    for t, tinv, n in ((res.U, res.Uinv, a.rows), (res.V, res.Vinv, a.cols)):
+        if any(row != {i: 1} for i, row in enumerate(_mul(t, _transpose(tinv, n)))):
             raise InternalCheckError("recorded transform inverse is wrong")
 
 
@@ -510,14 +491,7 @@ class InducedMap:
     matrix: tuple[tuple[int, ...], ...]
 
     def is_identity(self) -> bool:
-        if self.source.summands != self.target.summands:
-            return False
-        n = len(self.source.summands)
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        return self.permutation() == tuple(range(len(self.source.summands)))
 
     def permutation(self) -> tuple[int, ...] | None:
         """Column -> row assignment when the matrix is a summand-matching
@@ -558,16 +532,3 @@ def induced_map(m: SimplicialMap, hs: Homology, ht: Homology, degree: int) -> In
     )
     return InducedMap(gsrc, gtgt, matrix)
 
-
-def induced_homology_map(
-    m: SimplicialMap,
-    k: int,
-    hs: Homology | None = None,
-    ht: Homology | None = None,
-) -> InducedMap:
-    """Map induced on degree-k homology; computes either side when missing."""
-    if hs is None:
-        hs = sset_homology(m.source, k)
-    if ht is None:
-        ht = sset_homology(m.target, k)
-    return induced_map(m, hs, ht, k)

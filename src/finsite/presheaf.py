@@ -328,7 +328,7 @@ def matching_sections(site: Site, sp: SetFunctor, sieve: Sieve) -> tuple[tuple, 
     return sections_set(mapped.category, reindex(sp, mapped))
 
 
-def _matching_image(site: Site, sp: SetFunctor, sieve, s) -> tuple:
+def _matching_image(sp: SetFunctor, sieve, s) -> tuple:
     return tuple((m, sp.action[m][s]) for m in csorted(sieve.members))
 
 
@@ -357,23 +357,17 @@ def gamma_prime_set(site: Site, sp: SetFunctor) -> PlusStep:
         action[f] = act
     result = SetFunctor(cat, values, action, covariant=False)
     unit_components = {
-        x: {s: _matching_image(site, sp, smin[x], s) for s in sp.values[x]}
+        x: {s: _matching_image(sp, smin[x], s) for s in sp.values[x]}
         for x in cat.objects
     }
     return PlusStep(result, SetPresheafMap(sp, result, unit_components))
 
 
 def gamma_prime_map(
-    site: Site,
-    pm: SetPresheafMap,
-    src_step: PlusStep | None = None,
-    tgt_step: PlusStep | None = None,
+    site: Site, pm: SetPresheafMap, src_step: PlusStep, tgt_step: PlusStep
 ) -> SetPresheafMap:
-    """The plus step applied to a map: sections move memberwise."""
-    if src_step is None:
-        src_step = gamma_prime_set(site, pm.source)
-    if tgt_step is None:
-        tgt_step = gamma_prime_set(site, pm.target)
+    """The plus step applied to a map, given the plus steps of its source and
+    target: sections move memberwise."""
     cat = site.category
     comps = {}
     for x in cat.objects:
@@ -409,7 +403,7 @@ def is_sheaf_set(site: Site, sp: SetFunctor) -> Report:
             # section pairs are keyed by sieve-category objects, the members
             images = {}
             for s in sp.values[x]:
-                img = _matching_image(site, sp, sieve, s)
+                img = _matching_image(sp, sieve, s)
                 if img in images:
                     return Report.failure(
                         "not-separated",

@@ -34,7 +34,6 @@ from finsite.catsite import (
     poset_category,
     pullback_sieve,
     sieve_category,
-    site_from_finite_space,
 )
 from finsite.homology import summands_json, sset_homology
 from finsite.presheaf import (
@@ -45,14 +44,13 @@ from finsite.presheaf import (
     point_functor,
     reindex,
 )
-from finsite.reports import InputError, InternalCheckError, Report, ValidationError
+from finsite.reports import InputError, Report, ValidationError
 from finsite.sset import (
     SimplicialMap,
     SimplicialSet,
     pi0,
     tabulate,
     to_json as sset_to_json,
-    validate_sset,
 )
 
 ObjId = Any
@@ -63,7 +61,7 @@ def _same_category(a: FinCat, b: FinCat) -> bool:
     return a is b or a == b
 
 
-def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int, validate: bool = False) -> SimplicialSet:
+def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     """Bar realization of the covariant f against the contravariant g,
     truncated at dim_cap.
 
@@ -122,12 +120,7 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int, validate: bool = 
         gv = g.values[xk].degeneracy(k, gs, i)
         return (x0, ext, fv, gv)
 
-    out = tabulate(dim_cap, levels, face, deg)
-    if validate:
-        rep = validate_sset(out)
-        if not rep.ok:
-            raise InternalCheckError(f"realization is not simplicial: {rep.detail}")
-    return out
+    return tabulate(dim_cap, levels, face, deg)
 
 
 def realization_to_json(s: SimplicialSet) -> dict:
@@ -152,17 +145,13 @@ def realization_to_json(s: SimplicialSet) -> dict:
 # -- the order-complex functor of a finite space ---------------------------------
 
 
-def order_complex_functor(
-    space: FiniteSpace, dim_cap: int, site: Site | None = None
-) -> Functor:
+def order_complex_functor(space: FiniteSpace, dim_cap: int, site: Site) -> Functor:
     """Covariant diagram on the open-set site of the space.
 
     The value at an open U is the nerve of the specialization order on the
     points of U (p <= q iff p lies in every open containing q); inclusions of
     opens act as the induced nerve inclusions.
     """
-    if site is None:
-        site = site_from_finite_space(space)
     cat = site.category
     by_id = {open_id(o): o for o in space.opens}
     values = {}

@@ -335,6 +335,22 @@ def _collapse_with(kit, key, name, value):
     return json.dumps(data)
 
 
+def _point_presheaf_with(kit, extra):
+    """A simplicial presheaf at cap 1 with a point at every object of the
+    kit's site and at each extra name."""
+    objects = json.loads((kit / "pseudo_circle.collapse.presheaf.json").read_text())
+    point = {
+        "dim_cap": 1,
+        "simplices": {"0": ["v"], "1": ["e"]},
+        "faces": {"1": {"e": ["v", "v"]}},
+        "degeneracies": {"0": {"v": ["e"]}},
+    }
+    return json.dumps({
+        "values": {x: point for x in [*objects["values"], *extra]},
+        "actions": {m: {"0": {"v": "v"}, "1": {"e": "e"}} for m in objects["actions"]},
+    })
+
+
 MALFORMED = {
     "action-number": lambda kit: [
         "sheafify",
@@ -345,6 +361,20 @@ MALFORMED = {
         "sheafify",
         "--presheaf",
         _collapse_with(kit, "values", "{a}", 3),
+    ],
+    "values-list": lambda kit: [
+        "realize",
+        "--presheaf",
+        json.dumps({"values": ["{a}"]}),
+        "--dim-cap",
+        "1",
+    ],
+    "simplicial-values-unknown-object": lambda kit: [
+        "realize",
+        "--presheaf",
+        _point_presheaf_with(kit, ["ghost"]),
+        "--dim-cap",
+        "1",
     ],
     "sieve-generator-list": lambda kit: [
         "descent-check",
@@ -375,17 +405,44 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, case):
     assert json.loads(err)["error"]["type"] == "InputError"
 
 
+def test_presheaf_files_of_both_kinds_refuse_an_unknown_object(tmp_path, capsys):
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
+    space = str(tmp_path / "pseudo_circle.space.json")
+    set_presheaf = _collapse_with(tmp_path, "values", "ghost", [])
+    for presheaf in (set_presheaf, _point_presheaf_with(tmp_path, ["ghost"])):
+        code, _, err = run(
+            capsys, "realize", "--space", space, "--presheaf", presheaf, "--dim-cap", "1"
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["detail"] == "presheaf values name an unknown object ghost"
+    code, _, _ = run(
+        capsys, "realize", "--space", space, "--presheaf", _point_presheaf_with(tmp_path, []),
+        "--dim-cap", "1",
+    )
+    assert code == 0
+
+
 def test_realize_reads_the_space_file_once(tmp_path, capsys, monkeypatch):
     from finsite import cli
 
     run(capsys, "examples", "interval_cover", "--dir", str(tmp_path))
-    space = str(tmp_path / "interval_cover.space.json")
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
     reads = []
     load = cli._load_json
     monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    space = str(tmp_path / "interval_cover.space.json")
     code, _, _ = run(capsys, "realize", "--space", space, "--dim-cap", "1")
     assert code == 0
     assert reads == [space]
+    # a presheaf file is read once too, though its kind is sniffed from it
+    reads.clear()
+    space = str(tmp_path / "pseudo_circle.space.json")
+    presheaf = str(tmp_path / "pseudo_circle.collapse.presheaf.json")
+    code, _, _ = run(
+        capsys, "realize", "--space", space, "--presheaf", presheaf, "--dim-cap", "1"
+    )
+    assert code == 0
+    assert reads == [space, presheaf]
 
 
 def test_realize_interval_cover_is_contractible_at_cap_3(tmp_path, capsys):

@@ -14,7 +14,6 @@ from finsite.homology import (
     _verify_transforms,
     chain_map_matrix,
     homology,
-    induced_homology_map,
     induced_map,
     normalized_chain_complex,
     smith_normal_form,
@@ -325,7 +324,7 @@ def test_induced_map_collapse_kills_h1():
         return out
 
     m = SimplicialMap.from_function(s, pt, to_point)
-    im = induced_homology_map(m, 1)
+    im = induced_map(m, sset_homology(s, 1), sset_homology(pt, 1), 1)
     assert im.source.summands == (0,)
     assert im.target.summands == ()
     assert im.matrix == ()

@@ -185,7 +185,8 @@ def test_gamma_prime_map_is_functorial_on_units():
     cat = site.category
     sp = constant_set_presheaf(cat, ["0", "1"])
     sh = sheafify_set(site, sp)
-    pm = gamma_prime_map(site, sh.unit)
+    steps = gamma_prime_set(site, sp), gamma_prime_set(site, sh.sheaf)
+    pm = gamma_prime_map(site, sh.unit, *steps)
     assert validate_set_presheaf_map(pm).ok
 
 

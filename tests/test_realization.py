@@ -61,7 +61,8 @@ def test_realize_point_category_recovers_g_value():
     cat = point_category()
     circle = circle_sset(3)
     g = Functor(cat, 3, {"*": circle}, {"id:*": SimplicialMap.identity(circle)}, covariant=False)
-    re = realize(cat, point_functor(cat, 3, covariant=True), g, 3, validate=True)
+    re = realize(cat, point_functor(cat, 3, covariant=True), g, 3)
+    assert validate_sset(re).ok
     assert re.counts() == circle.counts()
     h = sset_homology(re, 2)
     assert [x.label() for x in h.groups] == ["Z", "Z", "0"]
@@ -82,7 +83,8 @@ def test_realize_free_action_is_contractible():
     from finsite.gallery import swap_set_presheaf
 
     g = discretize(swap_set_presheaf(cat), 4)
-    re = realize(cat, point_functor(cat, 4, covariant=True), g, 4, validate=True)
+    re = realize(cat, point_functor(cat, 4, covariant=True), g, 4)
+    assert validate_sset(re).ok
     assert len(pi0(re)) == 1
     h = sset_homology(re, 3)
     assert [x.label() for x in h.groups] == ["Z", "0", "0", "0"]

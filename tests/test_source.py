@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import finsite
@@ -14,4 +15,21 @@ def test_package_has_no_assert_statements():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    """The package keeps zero runtime dependencies."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "finsite"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""] if n.level == 0 else []
+            else:
+                continue
+            found += [f"{path.name}:{n.lineno} {m}" for m in names if m.split(".")[0] not in allowed]
     assert found == []

@@ -272,9 +272,6 @@ class Sieve:
     def key(self) -> tuple:
         return tuple(csorted(self.members))
 
-    def __le__(self, other: "Sieve") -> bool:
-        return self.base == other.base and self.members <= other.members
-
 
 def generate_sieve(cat: FinCat, x: ObjId, generators: Iterable[MorId]) -> Sieve:
     """Smallest sieve on x containing the generators (precomposition closure)."""

@@ -123,6 +123,13 @@ def _name_table(obj, what: str) -> dict:
     return obj
 
 
+def _refuse_unknown(keys, known, what: str) -> None:
+    """An InputError naming the first key that is not in known."""
+    unknown = [key for key in keys if key not in known]
+    if unknown:
+        raise InputError(f"{what} {unknown[0]}")
+
+
 def _presheaf_values(cat: FinCat, data: dict) -> dict:
     """A presheaf's "values" object, with exactly the category's objects as keys."""
     raw_values = data.get("values")
@@ -131,16 +138,16 @@ def _presheaf_values(cat: FinCat, data: dict) -> dict:
     missing = [x for x in cat.objects if x not in raw_values]
     if missing:
         raise InputError(f"presheaf values missing for object {missing[0]}")
-    extra = [x for x in raw_values if x not in set(cat.objects)]
-    if extra:
-        raise InputError(f"presheaf values name an unknown object {extra[0]}")
+    _refuse_unknown(raw_values, set(cat.objects), "presheaf values name an unknown object")
     return raw_values
 
 
-def _actions(data: dict) -> dict:
+def _actions(cat: FinCat, data: dict) -> dict:
+    """A presheaf's "actions" object, keyed by morphisms of the category."""
     raw_actions = data.get("actions", {})
     if not isinstance(raw_actions, dict):
         raise InputError('presheaf "actions" must be an object')
+    _refuse_unknown(raw_actions, cat.morphisms, "presheaf actions name an unknown morphism")
     return raw_actions
 
 
@@ -155,7 +162,7 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
         if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
             raise InputError(f"presheaf values at {x} must be a list of names")
     values = {x: tuple(raw_values[x]) for x in cat.objects}
-    raw_actions = _actions(data)
+    raw_actions = _actions(cat, data)
     action = {}
     for m in cat.morphisms.values():
         if m.mid in raw_actions:
@@ -205,7 +212,7 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
             raise InputError(
                 f"value at {x} has dim cap {values[x].dim_cap}, expected {dim_cap}"
             )
-    raw_actions = _actions(data)
+    raw_actions = _actions(cat, data)
     action = {}
     for m in cat.morphisms.values():
         src, tgt = values[m.tgt], values[m.src]  # contravariant
@@ -213,14 +220,19 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
             table = raw_actions[m.mid]
             if not isinstance(table, dict):
                 raise InputError(f"presheaf action of {m.mid} must be an object")
-            what = f"each dimension of the presheaf action of {m.mid}"
-            levels = [_name_table(table.get(str(k), {}), what) for k in range(dim_cap + 1)]
+            what = f"presheaf action of {m.mid}"
+            dims = [str(k) for k in range(dim_cap + 1)]
+            _refuse_unknown(table, dims, f"{what} names a dimension outside 0..{dim_cap}:")
+            each = f"each dimension of the {what}"
+            levels = [_name_table(table.get(d, {}), each) for d in dims]
+            for k, level in enumerate(levels):
+                _refuse_unknown(level, set(src.simplices(k)), f"{what} names an unknown {k}-simplex")
             try:
                 action[m.mid] = SimplicialMap.from_function(
                     src, tgt, lambda k, z, t=levels: t[k][z]
                 )
             except KeyError as exc:
-                raise InputError(f"presheaf action of {m.mid} misses simplex {exc}") from None
+                raise InputError(f"{what} misses simplex {exc}") from None
         elif cat.is_identity(m.mid):
             action[m.mid] = SimplicialMap.identity(src)
         else:

@@ -84,11 +84,11 @@ def validate_functor(fun: Functor) -> Report:
             return Report.failure("action-map", f"action not simplicial: {rep.detail}", (m.mid,))
     for x in cat.objects:
         ix = cat.identity(x)
-        if fun.action[ix].mapping != SimplicialMap.identity(fun.values[x]).mapping:
+        if fun.action[ix] != SimplicialMap.identity(fun.values[x]):
             return Report.failure("action-identity", "identity acts nontrivially", (x,))
     for (g, f), h in cat.composition.items():
         first, second = _order(fun, g, f)
-        if fun.action[second].compose(fun.action[first]).mapping != fun.action[h].mapping:
+        if fun.action[second].compose(fun.action[first]) != fun.action[h]:
             return Report.failure("action-composition", "functoriality fails", (g, f))
     return Report.success()
 
@@ -121,22 +121,11 @@ def validate_set_functor(fun: SetFunctor) -> Report:
 # -- maps -----------------------------------------------------------------------
 
 
-def _check_composable(first, then) -> None:
-    # rebuilt middles are fine as long as the simplices line up
-    if first.target is not then.source and first.target.values != then.source.values:
-        raise InputError("maps do not compose: target and source differ")
-
-
 @dataclass(frozen=True)
 class PresheafMap:
     source: Functor
     target: Functor
     components: dict[ObjId, SimplicialMap]
-
-    def then(self, after: "PresheafMap") -> "PresheafMap":
-        _check_composable(self, after)
-        comps = {x: after.components[x].compose(self.components[x]) for x in self.components}
-        return PresheafMap(self.source, after.target, comps)
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,9 @@ class SetPresheafMap:
     components: dict[ObjId, dict]
 
     def then(self, after: "SetPresheafMap") -> "SetPresheafMap":
-        _check_composable(self, after)
+        # rebuilt middles are fine as long as the values line up
+        if self.target is not after.source and self.target.values != after.source.values:
+            raise InputError("maps do not compose: target and source differ")
         comps = {
             x: {v: after.components[x][w] for v, w in comp.items()}
             for x, comp in self.components.items()

@@ -12,7 +12,10 @@ order, with one {simplex: position} map per level; d_i and s_i are per-level
 lists of int tuples, one tuple per simplex, giving the positions of its
 images in the adjacent level.  tabulate is the one way to build a set: it
 sorts each level, evaluates the face and degeneracy formulas once per
-simplex, and refuses an image outside its level.
+simplex, and refuses an image outside its level.  A map between two sets is
+stored the same way: per level, the target position of each source
+simplex's image.  SimplicialMap.from_function evaluates a formula once per
+simplex and refuses an image outside the target.
 
 Identifiers are opaque: strings for user data, nested tuples for constructed
 simplices (products, disjoint unions, bar simplices).  Serialization names
@@ -90,14 +93,6 @@ class SimplicialSet:
         fz = self._faces[k][p]
         degs = self._degeneracies[k - 1]
         return any(degs[fz[i]][i] == p for i in range(k))
-
-    def is_degenerate(self, k: int, z: SimplexId) -> bool:
-        if k == 0:
-            return False
-        p = self._index[k].get(z) if 1 <= k <= self.dim_cap else None
-        if p is None:
-            raise InputError(f"no simplex {cstr(z)} in dimension {k}")
-        return self._degenerate_at(k, p)
 
     def nondegenerate(self, k: int) -> tuple[SimplexId, ...]:
         if k not in self._nondeg_cache:
@@ -291,31 +286,44 @@ def disjoint_union(parts: Iterable[SimplicialSet]) -> SimplicialSet:
 
 
 class SimplicialMap:
-    """Levelwise map of simplicial sets; must commute with d_i and s_i."""
+    """Levelwise map of simplicial sets, stored by position.
+
+    images[k][p] is the position in the target's level k of the image of the
+    simplex at position p of the source's level k.  Build one with
+    from_function, identity or compose: from_function refuses an image
+    outside the target, so every map is total and in range.  Whether it
+    commutes with d_i and s_i is validate_map's question.
+    """
 
     def __init__(
         self,
         source: SimplicialSet,
         target: SimplicialSet,
-        mapping: dict[tuple[int, SimplexId], SimplexId],
+        images: tuple[tuple[int, ...], ...],
     ):
         if source.dim_cap != target.dim_cap:
             raise InputError("map requires equal dim_cap")
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.images = images
 
     def apply(self, k: int, z: SimplexId) -> SimplexId:
-        try:
-            return self.mapping[(k, z)]
-        except KeyError:
-            raise InputError(f"map undefined on {cstr(z)} in dimension {k}") from None
+        p = self.source._index[k].get(z) if 0 <= k <= self.source.dim_cap else None
+        if p is None:
+            raise InputError(f"map undefined on {cstr(z)} in dimension {k}")
+        return self.target.levels[k][self.images[k][p]]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, SimplicialMap)
+            and self.images == other.images
+            and self.source == other.source
+            and self.target == other.target
+        )
 
     @staticmethod
     def identity(s: SimplicialSet) -> "SimplicialMap":
-        return SimplicialMap(
-            s, s, {(k, z): z for k in range(s.dim_cap + 1) for z in s.simplices(k)}
-        )
+        return SimplicialMap(s, s, tuple(tuple(range(len(level))) for level in s.levels))
 
     @staticmethod
     def from_function(
@@ -323,55 +331,51 @@ class SimplicialMap:
         target: SimplicialSet,
         fn: Callable[[int, SimplexId], SimplexId],
     ) -> "SimplicialMap":
-        return SimplicialMap(
-            source,
-            target,
-            {
-                (k, z): fn(k, z)
-                for k in range(source.dim_cap + 1)
-                for z in source.simplices(k)
-            },
-        )
+        """The map z -> fn(k, z); an image that is not a simplex of the
+        target raises a ValidationError whose report kind is map-codomain."""
+        images = []
+        for k, (level, at) in enumerate(zip(source.levels, target._index)):
+            row = []
+            for z in level:
+                w = fn(k, z)
+                q = at.get(w)
+                if q is None:
+                    raise _refusal("map-codomain", "image not in target", (k, z, w))
+                row.append(q)
+            images.append(tuple(row))
+        return SimplicialMap(source, target, tuple(images))
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise InputError("composition mismatch")
-        return SimplicialMap(
-            other.source,
-            self.target,
-            {
-                (k, z): self.apply(k, w)
-                for (k, z), w in other.mapping.items()
-            },
+        images = tuple(
+            tuple(mine[q] for q in theirs) for mine, theirs in zip(self.images, other.images)
         )
+        return SimplicialMap(other.source, self.target, images)
 
 
 def validate_map(m: SimplicialMap) -> Report:
-    src, tgt = m.source, m.target
-    for k in range(src.dim_cap + 1):
-        for z in src.simplices(k):
-            if (k, z) not in m.mapping:
-                return Report.failure("map-domain", "map misses a simplex", (k, z))
-            w = m.mapping[(k, z)]
-            if not tgt.has(k, w):
-                return Report.failure("map-codomain", "image not in target", (k, z, w))
-    for k in range(1, src.dim_cap + 1):
-        for z in src.simplices(k):
-            for i in range(k + 1):
-                if m.apply(k - 1, src.face(k, z, i)) != tgt.face(k, m.apply(k, z), i):
-                    return Report.failure(
-                        "map-face", f"does not commute with d_{i}", (k, z, i)
-                    )
-    for k in range(src.dim_cap):
-        for z in src.simplices(k):
-            for i in range(k + 1):
-                if m.apply(k + 1, src.degeneracy(k, z, i)) != tgt.degeneracy(
-                    k, m.apply(k, z), i
-                ):
-                    return Report.failure(
-                        "map-degeneracy", f"does not commute with s_{i}", (k, z, i)
-                    )
+    """Check that m commutes with every d_i and s_i.
+
+    Domain and codomain need no check: from_function, identity and compose
+    build total maps whose positions all lie in the target's levels.
+    """
+    src, images, cap = m.source, m.images, m.source.dim_cap
+    for kind, op, step, ks, src_ops, tgt_ops in (
+        ("map-face", "d", -1, range(1, cap + 1), src._faces, m.target._faces),
+        ("map-degeneracy", "s", 1, range(cap), src._degeneracies, m.target._degeneracies),
+    ):
+        for k in ks:
+            near, here, ops_of_image = images[k + step], images[k], tgt_ops[k]
+            for p, ops in enumerate(src_ops[k]):
+                want = ops_of_image[here[p]]
+                for i, q in enumerate(ops):
+                    # m(op_i z) == op_i(m z)
+                    if near[q] != want[i]:
+                        return Report.failure(
+                            kind, f"does not commute with {op}_{i}", (k, src.levels[k][p], i)
+                        )
     return Report.success()
 
 
@@ -398,32 +402,27 @@ class ComponentMap:
 
 
 def pi0(s: SimplicialSet) -> ComponentMap:
-    """Connected components via union-find over the 1-simplices."""
-    parent: dict[SimplexId, SimplexId] = {v: v for v in s.simplices(0)}
+    """Connected components via union-find over vertex positions.
 
-    def find(v: SimplexId) -> SimplexId:
+    Level 0 is in canonical order, so each component lists its vertices in
+    canonical order, and the components come out ordered by first vertex.
+    """
+    parent = list(range(len(s.levels[0])))
+
+    def find(v: int) -> int:
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
     if s.dim_cap >= 1:
-        for e in s.simplices(1):
-            a, b = find(s.face(1, e, 0)), find(s.face(1, e, 1))
-            if a != b:
-                # deterministic union: smaller canonical key wins as root
-                if ckey(a) < ckey(b):
-                    parent[b] = a
-                else:
-                    parent[a] = b
-    classes: dict[SimplexId, list[SimplexId]] = {}
-    for v in s.simplices(0):
-        classes.setdefault(find(v), []).append(v)
-    comps = tuple(csorted(tuple(csorted(vs)) for vs in classes.values()))
-    of_vertex = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            of_vertex[v] = f"c{i}"
+        for a, b in s._faces[1]:
+            parent[find(a)] = find(b)
+    classes: dict[int, list[SimplexId]] = {}
+    for p, v in enumerate(s.levels[0]):
+        classes.setdefault(find(p), []).append(v)
+    comps = tuple(tuple(vs) for vs in classes.values())
+    of_vertex = {v: f"c{i}" for i, comp in enumerate(comps) for v in comp}
     return ComponentMap(comps, of_vertex)
 
 

@@ -16,6 +16,7 @@ from finsite.canon import ckey
 from finsite.catsite import FiniteSpace, Site, open_id
 from finsite.homology import IntMatrix
 from finsite.presheaf import SetFunctor
+from finsite.reports import Report
 from finsite.sset import to_json as sset_to_json
 
 # -- integer matrices ---------------------------------------------------------------
@@ -355,11 +356,83 @@ def table_mismatches(s, ref: DictSimplicialSet) -> list[str]:
     for k in range(s.dim_cap + 1):
         if s.nondegenerate(k) != ref.nondegenerate(k):
             out.append(f"nondegenerate simplices of dimension {k}")
-        if any(s.is_degenerate(k, z) != ref.is_degenerate(k, z) for z in ref.levels[k]):
-            out.append(f"degeneracy flags of dimension {k}")
     if sset_to_json(s) != ref.to_json():
         out.append("JSON tables")
     return out
+
+
+# -- simplicial maps keyed by identifier ---------------------------------------------
+
+
+class DictSimplicialMap:
+    """The former map layout, kept as a reference: a {(k, simplex): image}
+    dict between two of the package's simplicial sets, read by identifier."""
+
+    def __init__(self, source, target, mapping: dict):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+
+    @staticmethod
+    def from_function(source, target, fn) -> "DictSimplicialMap":
+        return DictSimplicialMap(
+            source,
+            target,
+            {(k, z): fn(k, z) for k in range(source.dim_cap + 1) for z in source.simplices(k)},
+        )
+
+    def apply(self, k: int, z):
+        return self.mapping[(k, z)]
+
+
+def dict_validate_map(m: DictSimplicialMap) -> Report:
+    """The former validate_map: domain and codomain by identifier, then
+    commutation with every d_i and every s_i."""
+    src, tgt = m.source, m.target
+    for k in range(src.dim_cap + 1):
+        for z in src.simplices(k):
+            if (k, z) not in m.mapping:
+                return Report.failure("map-domain", "map misses a simplex", (k, z))
+            w = m.mapping[(k, z)]
+            if not tgt.has(k, w):
+                return Report.failure("map-codomain", "image not in target", (k, z, w))
+    for k in range(1, src.dim_cap + 1):
+        for z in src.simplices(k):
+            for i in range(k + 1):
+                if m.apply(k - 1, src.face(k, z, i)) != tgt.face(k, m.apply(k, z), i):
+                    return Report.failure("map-face", f"does not commute with d_{i}", (k, z, i))
+    for k in range(src.dim_cap):
+        for z in src.simplices(k):
+            for i in range(k + 1):
+                if m.apply(k + 1, src.degeneracy(k, z, i)) != tgt.degeneracy(
+                    k, m.apply(k, z), i
+                ):
+                    return Report.failure(
+                        "map-degeneracy", f"does not commute with s_{i}", (k, z, i)
+                    )
+    return Report.success()
+
+
+def pi0_components(s) -> tuple:
+    """Path components by search over the edges, read by identifier: each
+    component in ckey order, and the components in ckey order."""
+    neighbours = {v: set() for v in s.simplices(0)}
+    for e in s.simplices(1) if s.dim_cap >= 1 else ():
+        a, b = s.face(1, e, 0), s.face(1, e, 1)
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    comps: list[tuple] = []
+    seen: set = set()
+    for v in neighbours:
+        if v not in seen:
+            comp, frontier = {v}, [v]
+            while frontier:
+                for w in neighbours[frontier.pop()] - comp:
+                    comp.add(w)
+                    frontier.append(w)
+            seen |= comp
+            comps.append(tuple(sorted(comp, key=ckey)))
+    return tuple(sorted(comps, key=ckey))
 
 
 # -- abelian group bookkeeping ---------------------------------------------------

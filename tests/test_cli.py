@@ -376,6 +376,34 @@ MALFORMED = {
         "--dim-cap",
         "1",
     ],
+    "actions-unknown-morphism": lambda kit: [
+        "sheafify",
+        "--presheaf",
+        _collapse_with(kit, "actions", "ghost", {}),
+    ],
+    "simplicial-actions-unknown-morphism": lambda kit: [
+        "realize",
+        "--presheaf",
+        _point_presheaf_action(kit, "ghost", {"0": {"v": "v"}, "1": {"e": "e"}}),
+        "--dim-cap",
+        "1",
+    ],
+    "simplicial-action-unknown-simplex": lambda kit: [
+        "realize",
+        "--presheaf",
+        _point_presheaf_action(
+            kit, "{a}<={a,b}", {"0": {"v": "v", "ghost": "v"}, "1": {"e": "e"}}
+        ),
+        "--dim-cap",
+        "1",
+    ],
+    "simplicial-action-dimension-outside-cap": lambda kit: [
+        "realize",
+        "--presheaf",
+        _point_presheaf_action(kit, "{a}<={a,b}", {"0": {"v": "v"}, "1": {"e": "e"}, "2": {}}),
+        "--dim-cap",
+        "1",
+    ],
     "sieve-generator-list": lambda kit: [
         "descent-check",
         "--object",
@@ -405,6 +433,14 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, case):
     assert json.loads(err)["error"]["type"] == "InputError"
 
 
+def _point_presheaf_action(kit, mid, table):
+    """The point presheaf of _point_presheaf_with, with the action of mid
+    replaced by table."""
+    data = json.loads(_point_presheaf_with(kit, []))
+    data["actions"][mid] = table
+    return json.dumps(data)
+
+
 def test_presheaf_files_of_both_kinds_refuse_an_unknown_object(tmp_path, capsys):
     run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
     space = str(tmp_path / "pseudo_circle.space.json")
@@ -420,6 +456,18 @@ def test_presheaf_files_of_both_kinds_refuse_an_unknown_object(tmp_path, capsys)
         "--dim-cap", "1",
     )
     assert code == 0
+
+
+def test_simplicial_presheaf_action_outside_its_target_is_a_validation_error(tmp_path, capsys):
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
+    space = str(tmp_path / "pseudo_circle.space.json")
+    presheaf = _point_presheaf_action(tmp_path, "{a}<={a,b}", {"0": {"v": "w"}, "1": {"e": "e"}})
+    code, out, err = run(
+        capsys, "realize", "--space", space, "--presheaf", presheaf, "--dim-cap", "1"
+    )
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and "image not in target" in error["detail"]
 
 
 def test_realize_reads_the_space_file_once(tmp_path, capsys, monkeypatch):

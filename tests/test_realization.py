@@ -46,9 +46,10 @@ from finsite.realization import (
     triples_category,
     validate_projector,
 )
-from finsite.reports import InputError
+from finsite.reports import InputError, ValidationError
 from finsite.sset import SimplicialMap, pi0, validate_map, validate_sset
 
+from oracles import DictSimplicialMap, dict_validate_map
 from randgen import random_nested_diagram, random_poset_with_max
 
 
@@ -229,8 +230,8 @@ def test_induced_realization_map_functorial_in_composition():
     pm2 = discretize_map(third, 2)
     m1 = induced_realization_map(f, pm1, 2)
     m2 = induced_realization_map(f, pm2, 2)
-    m12 = induced_realization_map(f, pm1.then(pm2), 2)
-    assert m2.compose(m1).mapping == m12.mapping
+    m12 = induced_realization_map(f, discretize_map(sh.unit.then(third), 2), 2)
+    assert m2.compose(m1) == m12
 
 
 def test_projector_data_on_triples_validates():
@@ -270,7 +271,7 @@ def test_projector_maps_section_and_homology():
     a, b = projector_maps(d, f, gp, cap)
     assert validate_map(a).ok and validate_map(b).ok
     ab = a.compose(b)
-    assert ab.mapping == SimplicialMap.identity(b.source).mapping
+    assert ab == SimplicialMap.identity(b.source)
     ba = b.compose(a)
     h = sset_homology(a.source, cap - 1)
     for k in range(cap):
@@ -310,3 +311,96 @@ def test_realize_disjoint_union_presheaf_splits():
     h2 = sset_homology(re2, cap - 1)
     for k in range(cap):
         assert h2.group(k).betti == 2 * h1.group(k).betti
+
+
+@pytest.fixture
+def maps_checked(monkeypatch):
+    """Checks every map built by from_function while the test runs against the
+    identifier-keyed reference map of the same formula: apply on every simplex
+    and validate_map's report.  Yields the list of (map, formula) checked."""
+    built = []
+    real = SimplicialMap.from_function
+
+    def checked(source, target, fn):
+        m = real(source, target, fn)
+        ref = DictSimplicialMap.from_function(source, target, fn)
+        for k in range(source.dim_cap + 1):
+            assert [m.apply(k, z) for z in source.simplices(k)] == [
+                ref.apply(k, z) for z in source.simplices(k)
+            ]
+        assert validate_map(m) == dict_validate_map(ref)
+        built.append((m, fn))
+        return m
+
+    monkeypatch.setattr(SimplicialMap, "from_function", staticmethod(checked))
+    yield built
+
+
+def _map_workloads(cap: int) -> list[SimplicialMap]:
+    """Every action of the order-complex functors of the pseudo-circle and of
+    the interval cover, the discretized sheafification unit of the collapse
+    presheaf with both its ends, the map it induces on realizations, and the
+    projector maps a and b, all at the given cap."""
+    maps = []
+    for space in (pseudo_circle_space(), interval_cover_space()):
+        f = order_complex_functor(space, cap, site_from_finite_space(space))
+        maps += f.action.values()
+    space, site = _pc_site()
+    cat = site.category
+    sh = sheafify_set(site, collapse_set_presheaf(cat, has_final_object(cat)))
+    pm = discretize_map(sh.unit, cap)
+    maps += [*pm.source.action.values(), *pm.target.action.values(), *pm.components.values()]
+    maps.append(induced_realization_map(order_complex_functor(space, cap, site), pm, cap))
+    site = site_from_finite_space(sierpinski_space())
+    d = triples_category(site)
+    g0 = constant_set_presheaf(site.category, ["0", "1"])
+    gp = discretize(sections_presheaf_on_triples(site, g0, d), cap)
+    f = point_functor(projector_image(d).category, cap, covariant=True)
+    maps += projector_maps(d, f, gp, cap)
+    return maps
+
+
+def test_maps_match_reference_on_every_constructor(maps_checked):
+    maps = _map_workloads(2)
+    checked = {id(m) for m, _ in maps_checked}
+    # 19 + 57 order-complex actions; the unit's 2 x 19 actions and 6
+    # components; the induced map, a and b
+    assert len(maps) == 76 + 2 * 19 + 6 + 3
+    assert all(id(m) in checked for m in maps)
+
+
+def _moved_report(m, fn, k, z, w):
+    """validate_map's report on m rebuilt with the k-simplex z sent to w, or
+    from_function's refusal, after checking it against the reference map."""
+
+    def moved(j, y):
+        return w if (j, y) == (k, z) else fn(j, y)
+
+    ref = DictSimplicialMap.from_function(m.source, m.target, moved)
+    try:
+        got = validate_map(SimplicialMap.from_function(m.source, m.target, moved))
+    except ValidationError as exc:
+        got = exc.report
+    assert got == dict_validate_map(ref)
+    return got.kind
+
+
+def test_maps_with_one_image_moved_fail_alike(maps_checked):
+    _map_workloads(2)
+    rng = random.Random(8)
+    kinds = []
+    for m, fn in list(maps_checked):
+        for _ in range(3):
+            k = rng.choice([k for k in range(3) if m.source.simplices(k)])
+            z = rng.choice(m.source.simplices(k))
+            w = rng.choice(m.target.simplices(k) + ("nowhere",))
+            kinds.append(_moved_report(m, fn, k, z, w))
+    # Every move on the identity of the circle at cap 1: sending s_0 v to the
+    # loop e keeps every face square, so a degeneracy square fails alone.
+    circle = circle_sset(1)
+    ident = SimplicialMap.identity(circle)
+    for k in range(2):
+        for z in circle.simplices(k):
+            for w in circle.simplices(k):
+                kinds.append(_moved_report(ident, lambda j, y: y, k, z, w))
+    assert set(kinds) == {"ok", "map-codomain", "map-face", "map-degeneracy"}

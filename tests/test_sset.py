@@ -26,7 +26,7 @@ from finsite.sset import (
 
 import pytest
 
-from oracles import DictSimplicialSet, table_mismatches
+from oracles import DictSimplicialSet, pi0_components, table_mismatches
 from randgen import random_nested_diagram, random_poset_with_max, random_set_presheaf
 
 
@@ -120,11 +120,33 @@ def test_pi0_classes_have_vertices():
         assert cm.of_vertex[v] == cid
 
 
+def test_pi0_matches_reference_components():
+    # Two components whose vertices interleave in canonical order.
+    related = {("a", "c"), ("b", "d")}
+    interleaved = nerve(poset_category("abcd", lambda x, y: x == y or (x, y) in related), 2)
+    rng = random.Random(3)
+    sets = [
+        interleaved,
+        disjoint_union([circle_sset(2), standard_simplex(0, 2), interleaved]),
+        discrete_sset(["y", "x", "z"], 0),
+        empty_sset(1),
+    ]
+    for _ in range(4):
+        cat, _ = random_poset_with_max(rng, rng.randint(2, 5))
+        f = random_nested_diagram(rng, cat, 2)
+        sets += [f.values[x] for x in cat.objects]
+    for s in sets:
+        cm = pi0(s)
+        assert cm.components == pi0_components(s)
+        assert cm.of_vertex == {v: c for c in cm.ids for v in cm.components[int(c[1:])]}
+    assert [len(pi0(s)) for s in sets[:4]] == [2, 4, 3, 0]
+
+
 def test_map_identity_and_compose():
     s = standard_simplex(2, 3)
     ident = SimplicialMap.identity(s)
     assert validate_map(ident).ok
-    assert ident.compose(ident).mapping == ident.mapping
+    assert ident.compose(ident) == ident
 
 
 def test_map_validation_rejects_nonsimplicial():
@@ -138,6 +160,18 @@ def test_map_validation_rejects_nonsimplicial():
 
     m = SimplicialMap.from_function(a, a, rule)
     assert not validate_map(m).ok
+
+
+def test_map_from_function_refuses_an_image_outside_the_target():
+    a = standard_simplex(1, 1)
+
+    def rule(k, z):
+        return "nowhere" if z == (0, 1) else z
+
+    with pytest.raises(ValidationError, match=r"map-codomain: image not in target") as err:
+        SimplicialMap.from_function(a, a, rule)
+    assert err.value.report.kind == "map-codomain"
+    assert err.value.report.witness == (1, (0, 1), "nowhere")
 
 
 def test_json_roundtrip_full():

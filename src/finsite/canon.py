@@ -28,26 +28,8 @@ def ckey(x: Any) -> tuple:
 
 
 def csorted(xs) -> list:
-    """xs sorted by ckey.
-
-    The keys of tuple entries are memoized for the call, so a level of
-    structured identifiers that share components (bar simplices reuse their
-    object, chain and value simplices) computes each component's key once.
-    """
-    memo: dict = {}
-
-    def entry(e: Any) -> tuple:
-        k = memo.get(e)
-        if k is None:
-            k = memo[e] = ckey(e)
-        return k
-
-    def key(x: Any) -> tuple:
-        if isinstance(x, tuple):
-            return (3, tuple(map(entry, x)))
-        return ckey(x)
-
-    return sorted(xs, key=key)
+    """xs sorted by ckey, the one order every collection is kept in."""
+    return sorted(xs, key=ckey)
 
 
 def cstr(x: Any) -> str:

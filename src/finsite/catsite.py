@@ -166,27 +166,28 @@ def poset_category(
     return FinCat(elements, mors, identities, composition)
 
 
+def chains(cat: FinCat, dim_cap: int) -> list[list[tuple[ObjId, tuple, ObjId]]]:
+    """The k-chains (start, morphisms, end) for k = 0..dim_cap, identities
+    allowed as steps; each level is in (start, morphisms) order under ckey."""
+    outgoing: dict[ObjId, list[Morphism]] = {x: [] for x in cat.objects}
+    for m in cat.morphisms.values():
+        outgoing[m.src].append(m)
+    levels = [[(x, (), x) for x in cat.objects]]
+    for _ in range(dim_cap):
+        level = levels[-1]
+        levels.append([(x0, ms + (m.mid,), m.tgt) for x0, ms, xk in level for m in outgoing[xk]])
+    return levels
+
+
 def nerve(cat: FinCat, dim_cap: int) -> SimplicialSet:
     """Nerve truncated at dim_cap: k-simplices are composable k-chains.
 
     Chains include identities; inner faces compose adjacent morphisms, the
     outer faces drop the first or last object.
     """
-    levels: list[list] = [[("o", x) for x in cat.objects]]
-    for k in range(1, dim_cap + 1):
-        level = []
-        if k == 1:
-            level = [("m", m) for m in cat.morphisms]
-        else:
-            for chain in levels[k - 1]:
-                last = cat.tgt(chain[-1])
-                for m in cat.morphisms:
-                    if cat.src(m) == last:
-                        level.append(chain + (m,))
-        levels.append(level)
-
-    def start(chain) -> ObjId:
-        return chain[1] if chain[0] == "o" else cat.src(chain[1])
+    by_level = chains(cat, dim_cap)
+    levels = [[("o", x) for x, _, _ in by_level[0]]]
+    levels += [[("m",) + ms for _, ms, _ in level] for level in by_level[1:]]
 
     def face(k: int, chain, i: int):
         mors = chain[1:]

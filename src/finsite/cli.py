@@ -166,7 +166,11 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
     action = {}
     for m in cat.morphisms.values():
         if m.mid in raw_actions:
-            action[m.mid] = _name_table(raw_actions[m.mid], f"presheaf action of {m.mid}")
+            what = f"presheaf action of {m.mid}"
+            table = _name_table(raw_actions[m.mid], what)
+            _refuse_unknown(table, set(values[m.tgt]), f"{what} names an unknown element")
+            _refuse_unknown(values[m.tgt], table, f"{what} misses element")
+            action[m.mid] = table
         elif cat.is_identity(m.mid):
             action[m.mid] = {v: v for v in values[m.src]}
         else:

@@ -43,6 +43,13 @@ class Functor:
             raise InputError("functor values must match the category's objects")
         if any(v.dim_cap != self.dim_cap for v in self.values.values()):
             raise InputError(f"functor values must all have dim cap {self.dim_cap}")
+        if set(self.action) != set(self.category.morphisms):
+            raise InputError("functor actions must match the category's morphisms")
+        for m in self.category.morphisms.values():
+            sm = self.action[m.mid]
+            a, b = _ends(self, m)
+            if not (_same(sm.source, self.values[a]) and _same(sm.target, self.values[b])):
+                raise InputError(f"the action of {cstr(m.mid)} does not go between its values")
 
 
 @dataclass(eq=False)
@@ -58,6 +65,10 @@ class SetFunctor:
         self.values = {x: tuple(csorted(v)) for x, v in self.values.items()}
 
 
+def _same(a, b) -> bool:
+    return a is b or a == b
+
+
 def _ends(fun, m: Morphism) -> tuple[ObjId, ObjId]:
     """The objects whose values the action of m goes from and to."""
     return (m.src, m.tgt) if fun.covariant else (m.tgt, m.src)
@@ -69,17 +80,11 @@ def _order(fun, g: MorId, f: MorId) -> tuple[MorId, MorId]:
 
 
 def validate_functor(fun: Functor) -> Report:
+    """Actions simplicial, identities trivial, composites respected; Functor
+    itself refuses an action missing or between the wrong values."""
     cat = fun.category
     for m in cat.morphisms.values():
-        if m.mid not in fun.action:
-            return Report.failure("action-missing", "morphism has no action", (m.mid,))
-        sm = fun.action[m.mid]
-        a, b = _ends(fun, m)
-        if sm.source is not fun.values[a] and sm.source != fun.values[a]:
-            return Report.failure("action-source", "action starts at wrong value", (m.mid,))
-        if sm.target is not fun.values[b] and sm.target != fun.values[b]:
-            return Report.failure("action-target", "action ends at wrong value", (m.mid,))
-        rep = validate_map(sm)
+        rep = validate_map(fun.action[m.mid])
         if not rep.ok:
             return Report.failure("action-map", f"action not simplicial: {rep.detail}", (m.mid,))
     for x in cat.objects:
@@ -123,9 +128,26 @@ def validate_set_functor(fun: SetFunctor) -> Report:
 
 @dataclass(frozen=True)
 class PresheafMap:
+    """A map of simplicial presheaves, one component per object.  Its ends
+    are contravariant Functors on one category with one cap, and each
+    component goes from the source's value to the target's; naturality is not
+    checked here."""
+
     source: Functor
     target: Functor
     components: dict[ObjId, SimplicialMap]
+
+    def __post_init__(self):
+        src, tgt = self.source, self.target
+        if not all(isinstance(e, Functor) and not e.covariant for e in (src, tgt)):
+            raise InputError("a presheaf map needs contravariant functors at both ends")
+        if not _same(src.category, tgt.category) or src.dim_cap != tgt.dim_cap:
+            raise InputError("a presheaf map needs both ends on one category with one cap")
+        if set(self.components) != set(src.category.objects):
+            raise InputError("presheaf map components must match the category's objects")
+        for x, comp in self.components.items():
+            if not (_same(comp.source, src.values[x]) and _same(comp.target, tgt.values[x])):
+                raise InputError(f"the component at {cstr(x)} does not go between its values")
 
 
 @dataclass(frozen=True)
@@ -152,7 +174,7 @@ def validate_set_presheaf_map(pm: SetPresheafMap) -> Report:
     if not all(isinstance(e, SetFunctor) and not e.covariant for e in ends):
         raise InputError("a set presheaf map needs contravariant set functors at both ends")
     cat = pm.source.category
-    if pm.target.category is not cat and pm.target.category != cat:
+    if not _same(pm.target.category, cat):
         raise InputError("a set presheaf map needs both ends on the same category")
     for x in cat.objects:
         comp = pm.components.get(x)
@@ -257,7 +279,7 @@ def restrict(fun: Functor | SetFunctor, s: Sieve) -> Functor | SetFunctor:
 def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
     """All global sections, each a tuple of (object, value) pairs in canonical
     object order.  A section picks s_x with action[f](s_tgt) == s_src."""
-    if sp.covariant or (sp.category is not cat and sp.category != cat):
+    if sp.covariant or not _same(sp.category, cat):
         raise InputError("sections need a set presheaf on the given category")
     objs = list(cat.objects)
     # constraints between assigned positions, precomputed per object pair
@@ -443,7 +465,7 @@ def illusie_pi0_certificate(site: Site, m: PresheafMap) -> Report:
     This covers only the pi0 condition; higher homotopy presheaves are not
     examined, and the report says so.
     """
-    if m.source.category is not site.category and m.source.category != site.category:
+    if not _same(m.source.category, site.category):
         raise InputError("presheaf map must live on the site's category")
     p0s, comp_s = pi0_functor(m.source)
     p0t, comp_t = pi0_functor(m.target)

@@ -11,13 +11,24 @@ confirms it on any concrete instance.
 
 Simplex identifiers are structured: (start object, morphism chain, F simplex,
 G simplex).  Serialization exposes the same data as per-simplex annotations.
+
+Levels are laid out by block.  ckey orders a bar simplex by its parts in turn,
+so canonical level k is the concatenation, over the k-chains in (start,
+morphisms) order (catsite.chains), of the product blocks F(x_0)_k x G(x_k)_k,
+each factor in its own canonical order: the simplex (chain, a-th F simplex,
+b-th G simplex) sits at the chain's block start + a * |G(x_k)_k| + b.  Each
+d_i and s_i sends a block into one block of the adjacent level, the target
+chain's, through a column of F's and one of G's own tables; d_0 sends the F
+column on through F's first morphism, d_k the G column back through G's last.
+Those tables, Functor's check that each action goes between the values at its
+ends, and the lookup of the target chain put every position in range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterable
 
 from finsite.canon import csorted, cstr
 from finsite.catsite import (
@@ -28,6 +39,7 @@ from finsite.catsite import (
     Sieve,
     Site,
     all_sieves,
+    chains,
     maximal_sieve,
     nerve,
     open_id,
@@ -45,13 +57,7 @@ from finsite.presheaf import (
     reindex,
 )
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import (
-    SimplicialMap,
-    SimplicialSet,
-    pi0,
-    tabulate,
-    to_json as sset_to_json,
-)
+from finsite.sset import SimplicialMap, SimplicialSet, pi0, to_json as sset_to_json
 
 ObjId = Any
 MorId = Any
@@ -76,51 +82,62 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
         raise InputError("value caps must be at least the realization cap")
     if dim_cap < 0:
         raise InputError("dim_cap must be nonnegative")
-    outgoing: dict[ObjId, list[MorId]] = {x: [] for x in cat.objects}
-    for m in cat.morphisms.values():
-        outgoing[m.src].append(m.mid)
-    # chains[k]: (start, morphism tuple, end); identities allowed as steps
-    chains: list[list[tuple]] = [[(x, (), x) for x in cat.objects]]
-    for k in range(1, dim_cap + 1):
-        level = []
-        for x0, ms, xk in chains[k - 1]:
-            for m in outgoing[xk]:
-                level.append((x0, ms + (m,), cat.tgt(m)))
-        chains.append(level)
-    levels = []
-    for k in range(dim_cap + 1):
-        level = []
-        for x0, ms, xk in chains[k]:
-            for fs in f.values[x0].simplices(k):
-                for gs in g.values[xk].simplices(k):
-                    level.append((x0, ms, fs, gs))
-        levels.append(level)
+    by_level = chains(cat, dim_cap)
+    # levels[k] lists chain by chain the block of (x0, ms, F part, G part);
+    # blocks[k][x0, ms] is where that block starts and its row length
+    levels, blocks = [], []
+    for k, level in enumerate(by_level):
+        simplices, blocks_k = [], {}
+        for x0, ms, xk in level:
+            gk = g.values[xk].levels[k]
+            blocks_k[x0, ms] = (len(simplices), len(gk))
+            simplices += [(x0, ms, fs, gs) for fs in f.values[x0].levels[k] for gs in gk]
+        levels.append(tuple(simplices))
+        blocks.append(blocks_k)
+    # one int object per position, shared by the index and every table
+    ints = [list(range(len(level))) for level in levels]
+    index = tuple(dict(zip(level, pos)) for level, pos in zip(levels, ints))
 
-    end = {m.mid: m.tgt for m in cat.morphisms.values()}
+    def block(j: int, moves: Iterable[tuple]) -> Iterable[tuple]:
+        """Rows of a block whose operator i sends (F part a, G part b) to
+        (fcol[a], gcol[b]) in chain's block of level j, for moves[i]."""
+        cols = []
+        for chain, fcol, gcol in moves:
+            if chain not in blocks[j]:
+                raise InputError(f"{cstr(chain)} is not a chain of the category")
+            base, w = blocks[j][chain]
+            cols.append([ints[j][a + b] for a in [base + q * w for q in fcol] for b in gcol])
+        return zip(*cols)
 
-    def face(k: int, z: tuple, i: int) -> tuple:
-        x0, ms, fs, gs = z
-        xk = end[ms[-1]] if ms else x0
-        if i == 0:
-            fv = f.action[ms[0]].apply(k - 1, f.values[x0].face(k, fs, 0))
-            return (end[ms[0]], ms[1:], fv, g.values[xk].face(k, gs, 0))
-        if i == k:
-            fv = f.values[x0].face(k, fs, k)
-            gv = g.action[ms[-1]].apply(k - 1, g.values[xk].face(k, gs, k))
-            return (x0, ms[:-1], fv, gv)
-        merged = ms[: i - 1] + (cat.compose(ms[i], ms[i - 1]),) + ms[i + 1 :]
-        return (x0, merged, f.values[x0].face(k, fs, i), g.values[xk].face(k, gs, i))
-
-    def deg(k: int, z: tuple, i: int) -> tuple:
-        x0, ms, fs, gs = z
-        xk = end[ms[-1]] if ms else x0
-        at = x0 if i == 0 else end[ms[i - 1]]
-        ext = ms[:i] + (cat.identity(at),) + ms[i:]
-        fv = f.values[x0].degeneracy(k, fs, i)
-        gv = g.values[xk].degeneracy(k, gs, i)
-        return (x0, ext, fv, gv)
-
-    return tabulate(dim_cap, levels, face, deg)
+    faces, degeneracies = [[()] * len(levels[0])], []
+    for k, level in enumerate(by_level):
+        face_rows, deg_rows = [], []
+        # columns[id(v)]: the d_i and the s_i of v's k-simplices, by i
+        columns = {
+            id(v): (list(zip(*v._faces[k])), list(zip(*v._degeneracies[k])))
+            for v in (*f.values.values(), *g.values.values())
+        }
+        for x0, ms, xk in level:
+            if not (f.values[x0].levels[k] and g.values[xk].levels[k]):
+                continue
+            (fd, fs), (gd, gs) = columns[id(f.values[x0])], columns[id(g.values[xk])]
+            if k:
+                push, pull = f.action[ms[0]].images[k - 1], g.action[ms[-1]].images[k - 1]
+                fd = [[push[q] for q in fd[0]], *fd[1:]]
+                gd = [*gd[:-1], [pull[q] for q in gd[k]]]
+                targets = [(cat.tgt(ms[0]), ms[1:])]
+                targets += [
+                    (x0, ms[: i - 1] + (cat.compose(ms[i], ms[i - 1]),) + ms[i + 1 :])
+                    for i in range(1, k)
+                ]
+                face_rows += block(k - 1, zip(targets + [(x0, ms[:-1])], fd, gd))
+            if k < dim_cap:
+                ends = (x0,) + tuple(cat.tgt(m) for m in ms)
+                targets = [(x0, ms[:i] + (cat.identity(ends[i]),) + ms[i:]) for i in range(k + 1)]
+                deg_rows += block(k + 1, zip(targets, fs, gs))
+        faces += [face_rows] if k else []
+        degeneracies.append(deg_rows if k < dim_cap else [()] * len(levels[k]))
+    return SimplicialSet(dim_cap, tuple(levels), index, tuple(faces), tuple(degeneracies))
 
 
 def realization_to_json(s: SimplicialSet) -> dict:
@@ -246,19 +263,22 @@ def covariant_descent_check(
 
 
 def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> SimplicialMap:
-    """The map Re(f, m.source) -> Re(f, m.target) acting on the g part only."""
+    """The map Re(f, m.source) -> Re(f, m.target) acting on the g part only:
+    block to block of the same chain, through the component at its end."""
     cat = f.category
     if not _same_category(m.source.category, cat):
         raise InputError("presheaf map must live on the diagram's base")
-    src = realize(cat, f, m.source, dim_cap)
-    tgt = realize(cat, f, m.target, dim_cap)
-
-    def push(k: int, z: tuple) -> tuple:
-        x0, ms, fs, gs = z
-        xk = cat.tgt(ms[-1]) if ms else x0
-        return (x0, ms, fs, m.components[xk].apply(k, gs))
-
-    return SimplicialMap.from_function(src, tgt, push)
+    images = []
+    for k, level in enumerate(chains(cat, dim_cap)):
+        row: list[int] = []
+        base = 0
+        for x0, _, xk in level:
+            n_f, w = len(f.values[x0].levels[k]), len(m.target.values[xk].levels[k])
+            row += [base + a * w + b for a in range(n_f) for b in m.components[xk].images[k]]
+            base += n_f * w
+        images.append(tuple(row))
+    src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
+    return SimplicialMap(src, tgt, tuple(images))
 
 
 # -- projector data and the two comparison maps --------------------------------------

@@ -10,9 +10,12 @@ single source of truth for degeneracy.
 Storage is by position.  Each level lists its simplices once, in canonical
 order, with one {simplex: position} map per level; d_i and s_i are per-level
 lists of int tuples, one tuple per simplex, giving the positions of its
-images in the adjacent level.  tabulate is the one way to build a set: it
-sorts each level, evaluates the face and degeneracy formulas once per
-simplex, and refuses an image outside its level.  A map between two sets is
+images in the adjacent level.  tabulate builds a set from formulas: it sorts
+each level, evaluates the face and degeneracy formulas once per simplex, and
+refuses an image outside its level.  The bar realization (realization.realize)
+instead lays its levels out block by block and computes every position inside
+a block from tables that are already in range, so it needs neither the sort
+nor the check.  A map between two sets is
 stored the same way: per level, the target position of each source
 simplex's image.  SimplicialMap.from_function evaluates a formula once per
 simplex and refuses an image outside the target.
@@ -43,8 +46,9 @@ class SimplicialSet:
     levels[k] holds the k-simplices in canonical order.  _faces[k][p] lists
     the positions in level k-1 of d_0..d_k of the simplex at position p of
     level k, and _degeneracies[k][p] the positions in level k+1 of s_0..s_k;
-    both are empty tuples where the operators leave 0..dim_cap.  Build one
-    with tabulate, which guarantees that every position lies in its level.
+    both are empty tuples where the operators leave 0..dim_cap.  Both
+    constructors keep every position in its level: tabulate checks each image,
+    and realize computes each one inside a block of the level.
     """
 
     def __init__(
@@ -432,8 +436,8 @@ def pi0(s: SimplicialSet) -> ComponentMap:
 def validate_sset(s: SimplicialSet) -> Report:
     """Check every simplicial identity in range.
 
-    Domains and codomains need no check here: tabulate builds total tables
-    whose positions all lie in their levels.  Nor does the degeneracy
+    Domains and codomains need no check here: tabulate and realize build
+    total tables whose positions all lie in their levels.  Nor does the degeneracy
     criterion: a simplex z with s_i(d_i z) == z is an s_i image by
     definition, and once d_j s_j == id holds, every image z = s_j w has
     s_j(d_j z) == z.

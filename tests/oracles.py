@@ -17,7 +17,7 @@ from finsite.catsite import FiniteSpace, Site, open_id
 from finsite.homology import IntMatrix
 from finsite.presheaf import SetFunctor
 from finsite.reports import Report
-from finsite.sset import to_json as sset_to_json
+from finsite.sset import tabulate, to_json as sset_to_json
 
 # -- integer matrices ---------------------------------------------------------------
 
@@ -433,6 +433,67 @@ def pi0_components(s) -> tuple:
             seen |= comp
             comps.append(tuple(sorted(comp, key=ckey)))
     return tuple(sorted(comps, key=ckey))
+
+
+# -- the bar realization by face formulas -------------------------------------------
+
+
+def formula_realize(cat, f, g, dim_cap: int):
+    """The former realize, kept as a reference: bar simplices (start, chain, F
+    part, G part) listed chain by chain and sorted by tabulate, with d_i and
+    s_i evaluated by formula on identifiers."""
+    outgoing = {x: [] for x in cat.objects}
+    for m in cat.morphisms.values():
+        outgoing[m.src].append(m.mid)
+    chains = [[(x, (), x) for x in cat.objects]]
+    for k in range(1, dim_cap + 1):
+        chains.append(
+            [(x0, ms + (m,), cat.tgt(m)) for x0, ms, xk in chains[k - 1] for m in outgoing[xk]]
+        )
+    levels = [
+        [
+            (x0, ms, fs, gs)
+            for x0, ms, xk in chains[k]
+            for fs in f.values[x0].simplices(k)
+            for gs in g.values[xk].simplices(k)
+        ]
+        for k in range(dim_cap + 1)
+    ]
+    end = {m.mid: m.tgt for m in cat.morphisms.values()}
+
+    def face(k: int, z: tuple, i: int) -> tuple:
+        x0, ms, fs, gs = z
+        xk = end[ms[-1]] if ms else x0
+        if i == 0:
+            fv = f.action[ms[0]].apply(k - 1, f.values[x0].face(k, fs, 0))
+            return (end[ms[0]], ms[1:], fv, g.values[xk].face(k, gs, 0))
+        if i == k:
+            fv = f.values[x0].face(k, fs, k)
+            gv = g.action[ms[-1]].apply(k - 1, g.values[xk].face(k, gs, k))
+            return (x0, ms[:-1], fv, gv)
+        merged = ms[: i - 1] + (cat.compose(ms[i], ms[i - 1]),) + ms[i + 1 :]
+        return (x0, merged, f.values[x0].face(k, fs, i), g.values[xk].face(k, gs, i))
+
+    def deg(k: int, z: tuple, i: int) -> tuple:
+        x0, ms, fs, gs = z
+        xk = end[ms[-1]] if ms else x0
+        at = x0 if i == 0 else end[ms[i - 1]]
+        ext = ms[:i] + (cat.identity(at),) + ms[i:]
+        return (x0, ext, f.values[x0].degeneracy(k, fs, i), g.values[xk].degeneracy(k, gs, i))
+
+    return tabulate(dim_cap, levels, face, deg)
+
+
+def push_rule(cat, m):
+    """The former rule of the map a presheaf map m induces on realizations:
+    the G part moves through m's component at the chain's end."""
+
+    def push(k: int, z: tuple) -> tuple:
+        x0, ms, fs, gs = z
+        xk = cat.tgt(ms[-1]) if ms else x0
+        return (x0, ms, fs, m.components[xk].apply(k, gs))
+
+    return push
 
 
 # -- abelian group bookkeeping ---------------------------------------------------

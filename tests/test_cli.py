@@ -381,6 +381,16 @@ MALFORMED = {
         "--presheaf",
         _collapse_with(kit, "actions", "ghost", {}),
     ],
+    "action-unknown-element": lambda kit: [
+        "sheafify",
+        "--presheaf",
+        _collapse_with(kit, "actions", "{a,b,c}<={a,b,c,d}", {"0": "s", "1": "s", "ghost": "s"}),
+    ],
+    "action-missing-element": lambda kit: [
+        "sheafify",
+        "--presheaf",
+        _collapse_with(kit, "actions", "{a,b,c}<={a,b,c,d}", {"0": "s"}),
+    ],
     "simplicial-actions-unknown-morphism": lambda kit: [
         "realize",
         "--presheaf",

@@ -12,12 +12,14 @@ from finsite.gallery import (
 )
 from finsite.presheaf import (
     Functor,
+    PresheafMap,
     SetFunctor,
     SetPresheafMap,
     constant_set_presheaf,
     discretize,
     discretize_map,
     gamma_prime_map,
+    point_functor,
     gamma_prime_set,
     illusie_pi0_certificate,
     is_sheaf_set,
@@ -33,6 +35,7 @@ from finsite.presheaf import (
     validate_set_presheaf_map,
 )
 from finsite.reports import InputError
+from finsite.sset import SimplicialMap
 
 from oracles import germs, stalk_family_sheaf, stalk_family_unit
 from randgen import disjoint_union_sp, product_sp, random_set_presheaf
@@ -261,3 +264,43 @@ def test_functor_values_must_cover_every_object():
     del p.values[open_id("ab")]
     with pytest.raises(InputError):
         Functor(cat, 2, p.values, p.action, covariant=False)
+
+
+def test_functor_refuses_a_missing_action_and_an_action_between_wrong_values():
+    _, site = _pc()
+    cat = site.category
+    p = discretize(constant_set_presheaf(cat, ["0", "1"]), 2)
+    q = discretize(constant_set_presheaf(cat, ["0"]), 2)
+    m = next(m for m in cat.morphisms if not cat.is_identity(m))
+    missing = {k: v for k, v in p.action.items() if k != m}
+    with pytest.raises(InputError, match="actions must match"):
+        Functor(cat, 2, p.values, missing, covariant=False)
+    for wrong in (q.action[m], SimplicialMap(p.action[m].source, q.values[cat.src(m)], ())):
+        with pytest.raises(InputError, match="does not go between"):
+            Functor(cat, 2, p.values, {**p.action, m: wrong}, covariant=False)
+
+
+def test_presheaf_map_refuses_ends_and_components_that_do_not_fit():
+    _, site = _pc()
+    cat = site.category
+    pm = discretize_map(sheafify_set(site, constant_set_presheaf(cat, ["0", "1"])).unit, 2)
+    src, tgt, comps = pm.source, pm.target, pm.components
+    x = next(iter(comps))
+    cov = point_functor(cat, 2, covariant=True)
+    other_cap = discretize(constant_set_presheaf(cat, ["0"]), 3)
+    other_site = site_from_finite_space(sierpinski_space())
+    foreign = point_functor(other_site.category, 2, covariant=False)
+    refused = [
+        (cov, tgt, comps),
+        (src, cov, comps),
+        (src, constant_set_presheaf(cat, ["0"]), comps),
+        (src, other_cap, comps),
+        (src, foreign, comps),
+        (src, tgt, {y: c for y, c in comps.items() if y != x}),
+        (src, tgt, {**comps, "ghost": comps[x]}),
+        (src, tgt, {**comps, x: SimplicialMap.identity(src.values[x])}),
+    ]
+    for ends in refused:
+        with pytest.raises(InputError):
+            PresheafMap(*ends)
+    assert PresheafMap(src, tgt, dict(comps)).components == comps

@@ -2,7 +2,7 @@
 
 import random
 
-from finsite import catsite, realization, sset
+from finsite import catsite, sset
 from finsite.catsite import nerve, poset_category
 from finsite.gallery import bz2_category, circle_sset
 from finsite.presheaf import discretize
@@ -26,7 +26,8 @@ from finsite.sset import (
 
 import pytest
 
-from oracles import DictSimplicialSet, pi0_components, table_mismatches
+import oracles
+from oracles import DictSimplicialSet, formula_realize, pi0_components, table_mismatches
 from randgen import random_nested_diagram, random_poset_with_max, random_set_presheaf
 
 
@@ -242,7 +243,7 @@ def tables_checked(monkeypatch):
         built.append(out)
         return out
 
-    for module in (sset, catsite, realization):
+    for module in (sset, catsite, oracles):
         monkeypatch.setattr(module, "tabulate", checked)
     yield built
 
@@ -275,6 +276,8 @@ def test_tables_match_reference_on_loaded_sets(tables_checked):
 
 
 def test_tables_match_reference_on_random_realizations(tables_checked):
+    # realize builds its tables by block arithmetic; the former formulas,
+    # read by identifier, are the reference
     rng = random.Random(5)
     cap = 3
     for _ in range(6):
@@ -283,7 +286,10 @@ def test_tables_match_reference_on_random_realizations(tables_checked):
         g = discretize(random_set_presheaf(rng, cat), cap)
         re = realize(cat, f, g, cap)
         assert validate_sset(re).ok
-        assert tables_checked[-1] is re
+        ref = formula_realize(cat, f, g, cap)
+        assert tables_checked[-1] is ref
+        by_formula = DictSimplicialSet(cap, ref.levels, ref.face, ref.degeneracy)
+        assert table_mismatches(re, by_formula) == []
 
 
 def test_tabulate_refuses_an_image_outside_its_level():

@@ -9,7 +9,7 @@ way everywhere; cstr renders an identifier deterministically for output.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 
 def ckey(x: Any) -> tuple:
@@ -44,3 +44,18 @@ def cstr(x: Any) -> str:
 def cjson(data: Any) -> str:
     """Canonical JSON text: sorted keys, tight separators, trailing newline."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def write_cjson(write: Callable[[str], Any], data: dict) -> None:
+    """Writes cjson(data) piece by piece.  A callable value is a writer: it is
+    called with write and must write its own canonical JSON in its key's
+    place; every other value is rendered by cjson."""
+    write("{")
+    for n, key in enumerate(sorted(data)):
+        value, sep = data[key], "," if n else ""
+        if callable(value):
+            write(sep + json.dumps(key, ensure_ascii=False) + ":")
+            value(write)
+        else:
+            write(sep + cjson({key: value})[1:-2])
+    write("}\n")

@@ -2,7 +2,9 @@
 
 Every run with the same inputs produces byte-identical output: JSON is
 rendered canonically (sorted keys, tight separators) and text output is built
-from the same already-sorted data.  --threads is accepted and has no effect.
+from the same already-sorted data.  JSON is written piece by piece
+(canon.write_cjson), and realize streams its realization tables into it.
+--threads is accepted and has no effect.
 
 Exit codes: 0 success, 2 bad input, 3 validation failure, 4 internal check
 failure.  Errors are written to stderr as one-line JSON records.
@@ -11,12 +13,13 @@ failure.  Errors are written to stderr as one-line JSON records.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from finsite import gallery
-from finsite.canon import cjson, csorted, cstr
+from finsite.canon import cjson, csorted, cstr, write_cjson
 from finsite.catsite import (
     FinCat,
     FiniteSpace,
@@ -55,8 +58,8 @@ from finsite.realization import (
     covariant_descent_check,
     induced_realization_map,
     order_complex_functor,
-    realization_to_json,
     realize,
+    write_realization,
 )
 from finsite.reports import FinsiteError, InputError, InternalCheckError, ValidationError
 from finsite.sset import SimplicialMap, pi0, validate_sset
@@ -304,11 +307,14 @@ def _caps(args) -> tuple[int, int]:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    out = cjson(payload) if args.format == "json" else "\n".join(text_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
+    """Writes the payload as canonical JSON (write_cjson), or the text lines,
+    to --out or stdout.  Commands compute and check everything first, so a
+    refusal never leaves a partial file."""
+    with Path(args.out).open("w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.format == "json":
+            write_cjson(out.write, payload)
+        else:
+            out.write("\n".join(text_lines) + "\n")
 
 
 def set_presheaf_to_json(sp: SetFunctor) -> dict:
@@ -438,7 +444,7 @@ def cmd_realize(args) -> int:
         "homology": [g_.to_json() for g_ in h.groups],
         "counts": list(re.counts()),
         "nondegenerate": [len(re.nondegenerate(k)) for k in range(cap + 1)],
-        "realization": realization_to_json(re),
+        "realization": lambda write: write_realization(re, write),
     }
     lines = [f"realize: pi0={n0}"]
     for g_ in h.groups:

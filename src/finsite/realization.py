@@ -11,6 +11,10 @@ confirms it on any concrete instance.
 
 Simplex identifiers are structured: (start object, morphism chain, F simplex,
 G simplex).  Serialization exposes the same data as per-simplex annotations.
+write_realization streams the canonical JSON of a realization to its
+destination: the annotations and the simplicial-set tables are written level
+by level in sorted-key order, each identifier rendered once, without
+building the payload dict or the whole text in memory.
 
 Levels are laid out by block.  ckey orders a bar simplex by its parts in turn,
 so canonical level k is the concatenation, over the k-chains in (start,
@@ -26,9 +30,9 @@ ends, and the lookup of the target chain put every position in range.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from finsite.canon import csorted, cstr
 from finsite.catsite import (
@@ -57,7 +61,7 @@ from finsite.presheaf import (
     reindex,
 )
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import SimplicialMap, SimplicialSet, pi0, to_json as sset_to_json
+from finsite.sset import SimplicialMap, SimplicialSet, json_layout, pi0, write_tables
 
 ObjId = Any
 MorId = Any
@@ -87,16 +91,25 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     # blocks[k][x0, ms] is where that block starts and its row length
     levels, blocks = [], []
     for k, level in enumerate(by_level):
-        simplices, blocks_k = [], {}
+        blocks.append({})
+        base = 0
         for x0, ms, xk in level:
-            gk = g.values[xk].levels[k]
-            blocks_k[x0, ms] = (len(simplices), len(gk))
-            simplices += [(x0, ms, fs, gs) for fs in f.values[x0].levels[k] for gs in gk]
-        levels.append(tuple(simplices))
-        blocks.append(blocks_k)
-    # one int object per position, shared by the index and every table
-    ints = [list(range(len(level))) for level in levels]
-    index = tuple(dict(zip(level, pos)) for level, pos in zip(levels, ints))
+            w = len(g.values[xk].levels[k])
+            blocks[k][x0, ms] = (base, w)
+            base += len(f.values[x0].levels[k]) * w
+        levels.append(
+            tuple(
+                [
+                    (x0, ms, fs, gs)
+                    for x0, ms, xk in level
+                    for fs in f.values[x0].levels[k]
+                    for gs in g.values[xk].levels[k]
+                ]
+            )
+        )
+    # one int object per position, shared by every level's index and table
+    ints = list(range(max(map(len, levels))))
+    index = tuple(dict(zip(level, ints)) for level in levels)
 
     def block(j: int, moves: Iterable[tuple]) -> Iterable[tuple]:
         """Rows of a block whose operator i sends (F part a, G part b) to
@@ -106,11 +119,14 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
             if chain not in blocks[j]:
                 raise InputError(f"{cstr(chain)} is not a chain of the category")
             base, w = blocks[j][chain]
-            cols.append([ints[j][a + b] for a in [base + q * w for q in fcol] for b in gcol])
+            cols.append([ints[a + b] for a in [base + q * w for q in fcol] for b in gcol])
         return zip(*cols)
 
     faces, degeneracies = [[()] * len(levels[0])], []
     for k, level in enumerate(by_level):
+        if k == dim_cap:
+            # the top blocks serve only the degeneracies of the level below
+            blocks[k] = None
         face_rows, deg_rows = [], []
         # columns[id(v)]: the d_i and the s_i of v's k-simplices, by i
         columns = {
@@ -140,23 +156,41 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     return SimplicialSet(dim_cap, tuple(levels), index, tuple(faces), tuple(degeneracies))
 
 
-def realization_to_json(s: SimplicialSet) -> dict:
-    """Simplicial-set JSON plus per-simplex (object, chain, f, g) annotations."""
-    data = sset_to_json(s)
-    # bar simplices share their objects, morphisms and value simplices, so
-    # each is rendered once
-    text = lru_cache(maxsize=None)(cstr)
-    annotations = {}
-    for k, level in enumerate(s.levels):
-        for p, (x0, ms, fs, gs) in enumerate(level):
-            annotations[f"{k}_{p}"] = {
-                "object": text(x0),
-                "chain": [text(m) for m in ms],
-                "f": text(fs),
-                "g": text(gs),
-            }
-    data["annotations"] = annotations
-    return data
+class _Leaves(dict):
+    """identifier -> its JSON string, rendered on first use: bar simplices
+    share their objects, morphisms and value simplices."""
+
+    def __missing__(self, x: Any) -> str:
+        text = self[x] = json.dumps(cstr(x), ensure_ascii=False)
+        return text
+
+
+def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
+    """Writes the canonical JSON of a bar realization, as cjson renders it
+    without the final newline: the tables of sset.write_tables and, under
+    "annotations", the start object, chain, F part and G part of each
+    simplex by name.
+
+    The object and chain are rendered once per block; each level is written
+    as one piece per table, in sorted-key order.
+    """
+    names, orders = json_layout(s)
+    leaf = _Leaves()
+    write('{"annotations":{')
+    # "10_0" sorts before "1_0": levels go in the order of their name prefix
+    for n, k in enumerate(sorted(range(len(s.levels)), key=lambda k: f"{k}_")):
+        level, here, entries = s.levels[k], names[k], []
+        start = ms = None
+        for name, (x0, chain, fs, gs) in zip(here, level):
+            if chain is not ms or x0 is not start:
+                start, ms = x0, chain
+                head = ':{"chain":[' + ",".join(map(leaf.__getitem__, ms)) + '],"f":'
+                tail = ',"object":' + leaf[x0] + "}"
+            entries.append(f'{name}{head}{leaf[fs]},"g":{leaf[gs]}{tail}')
+        write(("," if n else "") + ",".join(map(entries.__getitem__, orders[k])))
+    write("},")
+    write_tables(s, names, orders, write)
+    write("}")
 
 
 # -- the order-complex functor of a finite space ---------------------------------

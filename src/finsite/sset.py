@@ -23,7 +23,9 @@ simplex and refuses an image outside the target.
 Identifiers are opaque: strings for user data, nested tuples for constructed
 simplices (products, disjoint unions, bar simplices).  Serialization names
 the simplex at position p of level k "k_p", so internal tuple ids never leak
-into output.
+into output.  to_json builds the tables as a dict, the form from_json reads
+back; write_tables writes the same tables as canonical JSON text straight
+from the position tables, keys in sorted order, without building the dict.
 """
 
 from __future__ import annotations
@@ -509,6 +511,39 @@ def to_json(s: SimplicialSet) -> dict:
         "faces": faces,
         "degeneracies": degeneracies,
     }
+
+
+def json_layout(s: SimplicialSet) -> tuple[list[list[str]], list[list[int]]]:
+    """Per level, the quoted JSON name '"k_p"' of each position, and the
+    positions in the order sorted keys take: names sort as strings, so
+    "k_10" comes before "k_2"."""
+    names = [[f'"{k}_{p}"' for p in range(len(level))] for k, level in enumerate(s.levels)]
+    return names, [sorted(range(len(level)), key=str) for level in s.levels]
+
+
+def write_tables(
+    s: SimplicialSet, names: list[list[str]], orders: list[list[int]], write: Callable[[str], Any]
+) -> None:
+    """Writes the members of cjson(to_json(s)) from "degeneracies" to
+    "simplices", without the braces around them, straight from the position
+    tables; names and orders come from json_layout."""
+    # the level keys sort as strings too: "10" comes before "2"
+    by_str = sorted(range(s.dim_cap + 1), key=str)
+
+    def table(key: str, ops: tuple[Table, ...], step: int, ks: list[int]) -> None:
+        write(f'"{key}":{{')
+        for n, k in enumerate(ks):
+            near, here, rows = names[k + step], names[k], ops[k]
+            body = ",".join(
+                [here[p] + ":[" + ",".join(map(near.__getitem__, rows[p])) + "]" for p in orders[k]]
+            )
+            write(("," if n else "") + f'"{k}":{{{body}}}')
+        write("}")
+
+    table("degeneracies", s._degeneracies, 1, [k for k in by_str if k < s.dim_cap])
+    write(f',"dim_cap":{s.dim_cap},')
+    table("faces", s._faces, -1, [k for k in by_str if k > 0])
+    write(',"simplices":{' + ",".join(f'"{k}":[' + ",".join(names[k]) + "]" for k in by_str) + "}")
 
 
 def _named_table(raw: dict) -> dict[tuple[int, SimplexId, int], SimplexId]:

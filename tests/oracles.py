@@ -8,11 +8,12 @@ not circularity.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
 
-from finsite.canon import ckey
+from finsite.canon import ckey, cstr
 from finsite.catsite import FiniteSpace, Site, open_id
 from finsite.homology import IntMatrix
 from finsite.presheaf import SetFunctor
@@ -494,6 +495,25 @@ def push_rule(cat, m):
         return (x0, ms, fs, m.components[xk].apply(k, gs))
 
     return push
+
+
+def realization_to_json(s) -> dict:
+    """The former realization renderer, kept as a reference for the streamed
+    writer: the simplicial-set JSON plus per-simplex (object, chain, f, g)
+    annotations, as one dict for cjson."""
+    data = sset_to_json(s)
+    text = lru_cache(maxsize=None)(cstr)
+    annotations = {}
+    for k, level in enumerate(s.levels):
+        for p, (x0, ms, fs, gs) in enumerate(level):
+            annotations[f"{k}_{p}"] = {
+                "object": text(x0),
+                "chain": [text(m) for m in ms],
+                "f": text(fs),
+                "g": text(gs),
+            }
+    data["annotations"] = annotations
+    return data
 
 
 # -- abelian group bookkeeping ---------------------------------------------------

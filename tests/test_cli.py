@@ -518,3 +518,48 @@ def test_realize_interval_cover_is_contractible_at_cap_3(tmp_path, capsys):
         {"degree": 1, "betti": 0, "torsion": []},
         {"degree": 2, "betti": 0, "torsion": []},
     ]
+
+
+def test_realize_json_bytes_are_the_same_through_out_and_stdout(tmp_path, capsys):
+    run(capsys, "examples", "bz2", "--dir", str(tmp_path))
+    argv = ["realize", "--cat", str(tmp_path / "bz2.category.json"),
+            "--presheaf", 'constant:ä"x,\\ü', "--dim-cap", "3", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and '"ä\\"x"' in out
+    streamed = tmp_path / "streamed.json"
+    code, _, _ = run(capsys, *argv, "--out", str(streamed))
+    assert code == 0
+    # the file has the encoding Path.write_text gives the same text
+    reference = tmp_path / "reference.json"
+    reference.write_text(out)
+    assert streamed.read_bytes() == reference.read_bytes()
+
+
+def test_realize_text_renders_no_realization_json(capsys, monkeypatch):
+    from finsite import cli
+
+    argv = ["realize", "--example", "pseudo_circle_terminal", "--format", "text"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("text output rendered the realization JSON")
+
+    monkeypatch.setattr(cli, "write_realization", refuse)
+    assert run(capsys, *argv) == (0, want, "")
+
+
+def test_refused_realize_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    from finsite import cli
+    from finsite.reports import InternalCheckError
+
+    def failed_check(*args):
+        raise InternalCheckError("homology self-check failed")
+
+    # homology runs last before the output: its refusal must come before the file
+    monkeypatch.setattr(cli, "sset_homology", failed_check)
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "realize", "--example", "bz2", "--format", "json",
+                       "--out", str(out))
+    assert code == 4 and "InternalCheckError" in err
+    assert not out.exists()

@@ -1,10 +1,12 @@
 """Realizations, covariant descent, the projector comparison maps."""
 
+import io
+import json
 import random
 
 import pytest
 
-from finsite.canon import csorted
+from finsite.canon import cjson, csorted
 from finsite.catsite import (
     MappedCat,
     has_final_object,
@@ -31,6 +33,7 @@ from finsite.gallery import (
 from finsite.homology import induced_map, sset_homology
 from finsite.presheaf import (
     Functor,
+    SetFunctor,
     SetPresheafMap,
     constant_set_presheaf,
     discretize,
@@ -47,16 +50,22 @@ from finsite.realization import (
     order_complex_functor,
     projector_image,
     projector_maps,
-    realization_to_json,
     realize,
     sections_presheaf_on_triples,
     triples_category,
     validate_projector,
+    write_realization,
 )
 from finsite.reports import InputError, ValidationError
 from finsite.sset import SimplicialMap, pi0, validate_map, validate_sset
 
-from oracles import DictSimplicialMap, dict_validate_map, formula_realize, push_rule
+from oracles import (
+    DictSimplicialMap,
+    dict_validate_map,
+    formula_realize,
+    push_rule,
+    realization_to_json,
+)
 from randgen import (
     random_nested_diagram,
     random_poset_with_max,
@@ -142,12 +151,66 @@ def test_realization_json_carries_annotations():
     cat = point_category()
     pt, terminal = point_functor(cat, 2, covariant=True), point_functor(cat, 2, covariant=False)
     re = realize(cat, pt, terminal, 2)
-    data = realization_to_json(re)
+    data = json.loads(_streamed(re))
     assert set(data["annotations"]) == {
         name for level in data["simplices"].values() for name in level
     }
     row = next(iter(data["annotations"].values()))
     assert set(row) == {"object", "chain", "f", "g"}
+
+
+def _streamed(re) -> str:
+    out = io.StringIO()
+    write_realization(re, out.write)
+    return out.getvalue()
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equality of long texts, reported by the first differing offset
+    rather than by a full diff."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(got))
+        window = slice(max(at - 40, 0), at + 40)
+        raise AssertionError(f"texts differ at {at}: {got[window]!r} vs {want[window]!r}")
+
+
+def _escaping_case():
+    """Objects, morphisms and values named with a quote, a backslash, a
+    control character and non-ASCII text."""
+    low, high = 'a"q\\', "b\x07\u00fc\u20ac"
+    cat = poset_category([low, high], lambda a, b: a == b or a == low)
+    vals = ('v"1', "w\\2", "x\x1f3", "\u00ff\U0001f600")
+    ident = {v: v for v in vals}
+    f = SetFunctor(
+        cat, {x: vals for x in cat.objects}, {m: dict(ident) for m in cat.morphisms}, covariant=True
+    )
+    return cat, discretize(f, 3), discretize(constant_set_presheaf(cat, vals), 3), 3
+
+
+def test_streamed_realization_json_matches_the_reference_renderer():
+    cases = [*_bar_cases(), _escaping_case()]
+    space = interval_cover_space()
+    site = site_from_finite_space(space)
+    g = point_functor(site.category, 3, covariant=False)
+    cases.append((site.category, order_complex_functor(space, 3, site), g, 3))
+    for cat, f, g, cap in cases:
+        re = realize(cat, f, g, cap)
+        _assert_same_text(_streamed(re) + "\n", cjson(realization_to_json(re)))
+
+
+def test_streamed_realization_json_sorts_names_and_levels_as_strings():
+    # at cap 10 the level keys sort "10" before "2" and the names "10_0"
+    # before "1_0"; levels hold up to 2048 simplices, so "k_10" comes
+    # before "k_2" as well
+    cat = bz2_category()
+    f, g = point_functor(cat, 10, covariant=True), discretize(swap_set_presheaf(cat), 10)
+    re = realize(cat, f, g, 10)
+    text = _streamed(re)
+    _assert_same_text(text + "\n", cjson(realization_to_json(re)))
+    assert text.index('"10_0":{') < text.index('"1_0":{')
+    assert text.index('"4_10":{') < text.index('"4_2":{')
+    faces = text[text.index('"faces":') :]
+    assert faces.index('"10":{') < faces.index('"2":{')
 
 
 def _up_set_presheaf(cat, cap: int) -> Functor:

@@ -217,7 +217,7 @@ def has_final_object(cat: FinCat) -> ObjId | None:
     return None
 
 
-# -- slices and sieves ---------------------------------------------------------
+# -- sieves ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -230,37 +230,6 @@ class MappedCat:
     category: FinCat
     obj_to_base: dict[ObjId, ObjId]
     mor_to_base: dict[MorId, MorId]
-
-
-def slice_category(cat: FinCat, x: ObjId) -> MappedCat:
-    """Slice cat/x: objects are morphisms into x, morphisms are triangles."""
-    if x not in cat.objects:
-        raise InputError(f"no object {cstr(x)}")
-    return _category_on_members(cat, x, cat.hom_into(x))
-
-
-def _category_on_members(cat: FinCat, x: ObjId, members: Iterable[MorId]) -> MappedCat:
-    members = list(csorted(members))
-    member_set = set(members)
-    objects = members
-    mors = []
-    obj_to_base = {f: cat.src(f) for f in members}
-    mor_to_base = {}
-    for f in members:
-        for g in members:
-            for h in cat.hom(cat.src(f), cat.src(g)):
-                if cat.compose(g, h) == f:
-                    mid = ("t", h, f, g)
-                    mors.append(Morphism(mid, f, g))
-                    mor_to_base[mid] = h
-    identities = {f: ("t", cat.identity(cat.src(f)), f, f) for f in members}
-    composition = {}
-    for m1 in mors:
-        for m2 in mors:
-            if m1.tgt == m2.src:
-                h = cat.compose(mor_to_base[m2.mid], mor_to_base[m1.mid])
-                composition[(m2.mid, m1.mid)] = ("t", h, m1.src, m2.tgt)
-    return MappedCat(FinCat(objects, mors, identities, composition), obj_to_base, mor_to_base)
 
 
 @dataclass(frozen=True)
@@ -317,8 +286,27 @@ def pullback_sieve(cat: FinCat, f: MorId, s: Sieve) -> Sieve:
 
 
 def sieve_category(cat: FinCat, s: Sieve) -> MappedCat:
-    """Full subcategory of the slice on the sieve's members."""
-    return _category_on_members(cat, s.base, s.members)
+    """Full subcategory of the slice cat/base on the sieve's members: objects
+    are the members, morphisms are the triangles between them."""
+    members = csorted(s.members)
+    mors = []
+    obj_to_base = {f: cat.src(f) for f in members}
+    mor_to_base = {}
+    for f in members:
+        for g in members:
+            for h in cat.hom(cat.src(f), cat.src(g)):
+                if cat.compose(g, h) == f:
+                    mid = ("t", h, f, g)
+                    mors.append(Morphism(mid, f, g))
+                    mor_to_base[mid] = h
+    identities = {f: ("t", cat.identity(cat.src(f)), f, f) for f in members}
+    composition = {}
+    for m1 in mors:
+        for m2 in mors:
+            if m1.tgt == m2.src:
+                h = cat.compose(mor_to_base[m2.mid], mor_to_base[m1.mid])
+                composition[(m2.mid, m1.mid)] = ("t", h, m1.src, m2.tgt)
+    return MappedCat(FinCat(members, mors, identities, composition), obj_to_base, mor_to_base)
 
 
 _SIEVE_ENUM_LIMIT = 18

@@ -285,7 +285,7 @@ def _verify_transforms(a: IntMatrix, res: SNFResult) -> None:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """basis[k] lists nondegenerate k-simplices; boundary[k] maps C_k to C_{k-1}."""
+    """basis[k] lists nondegenerate k-simplices by position; boundary[k] maps C_k to C_{k-1}."""
 
     basis: tuple[tuple, ...]
     boundary: tuple[IntMatrix, ...]
@@ -295,14 +295,15 @@ def normalized_chain_complex(s: SimplicialSet, top: int) -> ChainComplex:
     if top > s.dim_cap:
         raise InputError(f"complex up to degree {top} needs levels past cap {s.dim_cap}")
     basis = [s.nondegenerate(k) for k in range(top + 1)]
-    index = [{z: i for i, z in enumerate(b)} for b in basis]
     boundary = [IntMatrix(0, len(basis[0]))]
     for k in range(1, top + 1):
+        row_of = {q: i for i, q in enumerate(basis[k - 1])}  # position -> row
         lines: Sparse = [{} for _ in basis[k - 1]]
-        for j, z in enumerate(basis[k]):
+        faces = s._faces[k]
+        for j, p in enumerate(basis[k]):
             sign = 1
-            for i in range(k + 1):
-                pos = index[k - 1].get(s.face(k, z, i))
+            for q in faces[p]:
+                pos = row_of.get(q)
                 if pos is not None:
                     line = lines[pos]
                     v = line.get(j, 0) + sign
@@ -470,12 +471,12 @@ def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
 
 
 def chain_map_matrix(m: SimplicialMap, k: int, src_basis, tgt_basis) -> Sparse:
-    """Sparse rows, one per target simplex, of the normalized chain map in
-    degree k; degenerate images, which tgt_basis omits, drop to 0."""
-    index = {z: i for i, z in enumerate(tgt_basis)}
+    """Sparse rows, one per target basis position, of the normalized chain
+    map in degree k; degenerate images, which tgt_basis omits, drop to 0."""
+    row_of, images = {p: i for i, p in enumerate(tgt_basis)}, m.images[k]
     out: Sparse = [{} for _ in tgt_basis]
-    for j, z in enumerate(src_basis):
-        i = index.get(m.apply(k, z))
+    for j, p in enumerate(src_basis):
+        i = row_of.get(images[p])
         if i is not None:
             out[i][j] = 1
     return out

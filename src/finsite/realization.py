@@ -16,16 +16,17 @@ destination: the annotations and the simplicial-set tables are written level
 by level in sorted-key order, each identifier rendered once, without
 building the payload dict or the whole text in memory.
 
-Levels are laid out by block.  ckey orders a bar simplex by its parts in turn,
-so canonical level k is the concatenation, over the k-chains in (start,
-morphisms) order (catsite.chains), of the product blocks F(x_0)_k x G(x_k)_k,
-each factor in its own canonical order: the simplex (chain, a-th F simplex,
-b-th G simplex) sits at the chain's block start + a * |G(x_k)_k| + b.  Each
-d_i and s_i sends a block into one block of the adjacent level, the target
-chain's, through a column of F's and one of G's own tables; d_0 sends the F
-column on through F's first morphism, d_k the G column back through G's last.
-Those tables, Functor's check that each action goes between the values at its
-ends, and the lookup of the target chain put every position in range.
+Levels are laid out by block, by _layout alone.  ckey orders a bar simplex by
+its parts in turn, so canonical level k is the concatenation, over the
+k-chains in (start, morphisms) order (catsite.chains), of the product blocks
+F(x_0)_k x G(x_k)_k, each factor in its own canonical order: the simplex
+(chain, a-th F simplex, b-th G simplex) sits at the chain's block start +
+a * |G(x_k)_k| + b.  Each d_i and s_i sends a block into the target chain's
+block of the adjacent level, through a column of F's and one of G's own
+tables; d_0 sends the F column on through F's first morphism, d_k the G
+column back through G's last.  The maps between realizations share one
+blockwise rule (_block_map): the F column stays, the G column moves through a
+map of values.  Bar simplices are addressed by position only.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from finsite.presheaf import (
     Functor,
     PresheafMap,
     SetFunctor,
+    _same,
     matching_sections,
     point_functor,
     reindex,
@@ -66,9 +68,21 @@ from finsite.sset import SimplicialMap, SimplicialSet, json_layout, pi0, write_t
 ObjId = Any
 MorId = Any
 
+# Per level k, each k-chain (start, morphisms) in block order, with its end
+# object, its block's start position and the block's row length |G(x_k)_k|.
+Layout = list[dict[tuple[ObjId, tuple], tuple[ObjId, int, int]]]
 
-def _same_category(a: FinCat, b: FinCat) -> bool:
-    return a is b or a == b
+
+def _layout(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> Layout:
+    out = []
+    for k, level in enumerate(chains(cat, dim_cap)):
+        blocks, base = {}, 0
+        for x0, ms, xk in level:
+            w = len(g.values[xk].levels[k])
+            blocks[x0, ms] = (xk, base, w)
+            base += len(f.values[x0].levels[k]) * w
+        out.append(blocks)
+    return out
 
 
 def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
@@ -80,60 +94,49 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     """
     if not f.covariant or g.covariant:
         raise InputError("realize needs a covariant f and a contravariant g")
-    if not _same_category(f.category, cat) or not _same_category(g.category, cat):
+    if not _same(f.category, cat) or not _same(g.category, cat):
         raise InputError("diagram and presheaf must live on the given category")
     if f.dim_cap < dim_cap or g.dim_cap < dim_cap:
         raise InputError("value caps must be at least the realization cap")
     if dim_cap < 0:
         raise InputError("dim_cap must be nonnegative")
-    by_level = chains(cat, dim_cap)
-    # levels[k] lists chain by chain the block of (x0, ms, F part, G part);
-    # blocks[k][x0, ms] is where that block starts and its row length
-    levels, blocks = [], []
-    for k, level in enumerate(by_level):
-        blocks.append({})
-        base = 0
-        for x0, ms, xk in level:
-            w = len(g.values[xk].levels[k])
-            blocks[k][x0, ms] = (base, w)
-            base += len(f.values[x0].levels[k]) * w
-        levels.append(
-            tuple(
-                [
-                    (x0, ms, fs, gs)
-                    for x0, ms, xk in level
-                    for fs in f.values[x0].levels[k]
-                    for gs in g.values[xk].levels[k]
-                ]
-            )
+    layout = _layout(cat, f, g, dim_cap)
+    # levels[k] lists chain by chain the block of (x0, ms, F part, G part)
+    levels = tuple(
+        tuple(
+            [
+                (x0, ms, fs, gs)
+                for (x0, ms), (xk, _, _) in blocks.items()
+                for fs in f.values[x0].levels[k]
+                for gs in g.values[xk].levels[k]
+            ]
         )
-    # one int object per position, shared by every level's index and table
+        for k, blocks in enumerate(layout)
+    )
+    # one int object per position, shared by every table
     ints = list(range(max(map(len, levels))))
-    index = tuple(dict(zip(level, ints)) for level in levels)
 
     def block(j: int, moves: Iterable[tuple]) -> Iterable[tuple]:
         """Rows of a block whose operator i sends (F part a, G part b) to
         (fcol[a], gcol[b]) in chain's block of level j, for moves[i]."""
         cols = []
         for chain, fcol, gcol in moves:
-            if chain not in blocks[j]:
+            at = layout[j].get(chain)
+            if at is None:
                 raise InputError(f"{cstr(chain)} is not a chain of the category")
-            base, w = blocks[j][chain]
+            _, base, w = at
             cols.append([ints[a + b] for a in [base + q * w for q in fcol] for b in gcol])
         return zip(*cols)
 
     faces, degeneracies = [[()] * len(levels[0])], []
-    for k, level in enumerate(by_level):
-        if k == dim_cap:
-            # the top blocks serve only the degeneracies of the level below
-            blocks[k] = None
+    for k, blocks in enumerate(layout):
         face_rows, deg_rows = [], []
         # columns[id(v)]: the d_i and the s_i of v's k-simplices, by i
         columns = {
-            id(v): (list(zip(*v._faces[k])), list(zip(*v._degeneracies[k])))
+            id(v): (list(zip(*v._faces[k])), list(zip(*v._degeneracies[k])) if k < dim_cap else [])
             for v in (*f.values.values(), *g.values.values())
         }
-        for x0, ms, xk in level:
+        for (x0, ms), (xk, _, _) in blocks.items():
             if not (f.values[x0].levels[k] and g.values[xk].levels[k]):
                 continue
             (fd, fs), (gd, gs) = columns[id(f.values[x0])], columns[id(g.values[xk])]
@@ -152,8 +155,26 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
                 targets = [(x0, ms[:i] + (cat.identity(ends[i]),) + ms[i:]) for i in range(k + 1)]
                 deg_rows += block(k + 1, zip(targets, fs, gs))
         faces += [face_rows] if k else []
-        degeneracies.append(deg_rows if k < dim_cap else [()] * len(levels[k]))
-    return SimplicialSet(dim_cap, tuple(levels), index, tuple(faces), tuple(degeneracies))
+        degeneracies += [deg_rows] if k < dim_cap else []
+    return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
+
+
+def _block_map(f: Functor, source: Layout, target: Layout, move: Callable) -> tuple:
+    """Images of a map between the realizations laid out as source and
+    target, f being the source's F.  move(x0, ms, xk) gives each chain's
+    target chain and a map v of G values at xk; (chain, a-th F simplex, b-th
+    G simplex) goes to (target chain, a-th F simplex, v(b)-th G simplex), so
+    F must have the value f(x0) at the target chain's start."""
+    images = []
+    for k, (here, there) in enumerate(zip(source, target)):
+        row: list[int] = []
+        for (x0, ms), (xk, _, _) in here.items():
+            chain, v = move(x0, ms, xk)
+            _, base, w = there[chain]
+            gcol = v.images[k]
+            row += [base + a * w + b for a in range(len(f.values[x0].levels[k])) for b in gcol]
+        images.append(tuple(row))
+    return tuple(images)
 
 
 class _Leaves(dict):
@@ -267,7 +288,7 @@ def covariant_descent_check(
     about other sieves or degrees beyond max_deg.
     """
     cat = site.category
-    if not _same_category(f.category, cat):
+    if not _same(f.category, cat):
         raise InputError("diagram must live on the site's category")
     if s.base != x:
         raise InputError("sieve is not based at the named object")
@@ -300,19 +321,12 @@ def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> Simplic
     """The map Re(f, m.source) -> Re(f, m.target) acting on the g part only:
     block to block of the same chain, through the component at its end."""
     cat = f.category
-    if not _same_category(m.source.category, cat):
+    if not _same(m.source.category, cat):
         raise InputError("presheaf map must live on the diagram's base")
-    images = []
-    for k, level in enumerate(chains(cat, dim_cap)):
-        row: list[int] = []
-        base = 0
-        for x0, _, xk in level:
-            n_f, w = len(f.values[x0].levels[k]), len(m.target.values[xk].levels[k])
-            row += [base + a * w + b for a in range(n_f) for b in m.components[xk].images[k]]
-            base += n_f * w
-        images.append(tuple(row))
     src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
-    return SimplicialMap(src, tgt, tuple(images))
+    lay_s, lay_t = _layout(cat, f, m.source, dim_cap), _layout(cat, f, m.target, dim_cap)
+    images = _block_map(f, lay_s, lay_t, lambda x0, ms, xk: ((x0, ms), m.components[xk]))
+    return SimplicialMap(src, tgt, images)
 
 
 # -- projector data and the two comparison maps --------------------------------------
@@ -406,25 +420,24 @@ def projector_maps(
     cat = d.category
     mapped = projector_image(d)
     sub = mapped.category
-    if not _same_category(f.category, sub):
+    if not _same(f.category, sub):
         raise InputError("diagram must live on the projector's image category")
-    if not _same_category(g.category, cat):
+    if not _same(g.category, cat):
         raise InputError("presheaf must live on the projector's category")
     # f after P: the diagram x -> f(P(x)) on the whole category
-    pf = reindex(f, MappedCat(cat, d.obj_map, d.mor_map))
-    re_c = realize(cat, pf, g, dim_cap)
-    re_d = realize(sub, f, reindex(g, mapped), dim_cap)
+    pf, gd = reindex(f, MappedCat(cat, d.obj_map, d.mor_map)), reindex(g, mapped)
+    re_c, re_d = realize(cat, pf, g, dim_cap), realize(sub, f, gd, dim_cap)
+    lay_c, lay_d = _layout(cat, pf, g, dim_cap), _layout(sub, f, gd, dim_cap)
 
-    def a_rule(k: int, z: tuple) -> tuple:
-        x0, ms, fs, gs = z
-        xk = cat.tgt(ms[-1]) if ms else x0
-        pms = tuple(d.mor_map[m] for m in ms)
-        gv = g.action[d.psi[xk]].apply(k, gs)
-        return (d.obj_map[x0], pms, fs, gv)
+    # the F column stays: f after P has the value f(P(x0)) at x0, and P fixes
+    # the image objects
+    def through_p(x0: ObjId, ms: tuple, xk: ObjId) -> tuple:
+        return (d.obj_map[x0], tuple(d.mor_map[m] for m in ms)), g.action[d.psi[xk]]
 
-    a = SimplicialMap.from_function(re_c, re_d, a_rule)
-    b = SimplicialMap.from_function(re_d, re_c, lambda k, z: z)
-    return a, b
+    ident = {x: SimplicialMap.identity(v) for x, v in gd.values.items()}
+    a = _block_map(pf, lay_c, lay_d, through_p)
+    b = _block_map(f, lay_d, lay_c, lambda x0, ms, xk: ((x0, ms), ident[xk]))
+    return SimplicialMap(re_c, re_d, a), SimplicialMap(re_d, re_c, b)
 
 
 # -- the category of sieve triples ----------------------------------------------------
@@ -492,7 +505,7 @@ def sections_presheaf_on_triples(
     matching sections of g over B; (phi, rho) acts by precomposing with phi."""
     cat = site.category
     tcat = d.category
-    if not _same_category(g.category, cat):
+    if not _same(g.category, cat):
         raise InputError("presheaf must live on the site's category")
     values = {}
     for t in tcat.objects:

@@ -8,17 +8,18 @@ degenerate exactly when s_i(d_i z) == z for some i, and that criterion is the
 single source of truth for degeneracy.
 
 Storage is by position.  Each level lists its simplices once, in canonical
-order, with one {simplex: position} map per level; d_i and s_i are per-level
-lists of int tuples, one tuple per simplex, giving the positions of its
-images in the adjacent level.  tabulate builds a set from formulas: it sorts
-each level, evaluates the face and degeneracy formulas once per simplex, and
-refuses an image outside its level.  The bar realization (realization.realize)
-instead lays its levels out block by block and computes every position inside
-a block from tables that are already in range, so it needs neither the sort
-nor the check.  A map between two sets is
-stored the same way: per level, the target position of each source
-simplex's image.  SimplicialMap.from_function evaluates a formula once per
-simplex and refuses an image outside the target.
+order; d_i and s_i are per-level lists of int tuples, one tuple per simplex,
+giving the positions of its images in the adjacent level, and nondegenerate
+lists positions too.  The {simplex: position} index of the levels is derived
+on the first lookup by identifier (has, face, degeneracy, apply and
+from_function).  tabulate builds a set from formulas: it sorts each level,
+evaluates the formulas once per simplex through that index, and refuses an
+image outside its level.  The bar realization (realization.realize) computes
+every position inside a block from tables already in range, so it needs
+neither the sort, the check nor the index.  A map between two sets is stored
+the same way: per level, the target position of each source simplex's image.
+SimplicialMap.from_function evaluates a formula once per simplex and refuses
+an image outside the target.
 
 Identifiers are opaque: strings for user data, nested tuples for constructed
 simplices (products, disjoint unions, bar simplices).  Serialization names
@@ -31,6 +32,7 @@ from the position tables, keys in sorted order, without building the dict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from finsite.canon import ckey, csorted, cstr
@@ -40,6 +42,8 @@ SimplexId = Any  # str | nested tuple of str/int
 
 # Per level, one tuple of image positions per simplex.
 Table = list[tuple[int, ...]]
+# A formula (k, z, i) -> d_i z or s_i z for a k-simplex z.
+Op = Callable[[int, SimplexId, int], SimplexId]
 
 
 class SimplicialSet:
@@ -48,25 +52,28 @@ class SimplicialSet:
     levels[k] holds the k-simplices in canonical order.  _faces[k][p] lists
     the positions in level k-1 of d_0..d_k of the simplex at position p of
     level k, and _degeneracies[k][p] the positions in level k+1 of s_0..s_k;
-    both are empty tuples where the operators leave 0..dim_cap.  Both
-    constructors keep every position in its level: tabulate checks each image,
-    and realize computes each one inside a block of the level.
+    _faces[0] holds empty tuples, and _degeneracies covers levels 0..dim_cap-1
+    only.  Both constructors keep every position in its level: tabulate checks
+    each image, and realize computes each one inside a block of the level.
     """
 
     def __init__(
         self,
         dim_cap: int,
         levels: tuple[tuple[SimplexId, ...], ...],
-        index: tuple[dict[SimplexId, int], ...],
         faces: tuple[Table, ...],
         degeneracies: tuple[Table, ...],
     ):
         self.dim_cap = dim_cap
         self.levels = levels
-        self._index = index
         self._faces = faces
         self._degeneracies = degeneracies
-        self._nondeg_cache: dict[int, tuple[SimplexId, ...]] = {}
+        self._nondeg_cache: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def _index(self) -> tuple[dict[SimplexId, int], ...]:
+        """Per level, {simplex: position}; derived on the first lookup by id."""
+        return tuple({z: p for p, z in enumerate(level)} for level in self.levels)
 
     # -- basic access ------------------------------------------------------
 
@@ -100,10 +107,11 @@ class SimplicialSet:
         degs = self._degeneracies[k - 1]
         return any(degs[fz[i]][i] == p for i in range(k))
 
-    def nondegenerate(self, k: int) -> tuple[SimplexId, ...]:
+    def nondegenerate(self, k: int) -> tuple[int, ...]:
+        """Positions in level k of the nondegenerate k-simplices, ascending."""
         if k not in self._nondeg_cache:
             self._nondeg_cache[k] = tuple(
-                z for p, z in enumerate(self.simplices(k)) if not self._degenerate_at(k, p)
+                p for p in range(len(self.simplices(k))) if not self._degenerate_at(k, p)
             )
         return self._nondeg_cache[k]
 
@@ -134,12 +142,7 @@ def _refusal(kind: str, detail: str, witness: tuple) -> ValidationError:
 
 
 def _positions(
-    fn: Callable[[int, SimplexId, int], SimplexId],
-    k: int,
-    level: tuple[SimplexId, ...],
-    target: dict[SimplexId, int],
-    kind: str,
-    op: str,
+    fn: Op, k: int, level: tuple[SimplexId, ...], target: dict[SimplexId, int], kind: str, op: str
 ) -> Table:
     """fn(k, z, i) for i = 0..k on every z of the level, as positions in the
     target level."""
@@ -159,10 +162,7 @@ def _positions(
 
 
 def tabulate(
-    dim_cap: int,
-    levels: Iterable[Iterable[SimplexId]],
-    face_fn: Callable[[int, SimplexId, int], SimplexId],
-    deg_fn: Callable[[int, SimplexId, int], SimplexId],
+    dim_cap: int, levels: Iterable[Iterable[SimplexId]], face_fn: Op, deg_fn: Op
 ) -> SimplicialSet:
     """Materialize a simplicial set from formulas for d_i and s_i.
 
@@ -176,23 +176,18 @@ def tabulate(
     ordered = tuple(tuple(csorted(level)) for level in levels)
     if len(ordered) != dim_cap + 1:
         raise InputError(f"expected {dim_cap + 1} levels, got {len(ordered)}")
-    index = []
-    for k, level in enumerate(ordered):
-        at = {z: p for p, z in enumerate(level)}
+    s = SimplicialSet(dim_cap, ordered, (), ())  # tables filled in below
+    index = s._index
+    for k, (level, at) in enumerate(zip(ordered, index)):
         if len(at) != len(level):
             raise _refusal("duplicate-simplex", "level has duplicates", (k,))
-        index.append(at)
-    faces = [[()] * len(ordered[0])] + [
-        _positions(face_fn, k, ordered[k], index[k - 1], "face", "d")
-        for k in range(1, dim_cap + 1)
-    ]
-    degeneracies = [
-        _positions(deg_fn, k, ordered[k], index[k + 1], "degeneracy", "s")
-        for k in range(dim_cap)
-    ] + [[()] * len(ordered[dim_cap])]
-    return SimplicialSet(
-        dim_cap, ordered, tuple(index), tuple(faces), tuple(degeneracies)
+    s._faces = ([()] * len(ordered[0]),) + tuple(
+        _positions(face_fn, k, ordered[k], index[k - 1], "face", "d") for k in range(1, dim_cap + 1)
     )
+    s._degeneracies = tuple(
+        _positions(deg_fn, k, ordered[k], index[k + 1], "degeneracy", "s") for k in range(dim_cap)
+    )
+    return s
 
 
 # -- standard constructions ------------------------------------------------

@@ -355,7 +355,7 @@ def table_mismatches(s, ref: DictSimplicialSet) -> list[str]:
             if get(k, z, i) != w
         ]
     for k in range(s.dim_cap + 1):
-        if s.nondegenerate(k) != ref.nondegenerate(k):
+        if tuple(s.levels[k][p] for p in s.nondegenerate(k)) != ref.nondegenerate(k):
             out.append(f"nondegenerate simplices of dimension {k}")
     if sset_to_json(s) != ref.to_json():
         out.append("JSON tables")
@@ -495,6 +495,21 @@ def push_rule(cat, m):
         return (x0, ms, fs, m.components[xk].apply(k, gs))
 
     return push
+
+
+def projector_rules(d, g):
+    """The former rules of the projector maps a and b, read by identifier: a
+    sends the chain through P and pulls the G part back along psi at the
+    chain's end; b is the inclusion, every simplex sent to itself."""
+    cat = d.category
+
+    def a_rule(k: int, z: tuple) -> tuple:
+        x0, ms, fs, gs = z
+        xk = cat.tgt(ms[-1]) if ms else x0
+        pms = tuple(d.mor_map[m] for m in ms)
+        return (d.obj_map[x0], pms, fs, g.action[d.psi[xk]].apply(k, gs))
+
+    return a_rule, lambda k, z: z
 
 
 def realization_to_json(s) -> dict:

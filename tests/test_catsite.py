@@ -22,7 +22,6 @@ from finsite.catsite import (
     pullback_sieve,
     sieve_category,
     site_from_finite_space,
-    slice_category,
     space_from_json,
     space_to_json,
     validate_category,
@@ -71,14 +70,6 @@ def test_nerve_of_group_counts():
     assert validate_sset(n).ok
     assert n.counts() == (1, 2, 4, 8, 16)
     assert n.nondegenerate_counts() == (1, 1, 1, 1, 1)
-
-
-def test_slice_category_of_poset_max():
-    cat = poset_category(["a", "b", "c"], lambda x, y: x <= y)
-    sl = slice_category(cat, "c")
-    assert validate_category(sl.category).ok
-    # objects of the slice at the maximum = all three arrows into c
-    assert len(sl.category.objects) == 3
 
 
 def test_sieve_generation_and_pullback():

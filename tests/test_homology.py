@@ -177,14 +177,13 @@ def test_chain_complex_boundaries_compose_to_zero():
 
 def test_chain_complex_refuses_nonzero_boundary_squared():
     class BrokenFaces:
-        # d(e) = b - a, but d(t) = e - e + e = e, so d(d(t)) != 0
+        # vertices a, b, edge e, triangle t, by position: d(e) = b - a, but
+        # d(t) = e - e + e = e, so d(d(t)) != 0
         dim_cap = 2
+        _faces = ((), ((1, 0),), ((0, 0, 0),))
 
         def nondegenerate(self, k):
-            return (("a", "b"), ("e",), ("t",))[k]
-
-        def face(self, k, z, i):
-            return ("b", "a")[i] if k == 1 else "e"
+            return ((0, 1), (0,), (0,))[k]
 
     with pytest.raises(InternalCheckError, match="boundary squared is nonzero at degree 1"):
         normalized_chain_complex(BrokenFaces(), 2)

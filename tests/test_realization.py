@@ -63,6 +63,7 @@ from oracles import (
     DictSimplicialMap,
     dict_validate_map,
     formula_realize,
+    projector_rules,
     push_rule,
     realization_to_json,
 )
@@ -137,6 +138,22 @@ def test_realize_respects_final_object_on_random_posets():
         assert len(pi0(re)) == len(pi0(f.values[mx]))
         for k in range(cap):
             assert h_re.group(k).summands == h_val.group(k).summands
+
+
+def test_realizations_are_read_by_position_only():
+    # realize-render and compare-maps never look a bar simplex up by
+    # identifier, so no realization derives its index
+    space, site = _pc_site()
+    cat = site.category
+    f = order_complex_functor(space, 3, site)
+    re = realize(cat, f, point_functor(cat, 3, covariant=False), 3)
+    sset_homology(re, 2)
+    pi0(re)
+    _streamed(re)
+    sh = sheafify_set(site, collapse_set_presheaf(cat, has_final_object(cat)))
+    m = induced_realization_map(f, discretize_map(sh.unit, 3), 3)
+    induced_map(m, sset_homology(m.source, 2), sset_homology(m.target, 2), 1)
+    assert [s for s in (re, m.source, m.target) if "_index" in vars(s)] == []
 
 
 def test_realize_validates_base_category_mismatch():
@@ -273,16 +290,58 @@ def test_realize_matches_the_formula_oracle():
         assert all(list(level) == csorted(level) for level in re.levels)
 
 
-def _induced_checked(f, pm, cap: int) -> SimplicialMap:
-    """induced_realization_map, after checking every image and validate_map's
-    report against the former push rule read by identifier."""
-    m = induced_realization_map(f, pm, cap)
-    ref = DictSimplicialMap.from_function(m.source, m.target, push_rule(f.category, pm))
-    for k in range(cap + 1):
-        simplices = m.source.simplices(k)
-        assert [m.apply(k, z) for z in simplices] == [ref.apply(k, z) for z in simplices]
-    assert validate_map(m) == dict_validate_map(ref)
+def _checked(m: SimplicialMap, rule, reports: bool = True) -> SimplicialMap:
+    """m, after checking every image against the rule read by identifier and,
+    if reports, validate_map's report against the reference map's."""
+    for k, level in enumerate(m.source.levels):
+        assert [m.target.levels[k][q] for q in m.images[k]] == [rule(k, z) for z in level]
+    if reports:
+        ref = DictSimplicialMap.from_function(m.source, m.target, rule)
+        assert validate_map(m) == dict_validate_map(ref)
     return m
+
+
+def _induced_checked(f, pm, cap: int) -> SimplicialMap:
+    """induced_realization_map, checked against the former push rule."""
+    return _checked(induced_realization_map(f, pm, cap), push_rule(f.category, pm))
+
+
+def _projector_checked(d, f, g, cap: int, reports: bool = True) -> list[SimplicialMap]:
+    """projector_maps' a and b, checked against the former rules."""
+    maps = projector_maps(d, f, g, cap)
+    return [_checked(m, rule, reports) for m, rule in zip(maps, projector_rules(d, g))]
+
+
+def _triples_case(space, cap: int, order_complex: bool = False):
+    """The triples projector of the space's site, the presheaf of matching
+    sections of the constant two-point presheaf, and the point diagram on
+    the image, or with order_complex the space's order complex carried to
+    the image, (y, maximal sieve, id) lying over y."""
+    site = site_from_finite_space(space)
+    d = triples_category(site)
+    g0 = constant_set_presheaf(site.category, ["0", "1"])
+    g = discretize(sections_presheaf_on_triples(site, g0, d), cap)
+    img = projector_image(d).category
+    f = point_functor(img, cap, covariant=True)
+    if order_complex:
+        over = MappedCat(img, {t: t[1] for t in img.objects}, {m: m[1] for m in img.morphisms})
+        f = reindex(order_complex_functor(space, cap, site), over)
+    return d, f, g
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_projector_maps_match_the_id_rules_on_pseudo_circle_triples(cap):
+    # 57 triples; at cap 4 a's source has 464,332 top simplices, so the
+    # validate_map reports are compared below cap 4 only
+    d, f, g = _triples_case(pseudo_circle_space(), cap)
+    a, b = _projector_checked(d, f, g, cap, reports=cap < 4)
+    assert a.compose(b) == SimplicialMap.identity(b.source)
+
+
+def test_projector_maps_match_the_id_rules_with_an_order_complex():
+    # f after P is not constant here, so the kept F column is seen
+    for space, cap in ((sierpinski_space(), 3), (pseudo_circle_space(), 2)):
+        _projector_checked(*_triples_case(space, cap, order_complex=True), cap)
 
 
 def test_induced_realization_map_matches_the_push_rule():
@@ -505,7 +564,9 @@ def _map_workloads(cap: int) -> list[SimplicialMap]:
     """Every action of the order-complex functors of the pseudo-circle and of
     the interval cover, the discretized sheafification unit of the collapse
     presheaf with both its ends, the map it induces on realizations, and the
-    projector maps a and b, all at the given cap."""
+    projector maps a and b of the Sierpinski triples, all at the given cap.
+    The last three are built by block and checked against the former rules
+    here."""
     maps = []
     for space in (pseudo_circle_space(), interval_cover_space()):
         f = order_complex_functor(space, cap, site_from_finite_space(space))
@@ -516,12 +577,7 @@ def _map_workloads(cap: int) -> list[SimplicialMap]:
     pm = discretize_map(sh.unit, cap)
     maps += [*pm.source.action.values(), *pm.target.action.values(), *pm.components.values()]
     maps.append(_induced_checked(order_complex_functor(space, cap, site), pm, cap))
-    site = site_from_finite_space(sierpinski_space())
-    d = triples_category(site)
-    g0 = constant_set_presheaf(site.category, ["0", "1"])
-    gp = discretize(sections_presheaf_on_triples(site, g0, d), cap)
-    f = point_functor(projector_image(d).category, cap, covariant=True)
-    maps += projector_maps(d, f, gp, cap)
+    maps += _projector_checked(*_triples_case(sierpinski_space(), cap), cap)
     return maps
 
 
@@ -531,9 +587,10 @@ def test_maps_match_reference_on_every_constructor(maps_checked):
     # 19 + 57 order-complex actions; the unit's 2 x 19 actions and 6
     # components; the induced map, a and b
     assert len(maps) == 76 + 2 * 19 + 6 + 3
-    # the induced map is built by block arithmetic and checked where it is
-    # built, against the push rule
-    assert [i for i, m in enumerate(maps) if id(m) not in checked] == [len(maps) - 3]
+    # the induced map, a and b are built by block arithmetic and checked
+    # where they are built, against the former rules read by identifier
+    n = len(maps)
+    assert [i for i, m in enumerate(maps) if id(m) not in checked] == [n - 3, n - 2, n - 1]
 
 
 def _moved_report(m, fn, k, z, w):
@@ -554,9 +611,11 @@ def _moved_report(m, fn, k, z, w):
 
 def test_maps_with_one_image_moved_fail_alike(maps_checked):
     _map_workloads(2)
+    d, f, g = _triples_case(sierpinski_space(), 2)
+    cases = [*maps_checked, *zip(projector_maps(d, f, g, 2), projector_rules(d, g))]
     rng = random.Random(8)
     kinds = []
-    for m, fn in list(maps_checked):
+    for m, fn in cases:
         for _ in range(3):
             k = rng.choice([k for k in range(3) if m.source.simplices(k)])
             z = rng.choice(m.source.simplices(k))

@@ -33,3 +33,21 @@ def test_package_imports_only_itself_and_the_standard_library():
                 continue
             found += [f"{path.name}:{n.lineno} {m}" for m in names if m.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_only_sset_reads_the_identifier_index():
+    """Once a simplicial set is built, positions are the only address of a
+    simplex: the {simplex: position} index is sset's own, behind its lookups
+    by identifier, and no other module reads it, by attribute or by name."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "sset.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr == "_index")
+            or (isinstance(n, ast.Constant) and n.value == "_index")
+        ]
+    assert found == []

@@ -66,7 +66,7 @@ def test_simplicial_identities_random_spotcheck():
 
 def test_validate_sset_catches_broken_face():
     s = standard_simplex(2, 2)
-    top = s.nondegenerate(2)[0]
+    top = s.simplices(2)[s.nondegenerate(2)[0]]
     wrong = s.face(2, top, 2)
 
     def face(k, z, i):
@@ -338,7 +338,7 @@ def test_validate_sset_needs_no_degeneracy_flag_check():
                         level = list(s._degeneracies[k])
                         level[p] = sz[:i] + (q,) + sz[i + 1 :]
                         degs = s._degeneracies[:k] + (level,) + s._degeneracies[k + 1 :]
-                        t = sset.SimplicialSet(s.dim_cap, s.levels, s._index, s._faces, degs)
+                        t = sset.SimplicialSet(s.dim_cap, s.levels, s._faces, degs)
                         if _degeneracy_flags_disagree(t):
                             disagreements += 1
                             rep = validate_sset(t)

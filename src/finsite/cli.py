@@ -6,6 +6,13 @@ from the same already-sorted data.  JSON is written piece by piece
 (canon.write_cjson), and realize streams its realization tables into it.
 --threads is accepted and has no effect.
 
+Every JSON input flag (--space, --cat, --presheaf, --sieve, --map and
+validate's --sset) takes a file or an inline JSON object.  The built-in
+examples are input documents: DOCUMENTS builds each gallery document on
+demand, `examples NAME` writes a kit of them (KITS), and `--example NAME`
+replaces a command's input flags by its EXAMPLES entry, with each named
+document passed inline, so an example runs the same loaders as files do.
+
 Exit codes: 0 success, 2 bad input, 3 validation failure, 4 internal check
 failure.  Errors are written to stderr as one-line JSON records.
 """
@@ -29,7 +36,6 @@ from finsite.catsite import (
     category_to_json,
     generate_sieve,
     has_final_object,
-    maximal_sieve,
     site_from_finite_space,
     space_from_json,
     space_to_json,
@@ -102,12 +108,12 @@ def _resolve_base(args) -> tuple[FiniteSpace | None, Site | None, FinCat]:
     if getattr(args, "space", None) and getattr(args, "cat", None):
         raise InputError("give --space or --cat, not both")
     if getattr(args, "space", None):
-        space = space_from_json(_load_json(args.space))
+        space = space_from_json(_inline_or_file(args.space))
         validate_space(space).raise_if_failed()
         site = site_from_finite_space(space)
         return space, site, site.category
     if getattr(args, "cat", None):
-        cat = category_from_json(_load_json(args.cat))
+        cat = category_from_json(_inline_or_file(args.cat))
         validate_category(cat).raise_if_failed()
         return None, None, cat
     raise InputError("an input is required: --space, --cat, or --example")
@@ -133,16 +139,22 @@ def _refuse_unknown(keys, known, what: str) -> None:
         raise InputError(f"{what} {unknown[0]}")
 
 
-def _presheaf_values(cat: FinCat, data: dict) -> dict:
-    """A presheaf's "values" object, with exactly the category's objects as keys."""
-    raw_values = data.get("values")
-    if not isinstance(raw_values, dict):
-        raise InputError('presheaf JSON needs a "values" object')
-    missing = [x for x in cat.objects if x not in raw_values]
-    if missing:
-        raise InputError(f"presheaf values missing for object {missing[0]}")
-    _refuse_unknown(raw_values, set(cat.objects), "presheaf values name an unknown object")
-    return raw_values
+def _per_object(cat: FinCat, data: dict, what: str, key: str) -> dict:
+    """data[key], an object with exactly the category's objects as keys."""
+    table = data.get(key)
+    if not isinstance(table, dict):
+        raise InputError(f'{what} JSON needs a "{key}" object')
+    _refuse_unknown(cat.objects, table, f"{what} {key} missing for object")
+    _refuse_unknown(table, set(cat.objects), f"{what} {key} name an unknown object")
+    return table
+
+
+def _element_map(table, elements, what: str) -> dict:
+    """A table of names defined on exactly the given elements."""
+    _name_table(table, what)
+    _refuse_unknown(table, set(elements), f"{what} names an unknown element")
+    _refuse_unknown(elements, table, f"{what} misses element")
+    return table
 
 
 def _actions(cat: FinCat, data: dict) -> dict:
@@ -159,7 +171,7 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
 
     Actions may be omitted for identity morphisms only.
     """
-    raw_values = _presheaf_values(cat, data)
+    raw_values = _per_object(cat, data, "presheaf", "values")
     for x in cat.objects:
         vals = raw_values[x]
         if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
@@ -170,10 +182,7 @@ def set_presheaf_from_json(cat: FinCat, data: dict) -> SetFunctor:
     for m in cat.morphisms.values():
         if m.mid in raw_actions:
             what = f"presheaf action of {m.mid}"
-            table = _name_table(raw_actions[m.mid], what)
-            _refuse_unknown(table, set(values[m.tgt]), f"{what} names an unknown element")
-            _refuse_unknown(values[m.tgt], table, f"{what} misses element")
-            action[m.mid] = table
+            action[m.mid] = _element_map(raw_actions[m.mid], values[m.tgt], what)
         elif cat.is_identity(m.mid):
             action[m.mid] = {v: v for v in values[m.src]}
         else:
@@ -211,7 +220,7 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
     Actions map simplices by identifier, levelwise; omitted actions are
     identity-on-identifiers and allowed only for identity morphisms.
     """
-    raw_values = _presheaf_values(cat, data)
+    raw_values = _per_object(cat, data, "presheaf", "values")
     values = {}
     for x in cat.objects:
         values[x] = sset_from_json(raw_values[x])
@@ -289,6 +298,15 @@ def _load_sieve(arg: str, cat: FinCat) -> Sieve:
     return generate_sieve(cat, base, gens)
 
 
+def _load_map(arg: str, sp: SetFunctor, sp2: SetFunctor) -> SetPresheafMap:
+    """A set presheaf map from {"components": {obj: {elem: elem}}}."""
+    cat = sp.category
+    comps = _per_object(cat, _inline_or_file(arg), "map", "components")
+    return SetPresheafMap(
+        sp, sp2, {x: _element_map(comps[x], sp.values[x], f"map component at {x}") for x in cat.objects}
+    )
+
+
 def _caps(args) -> tuple[int, int]:
     cap = args.dim_cap
     if cap < 1:
@@ -336,89 +354,121 @@ def set_presheaf_map_to_json(pm: SetPresheafMap) -> dict:
     }
 
 
-# -- example registry ---------------------------------------------------------------
+# -- built-in examples -------------------------------------------------------------
 
 
-def _pseudo_circle_setup():
-    space = gallery.pseudo_circle_space()
+def _cover_json(space: FiniteSpace, cover) -> dict:
+    """The document of a gallery covering sieve: its base and its members
+    other than the identity."""
     site = site_from_finite_space(space)
-    return space, site
+    sieve = cover(site)
+    gens = [m for m in csorted(sieve.members) if not site.category.is_identity(m)]
+    return {"base": cstr(sieve.base), "generators": [cstr(m) for m in gens]}
 
 
-def _realize_example(name: str, dim_cap: int):
-    if name == "pseudo_circle_terminal":
-        space, site = _pseudo_circle_setup()
-        cat = site.category
-        g = point_functor(cat, dim_cap, covariant=False)
-        return cat, order_complex_functor(space, dim_cap, site), g
-    if name == "point_site":
-        cat = gallery.point_category()
-        circle = gallery.circle_sset(dim_cap)
-        ident = {"id:*": SimplicialMap.identity(circle)}
-        g = Functor(cat, dim_cap, {"*": circle}, ident, covariant=False)
-        return cat, point_functor(cat, dim_cap, covariant=True), g
-    if name == "bz2":
-        cat = gallery.bz2_category()
-        g = point_functor(cat, dim_cap, covariant=False)
-        return cat, point_functor(cat, dim_cap, covariant=True), g
-    if name == "action_z2_free":
-        cat = gallery.bz2_category()
-        g = discretize(gallery.swap_set_presheaf(cat), dim_cap)
-        return cat, point_functor(cat, dim_cap, covariant=True), g
-    raise InputError(
-        f"unknown realize example {name}; known: pseudo_circle_terminal, "
-        "point_site, bz2, action_z2_free"
-    )
+def _pseudo_circle_presheaf(spec: str) -> dict:
+    """The document of a built-in set presheaf spec on the pseudo-circle site."""
+    cat = site_from_finite_space(gallery.pseudo_circle_space()).category
+    return set_presheaf_to_json(_parse_set_presheaf(spec, cat))
 
 
-def _sheafify_example(name: str):
-    space, site = _pseudo_circle_setup()
-    if name == "pseudo_circle_constant2":
-        return site, constant_set_presheaf(site.category, ["0", "1"])
-    if name == "collapse":
-        return site, gallery.collapse_set_presheaf(site.category, has_final_object(site.category))
-    raise InputError(
-        f"unknown sheafify example {name}; known: pseudo_circle_constant2, collapse"
-    )
+# The gallery's input documents by file name, each built only when asked for.
+# A builder takes the run's dim cap, which only the circle presheaf reads.
+DOCUMENTS = {
+    "sierpinski.space.json": lambda cap: space_to_json(gallery.sierpinski_space()),
+    "pseudo_circle.space.json": lambda cap: space_to_json(gallery.pseudo_circle_space()),
+    "pseudo_circle.collapse.presheaf.json": lambda cap: _pseudo_circle_presheaf("collapse"),
+    "pseudo_circle.constant2.presheaf.json": lambda cap: _pseudo_circle_presheaf("constant:0,1"),
+    "pseudo_circle.cover.sieve.json": lambda cap: _cover_json(
+        gallery.pseudo_circle_space(), gallery.pseudo_circle_cover
+    ),
+    "interval_cover.space.json": lambda cap: space_to_json(gallery.interval_cover_space()),
+    "interval_cover.cover.sieve.json": lambda cap: _cover_json(
+        gallery.interval_cover_space(), gallery.interval_cover_sieve
+    ),
+    "bz2.category.json": lambda cap: category_to_json(gallery.bz2_category()),
+    "action_z2_free.presheaf.json": lambda cap: set_presheaf_to_json(
+        gallery.swap_set_presheaf(gallery.bz2_category())
+    ),
+    "point.category.json": lambda cap: category_to_json(gallery.point_category()),
+    "point.circle.presheaf.json": lambda cap: {
+        "values": {"*": {"dim_cap": cap, **gallery.CIRCLE}}
+    },
+}
+
+# `examples NAME` writes these documents, in this order.
+KITS = {
+    "sierpinski": ("sierpinski.space.json",),
+    "pseudo_circle": (
+        "pseudo_circle.space.json",
+        "pseudo_circle.collapse.presheaf.json",
+        "pseudo_circle.constant2.presheaf.json",
+        "pseudo_circle.cover.sieve.json",
+    ),
+    "interval_cover": ("interval_cover.space.json", "interval_cover.cover.sieve.json"),
+    "bz2": ("bz2.category.json",),
+    "action_z2_free": ("bz2.category.json", "action_z2_free.presheaf.json"),
+}
+EXAMPLE_KITS = tuple(KITS)
+
+_PC_SPACE = "pseudo_circle.space.json"
+_PC_COLLAPSE = "pseudo_circle.collapse.presheaf.json"
+_PC_CONSTANT2 = "pseudo_circle.constant2.presheaf.json"
+
+# The input arguments each command's `--example NAME` stands for.  An
+# argument that names a document is passed as that document, inline.
+EXAMPLES = {
+    "realize": {
+        "pseudo_circle_terminal": ["--space", _PC_SPACE],
+        "point_site": ["--cat", "point.category.json", "--presheaf", "point.circle.presheaf.json"],
+        "bz2": ["--cat", "bz2.category.json"],
+        "action_z2_free": ["--cat", "bz2.category.json", "--presheaf", "action_z2_free.presheaf.json"],
+    },
+    "sheafify": {
+        "pseudo_circle_constant2": ["--space", _PC_SPACE, "--presheaf", _PC_CONSTANT2],
+        "collapse": ["--space", _PC_SPACE, "--presheaf", _PC_COLLAPSE],
+    },
+    "descent-check": {
+        "pseudo_circle_order_complex": [
+            "--space", _PC_SPACE, "--object", "{a,b,c,d}", "--sieve", "pseudo_circle.cover.sieve.json",
+        ],
+        "pseudo_circle_constant_point_F": [
+            "--space", _PC_SPACE, "--functor", "point", "--object", "{a,b}",
+            "--sieve", '{"base":"{a,b}","generators":["{a}<={a,b}","{b}<={a,b}"]}',
+        ],
+        "interval_cover": [
+            "--space", "interval_cover.space.json", "--object", "{a1,a2,a3,a4,b1,b2,b3}",
+            "--sieve", "interval_cover.cover.sieve.json",
+        ],
+        "sierpinski_maximal": [
+            "--space", "sierpinski.space.json", "--object", "{c,o}",
+            "--sieve", '{"base":"{c,o}","generators":["{c,o}<={c,o}"]}',
+        ],
+    },
+    "compare": {
+        "collapse": ["--space", _PC_SPACE, "--presheaf", _PC_COLLAPSE],
+        "constant2": ["--space", _PC_SPACE, "--presheaf", _PC_CONSTANT2],
+        "identity": ["--space", _PC_SPACE, "--presheaf", _PC_CONSTANT2, "--presheaf2", _PC_CONSTANT2],
+    },
+}
+
+# The flags of a run that an example keeps; it replaces all the others.
+RUN_FLAGS = ("dim_cap", "max_deg", "threads", "format", "out")
 
 
-def _descent_example(name: str, dim_cap: int):
-    if name == "pseudo_circle_order_complex":
-        space, site = _pseudo_circle_setup()
-        s = gallery.pseudo_circle_cover(site)
-        return site, order_complex_functor(space, dim_cap, site), s.base, s
-    if name == "pseudo_circle_constant_point_F":
-        space, site = _pseudo_circle_setup()
-        s = gallery.two_open_cover(site)
-        return site, point_functor(site.category, dim_cap, covariant=True), s.base, s
-    if name == "interval_cover":
-        space = gallery.interval_cover_space()
-        site = site_from_finite_space(space)
-        s = gallery.interval_cover_sieve(site)
-        return site, order_complex_functor(space, dim_cap, site), s.base, s
-    if name == "sierpinski_maximal":
-        space = gallery.sierpinski_space()
-        site = site_from_finite_space(space)
-        top = max(site.category.objects, key=len)
-        return site, order_complex_functor(space, dim_cap, site), top, maximal_sieve(site.category, top)
-    raise InputError(
-        f"unknown descent example {name}; known: pseudo_circle_order_complex, "
-        "pseudo_circle_constant_point_F, interval_cover, sierpinski_maximal"
-    )
-
-
-def _compare_example(name: str):
-    space, site = _pseudo_circle_setup()
-    cat = site.category
-    if name == "collapse":
-        return site, space, gallery.collapse_set_presheaf(cat, has_final_object(cat)), None
-    if name == "constant2":
-        return site, space, constant_set_presheaf(cat, ["0", "1"]), None
-    if name == "identity":
-        sp = constant_set_presheaf(cat, ["0", "1"])
-        ident = SetPresheafMap(sp, sp, {x: {v: v for v in sp.values[x]} for x in cat.objects})
-        return site, space, sp, ident
-    raise InputError(f"unknown compare example {name}; known: collapse, constant2, identity")
+def _with_example(parser: argparse.ArgumentParser, args):
+    """The arguments of a run whose inputs are those of its --example."""
+    examples = EXAMPLES[args.command]
+    if args.example not in examples:
+        raise InputError(
+            f"unknown {args.command.removesuffix('-check')} example {args.example}; "
+            "known: " + ", ".join(examples)
+        )
+    cap = getattr(args, "dim_cap", None)
+    argv = [cjson(DOCUMENTS[a](cap)) if a in DOCUMENTS else a for a in examples[args.example]]
+    inputs = parser.parse_args([args.command, *argv])
+    vars(inputs).update((k, v) for k, v in vars(args).items() if k in RUN_FLAGS)
+    return inputs
 
 
 # -- commands -----------------------------------------------------------------------
@@ -426,12 +476,9 @@ def _compare_example(name: str):
 
 def cmd_realize(args) -> int:
     cap, max_deg = _caps(args)
-    if args.example:
-        cat, f, g = _realize_example(args.example, cap)
-    else:
-        space, site, cat = _resolve_base(args)
-        f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), space, site, cat, cap)
-        g = _parse_g(args.presheaf or "terminal", cat, cap)
+    space, site, cat = _resolve_base(args)
+    f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), space, site, cat, cap)
+    g = _parse_g(args.presheaf or "terminal", cat, cap)
     re = realize(cat, f, g, cap)
     h = sset_homology(re, max_deg)
     n0 = len(pi0(re))
@@ -457,14 +504,11 @@ def cmd_realize(args) -> int:
 
 
 def cmd_sheafify(args) -> int:
-    if args.example:
-        site, sp = _sheafify_example(args.example)
-    else:
-        _, site, cat = _resolve_base(args)
-        site = _require_site(site)
-        if not args.presheaf:
-            raise InputError("sheafify needs --presheaf")
-        sp = _parse_set_presheaf(args.presheaf, site.category)
+    _, site, _ = _resolve_base(args)
+    site = _require_site(site)
+    if not args.presheaf:
+        raise InputError("sheafify needs --presheaf")
+    sp = _parse_set_presheaf(args.presheaf, site.category)
     rep_in = is_sheaf_set(site, sp)
     sh = sheafify_set(site, sp)
     rep_out = is_sheaf_set(site, sh.sheaf)
@@ -494,18 +538,15 @@ def cmd_sheafify(args) -> int:
 
 def cmd_descent_check(args) -> int:
     cap, max_deg = _caps(args)
-    if args.example:
-        site, f, obj, sieve = _descent_example(args.example, cap)
-    else:
-        space, site, cat = _resolve_base(args)
-        site = _require_site(site)
-        f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
-        if not args.object or not args.sieve:
-            raise InputError("descent-check needs --object and --sieve")
-        if args.object not in set(site.category.objects):
-            raise InputError(f"unknown object {args.object}")
-        obj = args.object
-        sieve = _load_sieve(args.sieve, site.category)
+    space, site, cat = _resolve_base(args)
+    site = _require_site(site)
+    f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
+    if not args.object or not args.sieve:
+        raise InputError("descent-check needs --object and --sieve")
+    if args.object not in set(site.category.objects):
+        raise InputError(f"unknown object {args.object}")
+    obj = args.object
+    sieve = _load_sieve(args.sieve, site.category)
     rep = covariant_descent_check(site, f, obj, sieve, max_deg)
     payload = {
         "command": "descent-check",
@@ -528,40 +569,23 @@ def cmd_descent_check(args) -> int:
 
 def cmd_compare(args) -> int:
     cap, max_deg = _caps(args)
-    pm_set = None
-    if args.example:
-        site, space, sp, pm_set = _compare_example(args.example)
-        f = order_complex_functor(space, cap, site)
-    else:
-        space, site, cat = _resolve_base(args)
-        site = _require_site(site)
-        f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
-        if not args.presheaf:
-            raise InputError("compare needs --presheaf")
-        sp = _parse_set_presheaf(args.presheaf, site.category)
-        if args.presheaf2:
-            sp2 = _parse_set_presheaf(args.presheaf2, site.category)
-            if args.map:
-                data = _inline_or_file(args.map)
-                comps = data.get("components")
-                if not isinstance(comps, dict):
-                    raise InputError('map JSON needs a "components" object')
-                pm_set = SetPresheafMap(
-                    sp,
-                    sp2,
-                    {
-                        x: _name_table(comps.get(x, {}), f"map component at {x}")
-                        for x in site.category.objects
-                    },
-                )
-            elif sp.values == sp2.values:
-                pm_set = SetPresheafMap(sp, sp2, {x: {v: v for v in sp.values[x]} for x in site.category.objects})
-            else:
-                raise InputError("compare with --presheaf2 needs --map unless values coincide")
-    cat = site.category
-    if pm_set is None:
+    space, site, cat = _resolve_base(args)
+    site = _require_site(site)
+    f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
+    if not args.presheaf:
+        raise InputError("compare needs --presheaf")
+    sp = _parse_set_presheaf(args.presheaf, cat)
+    if not args.presheaf2:
         # default comparison: the unit into the sheafification
         pm_set = sheafify_set(site, sp).unit
+    else:
+        sp2 = _parse_set_presheaf(args.presheaf2, cat)
+        if args.map:
+            pm_set = _load_map(args.map, sp, sp2)
+        elif sp.values == sp2.values:
+            pm_set = SetPresheafMap(sp, sp2, {x: {v: v for v in sp.values[x]} for x in cat.objects})
+        else:
+            raise InputError("compare with --presheaf2 needs --map unless values coincide")
     validate_set_presheaf_map(pm_set).raise_if_failed()
     pm = discretize_map(pm_set, cap)
     cert = illusie_pi0_certificate(site, pm)
@@ -612,57 +636,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-EXAMPLE_KITS = ("sierpinski", "pseudo_circle", "interval_cover", "bz2", "action_z2_free")
-
-
 def cmd_examples(args) -> int:
     name = args.name
-    if name not in EXAMPLE_KITS:
+    if name not in KITS:
         raise InputError(f"unknown example {name}; known: " + ", ".join(EXAMPLE_KITS))
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, dict] = {}
-    if name == "sierpinski":
-        files["sierpinski.space.json"] = space_to_json(gallery.sierpinski_space())
-    elif name == "pseudo_circle":
-        space = gallery.pseudo_circle_space()
-        site = site_from_finite_space(space)
-        cat = site.category
-        files["pseudo_circle.space.json"] = space_to_json(space)
-        files["pseudo_circle.collapse.presheaf.json"] = set_presheaf_to_json(
-            gallery.collapse_set_presheaf(cat, has_final_object(cat))
-        )
-        files["pseudo_circle.constant2.presheaf.json"] = set_presheaf_to_json(
-            constant_set_presheaf(cat, ["0", "1"])
-        )
-        cover = gallery.pseudo_circle_cover(site)
-        gens = [m for m in csorted(cover.members) if not cat.is_identity(m)]
-        files["pseudo_circle.cover.sieve.json"] = {
-            "base": cstr(cover.base),
-            "generators": [cstr(m) for m in gens],
-        }
-    elif name == "interval_cover":
-        space = gallery.interval_cover_space()
-        site = site_from_finite_space(space)
-        cover = gallery.interval_cover_sieve(site)
-        gens = [m for m in csorted(cover.members) if not site.category.is_identity(m)]
-        files["interval_cover.space.json"] = space_to_json(space)
-        files["interval_cover.cover.sieve.json"] = {
-            "base": cstr(cover.base),
-            "generators": [cstr(m) for m in gens],
-        }
-    elif name == "bz2":
-        files["bz2.category.json"] = category_to_json(gallery.bz2_category())
-    elif name == "action_z2_free":
-        cat = gallery.bz2_category()
-        files["bz2.category.json"] = category_to_json(cat)
-        files["action_z2_free.presheaf.json"] = set_presheaf_to_json(
-            gallery.swap_set_presheaf(cat)
-        )
     written = []
-    for fname, data in files.items():
+    for fname in KITS[name]:
         path = outdir / fname
-        path.write_text(cjson(data))
+        path.write_text(cjson(DOCUMENTS[fname](None)))
         written.append(str(path))
     payload = {"command": "examples", "name": name, "written": written}
     _emit(args, payload, ["wrote " + p for p in written])
@@ -674,13 +657,14 @@ def cmd_validate(args) -> int:
     if len(picked) != 1:
         raise InputError("validate needs exactly one of --cat, --space, --sset")
     kind = picked[0]
+    data = _inline_or_file(getattr(args, kind))
     if kind == "cat":
-        rep = validate_category(category_from_json(_load_json(args.cat)))
+        rep = validate_category(category_from_json(data))
     elif kind == "space":
-        rep = validate_space(space_from_json(_load_json(args.space)))
+        rep = validate_space(space_from_json(data))
     else:
         try:
-            rep = validate_sset(sset_from_json(_load_json(args.sset)))
+            rep = validate_sset(sset_from_json(data))
         except ValidationError as exc:
             # tables that are not total maps between levels are refused on load
             if exc.report is None:
@@ -719,9 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--space", help="finite space JSON; its open-set site is used")
-    base.add_argument("--cat", help="finite category JSON (no covering data)")
-    base.add_argument("--example", help="run a named built-in instance instead of files")
+    base.add_argument("--space", help="finite space JSON or FILE; its open-set site is used")
+    base.add_argument("--cat", help="finite category JSON or FILE (no covering data)")
+    base.add_argument("--example", help="a built-in instance's inputs in place of the input flags")
 
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument(
@@ -769,8 +753,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "example", None):
+            args = _with_example(parser, args)
         return args.fn(args)
     except FinsiteError as e:
         code = EXIT_CODES.get(type(e), 4)

@@ -82,15 +82,13 @@ def bz2_category() -> FinCat:
     )
 
 
+# One vertex, one loop: the smallest simplicial circle, as a document
+# without its dim cap.
+CIRCLE = {"nondegenerate": {"0": ["v"], "1": ["e"]}, "faces": {"1": {"e": ["v", "v"]}}}
+
+
 def circle_sset(dim_cap: int) -> SimplicialSet:
-    """One vertex, one loop: the smallest simplicial circle."""
-    return from_json(
-        {
-            "dim_cap": dim_cap,
-            "nondegenerate": {"0": ["v"], "1": ["e"]},
-            "faces": {"1": {"e": ["v", "v"]}},
-        }
-    )
+    return from_json({"dim_cap": dim_cap, **CIRCLE})
 
 
 def collapse_set_presheaf(cat: FinCat, top) -> SetFunctor:

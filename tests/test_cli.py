@@ -1,10 +1,13 @@
 """Command line interface: flows, exit codes, determinism."""
 
+import inspect
 import json
 
 import pytest
 
-from finsite.cli import main
+from finsite import gallery
+from finsite.canon import cjson
+from finsite.cli import DOCUMENTS, EXAMPLES, main
 
 
 def run(capsys, *argv):
@@ -60,6 +63,70 @@ def test_examples_roundtrip_through_files(tmp_path, capsys):
     data = json.loads(out)
     assert data["report"]["ok"] is True
     assert data["report"]["pi0"] == {"realization": 1, "value": 1, "equal": True}
+
+
+UNKNOWN_EXAMPLE = {
+    "realize": "unknown realize example nope; known: pseudo_circle_terminal, "
+    "point_site, bz2, action_z2_free",
+    "sheafify": "unknown sheafify example nope; known: pseudo_circle_constant2, collapse",
+    "descent-check": "unknown descent example nope; known: pseudo_circle_order_complex, "
+    "pseudo_circle_constant_point_F, interval_cover, sierpinski_maximal",
+    "compare": "unknown compare example nope; known: collapse, constant2, identity",
+}
+
+
+@pytest.mark.parametrize("command", UNKNOWN_EXAMPLE)
+def test_unknown_example_lists_the_known_ones(capsys, command):
+    code, out, err = run(capsys, command, "--example", "nope")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["detail"] == UNKNOWN_EXAMPLE[command]
+
+
+@pytest.mark.parametrize(
+    "command,name", [(command, name) for command, names in EXAMPLES.items() for name in names]
+)
+def test_example_reads_like_its_documents_as_files(tmp_path, capsys, command, name):
+    # --example passes its documents inline; written out as files they must
+    # give the same bytes
+    argv = []
+    for arg in EXAMPLES[command][name]:
+        if arg in DOCUMENTS:
+            path = tmp_path / arg
+            path.write_text(cjson(DOCUMENTS[arg](4)))
+            arg = str(path)
+        argv.append(arg)
+    for fmt in ("json", "text"):
+        want = run(capsys, command, "--example", name, "--format", fmt)
+        assert want[0] == 0
+        assert run(capsys, command, *argv, "--format", fmt) == want
+
+
+def test_file_inputs_build_no_gallery_instance(tmp_path, capsys, monkeypatch):
+    run(capsys, "examples", "interval_cover", "--dir", str(tmp_path))
+    builders = {
+        name: fn
+        for name, fn in vars(gallery).items()
+        if inspect.isfunction(fn) and fn.__module__ == gallery.__name__
+    }
+
+    def refuse(name):
+        def built(*args):
+            raise AssertionError(f"gallery.{name} was called")
+
+        return built
+
+    for name in builders:
+        monkeypatch.setattr(gallery, name, refuse(name))
+    space = str(tmp_path / "interval_cover.space.json")
+    assert run(capsys, "realize", "--space", space, "--dim-cap", "1")[0] == 0
+    assert run(capsys, "validate", "--space", space)[0] == 0
+    # a kit builds its own documents and no other
+    for name in ("interval_cover_space", "interval_cover_sieve"):
+        monkeypatch.setattr(gallery, name, builders[name])
+    code, _, err = run(capsys, "examples", "interval_cover", "--dir", str(tmp_path / "again"))
+    assert code == 0 and err == ""
+    for path in tmp_path.glob("*.json"):
+        assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_examples_unknown_name_lists_known(capsys):
@@ -335,6 +402,23 @@ def _collapse_with(kit, key, name, value):
     return json.dumps(data)
 
 
+def _compare_map(kit, change):
+    """compare arguments with --map the identity of constant:0,1 on the
+    kit's site, its components edited by change."""
+    objects = json.loads((kit / "pseudo_circle.collapse.presheaf.json").read_text())["values"]
+    components = {x: {"0": "0", "1": "1"} for x in objects}
+    change(components)
+    return [
+        "compare",
+        "--presheaf",
+        "constant:0,1",
+        "--presheaf2",
+        "constant:0,1",
+        "--map",
+        json.dumps({"components": components}),
+    ]
+
+
 def _point_presheaf_with(kit, extra):
     """A simplicial presheaf at cap 1 with a point at every object of the
     kit's site and at each extra name."""
@@ -430,6 +514,12 @@ MALFORMED = {
         "--map",
         json.dumps({"components": {"{a}": [1]}}),
     ],
+    "map-unknown-object": lambda kit: _compare_map(
+        kit, lambda c: c.update(ghost={"0": "0", "1": "1"})
+    ),
+    "map-missing-object": lambda kit: _compare_map(kit, lambda c: c.pop("{a}")),
+    "map-missing-element": lambda kit: _compare_map(kit, lambda c: c["{a}"].pop("1")),
+    "map-unknown-element": lambda kit: _compare_map(kit, lambda c: c["{a}"].update(ghost="0")),
 }
 
 

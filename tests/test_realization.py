@@ -16,7 +16,6 @@ from finsite.catsite import (
     poset_category,
     site_from_finite_space,
 )
-from finsite.cli import _realize_example
 from finsite.gallery import (
     bz2_category,
     circle_sset,
@@ -251,12 +250,25 @@ def _up_set_presheaf(cat, cap: int) -> Functor:
 
 def _bar_cases():
     """(category, f, g, cap): every realize example, an order complex
-    against a presheaf on the triples category (tuple objects), bz2 (not a
-    poset) against the swap action, and seeded random diagrams, order
-    complexes and presheaves."""
+    against a presheaf on the triples category (tuple objects), and seeded
+    random diagrams, order complexes and presheaves.  The realize examples
+    include bz2, which is not a poset, against the swap action."""
+    # the CLI's realize examples: pseudo_circle_terminal, point_site, bz2
+    # and action_z2_free
+    space = pseudo_circle_space()
+    site = site_from_finite_space(space)
+    pc, point, bz2 = site.category, point_category(), bz2_category()
+    circle = circle_sset(4)
     cases = [
-        (*_realize_example(name, 4), 4)
-        for name in ("pseudo_circle_terminal", "point_site", "bz2", "action_z2_free")
+        (pc, order_complex_functor(space, 4, site), point_functor(pc, 4, covariant=False), 4),
+        (
+            point,
+            point_functor(point, 4, covariant=True),
+            Functor(point, 4, {"*": circle}, {"id:*": SimplicialMap.identity(circle)}, covariant=False),
+            4,
+        ),
+        (bz2, point_functor(bz2, 4, covariant=True), point_functor(bz2, 4, covariant=False), 4),
+        (bz2, point_functor(bz2, 4, covariant=True), discretize(swap_set_presheaf(bz2), 4), 4),
     ]
     space = sierpinski_space()
     site = site_from_finite_space(space)
@@ -267,9 +279,6 @@ def _bar_cases():
     g0 = constant_set_presheaf(site.category, ["0", "1"])
     gp = discretize(sections_presheaf_on_triples(site, g0, d), 3)
     cases.append((tcat, reindex(order_complex_functor(space, 3, site), over), gp, 3))
-    cat = bz2_category()
-    swap = discretize(swap_set_presheaf(cat), 4)
-    cases.append((cat, point_functor(cat, 4, covariant=True), swap, 4))
     rng = random.Random(13)
     for _ in range(4):
         cat, _ = random_poset_with_max(rng, rng.randint(3, 6))

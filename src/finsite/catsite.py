@@ -421,8 +421,8 @@ def validate_site(site: Site) -> Report:
 # -- finite topological spaces -----------------------------------------------------
 
 
-def _open_id(points: frozenset) -> str:
-    return "{" + ",".join(sorted(points)) + "}"
+def open_id(points: Iterable[str]) -> str:
+    return "{" + ",".join(sorted(frozenset(points))) + "}"
 
 
 @dataclass(frozen=True)
@@ -440,7 +440,7 @@ class FiniteSpace:
         pts = tuple(sorted(set(points)))
         sets = {frozenset(o) for o in opens}
         sets.discard(frozenset())
-        return FiniteSpace(pts, tuple(sorted(sets, key=lambda o: (len(o), _open_id(o)))))
+        return FiniteSpace(pts, tuple(sorted(sets, key=lambda o: (len(o), open_id(o)))))
 
     def minimal_open(self, p: str) -> frozenset:
         """Intersection of all opens containing p; open in a finite space."""
@@ -458,7 +458,7 @@ def validate_space(space: FiniteSpace) -> Report:
     pts = frozenset(space.points)
     for o in space.opens:
         if not o <= pts:
-            return Report.failure("open-points", "open set uses unknown points", (_open_id(o),))
+            return Report.failure("open-points", "open set uses unknown points", (open_id(o),))
         if not o:
             return Report.failure("open-empty", "empty set must stay implicit", ())
     if pts not in space.opens:
@@ -467,11 +467,11 @@ def validate_space(space: FiniteSpace) -> Report:
     for a in space.opens:
         for b in space.opens:
             if a | b not in open_set:
-                return Report.failure("union", "opens not closed under union", (_open_id(a), _open_id(b)))
+                return Report.failure("union", "opens not closed under union", (open_id(a), open_id(b)))
             meet = a & b
             if meet and meet not in open_set:
                 return Report.failure(
-                    "intersection", "opens not closed under intersection", (_open_id(a), _open_id(b))
+                    "intersection", "opens not closed under intersection", (open_id(a), open_id(b))
                 )
     return Report.success()
 
@@ -480,7 +480,7 @@ def site_from_finite_space(space: FiniteSpace) -> Site:
     """Poset of nonempty opens; a sieve covers U iff its members union to U."""
     rep = validate_space(space)
     rep.raise_if_failed()
-    by_id = {_open_id(o): o for o in space.opens}
+    by_id = {open_id(o): o for o in space.opens}
     cat = poset_category(by_id.keys(), lambda a, b: by_id[a] <= by_id[b])
     coverings: dict[str, list[Sieve]] = {}
     point_index = {p: i for i, p in enumerate(space.points)}
@@ -504,10 +504,6 @@ def site_from_finite_space(space: FiniteSpace) -> Site:
                 sieves.append(Sieve(uid, _members(into, mask)))
         coverings[uid] = sieves
     return Site(cat, coverings)
-
-
-def open_id(points: Iterable[str]) -> str:
-    return _open_id(frozenset(points))
 
 
 # -- JSON ------------------------------------------------------------------------

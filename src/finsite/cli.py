@@ -109,7 +109,6 @@ def _resolve_base(args) -> tuple[FiniteSpace | None, Site | None, FinCat]:
         raise InputError("give --space or --cat, not both")
     if getattr(args, "space", None):
         space = space_from_json(_inline_or_file(args.space))
-        validate_space(space).raise_if_failed()
         site = site_from_finite_space(space)
         return space, site, site.category
     if getattr(args, "cat", None):
@@ -576,6 +575,8 @@ def cmd_compare(args) -> int:
         raise InputError("compare needs --presheaf")
     sp = _parse_set_presheaf(args.presheaf, cat)
     if not args.presheaf2:
+        if args.map:
+            raise InputError("--map needs --presheaf2")
         # default comparison: the unit into the sheafification
         pm_set = sheafify_set(site, sp).unit
     else:
@@ -735,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functor", choices=("order_complex", "point"))
     p.add_argument("--presheaf", help="source set presheaf spec or FILE")
     p.add_argument("--presheaf2", help="target set presheaf; default is the sheafification")
-    p.add_argument("--map", help='map JSON {"components": {obj: {elem: elem}}} or FILE')
+    p.add_argument("--map", help='map JSON {"components": {obj: {elem: elem}}} or FILE, '
+                   "from --presheaf to --presheaf2; needs --presheaf2")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("examples", parents=[io], help="write input files for a named instance")

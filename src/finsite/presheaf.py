@@ -437,21 +437,25 @@ def is_sheaf_set(site: Site, sp: SetFunctor) -> Report:
 # -- connected components of simplicial functors -----------------------------------
 
 
+def _component_map(sm: SimplicialMap, source: tuple, target: tuple) -> dict[str, str]:
+    """The map on pi0 from the components of sm.source to those of sm.target,
+    both named c0, c1, ...: a component goes where its first vertex goes."""
+    of = [0] * len(sm.target.levels[0])
+    for j, comp in enumerate(target):
+        for p in comp:
+            of[p] = j
+    return {f"c{i}": f"c{of[sm.images[0][comp[0]]]}" for i, comp in enumerate(source)}
+
+
 def pi0_functor(fun: Functor) -> tuple[SetFunctor, dict]:
     """Componentwise pi0, of the same variance; returns the set functor and
-    the vertex class maps."""
+    each value's components as tuples of vertex positions."""
     comp = {x: pi0(fun.values[x]) for x in fun.category.objects}
-    values = {x: comp[x].ids for x in fun.category.objects}
+    values = {x: tuple(f"c{i}" for i in range(len(comp[x]))) for x in fun.category.objects}
     action = {}
     for m in fun.category.morphisms.values():
-        sm = fun.action[m.mid]
         a, b = _ends(fun, m)
-        src_cm, tgt_cm = comp[a], comp[b]
-        act = {}
-        for c in src_cm.ids:
-            v = src_cm.a_vertex(c)
-            act[c] = tgt_cm.of_vertex[sm.apply(0, v)]
-        action[m.mid] = act
+        action[m.mid] = _component_map(fun.action[m.mid], comp[a], comp[b])
     return SetFunctor(fun.category, values, action, fun.covariant), comp
 
 
@@ -469,13 +473,7 @@ def illusie_pi0_certificate(site: Site, m: PresheafMap) -> Report:
         raise InputError("presheaf map must live on the site's category")
     p0s, comp_s = pi0_functor(m.source)
     p0t, comp_t = pi0_functor(m.target)
-    comps = {}
-    for x in site.category.objects:
-        comp = {}
-        for c in p0s.values[x]:
-            v = comp_s[x].a_vertex(c)
-            comp[c] = comp_t[x].of_vertex[m.components[x].apply(0, v)]
-        comps[x] = comp
+    comps = {x: _component_map(m.components[x], comp_s[x], comp_t[x]) for x in site.category.objects}
     m0 = SetPresheafMap(p0s, p0t, comps)
     s1 = gamma_prime_set(site, p0s)
     t1 = gamma_prime_set(site, p0t)

@@ -19,7 +19,8 @@ every position inside a block from tables already in range, so it needs
 neither the sort, the check nor the index.  A map between two sets is stored
 the same way: per level, the target position of each source simplex's image.
 SimplicialMap.from_function evaluates a formula once per simplex and refuses
-an image outside the target.
+an image outside the target.  pi0 answers by position too: each component is
+the tuple of its vertex positions in level 0.
 
 Identifiers are opaque: strings for user data, nested tuples for constructed
 simplices (products, disjoint unions, bar simplices).  Serialization names
@@ -31,7 +32,6 @@ from the position tables, keys in sorted order, without building the dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable
 
@@ -383,30 +383,11 @@ def validate_map(m: SimplicialMap) -> Report:
 # -- pi0 ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentMap:
-    """Path components: canonical component ids plus the vertex projection."""
+def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
+    """Connected components as tuples of level-0 positions, by union-find.
 
-    components: tuple[tuple[SimplexId, ...], ...]
-    of_vertex: dict[SimplexId, str]
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(f"c{i}" for i in range(len(self.components)))
-
-    def a_vertex(self, cid: str) -> SimplexId:
-        """Canonical representative vertex of the component."""
-        return self.components[int(cid[1:])][0]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
-def pi0(s: SimplicialSet) -> ComponentMap:
-    """Connected components via union-find over vertex positions.
-
-    Level 0 is in canonical order, so each component lists its vertices in
-    canonical order, and the components come out ordered by first vertex.
+    Each component lists its vertex positions in increasing order, and the
+    components come out ordered by first vertex.
     """
     parent = list(range(len(s.levels[0])))
 
@@ -419,12 +400,10 @@ def pi0(s: SimplicialSet) -> ComponentMap:
     if s.dim_cap >= 1:
         for a, b in s._faces[1]:
             parent[find(a)] = find(b)
-    classes: dict[int, list[SimplexId]] = {}
-    for p, v in enumerate(s.levels[0]):
-        classes.setdefault(find(p), []).append(v)
-    comps = tuple(tuple(vs) for vs in classes.values())
-    of_vertex = {v: f"c{i}" for i, comp in enumerate(comps) for v in comp}
-    return ComponentMap(comps, of_vertex)
+    classes: dict[int, list[int]] = {}
+    for p in range(len(parent)):
+        classes.setdefault(find(p), []).append(p)
+    return tuple(tuple(ps) for ps in classes.values())
 
 
 # -- validation ----------------------------------------------------------------

@@ -205,6 +205,27 @@ def test_validate_good_and_bad_space(tmp_path, capsys):
     assert data["report"]["kind"] == "whole-missing"
 
 
+def test_realize_checks_the_space_once(capsys, monkeypatch):
+    from finsite import catsite, cli
+
+    checks = []
+    check = catsite.validate_space
+    for module in (catsite, cli):
+        monkeypatch.setattr(module, "validate_space", lambda s: checks.append(s) or check(s))
+    good = '{"points":["a","b"],"opens":[["a"],["a","b"]]}'
+    code, _, _ = run(capsys, "realize", "--space", good, "--dim-cap", "1")
+    assert (code, len(checks)) == (0, 1)
+    code, out, err = run(capsys, "realize", "--space", '{"points":["a","b"],"opens":[["a"]]}')
+    assert (code, out, len(checks)) == (3, "", 2)
+    assert json.loads(err) == {
+        "error": {
+            "detail": "whole-missing: whole point set is not open",
+            "exit": 3,
+            "type": "ValidationError",
+        }
+    }
+
+
 def test_validate_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2
@@ -520,6 +541,15 @@ MALFORMED = {
     "map-missing-object": lambda kit: _compare_map(kit, lambda c: c.pop("{a}")),
     "map-missing-element": lambda kit: _compare_map(kit, lambda c: c["{a}"].pop("1")),
     "map-unknown-element": lambda kit: _compare_map(kit, lambda c: c["{a}"].update(ghost="0")),
+    "map-without-presheaf2": lambda kit: [
+        "compare",
+        "--presheaf",
+        "constant:0,1",
+        "--map",
+        json.dumps({"components": {"ghost": {}}}),
+        "--dim-cap",
+        "2",
+    ],
 }
 
 

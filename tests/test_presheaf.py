@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from finsite.catsite import open_id, site_from_finite_space
+from finsite import presheaf
+from finsite.catsite import FiniteSpace, open_id, poset_category, site_from_finite_space
 from finsite.gallery import (
     collapse_set_presheaf,
     pseudo_circle_space,
@@ -34,10 +35,11 @@ from finsite.presheaf import (
     validate_set_functor,
     validate_set_presheaf_map,
 )
+from finsite.realization import induced_realization_map, order_complex_functor
 from finsite.reports import InputError
 from finsite.sset import SimplicialMap
 
-from oracles import germs, stalk_family_sheaf, stalk_family_unit
+from oracles import germs, pi0_components, stalk_family_sheaf, stalk_family_unit
 from randgen import disjoint_union_sp, product_sp, random_set_presheaf
 
 
@@ -219,6 +221,76 @@ def test_illusie_certificate_accepts_sheafification_unit():
     pm = discretize_map(sh.unit, 2)
     rep = illusie_pi0_certificate(site, pm)
     assert rep.ok
+
+
+def _induced_on_components(sm: SimplicialMap) -> dict:
+    """The map on components, read by identifier: components from
+    pi0_components, each vertex sent by apply(0, v).  Every vertex of a
+    component, not only its first, must land in one target component."""
+    target_of = {v: f"c{j}" for j, comp in enumerate(pi0_components(sm.target)) for v in comp}
+    induced = {}
+    for i, comp in enumerate(pi0_components(sm.source)):
+        lands = {target_of[sm.apply(0, v)] for v in comp}
+        assert len(lands) == 1, (i, lands)
+        induced[f"c{i}"] = lands.pop()
+    return induced
+
+
+def _certificate_m0(monkeypatch, site, pm: PresheafMap) -> SetPresheafMap:
+    """The map on objectwise pi0 that illusie_pi0_certificate sheafifies:
+    the first map its plus step is applied to."""
+    seen = []
+    plus = presheaf.gamma_prime_map
+    monkeypatch.setattr(
+        presheaf, "gamma_prime_map", lambda site, m, *steps: seen.append(m) or plus(site, m, *steps)
+    )
+    illusie_pi0_certificate(site, pm)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _alone(monkeypatch, sm: SimplicialMap) -> tuple[dict, dict]:
+    """pi0_functor's action on sm as the arrow of the poset s <= t, and the
+    certificate's m0 on sm as the one component of a map over the point."""
+    arrow = poset_category("st", lambda a, b: a <= b)
+    values = {"s": sm.source, "t": sm.target}
+    action = {"s<=s": SimplicialMap.identity(sm.source), "t<=t": SimplicialMap.identity(sm.target)}
+    p0, _ = pi0_functor(Functor(arrow, sm.source.dim_cap, values, {**action, "s<=t": sm}, True))
+    site = site_from_finite_space(FiniteSpace.build("p", ["p"]))
+    ((x, ident),) = site.category.identities.items()
+
+    def ends(s):
+        return Functor(site.category, s.dim_cap, {x: s}, {ident: SimplicialMap.identity(s)}, False)
+
+    m0 = _certificate_m0(monkeypatch, site, PresheafMap(ends(sm.source), ends(sm.target), {x: sm}))
+    return p0.action["s<=t"], m0.components[x]
+
+
+def test_pi0_maps_follow_vertices(monkeypatch):
+    space, site = _pc()
+    cat = site.category
+    f = order_complex_functor(space, 2, site)
+    p0, _ = pi0_functor(f)
+    assert sorted(len(p0.values[x]) for x in cat.objects) == [1, 1, 1, 1, 1, 2]
+    for mid, sm in f.action.items():
+        induced = _induced_on_components(sm)
+        assert p0.action[mid] == induced
+        assert _alone(monkeypatch, sm) == (induced, induced)
+    two = constant_set_presheaf(cat, ["0", "1"])
+    one = terminal_set_presheaf(cat)
+    crush = SetPresheafMap(
+        two, one, {x: {v: one.values[x][0] for v in two.values[x]} for x in cat.objects}
+    )
+    units = [sheafify_set(site, p).unit for p in (collapse_set_presheaf(cat, open_id("abcd")), two)]
+    counts = []
+    for pm in [discretize_map(m, 2) for m in (*units, crush)]:
+        m0 = _certificate_m0(monkeypatch, site, pm)
+        assert m0.components == {x: _induced_on_components(pm.components[x]) for x in cat.objects}
+        rmap = induced_realization_map(f, pm, 2)
+        induced = _induced_on_components(rmap)
+        assert _alone(monkeypatch, rmap) == (induced, induced)
+        counts.append((len(induced), len(set(induced.values()))))
+    assert counts == [(1, 1), (2, 2), (2, 1)]
 
 
 def test_illusie_certificate_rejects_component_collapse():

@@ -113,12 +113,18 @@ def test_empty_and_discrete():
     assert len(pi0(d)) == 3
 
 
+def _component_ids(s) -> tuple:
+    """pi0(s) with each vertex position read back as its identifier."""
+    return tuple(tuple(s.levels[0][p] for p in comp) for comp in pi0(s))
+
+
 def test_pi0_classes_have_vertices():
     d = disjoint_union([standard_simplex(1, 2), standard_simplex(0, 2)])
-    cm = pi0(d)
-    for cid in cm.ids:
-        v = cm.a_vertex(cid)
-        assert cm.of_vertex[v] == cid
+    comps = pi0(d)
+    assert sorted(p for comp in comps for p in comp) == list(range(len(d.levels[0])))
+    assert all(comp and list(comp) == sorted(comp) for comp in comps)
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    assert _component_ids(d) == pi0_components(d)
 
 
 def test_pi0_matches_reference_components():
@@ -137,9 +143,7 @@ def test_pi0_matches_reference_components():
         f = random_nested_diagram(rng, cat, 2)
         sets += [f.values[x] for x in cat.objects]
     for s in sets:
-        cm = pi0(s)
-        assert cm.components == pi0_components(s)
-        assert cm.of_vertex == {v: c for c in cm.ids for v in cm.components[int(c[1:])]}
+        assert _component_ids(s) == pi0_components(s)
     assert [len(pi0(s)) for s in sets[:4]] == [2, 4, 3, 0]
 
 

@@ -1,14 +1,18 @@
 """Finite categories, sieves, Grothendieck topologies, and finite spaces.
 
 A FinCat stores objects, morphisms, identities, and a total composition table
-on composable pairs.  Sites pair a category with a saturated covering store:
-for every object, every covering sieve is listed.  Everything is small enough
-to enumerate, and every collection is kept canonically sorted.
+on composable pairs.  chains gives its nerve by position, built once per cap
+and kept on the category: the one place where faces and degeneracies act on
+chains, read by nerve, by the bar realization and by the maps between
+realizations.  Sites pair a category with a saturated covering store: for
+every object, every covering sieve is listed.  Everything is small enough to
+enumerate, and every collection is kept canonically sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Iterable
 
 from finsite.canon import ckey, csorted, cstr
@@ -41,6 +45,7 @@ class FinCat:
         self.identities = dict(identities)
         self.composition = dict(composition)
         self._into: dict[ObjId, tuple[MorId, ...]] = {}
+        self._chains: dict[int, SimplicialSet] = {}
         for x in self.objects:
             self._into[x] = tuple(
                 m.mid for m in self.morphisms.values() if m.tgt == x
@@ -166,47 +171,61 @@ def poset_category(
     return FinCat(elements, mors, identities, composition)
 
 
-def chains(cat: FinCat, dim_cap: int) -> list[list[tuple[ObjId, tuple, ObjId]]]:
-    """The k-chains (start, morphisms, end) for k = 0..dim_cap, identities
-    allowed as steps; each level is in (start, morphisms) order under ckey."""
-    outgoing: dict[ObjId, list[Morphism]] = {x: [] for x in cat.objects}
-    for m in cat.morphisms.values():
-        outgoing[m.src].append(m)
-    levels = [[(x, (), x) for x in cat.objects]]
-    for _ in range(dim_cap):
-        level = levels[-1]
-        levels.append([(x0, ms + (m.mid,), m.tgt) for x0, ms, xk in level for m in outgoing[xk]])
-    return levels
+def chains(cat: FinCat, dim_cap: int) -> SimplicialSet:
+    """The nerve by position, built once per cap and kept on the category:
+    level k lists the k-chains (start, morphisms, end), identities allowed as
+    steps, in (start, morphisms) order under ckey.  The children of a chain,
+    one per morphism out of its end, are consecutive, and each k-chain is its
+    parent d_k followed by its last morphism m: d_i (i < k-1) and s_i (i < k)
+    are those of the parent followed by m, d_{k-1} is the grandparent followed
+    by m after the parent's last morphism, and s_k appends an identity."""
+    if dim_cap in cat._chains:
+        return cat._chains[dim_cap]
+    mors = list(cat.morphisms.values())
+    at = {m.mid: j for j, m in enumerate(mors)}
+    obj = {x: n for n, x in enumerate(cat.objects)}
+    out = [[j for j, m in enumerate(mors) if m.src == x] for x in cat.objects]
+    # the chain q followed by m_j sits at first[q] + rank[j] in the next level
+    rank = [out[obj[m.src]].index(j) for j, m in enumerate(mors)]
+    tgt = [obj[m.tgt] for m in mors]
+    comp = {(at[g], at[f]): at[h] for (g, f), h in cat.composition.items()}
+    ident = [rank[at[cat.identity(x)]] for x in cat.objects]
+    # steps: each chain's parent and last morphism; ends: its end object
+    levels, steps, ends = [tuple((x, (), x) for x in cat.objects)], [], list(range(len(obj)))
+    faces, degeneracies, prev = [[()] * len(ends)], [], []
+    for k in range(dim_cap):
+        first = list(accumulate((len(out[e]) for e in ends), initial=0))
+        rows = [(first[p] + ident[e],) for p, e in enumerate(ends)]
+        if k:
+            up = degeneracies[-1]
+            rows = [(*[first[w] + rank[j] for w in up[q]], *s) for (q, j), s in zip(steps, rows)]
+        degeneracies.append(rows)
+        new = [(q, j) for q, e in enumerate(ends) for j in out[e]]
+        ch, down = levels[k], faces[k]
+        levels.append(tuple([(ch[q][0], ch[q][1] + (mors[j].mid,), mors[j].tgt) for q, j in new]))
+        rows = [(tgt[j], q) for q, j in new]
+        if k:
+            d = [prev[down[q][-1]] + rank[comp[j, steps[q][1]]] for q, j in new]
+            rows = [(*[prev[w] + rank[j] for w in down[q][:-1]], c, q) for (q, j), c in zip(new, d)]
+        faces.append(rows)
+        steps, ends, prev = new, [tgt[j] for _, j in new], first
+    cat._chains[dim_cap] = SimplicialSet(dim_cap, tuple(levels), tuple(faces), tuple(degeneracies))
+    return cat._chains[dim_cap]
 
 
 def nerve(cat: FinCat, dim_cap: int) -> SimplicialSet:
-    """Nerve truncated at dim_cap: k-simplices are composable k-chains.
-
-    Chains include identities; inner faces compose adjacent morphisms, the
-    outer faces drop the first or last object.
-    """
-    by_level = chains(cat, dim_cap)
-    levels = [[("o", x) for x, _, _ in by_level[0]]]
-    levels += [[("m",) + ms for _, ms, _ in level] for level in by_level[1:]]
-
-    def face(k: int, chain, i: int):
-        mors = chain[1:]
-        if k == 1:
-            return ("o", cat.tgt(mors[0])) if i == 0 else ("o", cat.src(mors[0]))
-        if i == 0:
-            return ("m",) + mors[1:]
-        if i == k:
-            return ("m",) + mors[:-1]
-        return ("m",) + mors[: i - 1] + (cat.compose(mors[i], mors[i - 1]),) + mors[i + 1 :]
-
-    def deg(k: int, chain, i: int):
-        if k == 0:
-            return ("m", cat.identity(chain[1]))
-        mors = chain[1:]
-        at = cat.src(mors[i]) if i < k else cat.tgt(mors[-1])
-        return ("m",) + mors[:i] + (cat.identity(at),) + mors[i:]
-
-    return tabulate(dim_cap, levels, face, deg)
+    """Nerve truncated at dim_cap: the chain table with each 0-chain named
+    ("o", x) and each k-chain ("m", *morphisms), sorted by tabulate."""
+    ch = chains(cat, dim_cap)
+    names = [[("o", x) for x, _, _ in ch.levels[0]]]
+    names += [[("m",) + ms for _, ms, _ in level] for level in ch.levels[1:]]
+    at = [dict(zip(level, range(len(level)))) for level in names]
+    return tabulate(
+        dim_cap,
+        names,
+        lambda k, z, i: names[k - 1][ch._faces[k][at[k][z]][i]],
+        lambda k, z, i: names[k + 1][ch._degeneracies[k][at[k][z]][i]],
+    )
 
 
 def has_final_object(cat: FinCat) -> ObjId | None:

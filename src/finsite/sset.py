@@ -53,8 +53,8 @@ class SimplicialSet:
     the positions in level k-1 of d_0..d_k of the simplex at position p of
     level k, and _degeneracies[k][p] the positions in level k+1 of s_0..s_k;
     _faces[0] holds empty tuples, and _degeneracies covers levels 0..dim_cap-1
-    only.  Both constructors keep every position in its level: tabulate checks
-    each image, and realize computes each one inside a block of the level.
+    only.  Every constructor keeps each position in its level: tabulate checks
+    each image, realize and catsite.chains compute each one inside the level.
     """
 
     def __init__(
@@ -412,8 +412,8 @@ def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
 def validate_sset(s: SimplicialSet) -> Report:
     """Check every simplicial identity in range.
 
-    Domains and codomains need no check here: tabulate and realize build
-    total tables whose positions all lie in their levels.  Nor does the degeneracy
+    Domains and codomains need no check here: tabulate, realize and chains
+    build total tables whose positions all lie in their levels.  Nor does the degeneracy
     criterion: a simplex z with s_i(d_i z) == z is an s_i image by
     definition, and once d_j s_j == id holds, every image z = s_j w has
     s_j(d_j z) == z.

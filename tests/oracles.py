@@ -439,10 +439,9 @@ def pi0_components(s) -> tuple:
 # -- the bar realization by face formulas -------------------------------------------
 
 
-def formula_realize(cat, f, g, dim_cap: int):
-    """The former realize, kept as a reference: bar simplices (start, chain, F
-    part, G part) listed chain by chain and sorted by tabulate, with d_i and
-    s_i evaluated by formula on identifiers."""
+def formula_chains(cat, dim_cap: int) -> list[list[tuple]]:
+    """The k-chains (start, morphisms, end) for k = 0..dim_cap, listed chain
+    by chain: each chain followed by every morphism out of its end."""
     outgoing = {x: [] for x in cat.objects}
     for m in cat.morphisms.values():
         outgoing[m.src].append(m.mid)
@@ -451,6 +450,43 @@ def formula_realize(cat, f, g, dim_cap: int):
         chains.append(
             [(x0, ms + (m,), cat.tgt(m)) for x0, ms, xk in chains[k - 1] for m in outgoing[xk]]
         )
+    return chains
+
+
+def formula_nerve(cat, dim_cap: int):
+    """The former nerve, kept as a reference: chains named ("o", x) and
+    ("m", *morphisms), sorted by tabulate, with d_i and s_i evaluated by
+    formula on identifiers; inner faces compose adjacent morphisms, the outer
+    faces drop the first or last object."""
+    by_level = formula_chains(cat, dim_cap)
+    levels = [[("o", x) for x, _, _ in by_level[0]]]
+    levels += [[("m",) + ms for _, ms, _ in level] for level in by_level[1:]]
+
+    def face(k: int, chain, i: int):
+        mors = chain[1:]
+        if k == 1:
+            return ("o", cat.tgt(mors[0])) if i == 0 else ("o", cat.src(mors[0]))
+        if i == 0:
+            return ("m",) + mors[1:]
+        if i == k:
+            return ("m",) + mors[:-1]
+        return ("m",) + mors[: i - 1] + (cat.compose(mors[i], mors[i - 1]),) + mors[i + 1 :]
+
+    def deg(k: int, chain, i: int):
+        if k == 0:
+            return ("m", cat.identity(chain[1]))
+        mors = chain[1:]
+        at = cat.src(mors[i]) if i < k else cat.tgt(mors[-1])
+        return ("m",) + mors[:i] + (cat.identity(at),) + mors[i:]
+
+    return tabulate(dim_cap, levels, face, deg)
+
+
+def formula_realize(cat, f, g, dim_cap: int):
+    """The former realize, kept as a reference: bar simplices (start, chain, F
+    part, G part) listed chain by chain and sorted by tabulate, with d_i and
+    s_i evaluated by formula on identifiers."""
+    chains = formula_chains(cat, dim_cap)
     levels = [
         [
             (x0, ms, fs, gs)

@@ -13,6 +13,7 @@ from finsite.catsite import (
     all_sieves,
     category_from_json,
     category_to_json,
+    chains,
     generate_sieve,
     has_final_object,
     maximal_sieve,
@@ -28,10 +29,17 @@ from finsite.catsite import (
     validate_site,
     validate_space,
 )
-from finsite.gallery import bz2_category, pseudo_circle_space, sierpinski_space
+from finsite.gallery import (
+    bz2_category,
+    interval_cover_space,
+    point_category,
+    pseudo_circle_space,
+    sierpinski_space,
+)
 from finsite.reports import InputError
 from finsite.sset import pi0, validate_sset
 
+from oracles import formula_chains, formula_nerve
 from randgen import random_space
 
 
@@ -70,6 +78,31 @@ def test_nerve_of_group_counts():
     assert validate_sset(n).ok
     assert n.counts() == (1, 2, 4, 8, 16)
     assert n.nondegenerate_counts() == (1, 1, 1, 1, 1)
+
+
+def _nerve_cases():
+    """bz2, the point, the Sierpinski, pseudo-circle and interval-cover sites
+    and 20 seeded random space sites, each at caps 0..4."""
+    spaces = [sierpinski_space(), pseudo_circle_space(), interval_cover_space()]
+    rng = random.Random(16)
+    spaces += [random_space(rng) for _ in range(20)]
+    cats = [bz2_category(), point_category()] + [site_from_finite_space(s).category for s in spaces]
+    return [(cat, cap) for cat in cats for cap in range(5)]
+
+
+def test_nerve_matches_the_formula_oracle():
+    for cat, cap in _nerve_cases():
+        n, ref = nerve(cat, cap), formula_nerve(cat, cap)
+        assert n.levels == ref.levels
+        assert (n._faces, n._degeneracies) == (ref._faces, ref._degeneracies)
+
+
+def test_chain_table_is_a_simplicial_set_of_the_chains():
+    for cat, cap in _nerve_cases():
+        ch = chains(cat, cap)
+        assert validate_sset(ch).ok
+        assert [list(level) for level in ch.levels] == formula_chains(cat, cap)
+        assert chains(cat, cap) is ch
 
 
 def test_sieve_generation_and_pullback():

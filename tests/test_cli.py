@@ -167,6 +167,20 @@ def test_sheafify_sheaf_input_has_bijective_unit(tmp_path, capsys):
     assert data["unit_bijective"] is True
 
 
+def test_sheafify_checks_each_sheaf_condition_once(capsys, monkeypatch):
+    # the input once in cmd_sheafify, the result once inside sheafify_set
+    from finsite import cli, presheaf
+
+    calls = []
+    check = presheaf.is_sheaf_set
+    for module in (presheaf, cli):
+        monkeypatch.setattr(module, "is_sheaf_set", lambda *a: calls.append(a) or check(*a))
+    space = cjson(DOCUMENTS["interval_cover.space.json"](0))
+    code, out, _ = run(capsys, "sheafify", "--space", space, "--presheaf", "constant:0,1", "--format", "json")
+    assert (code, len(calls)) == (0, 2)
+    assert json.loads(out)["result_is_sheaf"]["ok"] is True
+
+
 def test_descent_example_fails_honestly(capsys):
     code, out, _ = run(
         capsys,

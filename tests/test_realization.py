@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from finsite import catsite, realization
 from finsite.canon import cjson, csorted
 from finsite.catsite import (
     MappedCat,
@@ -369,6 +370,34 @@ def test_induced_realization_map_matches_the_push_rule():
         to_point = {x: {v: "*" for v in sp.values[x]} for x in cat.objects}
         pm = discretize_map(SetPresheafMap(sp, pt, to_point), 3)
         _induced_checked(random_nested_diagram(rng, cat, 3), pm, 3)
+
+
+def test_chain_table_is_built_once_per_category_and_cap(monkeypatch):
+    """Within one induced_realization_map or projector_maps call, both
+    realizations and the map read one chain table per category and cap."""
+    space, site = _pc_site()
+    f = order_complex_functor(space, 3, site)
+    sp = constant_set_presheaf(site.category, ["0", "1"])
+    pm = discretize_map(sheafify_set(site, sp).unit, 3)
+    d, f2, g2 = _triples_case(sierpinski_space(), 2)
+    tables: dict = {}
+    real = catsite.chains
+
+    def counted(cat, cap):
+        ch = real(cat, cap)
+        tables.setdefault((id(cat), cap), []).append(ch)
+        return ch
+
+    for module in (catsite, realization):
+        monkeypatch.setattr(module, "chains", counted)
+    for call, categories in (
+        (lambda: induced_realization_map(f, pm, 3), 1),
+        (lambda: projector_maps(d, f2, g2, 2), 2),
+    ):
+        tables.clear()
+        call()
+        assert len(tables) == categories
+        assert all(len(read) >= 2 and len({id(t) for t in read}) == 1 for read in tables.values())
 
 
 def test_order_complex_values_are_nerves_of_specialization():

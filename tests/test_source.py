@@ -51,3 +51,23 @@ def test_only_sset_reads_the_identifier_index():
             or (isinstance(n, ast.Constant) and n.value == "_index")
         ]
     assert found == []
+
+
+def test_only_catsite_applies_the_chain_rule():
+    """Faces and degeneracies of chains are read from catsite.chains: the
+    realization and its maps compose no morphisms and insert no identities
+    (SimplicialMap.identity is the identity map of a simplicial set)."""
+    tree = ast.parse((PACKAGE / "realization.py").read_text())
+    names = {"realize", "_layout", "_block_map", "induced_realization_map"}
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert {n.name for n in defs} == names
+    found = [
+        f"{d.name}:{n.lineno}"
+        for d in defs
+        for n in ast.walk(d)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("compose", "identity")
+        and not (isinstance(n.func.value, ast.Name) and n.func.value.id == "SimplicialMap")
+    ]
+    assert found == []

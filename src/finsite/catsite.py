@@ -543,19 +543,23 @@ def category_to_json(cat: FinCat) -> dict:
 
 
 def category_from_json(data: dict) -> FinCat:
-    """Load a category; identity morphisms may be omitted and are synthesized."""
+    """Load a category; identity morphisms may be omitted and are synthesized.
+    Every identifier is a string."""
     try:
         objects = list(data["objects"])
         morphisms = [
             Morphism(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]
         ]
+        identities: dict[Any, Any] = dict(data.get("identities", {}))
         comp_rows = [tuple(row) for row in data.get("composition", [])]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad category JSON: {exc}") from exc
+    rows = [*comp_rows, *identities.items(), *((m.mid, m.src, m.tgt) for m in morphisms)]
+    if not all(isinstance(x, str) for x in [*objects, *(x for row in rows for x in row)]):
+        raise InputError("bad category JSON: identifiers must be strings")
     mids = {m.mid for m in morphisms}
     if len(mids) != len(morphisms):
         raise InputError("duplicate morphism ids")
-    identities: dict[Any, Any] = dict(data.get("identities", {}))
     for x in objects:
         if x not in identities:
             iid = f"id:{x}"
@@ -570,12 +574,11 @@ def category_from_json(data: dict) -> FinCat:
             raise InputError(f"bad composition row {row!r}")
         g, f, h = row
         composition[(g, f)] = h
-    by_id = {m.mid: m for m in morphisms}
     for m in morphisms:
-        ix = identities[m.tgt]
-        composition.setdefault((ix, m.mid), m.mid)
-        iy = identities[m.src]
-        composition.setdefault((m.mid, iy), m.mid)
+        # a morphism whose ends are not objects is left to validate_category
+        if m.src in identities and m.tgt in identities:
+            composition.setdefault((identities[m.tgt], m.mid), m.mid)
+            composition.setdefault((m.mid, identities[m.src]), m.mid)
     # missing non-identity compositions stay missing: validation will flag them
     for x in objects:
         composition.setdefault((identities[x], identities[x]), identities[x])

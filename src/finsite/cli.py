@@ -80,7 +80,7 @@ EXIT_CODES = {InputError: 2, ValidationError: 3, InternalCheckError: 4}
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
     try:
         data = json.loads(text)
@@ -327,11 +327,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     """Writes the payload as canonical JSON (write_cjson), or the text lines,
     to --out or stdout.  Commands compute and check everything first, so a
     refusal never leaves a partial file."""
-    with Path(args.out).open("w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        if args.format == "json":
-            write_cjson(out.write, payload)
-        else:
-            out.write("\n".join(text_lines) + "\n")
+    try:
+        with Path(args.out).open("w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            if args.format == "json":
+                write_cjson(out.write, payload)
+            else:
+                out.write("\n".join(text_lines) + "\n")
+    except OSError as e:
+        raise InputError(f"cannot write {args.out or 'stdout'}: {e}") from e
 
 
 def set_presheaf_to_json(sp: SetFunctor) -> dict:
@@ -641,12 +644,15 @@ def cmd_examples(args) -> int:
     if name not in KITS:
         raise InputError(f"unknown example {name}; known: " + ", ".join(EXAMPLE_KITS))
     outdir = Path(args.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for fname in KITS[name]:
-        path = outdir / fname
-        path.write_text(cjson(DOCUMENTS[fname](None)))
-        written.append(str(path))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for fname in KITS[name]:
+            path = outdir / fname
+            path.write_text(cjson(DOCUMENTS[fname](None)))
+            written.append(str(path))
+    except OSError as e:
+        raise InputError(f"cannot write to {args.dir}: {e}") from e
     payload = {"command": "examples", "name": name, "written": written}
     _emit(args, payload, ["wrote " + p for p in written])
     return 0

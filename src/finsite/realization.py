@@ -18,14 +18,14 @@ the payload dict or the whole text in memory.
 Levels are laid out by chain position, from catsite.chains.  ckey orders a
 bar simplex by its parts in turn, so canonical level k is the concatenation,
 over the table's k-chains in order, of the product blocks F(x_0)_k x
-G(x_k)_k, each factor in its own canonical order: (chain, a-th F simplex,
-b-th G simplex) sits at the chain's block start + a * |G(x_k)_k| + b.  Each
-d_i and s_i sends a block into the block of the chain's own d_i or s_i, read
-from the chain table, through a column of F's and one of G's tables; d_0
-sends the F column on through F's first morphism, d_k the G column back
-through G's last.  The maps between realizations share one blockwise rule
-(_block_map): a map of chain tables picks each target block, the F column
-stays, and the G column moves through a map of values.
+G(x_k)_k, each factor in its own canonical order: (chain c, a-th F simplex,
+b-th G simplex) sits at c's block start + a * |G(x_k)_k| + b.  One column
+rule (_column) places every block: an operator or a map sends c to a chain
+t and (c, a, b) to t's start + fcol[a] * t's width + gcol[b].  d_i and s_i
+read t from the chain table and the columns from F's and G's tables, d_0
+pushing F's along the first morphism and d_k pulling G's back along the
+last; a map of realizations reads t from a map of chain tables, keeps the F
+column and moves the G column through a map of values.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from finsite.canon import csorted, cstr
 from finsite.catsite import (
@@ -69,14 +69,29 @@ ObjId = Any
 MorId = Any
 
 
-def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> list[list[tuple[int, int]]]:
-    """Per level k, per chain position: (block start, row length |G(x_k)_k|)."""
+def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> list[tuple[list[int], list[int]]]:
+    """Per level k, (starts, widths): each chain's block start and |G(x_k)_k|."""
     out = []
     for k, level in enumerate(ch.levels):
         widths = [len(g.values[xk].levels[k]) for _, _, xk in level]
         sizes = [len(f.values[x0].levels[k]) * w for (x0, _, _), w in zip(level, widths)]
-        out.append(list(zip(accumulate(sizes, initial=0), widths)))
+        out.append((list(accumulate(sizes, initial=0)), widths))
     return out
+
+
+def _column(there: tuple, to: Sequence[int], fcols: Iterable, gcols: Iterable) -> list[int]:
+    """Where one operator or one map sends a whole level: chain c with its
+    a-th F and b-th G simplex goes to starts[t] + fcols[c][a] * widths[t] +
+    gcols[c][b], t = to[c], in the level laid out by there = (starts, widths)."""
+    starts, widths = there
+    blocks = zip(map(starts.__getitem__, to), map(widths.__getitem__, to), fcols, gcols)
+    return [s + a * w + b for s, w, fcol, gcol in blocks for a in fcol for b in gcol]
+
+
+def _columns(values: dict, k: int, table: str) -> dict[ObjId, list]:
+    """Per object x and operator i: the positions of d_i or s_i, by table
+    "_faces" or "_degeneracies", on the k-simplices of values[x]."""
+    return {x: list(zip(*getattr(v, table)[k])) or [()] * (k + 1) for x, v in values.items()}
 
 
 def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
@@ -110,54 +125,39 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     )
     # one int object per position, shared by every table
     ints = list(range(max(map(len, levels))))
-
-    def block(j: int, moves: Iterable[tuple]) -> Iterable[tuple]:
-        """Rows of a block whose i-th operator sends (F part a, G part b) to
-        (fcol[a], gcol[b]) in level j's block of chain c, for moves[i]."""
-        cols = []
-        for c, fcol, gcol in moves:
-            base, w = layout[j][c]
-            cols.append([ints[a + b] for a in [base + q * w for q in fcol] for b in gcol])
-        return zip(*cols)
-
     faces, degeneracies = [[()] * len(levels[0])], []
     for k, level in enumerate(ch.levels):
-        face_rows, deg_rows = [], []
-        # columns[id(v)]: the d_i and the s_i of v's k-simplices, by i
-        columns = {
-            id(v): (list(zip(*v._faces[k])), list(zip(*v._degeneracies[k])) if k < dim_cap else [])
-            for v in (*f.values.values(), *g.values.values())
-        }
-        for p, (x0, ms, xk) in enumerate(level):
-            if not (f.values[x0].levels[k] and g.values[xk].levels[k]):
-                continue
-            (fd, fs), (gd, gs) = columns[id(f.values[x0])], columns[id(g.values[xk])]
-            if k:
-                push, pull = f.action[ms[0]].images[k - 1], g.action[ms[-1]].images[k - 1]
-                fd = [[push[q] for q in fd[0]], *fd[1:]]
-                gd = [*gd[:-1], [pull[q] for q in gd[k]]]
-                face_rows += block(k - 1, zip(ch._faces[k][p], fd, gd))
-            if k < dim_cap:
-                deg_rows += block(k + 1, zip(ch._degeneracies[k][p], fs, gs))
-        faces += [face_rows] if k else []
-        degeneracies += [deg_rows] if k < dim_cap else []
+        x0s, xks = [x0 for x0, _, _ in level], [xk for _, _, xk in level]
+        moves = []
+        if k:
+            fd, gd, low = _columns(f.values, k, "_faces"), _columns(g.values, k, "_faces"), k - 1
+            # d_0 pushes F's column along the first morphism, d_k pulls G's back
+            push = {m: [a.images[low][q] for q in fd[cat.src(m)][0]] for m, a in f.action.items()}
+            pull = {m: [a.images[low][q] for q in gd[cat.tgt(m)][k]] for m, a in g.action.items()}
+            fcols, gcols = [*zip(*map(fd.__getitem__, x0s))], [*zip(*map(gd.__getitem__, xks))]
+            fcols[:1] = [[push[ms[0]] for _, ms, _ in level]]
+            gcols[k:] = [[pull[ms[-1]] for _, ms, _ in level]]
+            moves.append((faces, layout[low], zip(*ch._faces[k]), fcols, gcols))
+        if k < dim_cap:
+            fs, gs = _columns(f.values, k, "_degeneracies"), _columns(g.values, k, "_degeneracies")
+            fcols, gcols = zip(*map(fs.__getitem__, x0s)), zip(*map(gs.__getitem__, xks))
+            moves.append((degeneracies, layout[k + 1], zip(*ch._degeneracies[k]), fcols, gcols))
+        for tables, there, *cols in moves:
+            rows = [list(map(ints.__getitem__, _column(there, *col))) for col in zip(*cols)]
+            tables.append(list(zip(*rows)))
     return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
 
 
-def _block_map(f: Functor, chain_map: SimplicialMap, target: list, move: Callable) -> tuple:
-    """Images of a map of realizations, f being the source's F and target the
-    target's layout.  chain_map is the map of chain tables, and move(xk) a map
-    of G values at the chain's end: (chain, a-th F simplex, b-th G simplex)
-    goes to (chain_map(chain), a-th F simplex, move(xk)(b)-th G simplex), so
-    F must have the value f(x0) at the target chain's start."""
-    images = []
-    for k, (level, to, there) in enumerate(zip(chain_map.source.levels, chain_map.images, target)):
-        row: list[int] = []
-        for (x0, _, xk), c in zip(level, to):
-            base, w = there[c]
-            gcol = move(xk).images[k]
-            row += [base + a * w + b for a in range(len(f.values[x0].levels[k])) for b in gcol]
-        images.append(tuple(row))
+def _block_map(f: Functor, chain_map: SimplicialMap, target: tuple, move: Callable) -> tuple:
+    """Images of a map of realizations, f being the source's F and target
+    the target's (F, G): chain_map, a map of chain tables, picks each target
+    block, the F column stays, so F must have the value f(x0) at the target
+    chain's start, and the G column moves through move(xk), a map of G values."""
+    images, layout = [], _layout(chain_map.target, *target)
+    for k, (level, to, there) in enumerate(zip(chain_map.source.levels, chain_map.images, layout)):
+        fcols = [range(len(f.values[x0].levels[k])) for x0, _, _ in level]
+        gcols = [move(xk).images[k] for _, _, xk in level]
+        images.append(tuple(_column(there, to, fcols, gcols)))
     return tuple(images)
 
 
@@ -309,8 +309,7 @@ def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> Simplic
         raise InputError("presheaf map must live on the diagram's base")
     src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
     ch = chains(cat, dim_cap)
-    lay = _layout(ch, f, m.target)
-    images = _block_map(f, SimplicialMap.identity(ch), lay, m.components.__getitem__)
+    images = _block_map(f, SimplicialMap.identity(ch), (f, m.target), m.components.__getitem__)
     return SimplicialMap(src, tgt, images)
 
 
@@ -421,8 +420,8 @@ def projector_maps(
     )
     inclusion = SimplicialMap.from_function(ch_d, ch_c, lambda k, c: c)
     ident = {x: SimplicialMap.identity(v) for x, v in gd.values.items()}
-    a = _block_map(pf, through_p, _layout(ch_d, f, gd), lambda xk: g.action[d.psi[xk]])
-    b = _block_map(f, inclusion, _layout(ch_c, pf, g), ident.__getitem__)
+    a = _block_map(pf, through_p, (f, gd), lambda xk: g.action[d.psi[xk]])
+    b = _block_map(f, inclusion, (pf, g), ident.__getitem__)
     return SimplicialMap(re_c, re_d, a), SimplicialMap(re_d, re_c, b)
 
 

@@ -697,3 +697,75 @@ def test_refused_realize_leaves_no_output_file(tmp_path, capsys, monkeypatch):
                        "--out", str(out))
     assert code == 4 and "InternalCheckError" in err
     assert not out.exists()
+
+
+def _input_error(code, out, err) -> str:
+    """The detail of an exit-2 refusal that printed nothing to stdout."""
+    assert code == 2 and out == ""
+    record = json.loads(err)["error"]
+    assert (record["type"], record["exit"]) == ("InputError", 2)
+    return record["detail"]
+
+
+def test_an_out_file_that_cannot_be_opened_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    detail = _input_error(*run(capsys, "realize", "--example", "bz2", "--out", str(out)))
+    assert detail.startswith(f"cannot write {out}")
+
+
+def test_an_examples_dir_that_is_a_file_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    detail = _input_error(*run(capsys, "examples", "bz2", "--dir", str(taken)))
+    assert detail.startswith(f"cannot write to {taken}")
+
+
+def test_an_input_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    space = tmp_path / "utf16.space.json"
+    space.write_bytes('{"points":[],"opens":[[]]}'.encode("utf-16"))
+    assert space.read_bytes()[:2] == b"\xff\xfe"
+    detail = _input_error(*run(capsys, "validate", "--space", str(space)))
+    assert detail.startswith(f"cannot read {space}")
+
+
+def _cat_with(path: list, value) -> str:
+    """Inline JSON of the two-object category x -> y, with the entry at path
+    replaced by value."""
+    data = {
+        "objects": ["x", "y"],
+        "morphisms": [{"id": "f", "src": "x", "tgt": "y"}],
+        "identities": {"x": "id:x", "y": "id:y"},
+        "composition": [["f", "id:x", "f"]],
+    }
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ["objects", 0],
+        ["morphisms", 0, "id"],
+        ["morphisms", 0, "src"],
+        ["morphisms", 0, "tgt"],
+        ["identities", "x"],
+        ["composition", 0, 1],
+    ],
+)
+def test_category_identifiers_that_are_not_strings_are_input_errors(capsys, path):
+    for value in (["x"], 1, None):
+        detail = _input_error(*run(capsys, "validate", "--cat", _cat_with(path, value)))
+        assert detail == "bad category JSON: identifiers must be strings"
+
+
+def test_a_morphism_ending_outside_the_objects_fails_validation(capsys):
+    cat = _cat_with(["morphisms", 0, "tgt"], "ghost")
+    code, out, err = run(capsys, "validate", "--cat", cat)
+    assert (code, out.splitlines()[0], err) == (3, "validate cat: morphism-endpoints", "")
+    code, out, err = run(capsys, "realize", "--cat", cat)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["detail"] == "morphism-endpoints: endpoint not an object"

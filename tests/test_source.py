@@ -58,7 +58,7 @@ def test_only_catsite_applies_the_chain_rule():
     realization and its maps compose no morphisms and insert no identities
     (SimplicialMap.identity is the identity map of a simplicial set)."""
     tree = ast.parse((PACKAGE / "realization.py").read_text())
-    names = {"realize", "_layout", "_block_map", "induced_realization_map"}
+    names = {"realize", "_layout", "_column", "_columns", "_block_map", "induced_realization_map"}
     defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
     assert {n.name for n in defs} == names
     found = [
@@ -69,5 +69,41 @@ def test_only_catsite_applies_the_chain_rule():
         and isinstance(n.func, ast.Attribute)
         and n.func.attr in ("compose", "identity")
         and not (isinstance(n.func.value, ast.Name) and n.func.value.id == "SimplicialMap")
+    ]
+    assert found == []
+
+
+def test_one_function_places_the_bar_blocks():
+    """The block rule of the bar realization, start + a * width + b, is
+    written once: one function of realization.py adds a product, realize and
+    _block_map both call it, and realize defines no function of its own."""
+    tree = ast.parse((PACKAGE / "realization.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def adds_a_product(node: ast.AST) -> bool:
+        return any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Add)
+            and any(isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mult) for s in (n.left, n.right))
+            for n in ast.walk(node)
+        )
+
+    def called(node: ast.AST) -> set[str]:
+        return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    placing = [name for name, d in defs.items() if adds_a_product(d)]
+    assert len(placing) == 1
+    assert placing[0] in called(defs["realize"]) & called(defs["_block_map"])
+    inner = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert [n for n in ast.walk(defs["realize"]) if isinstance(n, inner)] == [defs["realize"]]
+
+
+def test_no_package_line_is_longer_than_110_characters():
+    """Line counts compare like with like only while lines keep one width."""
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 110
     ]
     assert found == []

@@ -2,9 +2,10 @@
 
 Variance is data: a covariant functor acts by action[f]: F(src f) -> F(tgt f),
 a contravariant one (a presheaf) by action[f]: F(tgt f) -> F(src f).
-Sheafification of set presheaves runs the plus construction twice; on a
-finite site every object has a minimum covering sieve, so each plus step
-lands on sections over that sieve.
+Sheafification of set presheaves runs the plus construction twice.  On a
+finite site every object x has a minimum covering sieve, and a plus step's
+value at x is the matching families over it.  One solver finds both matching
+families and global sections; one rule restricts families along a morphism.
 """
 
 from __future__ import annotations
@@ -276,47 +277,37 @@ def restrict(fun: Functor | SetFunctor, s: Sieve) -> Functor | SetFunctor:
 # -- sections (limit of a set presheaf) -----------------------------------------
 
 
+def _solutions(keys: list, values: list, arrows: Iterable) -> tuple[tuple, ...]:
+    """Every choice of one element of values[i] for each keys[i] such that
+    each arrow (i, act, j) has act[s_j] == s_i, as (key, value) pairs in key
+    order, canonically sorted.  An arrow is checked once both ends are chosen."""
+    checks: list[list[tuple[int, dict, int]]] = [[] for _ in keys]
+    for i, act, j in arrows:
+        checks[max(i, j)].append((i, act, j))
+    out: list[tuple] = []
+    chosen: list = [None] * len(keys)
+
+    def fill(idx: int):
+        if idx == len(keys):
+            out.append(tuple(zip(keys, chosen)))
+            return
+        for v in values[idx]:
+            chosen[idx] = v
+            if all(act[chosen[j]] == chosen[i] for i, act, j in checks[idx]):
+                fill(idx + 1)
+
+    fill(0)
+    return tuple(csorted(out))
+
+
 def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
     """All global sections, each a tuple of (object, value) pairs in canonical
     object order.  A section picks s_x with action[f](s_tgt) == s_src."""
     if sp.covariant or not _same(sp.category, cat):
         raise InputError("sections need a set presheaf on the given category")
-    objs = list(cat.objects)
-    # constraints between assigned positions, precomputed per object pair
-    pos = {x: i for i, x in enumerate(objs)}
-    constraints: list[list[tuple[int, dict, int]]] = [[] for _ in objs]
-    for m in cat.morphisms.values():
-        i, j = pos[m.src], pos[m.tgt]
-        # when filling the later of (i, j), check against the earlier
-        act = sp.action[m.mid]
-        if i == j:
-            constraints[i].append((i, act, i))
-        elif i > j:
-            constraints[i].append((j, act, i))
-        else:
-            constraints[j].append((j, act, i))
-    out: list[tuple] = []
-    chosen: list = [None] * len(objs)
-
-    def fill(idx: int):
-        if idx == len(objs):
-            out.append(tuple((objs[i], chosen[i]) for i in range(len(objs))))
-            return
-        for v in sp.values[objs[idx]]:
-            chosen[idx] = v
-            ok = True
-            for (jt, act, js) in constraints[idx]:
-                if chosen[jt] is None or chosen[js] is None:
-                    continue
-                if act[chosen[jt]] != chosen[js]:
-                    ok = False
-                    break
-            if ok:
-                fill(idx + 1)
-        chosen[idx] = None
-
-    fill(0)
-    return tuple(csorted(out))
+    pos = {x: i for i, x in enumerate(cat.objects)}
+    arrows = [(pos[m.src], sp.action[m.mid], pos[m.tgt]) for m in cat.morphisms.values()]
+    return _solutions(list(cat.objects), [sp.values[x] for x in cat.objects], arrows)
 
 
 def section_value(section: tuple, obj: ObjId):
@@ -336,18 +327,45 @@ class PlusStep:
 
 
 def matching_sections(site: Site, sp: SetFunctor, sieve: Sieve) -> tuple[tuple, ...]:
-    """Sections over the sieve category, keyed by the sieve's members."""
-    mapped = sieve_category(site.category, sieve)
-    return sections_set(mapped.category, reindex(sp, mapped))
+    """Matching families over the sieve, keyed by its members in canonical
+    order: s_f at the source of each member f, with action[g](s_f) == s_{f.g}."""
+    if sp.covariant:
+        raise InputError("matching families need a set presheaf")
+    cat = site.category
+    keys = csorted(sieve.members)
+    pos = {f: i for i, f in enumerate(keys)}
+    arrows = []
+    for f in keys:
+        for g in cat.hom_into(cat.src(f)):
+            fg = cat.compose(f, g)
+            if fg not in pos:
+                raise InputError(f"{cstr(fg)} is missing from the sieve on {cstr(sieve.base)}")
+            arrows.append((pos[fg], sp.action[g], pos[f]))
+    return _solutions(keys, [sp.values[cat.src(f)] for f in keys], arrows)
 
 
 def _matching_image(sp: SetFunctor, sieve, s) -> tuple:
     return tuple((m, sp.action[m][s]) for m in csorted(sieve.members))
 
 
+def _families(site: Site, sp: SetFunctor, cat: FinCat, sieve_of, base_of) -> SetFunctor:
+    """The set presheaf on cat of the matching families of sp over sieve_of(o).
+    m restricts along f = base_of(m): member g of the source's sieve takes the
+    family's value at f.g, read at that member's position in the family."""
+    sieves = {o: sieve_of(o) for o in cat.objects}
+    found = {s: matching_sections(site, sp, s) for s in set(sieves.values())}
+    keys = {o: csorted(s.members) for o, s in sieves.items()}
+    action: dict[MorId, dict] = {}
+    for m in cat.morphisms.values():
+        f, pos = base_of(m.mid), {h: i for i, h in enumerate(keys[m.tgt])}
+        at = [(g, pos[site.category.compose(f, g)]) for g in keys[m.src]]
+        action[m.mid] = {fam: tuple((g, fam[i][1]) for g, i in at) for fam in found[sieves[m.tgt]]}
+    return SetFunctor(cat, {o: found[s] for o, s in sieves.items()}, action, covariant=False)
+
+
 def gamma_prime_set(site: Site, sp: SetFunctor) -> PlusStep:
-    """One plus step: value at x is the section set over the minimum covering
-    sieve, which every covering sieve refines on a finite site."""
+    """One plus step: value at x is the matching families over the minimum
+    covering sieve, which every covering sieve refines on a finite site."""
     cat = site.category
     smin = {x: site.minimal_covering_sieve(x) for x in cat.objects}
     for x, s in smin.items():
@@ -355,20 +373,7 @@ def gamma_prime_set(site: Site, sp: SetFunctor) -> PlusStep:
             raise ValidationError(
                 "intersection of covering sieves fails to cover; site is invalid"
             )
-    values = {x: matching_sections(site, sp, smin[x]) for x in cat.objects}
-    action: dict[MorId, dict] = {}
-    for m in cat.morphisms.values():
-        f, v, u = m.mid, m.src, m.tgt
-        # members of smin[src] push forward into smin[tgt]
-        act = {}
-        for sec in values[u]:
-            by_member = dict(sec)
-            moved = tuple(
-                (g, by_member[cat.compose(f, g)]) for g in csorted(smin[v].members)
-            )
-            act[sec] = moved
-        action[f] = act
-    result = SetFunctor(cat, values, action, covariant=False)
+    result = _families(site, sp, cat, smin.__getitem__, lambda f: f)
     unit_components = {
         x: {s: _matching_image(sp, smin[x], s) for s in sp.values[x]}
         for x in cat.objects
@@ -380,14 +385,12 @@ def gamma_prime_map(
     site: Site, pm: SetPresheafMap, src_step: PlusStep, tgt_step: PlusStep
 ) -> SetPresheafMap:
     """The plus step applied to a map, given the plus steps of its source and
-    target: sections move memberwise."""
+    target: families move memberwise."""
     cat = site.category
-    comps = {}
-    for x in cat.objects:
-        comp = {}
-        for sec in src_step.presheaf.values[x]:
-            comp[sec] = tuple((g, pm.components[cat.src(g)][v]) for g, v in sec)
-        comps[x] = comp
+    comps = {
+        x: {fam: tuple((g, pm.components[cat.src(g)][v]) for g, v in fam) for fam in fams}
+        for x, fams in src_step.presheaf.values.items()
+    }
     return SetPresheafMap(src_step.presheaf, tgt_step.presheaf, comps)
 
 
@@ -413,7 +416,6 @@ def is_sheaf_set(site: Site, sp: SetFunctor) -> Report:
     for x in site.category.objects:
         for sieve in site.coverings[x]:
             sections = matching_sections(site, sp, sieve)
-            # section pairs are keyed by sieve-category objects, the members
             images = {}
             for s in sp.values[x]:
                 img = _matching_image(sp, sieve, s)
@@ -474,22 +476,19 @@ def illusie_pi0_certificate(site: Site, m: PresheafMap) -> Report:
     p0s, comp_s = pi0_functor(m.source)
     p0t, comp_t = pi0_functor(m.target)
     comps = {x: _component_map(m.components[x], comp_s[x], comp_t[x]) for x in site.category.objects}
-    m0 = SetPresheafMap(p0s, p0t, comps)
-    s1 = gamma_prime_set(site, p0s)
-    t1 = gamma_prime_set(site, p0t)
-    m1 = gamma_prime_map(site, m0, s1, t1)
-    s2 = gamma_prime_set(site, s1.presheaf)
-    t2 = gamma_prime_set(site, t1.presheaf)
-    m2 = gamma_prime_map(site, m1, s2, t2)
+    pm = SetPresheafMap(p0s, p0t, comps)
+    for _ in range(2):
+        steps = [gamma_prime_set(site, p) for p in (pm.source, pm.target)]
+        pm = gamma_prime_map(site, pm, *steps)
     for x in site.category.objects:
-        comp = m2.components[x]
+        comp = pm.components[x]
         image = set(comp.values())
-        if len(image) != len(comp) or image != set(m2.target.values[x]):
+        if len(image) != len(comp) or image != set(pm.target.values[x]):
             return Report.failure(
                 "pi0-sheaf-not-bijective",
                 "induced map on sheafified pi0 fails to be a bijection "
                 "(pi0 condition only; higher degrees unchecked)",
-                (cstr(x), len(comp), len(image), len(m2.target.values[x])),
+                (cstr(x), len(comp), len(image), len(pm.target.values[x])),
             )
     return Report.success(
         "induced map on sheafified pi0 is a componentwise bijection; "

@@ -57,8 +57,8 @@ from finsite.presheaf import (
     Functor,
     PresheafMap,
     SetFunctor,
+    _families,
     _same,
-    matching_sections,
     point_functor,
     reindex,
 )
@@ -488,21 +488,6 @@ def sections_presheaf_on_triples(
 ) -> SetFunctor:
     """Set presheaf on the triples category: the value at (x, B, m) is the
     matching sections of g over B; (phi, rho) acts by precomposing with phi."""
-    cat = site.category
-    tcat = d.category
-    if not _same(g.category, cat):
+    if not _same(g.category, site.category):
         raise InputError("presheaf must live on the site's category")
-    values = {}
-    for t in tcat.objects:
-        _, x, bkey, m = t
-        values[t] = matching_sections(site, g, Sieve(x, frozenset(bkey)))
-    action = {}
-    for mm in tcat.morphisms.values():
-        _, phi, rho, t1, t2 = mm.mid
-        b1key = t1[2]
-        act = {}
-        for sec in values[t2]:
-            by_member = dict(sec)
-            act[sec] = tuple((h, by_member[cat.compose(phi, h)]) for h in b1key)
-        action[mm.mid] = act
-    return SetFunctor(tcat, values, action, covariant=False)
+    return _families(site, g, d.category, lambda t: Sieve(t[1], frozenset(t[2])), lambda mm: mm[1])

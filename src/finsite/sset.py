@@ -530,6 +530,37 @@ def _named_table(raw: dict) -> dict[tuple[int, SimplexId, int], SimplexId]:
     return table
 
 
+def _check_shape(data: dict) -> None:
+    """from_json's one check of shape: simplex identifiers are strings, levels
+    and operator tables are objects of lists, and the compact form's
+    degeneracy words are lists of ints."""
+    compact = "nondegenerate" in data
+
+    def lists(table, ok) -> bool:
+        return isinstance(table, dict) and all(
+            isinstance(row, list) and all(map(ok, row)) for row in table.values()
+        )
+
+    def image(ref) -> bool:
+        if not (compact and isinstance(ref, dict)):
+            return isinstance(ref, str)
+        word = ref.get("degeneracy", [])
+        return isinstance(ref.get("of"), str) and isinstance(word, list) and all(
+            type(i) is int for i in word
+        )
+
+    levels = data.get("nondegenerate" if compact else "simplices", {})
+    ops = ("faces",) if compact else ("faces", "degeneracies")
+    tables = [data.get(op, {}) for op in ops]
+    if not lists(levels, lambda z: isinstance(z, str)) or not all(
+        isinstance(t, dict) and all(lists(rows, image) for rows in t.values()) for t in tables
+    ):
+        raise InputError(
+            "bad simplicial set JSON: identifiers must be strings, tables objects of lists"
+            " and degeneracy words lists of ints"
+        )
+
+
 def from_json(data: dict) -> SimplicialSet:
     """Load either the full table form or the compact generator form.
 
@@ -538,6 +569,7 @@ def from_json(data: dict) -> SimplicialSet:
     """
     if not isinstance(data, dict):
         raise InputError("simplicial set JSON must be an object")
+    _check_shape(data)
     if "nondegenerate" in data:
         return _expand_compact(data)
     try:
@@ -617,12 +649,11 @@ def _expand_compact(data: dict) -> SimplicialSet:
             base_dim[z] = k
 
     def parse_ref(ref) -> tuple[tuple[int, ...], str]:
+        # _check_shape let through only names and {"degeneracy": ints, "of": name}
         if isinstance(ref, str):
             word, base = (), ref
-        elif isinstance(ref, dict) and "of" in ref:
-            word, base = _normalize_word([int(i) for i in ref.get("degeneracy", [])]), ref["of"]
         else:
-            raise InputError(f"bad simplex reference {ref!r}")
+            word, base = _normalize_word(ref.get("degeneracy", [])), ref["of"]
         if base not in base_dim:
             raise InputError(f"reference to undeclared simplex {base!r}")
         return word, base

@@ -564,7 +564,35 @@ MALFORMED = {
         "--dim-cap",
         "2",
     ],
+    "sset-identifier-list": lambda kit: _sset({"dim_cap": 1, "simplices": {"0": [[1]]}}),
+    "sset-compact-identifier-list": lambda kit: _sset(
+        {"dim_cap": 1, "nondegenerate": {"0": [["v"]]}}
+    ),
+    "sset-face-level-list": lambda kit: _sset(
+        {"dim_cap": 1, "simplices": {"0": ["v"]}, "faces": {"1": []}}
+    ),
+    "sset-face-image-list": lambda kit: _sset(
+        {"dim_cap": 1, "simplices": {"0": ["v"], "1": ["e"]}, "faces": {"1": {"e": ["v", ["v"]]}}}
+    ),
+    "sset-degeneracy-index-string": lambda kit: _sset(
+        {
+            "dim_cap": 1,
+            "nondegenerate": {"0": ["v"], "1": ["e"]},
+            "faces": {"1": {"e": ["v", {"degeneracy": ["a"], "of": "v"}]}},
+        }
+    ),
+    "simplicial-value-identifier-number": lambda kit: [
+        "realize",
+        "--cat",
+        json.dumps({"objects": ["x"], "morphisms": []}),
+        "--presheaf",
+        json.dumps({"values": {"x": {"dim_cap": 4, "nondegenerate": {"0": [1]}}}}),
+    ],
 }
+
+
+def _sset(data: dict) -> list[str]:
+    return ["validate", "--sset", json.dumps(data)]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -572,7 +600,9 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, case):
     run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
     argv = MALFORMED[case](tmp_path)
     space = str(tmp_path / "pseudo_circle.space.json")
-    code, out, err = run(capsys, argv[0], "--space", space, *argv[1:])
+    if not {"--cat", "--sset"} & set(argv):  # these cases give their own input
+        argv = [argv[0], "--space", space, *argv[1:]]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "InputError"
 

@@ -5,9 +5,18 @@ import random
 import pytest
 
 from finsite import presheaf
-from finsite.catsite import FiniteSpace, open_id, poset_category, site_from_finite_space
+from finsite.catsite import (
+    FiniteSpace,
+    Sieve,
+    all_sieves,
+    open_id,
+    poset_category,
+    sieve_category,
+    site_from_finite_space,
+)
 from finsite.gallery import (
     collapse_set_presheaf,
+    interval_cover_space,
     pseudo_circle_space,
     sierpinski_space,
 )
@@ -26,6 +35,7 @@ from finsite.presheaf import (
     is_sheaf_set,
     matching_sections,
     pi0_functor,
+    reindex,
     representable_set_presheaf,
     restrict,
     section_value,
@@ -88,6 +98,26 @@ def test_matching_sections_two_open_cover():
     secs = matching_sections(site, sp, s)
     # {a} and {b} do not meet inside {a,b}, so sections choose freely
     assert len(secs) == 4
+
+
+@pytest.mark.parametrize("space", [sierpinski_space, pseudo_circle_space, interval_cover_space])
+def test_matching_sections_equal_sections_on_the_sieve_category(space):
+    """The oracle is the route through the sieve category: global sections
+    of the presheaf reindexed onto the full subcategory of the slice."""
+    site = site_from_finite_space(space())
+    cat = site.category
+    rng = random.Random(18)
+    for _ in range(5):
+        sp = random_set_presheaf(rng, cat)
+        for x in cat.objects:
+            for s in all_sieves(cat, x):
+                mapped = sieve_category(cat, s)
+                expected = sections_set(mapped.category, reindex(sp, mapped))
+                assert matching_sections(site, sp, s) == expected
+    # the identity alone is not closed under precomposition into the top
+    top = max(cat.objects, key=lambda x: len(cat.hom_into(x)))
+    with pytest.raises(InputError):
+        matching_sections(site, sp, Sieve(top, frozenset([cat.identity(top)])))
 
 
 def test_restrict_dispatches_on_type():

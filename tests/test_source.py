@@ -98,6 +98,30 @@ def test_one_function_places_the_bar_blocks():
     assert [n for n in ast.walk(defs["realize"]) if isinstance(n, inner)] == [defs["realize"]]
 
 
+def test_matching_families_are_written_once():
+    """One solver finds global sections and matching families, without a
+    sieve category; one rule restricts families, so neither the plus step
+    nor the triples presheaf composes morphisms itself; and the pi0
+    certificate runs its two plus steps through one call site."""
+    defs = {}
+    for name in ("presheaf.py", "realization.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        defs.update({n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)})
+
+    def calls(name: str) -> list[str]:
+        return [
+            n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", "")
+            for n in ast.walk(defs[name])
+            if isinstance(n, ast.Call)
+        ]
+
+    assert not {"sieve_category", "reindex"} & set(calls("matching_sections"))
+    assert set(calls("sections_set")) & set(calls("matching_sections")) & set(defs)
+    for name in ("gamma_prime_set", "sections_presheaf_on_triples"):
+        assert "compose" not in calls(name)
+    assert calls("illusie_pi0_certificate").count("gamma_prime_set") == 1
+
+
 def test_no_package_line_is_longer_than_110_characters():
     """Line counts compare like with like only while lines keep one width."""
     found = [

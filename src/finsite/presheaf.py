@@ -23,6 +23,7 @@ from finsite.sset import (
     pi0,
     point_sset,
     validate_map,
+    validate_sset,
 )
 
 ObjId = Any
@@ -64,6 +65,10 @@ class SetFunctor:
 
     def __post_init__(self):
         self.values = {x: tuple(csorted(v)) for x, v in self.values.items()}
+        for x, v in self.values.items():
+            for a, b in zip(v, v[1:]):
+                if a == b:
+                    raise InputError(f"the value at {cstr(x)} lists {cstr(a)} twice")
 
 
 def _same(a, b) -> bool:
@@ -81,9 +86,14 @@ def _order(fun, g: MorId, f: MorId) -> tuple[MorId, MorId]:
 
 
 def validate_functor(fun: Functor) -> Report:
-    """Actions simplicial, identities trivial, composites respected; Functor
-    itself refuses an action missing or between the wrong values."""
+    """Values and actions simplicial, identities trivial, composites
+    respected; Functor itself refuses an action missing or between the wrong
+    values."""
     cat = fun.category
+    for x in cat.objects:
+        rep = validate_sset(fun.values[x])
+        if not rep.ok:
+            return Report.failure("value-sset", f"value not a simplicial set: {rep.detail}", (x,))
     for m in cat.morphisms.values():
         rep = validate_map(fun.action[m.mid])
         if not rep.ok:

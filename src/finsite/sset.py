@@ -3,9 +3,10 @@
 A simplicial set here is a finite family of simplex identifiers per dimension
 0..dim_cap together with total face maps d_i (dimensions 1..dim_cap) and
 degeneracy maps s_i (dimensions 0..dim_cap-1).  All simplices are
-materialized, degenerate ones included; a simplex z of dimension k >= 1 is
-degenerate exactly when s_i(d_i z) == z for some i, and that criterion is the
-single source of truth for degeneracy.
+materialized, degenerate ones included.  By the Eilenberg-Zilber lemma every
+simplex is s_J(b) for exactly one nondegenerate b and one monotone surjection
+J, so a simplex is degenerate exactly when it is an s_i image, and
+nondegenerate reads that off the s_i table alone.
 
 Storage is by position.  Each level lists its simplices once, in canonical
 order; d_i and s_i are per-level lists of int tuples, one tuple per simplex,
@@ -33,7 +34,8 @@ from the position tables, keys in sorted order, without building the dict.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Iterable
+from itertools import chain, combinations, combinations_with_replacement
+from typing import Any, Callable, Iterable, Sequence
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.reports import InputError, Report, ValidationError
@@ -101,18 +103,13 @@ class SimplicialSet:
                 return self.levels[k + 1][self._degeneracies[k][p][i]]
         raise InputError(f"no degeneracy s_{i} for {cstr(z)} in dimension {k}")
 
-    def _degenerate_at(self, k: int, p: int) -> bool:
-        """s_i(d_i z) == z for some i, on the simplex at position p of level k."""
-        fz = self._faces[k][p]
-        degs = self._degeneracies[k - 1]
-        return any(degs[fz[i]][i] == p for i in range(k))
-
     def nondegenerate(self, k: int) -> tuple[int, ...]:
-        """Positions in level k of the nondegenerate k-simplices, ascending."""
+        """Positions in level k of the nondegenerate k-simplices, ascending:
+        those that no row of the s_i table of level k-1 hits."""
         if k not in self._nondeg_cache:
-            self._nondeg_cache[k] = tuple(
-                p for p in range(len(self.simplices(k))) if not self._degenerate_at(k, p)
-            )
+            level = range(len(self.simplices(k)))
+            hit = set(chain.from_iterable(self._degeneracies[k - 1])) if k else set()
+            self._nondeg_cache[k] = tuple(p for p in level if p not in hit)
         return self._nondeg_cache[k]
 
     def counts(self) -> tuple[int, ...]:
@@ -197,20 +194,7 @@ def standard_simplex(n: int, dim_cap: int) -> SimplicialSet:
     """Delta^n truncated at dim_cap; k-simplices are weak monotone tuples."""
     if n < 0:
         raise InputError("standard_simplex needs n >= 0")
-    levels: list[list[tuple]] = []
-    for k in range(dim_cap + 1):
-        level: list[tuple] = []
-
-        def grow(prefix: tuple, remaining: int) -> None:
-            if remaining == 0:
-                level.append(prefix)
-                return
-            lo = prefix[-1] if prefix else 0
-            for v in range(lo, n + 1):
-                grow(prefix + (v,), remaining - 1)
-
-        grow((), k + 1)
-        levels.append(level)
+    levels = [combinations_with_replacement(range(n + 1), k + 1) for k in range(dim_cap + 1)]
 
     def face(k: int, z: tuple, i: int) -> tuple:
         return z[:i] + z[i + 1 :]
@@ -413,10 +397,10 @@ def validate_sset(s: SimplicialSet) -> Report:
     """Check every simplicial identity in range.
 
     Domains and codomains need no check here: tabulate, realize and chains
-    build total tables whose positions all lie in their levels.  Nor does the degeneracy
-    criterion: a simplex z with s_i(d_i z) == z is an s_i image by
-    definition, and once d_j s_j == id holds, every image z = s_j w has
-    s_j(d_j z) == z.
+    build total tables whose positions all lie in their levels.  Nor is there
+    a degeneracy rule to check: nondegenerate takes the s_i images to be the
+    degenerate simplices, whatever the tables, and once d_j s_j == id holds,
+    as checked here, every image z = s_j w also has s_j(d_j z) == z.
     """
     levels, faces, degs = s.levels, s._faces, s._degeneracies
     for k in range(2, s.dim_cap + 1):
@@ -610,23 +594,14 @@ def from_json(data: dict) -> SimplicialSet:
     return s
 
 
-# Compact form: nondegenerate simplices plus their faces.  Degenerate
-# simplices are generated freely and named by their normal form
-# s_{w0} s_{w1} ... base with w0 > w1 > ... (strictly decreasing), using the
-# rewrite s_i s_j = s_{j+1} s_i for i <= j.  A declared face may itself be
-# degenerate, written {"degeneracy": [indices], "of": base_id}.
-
-
-def _normalize_word(word: list[int]) -> tuple[int, ...]:
-    w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(w) - 1):
-            if w[t] <= w[t + 1]:
-                w[t], w[t + 1] = w[t + 1] + 1, w[t]
-                changed = True
-    return tuple(w)
+# Compact form: nondegenerate simplices plus their faces.  By the
+# Eilenberg-Zilber lemma a k-simplex is s_J(b) for exactly one declared b of
+# dimension n <= k and one nondecreasing J = (J(0), ..., J(k)) onto 0..n,
+# held as the pair (J, b).  s_i repeats entry i of J; d_i drops it, and pushes
+# b's declared face d_j along the rest when j = J(i) occurred only there.  b
+# keeps its name; s_J(b) is named "s", the positions i with J(i) == J(i+1),
+# largest first and joined by ".", then ":" and b.  A declared face may be
+# degenerate, {"degeneracy": [indices], "of": base_id}, indices right to left.
 
 
 def _expand_compact(data: dict) -> SimplicialSet:
@@ -648,65 +623,57 @@ def _expand_compact(data: dict) -> SimplicialSet:
                 raise InputError(f"duplicate nondegenerate id {z!r}")
             base_dim[z] = k
 
-    def parse_ref(ref) -> tuple[tuple[int, ...], str]:
-        # _check_shape let through only names and {"degeneracy": ints, "of": name}
-        if isinstance(ref, str):
-            word, base = (), ref
-        else:
-            word, base = _normalize_word(ref.get("degeneracy", [])), ref["of"]
+    def s_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
+        J, base = z
+        return (J[: i + 1] + J[i:], base)
+
+    def degenerate(word: Sequence[int], base: str) -> tuple[tuple[int, ...], str]:
+        """s_{w0} s_{w1} ... base, the indices acting right to left."""
         if base not in base_dim:
             raise InputError(f"reference to undeclared simplex {base!r}")
-        return word, base
-
-    # simplex = (word, base); dimension = len(word) + base dimension
-    def s_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
-        return (_normalize_word([i, *z[0]]), z[1])
+        z = (tuple(range(base_dim[base] + 1)), base)
+        for i in reversed(word):
+            if not 0 <= i < len(z[0]):
+                raise InputError(f"degeneracy index {i} outside 0..{len(z[0]) - 1} on {base!r}")
+            z = s_apply(i, z)
+        return z
 
     def d_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
-        word, base = z
-        if not word:
-            k = base_dim[base]
-            try:
-                ref = declared_faces[k][base][i]
-            except (KeyError, IndexError):
-                raise InputError(f"missing face d_{i} of {base!r}") from None
-            w, b = parse_ref(ref)
-            if len(w) + base_dim[b] != k - 1:
-                raise InputError(f"face d_{i} of {base!r} has wrong dimension")
-            return (w, b)
-        j, rest = word[0], (word[1:], base)
-        if i < j:
-            return s_apply(j - 1, d_apply(i, rest))
-        if i in (j, j + 1):
-            return rest
-        return s_apply(j, d_apply(i - 1, rest))
+        J, base = z
+        j, rest = J[i], J[:i] + J[i + 1 :]
+        if j in rest:
+            return (rest, base)
+        try:
+            ref = declared_faces[base_dim[base]][base][j]
+        except (KeyError, IndexError):
+            raise InputError(f"missing face d_{j} of {base!r}") from None
+        # _check_shape let through only names and {"degeneracy": ints, "of": name}
+        word, of = ([], ref) if isinstance(ref, str) else (ref.get("degeneracy", []), ref["of"])
+        rho, of = degenerate(word, of)
+        if len(rho) != base_dim[base]:
+            raise InputError(f"face d_{j} of {base!r} has wrong dimension")
+        return (tuple(rho[v - (v > j)] for v in rest), of)
 
-    levels: list[list] = [[] for _ in range(cap + 1)]
-    for k in range(cap + 1):
-        for z in nondeg.get(k, []):
-            levels[k].append(((), z))
-    for k in range(cap):
-        seen = set(levels[k + 1])
-        for z in levels[k]:
-            for i in range(k + 1):
-                w = s_apply(i, z)
-                if w not in seen:
-                    seen.add(w)
-                    levels[k + 1].append(w)
+    # level k holds s_w(b) for each strictly decreasing word w of length k - dim b
+    levels = [
+        [
+            degenerate(word, base)
+            for n in range(k + 1)
+            for base in nondeg.get(n, [])
+            for word in combinations(range(k - 1, -1, -1), k - n)
+        ]
+        for k in range(cap + 1)
+    ]
 
-    # friendlier ids: nondegenerate keep their names, degenerate get a tag
     def name(z) -> str:
-        word, base = z
-        if not word:
-            return base
-        return "s" + ".".join(str(i) for i in word) + ":" + base
+        J, base = z
+        repeats = [str(i) for i in reversed(range(len(J) - 1)) if J[i] == J[i + 1]]
+        return "s" + ".".join(repeats) + ":" + base if repeats else base
 
     named = {name(z): z for level in levels for z in level}
 
-    def face(k: int, z: str, i: int) -> str:
-        return name(d_apply(i, named[z]))
+    def by_name(op: Callable) -> Op:
+        return lambda k, z, i: name(op(i, named[z]))
 
-    def deg(k: int, z: str, i: int) -> str:
-        return name(s_apply(i, named[z]))
-
-    return tabulate(cap, [[name(z) for z in level] for level in levels], face, deg)
+    names = [[name(z) for z in level] for level in levels]
+    return tabulate(cap, names, by_name(d_apply), by_name(s_apply))

@@ -17,7 +17,7 @@ from finsite.canon import ckey, cstr
 from finsite.catsite import FiniteSpace, Site, open_id
 from finsite.homology import IntMatrix
 from finsite.presheaf import SetFunctor
-from finsite.reports import Report
+from finsite.reports import InputError, Report
 from finsite.sset import tabulate, to_json as sset_to_json
 
 # -- integer matrices ---------------------------------------------------------------
@@ -360,6 +360,109 @@ def table_mismatches(s, ref: DictSimplicialSet) -> list[str]:
     if sset_to_json(s) != ref.to_json():
         out.append("JSON tables")
     return out
+
+
+# -- compact documents by degeneracy words ------------------------------------------
+# Degenerate simplices are named by their normal form s_{w0} s_{w1} ... base
+# with w0 > w1 > ..., reached by the rewrite s_i s_j = s_{j+1} s_i for i <= j.
+
+
+def _normalize_word(word: list[int]) -> tuple[int, ...]:
+    w = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(w) - 1):
+            if w[t] <= w[t + 1]:
+                w[t], w[t + 1] = w[t + 1] + 1, w[t]
+                changed = True
+    return tuple(w)
+
+
+def expand_compact(data: dict):
+    """The compact loader that normal-forms degeneracy words by rewriting
+    and derives faces through the simplicial identities, kept as the
+    reference for sset.from_json on compact documents."""
+    try:
+        cap = int(data["dim_cap"])
+        nondeg = {
+            int(k): list(v) for k, v in data["nondegenerate"].items()
+        }
+        declared_faces = {
+            int(k): dict(v) for k, v in data.get("faces", {}).items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad compact simplicial set JSON: {exc}") from exc
+
+    base_dim: dict[str, int] = {}
+    for k, zs in nondeg.items():
+        for z in zs:
+            if z in base_dim:
+                raise InputError(f"duplicate nondegenerate id {z!r}")
+            base_dim[z] = k
+
+    def parse_ref(ref) -> tuple[tuple[int, ...], str]:
+        # a well-formed face is a name or {"degeneracy": ints, "of": name}
+        if isinstance(ref, str):
+            word, base = (), ref
+        else:
+            word, base = _normalize_word(ref.get("degeneracy", [])), ref["of"]
+        if base not in base_dim:
+            raise InputError(f"reference to undeclared simplex {base!r}")
+        return word, base
+
+    # simplex = (word, base); dimension = len(word) + base dimension
+    def s_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
+        return (_normalize_word([i, *z[0]]), z[1])
+
+    def d_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
+        word, base = z
+        if not word:
+            k = base_dim[base]
+            try:
+                ref = declared_faces[k][base][i]
+            except (KeyError, IndexError):
+                raise InputError(f"missing face d_{i} of {base!r}") from None
+            w, b = parse_ref(ref)
+            if len(w) + base_dim[b] != k - 1:
+                raise InputError(f"face d_{i} of {base!r} has wrong dimension")
+            return (w, b)
+        j, rest = word[0], (word[1:], base)
+        if i < j:
+            return s_apply(j - 1, d_apply(i, rest))
+        if i in (j, j + 1):
+            return rest
+        return s_apply(j, d_apply(i - 1, rest))
+
+    levels: list[list] = [[] for _ in range(cap + 1)]
+    for k in range(cap + 1):
+        for z in nondeg.get(k, []):
+            levels[k].append(((), z))
+    for k in range(cap):
+        seen = set(levels[k + 1])
+        for z in levels[k]:
+            for i in range(k + 1):
+                w = s_apply(i, z)
+                if w not in seen:
+                    seen.add(w)
+                    levels[k + 1].append(w)
+
+    # friendlier ids: nondegenerate keep their names, degenerate get a tag
+    def name(z) -> str:
+        word, base = z
+        if not word:
+            return base
+        return "s" + ".".join(str(i) for i in word) + ":" + base
+
+    named = {name(z): z for level in levels for z in level}
+
+    def face(k: int, z: str, i: int) -> str:
+        return name(d_apply(i, named[z]))
+
+    def deg(k: int, z: str, i: int) -> str:
+        return name(s_apply(i, named[z]))
+
+    return tabulate(cap, [[name(z) for z in level] for level in levels], face, deg)
 
 
 # -- simplicial maps keyed by identifier ---------------------------------------------

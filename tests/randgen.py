@@ -144,3 +144,38 @@ def random_matrix(rng, max_n: int = 8):
     rows = rng.randint(1, max_n)
     cols = rng.randint(1, max_n)
     return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def random_compact_document(rng) -> tuple[dict, list[str]]:
+    """A well-formed compact simplicial set document at a cap in 1..5.
+
+    Dimensions 0..3 hold up to three bases each, dimension 0 at least one.
+    Each face of a base of dimension k names a lower base under a degeneracy
+    word landing in dimension k - 1: a plain name, the word in normal form
+    (strictly decreasing), or a word drawn index by index in range, which is
+    often not normal.  Returns the document and the kinds of face it declares.
+    """
+    bases = {n: [f"b{n}{t}" for t in range(rng.randint(0 if n else 1, 3))] for n in range(4)}
+    faces: dict[str, dict] = {}
+    kinds = []
+    for k in range(1, 4):
+        for b in bases[k]:
+            row = []
+            for _ in range(k + 1):
+                n = rng.choice([m for m in range(k) if bases[m]])
+                of, length = rng.choice(bases[n]), k - 1 - n
+                kind = rng.choice(("normal", "drawn") if length else ("name", "normal"))
+                if kind == "name":
+                    row.append(of)
+                elif kind == "normal":
+                    word = sorted(rng.sample(range(k - 1), length), reverse=True)
+                    row.append({"degeneracy": word, "of": of})
+                else:
+                    word = []
+                    for m in range(n, k - 1):
+                        word.insert(0, rng.randint(0, m))
+                    row.append({"degeneracy": word, "of": of})
+                kinds.append(kind)
+            faces.setdefault(str(k), {})[b] = row
+    nondeg = {str(n): bs for n, bs in bases.items() if bs}
+    return {"dim_cap": rng.randint(1, 5), "nondegenerate": nondeg, "faces": faces}, kinds

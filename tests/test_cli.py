@@ -581,6 +581,8 @@ MALFORMED = {
             "faces": {"1": {"e": ["v", {"degeneracy": ["a"], "of": "v"}]}},
         }
     ),
+    "sset-degeneracy-index-too-large": lambda kit: _sset(_compact_with_face_word([5])),
+    "sset-degeneracy-index-negative": lambda kit: _sset(_compact_with_face_word([-1])),
     "simplicial-value-identifier-number": lambda kit: [
         "realize",
         "--cat",
@@ -593,6 +595,12 @@ MALFORMED = {
 
 def _sset(data: dict) -> list[str]:
     return ["validate", "--sset", json.dumps(data)]
+
+
+def _compact_with_face_word(word: list) -> dict:
+    """A compact 2-simplex whose d_0 is the word on its one vertex."""
+    faces = [{"degeneracy": word, "of": "v"}] + [{"degeneracy": [0], "of": "v"}] * 2
+    return {"dim_cap": 2, "nondegenerate": {"0": ["v"], "2": ["e"]}, "faces": {"2": {"e": faces}}}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -613,6 +621,50 @@ def _point_presheaf_action(kit, mid, table):
     data = json.loads(_point_presheaf_with(kit, []))
     data["actions"][mid] = table
     return json.dumps(data)
+
+
+def test_a_simplicial_presheaf_value_that_breaks_an_identity_is_refused(capsys):
+    # d_0 s_0 v is w, not v; the edge e was once counted nondegenerate here
+    value = {
+        "dim_cap": 1,
+        "simplices": {"0": ["v", "w"], "1": ["e", "sw"]},
+        "faces": {"1": {"e": ["w", "w"], "sw": ["w", "w"]}},
+        "degeneracies": {"0": {"v": ["e"], "w": ["sw"]}},
+    }
+    code, _, _ = run(capsys, "validate", "--sset", json.dumps(value))
+    assert code == 3
+    code, out, err = run(
+        capsys,
+        "realize",
+        "--cat",
+        json.dumps({"objects": ["x"], "morphisms": []}),
+        "--functor",
+        "point",
+        "--dim-cap",
+        "1",
+        "--presheaf",
+        json.dumps({"values": {"x": value}}),
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["detail"] == (
+        "value-sset: value not a simplicial set: d_0 s_0 mismatch"
+    )
+
+
+def test_a_set_presheaf_value_that_repeats_an_element_is_an_input_error(capsys):
+    space = json.dumps({"points": ["p"], "opens": [["p"]]})
+    for argv in (
+        ["sheafify", "--presheaf", "constant:a,a"],
+        ["sheafify", "--presheaf", json.dumps({"values": {"{p}": ["a", "a"]}})],
+        ["realize", "--presheaf", "constant:a,a", "--dim-cap", "1"],
+    ):
+        code, out, err = run(capsys, argv[0], "--space", space, *argv[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "detail": "the value at {p} lists a twice",
+            "exit": 2,
+            "type": "InputError",
+        }
 
 
 def test_presheaf_files_of_both_kinds_refuse_an_unknown_object(tmp_path, capsys):

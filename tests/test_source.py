@@ -131,3 +131,32 @@ def test_no_package_line_is_longer_than_110_characters():
         if len(line) > 110
     ]
     assert found == []
+
+
+def test_degeneracy_is_read_off_the_degeneracy_table():
+    """A simplex is degenerate exactly when it is an s_i image: nondegenerate
+    reads the s_i table and not the d_i table, no second degeneracy rule or
+    word rewriting is left in sset.py, and the compact loader computes each
+    face without recursion."""
+    tree = ast.parse((PACKAGE / "sset.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    methods = {
+        n.name: n
+        for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "SimplicialSet"
+        for n in c.body
+        if isinstance(n, ast.FunctionDef)
+    }
+    read = {n.attr for n in ast.walk(methods["nondegenerate"]) if isinstance(n, ast.Attribute)}
+    assert "_degeneracies" in read and "_faces" not in read
+    named = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not {"_degenerate_at", "_normalize_word"} & named
+    nested = [n for n in ast.walk(defs["_expand_compact"]) if isinstance(n, ast.FunctionDef)][1:]
+    assert nested
+    recursive = [
+        f.name
+        for f in nested
+        for n in ast.walk(f)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == f.name
+    ]
+    assert recursive == []

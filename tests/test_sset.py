@@ -28,7 +28,12 @@ import pytest
 
 import oracles
 from oracles import DictSimplicialSet, formula_realize, pi0_components, table_mismatches
-from randgen import random_nested_diagram, random_poset_with_max, random_set_presheaf
+from randgen import (
+    random_compact_document,
+    random_nested_diagram,
+    random_poset_with_max,
+    random_set_presheaf,
+)
 
 
 def test_standard_simplex_counts():
@@ -215,6 +220,58 @@ def test_json_compact_sphere_via_degenerate_faces():
     s = from_json(data)
     assert validate_sset(s).ok
     assert s.nondegenerate_counts() == (1, 0, 2, 0)
+
+
+# The circle, the 2-sphere and the real projective plane, in compact form.
+COMPACT = {
+    "circle": {"nondegenerate": {"0": ["v"], "1": ["e"]}, "faces": {"1": {"e": ["v", "v"]}}},
+    "sphere": {
+        "nondegenerate": {"0": ["v"], "2": ["n", "s"]},
+        "faces": {"2": {z: [{"degeneracy": [0], "of": "v"}] * 3 for z in "ns"}},
+    },
+    "rp2": {
+        "nondegenerate": {"0": ["v"], "1": ["a"], "2": ["f"]},
+        "faces": {"1": {"a": ["v", "v"]}, "2": {"f": ["a", {"degeneracy": [0], "of": "v"}, "a"]}},
+    },
+}
+
+
+def test_compact_documents_match_the_word_rewriting_loader():
+    # The Eilenberg-Zilber pairs and the normal-form words give equal levels,
+    # faces and degeneracies, on seeded random documents and the named ones.
+    rng = random.Random(19)
+    docs, kinds = [], []
+    for _ in range(1000):
+        doc, declared = random_compact_document(rng)
+        docs.append(doc)
+        kinds += declared
+    docs += [{"dim_cap": cap, **doc} for doc in COMPACT.values() for cap in range(1, 7)]
+    for doc in docs:
+        assert from_json(doc) == oracles.expand_compact(doc)
+    assert min(kinds.count(kind) for kind in ("name", "normal", "drawn")) > 1000
+    words = [
+        ref["degeneracy"]
+        for doc in docs
+        for rows in doc["faces"].values()
+        for row in rows.values()
+        for ref in row
+        if isinstance(ref, dict)
+    ]
+    assert sum(any(a <= b for a, b in zip(w, w[1:])) for w in words) > 500
+
+
+@pytest.mark.parametrize("word, top", [([5], 2), ([-1], 2), ([0, 1], 3)])
+def test_compact_degeneracy_index_out_of_range_is_an_input_error(word, top):
+    # the word acts right to left, so in [0, 1] s_1 meets the vertex first
+    index = word[-1]
+    normal = {"degeneracy": list(range(top - 2, -1, -1)), "of": "v"}
+    doc = {
+        "dim_cap": top,
+        "nondegenerate": {"0": ["v"], str(top): ["t"]},
+        "faces": {str(top): {"t": [{"degeneracy": word, "of": "v"}] + [normal] * top}},
+    }
+    with pytest.raises(InputError, match=rf"degeneracy index {index} outside 0\.\.0 on 'v'"):
+        from_json(doc)
 
 
 def test_from_json_rejects_garbage():

@@ -3,7 +3,10 @@
 Chains live on nondegenerate simplices with faces pushed to zero when they
 degenerate.  All arithmetic is exact over Python ints.  A dimension cap of D
 supports trusted homology in degrees up to D - 1 only, because H_k needs the
-boundary out of level k + 1.
+boundary out of level k + 1.  sset_homology walks up the degrees once:
+degree k takes the normal form of the boundary out of level k + 1 written in
+its cycle coordinates.  Where the boundary out of level k is zero, that is the
+boundary itself, and degree k + 1 reuses its normal form for its cycles.
 """
 
 from __future__ import annotations
@@ -300,12 +303,7 @@ def normalized_chain_complex(s: SimplicialSet, top: int) -> ChainComplex:
             for q in faces[p]:
                 pos = row_of.get(q)
                 if pos is not None:
-                    line = lines[pos]
-                    v = line.get(j, 0) + sign
-                    if v:
-                        line[j] = v
-                    else:
-                        del line[j]
+                    _axpy(lines[pos], {j: sign}, 1)
                 sign = -sign
         boundary.append(IntMatrix(len(basis[k - 1]), len(basis[k]), sparse=lines))
     for k in range(1, top):
@@ -351,10 +349,6 @@ class HomologyGroup:
     _um: Sparse  # rows
     _dfull: tuple[int, ...]
 
-    @property
-    def betti(self) -> int:
-        return summands_json(self.summands)["betti"]
-
     def reduce(self, chain) -> tuple[int, ...]:
         """Canonical coordinates of a cycle's class, one per summand."""
         if len(chain) != len(self._vinv):
@@ -379,44 +373,47 @@ class HomologyGroup:
         return {"degree": self.degree, **summands_json(self.summands)}
 
 
-def _group_at(cx: ChainComplex, k: int) -> HomologyGroup:
+def _group_at(cx: ChainComplex, k: int, cycles: SNFResult) -> tuple[HomologyGroup, SNFResult]:
+    """H_k from cycles, the normal form of boundary[k], and the normal form of
+    M_k, rows r.. of Vinv*boundary[k + 1] for r the rank of cycles.  At r == 0,
+    Vinv is the identity and M_k is boundary[k + 1] itself."""
     n_k = len(cx.basis[k])
-    snf_a = smith_normal_form(cx.boundary[k])
-    r = snf_a.rank
+    r = cycles.rank
     kappa = n_k - r
     b = cx.boundary[k + 1]
-    w = _mul(snf_a.Vinv, b.sparse)
-    if any(w[:r]):
-        raise InternalCheckError("boundary chain has nonzero differential")
-    snf_m = smith_normal_form(IntMatrix(kappa, b.cols, sparse=w[r:]))
+    if r:
+        w = _mul(cycles.Vinv, b.sparse)
+        if any(w[:r]):
+            raise InternalCheckError("boundary chain has nonzero differential")
+        b = IntMatrix(kappa, b.cols, sparse=w[r:])
+    snf_m = smith_normal_form(b)
     dfull = list(snf_m.diag) + [0] * (kappa - len(snf_m.diag))
     um = list(snf_m.U)
     # kernel basis in chain coordinates: trailing columns of V for the k-boundary
-    summands = []
+    kept = [i for i in range(kappa) if dfull[i] != 1]
     gens = []
-    for i in range(kappa):
-        if dfull[i] == 1:
-            continue
+    for i in kept:
         col: dict[int, int] = {}
         for bidx, u in snf_m.Uinv[i].items():
-            _axpy(col, snf_a.V[r + bidx], u)
+            _axpy(col, cycles.V[r + bidx], u)
         if col and col[min(col)] < 0:
             col = {a_: -v for a_, v in col.items()}
             um[i] = {j: -v for j, v in um[i].items()}
-        gen = [0] * n_k
-        for a_, v in col.items():
-            gen[a_] = v
-        summands.append(dfull[i])
-        gens.append(tuple(gen))
-    return HomologyGroup(
+        gens.append(tuple(col.get(a_, 0) for a_ in range(n_k)))
+    g = HomologyGroup(
         degree=k,
-        summands=tuple(summands),
+        summands=tuple(dfull[i] for i in kept),
         generators=tuple(gens),
-        _vinv=snf_a.Vinv,
+        _vinv=cycles.Vinv,
         _cycle_rank=r,
         _um=um,
         _dfull=tuple(dfull),
     )
+    for j, gen in enumerate(g.generators):
+        want = tuple(1 if i == j else 0 for i in range(len(g.summands)))
+        if g.reduce(gen) != want:
+            raise InternalCheckError("generator does not reduce to a unit vector")
+    return g, snf_m
 
 
 def homology(cx: ChainComplex, k: int) -> HomologyGroup:
@@ -429,12 +426,7 @@ def homology(cx: ChainComplex, k: int) -> HomologyGroup:
         raise InputError("degree must be nonnegative")
     if k + 1 >= len(cx.basis):
         raise InputError(f"degree {k} needs level {k + 1}, past the complex top")
-    g = _group_at(cx, k)
-    for j, gen in enumerate(g.generators):
-        want = tuple(1 if i == j else 0 for i in range(len(g.summands)))
-        if g.reduce(gen) != want:
-            raise InternalCheckError("generator does not reduce to a unit vector")
-    return g
+    return _group_at(cx, k, smith_normal_form(cx.boundary[k]))[0]
 
 
 @dataclass(frozen=True)
@@ -449,8 +441,8 @@ class Homology:
 
 
 def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
-    """Homology in degrees 0..max_deg, computed one degree after another;
-    requires max_deg < dim cap."""
+    """Homology in degrees 0..max_deg, in one walk up the complex that takes
+    no normal form past max_deg; requires max_deg < dim cap."""
     if max_deg < 0:
         raise InputError("max_deg must be nonnegative")
     if max_deg + 1 > s.dim_cap:
@@ -458,8 +450,14 @@ def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
             f"degree {max_deg} needs level {max_deg + 1}, past cap {s.dim_cap}"
         )
     cx = normalized_chain_complex(s, max_deg + 1)
-    groups = tuple(homology(cx, k) for k in range(max_deg + 1))
-    return Homology(s, max_deg, cx, groups)
+    groups = []
+    cycles = smith_normal_form(cx.boundary[0])
+    for k in range(max_deg + 1):
+        g, m = _group_at(cx, k, cycles)
+        groups.append(g)
+        if k < max_deg:
+            cycles = m if cycles.rank == 0 else smith_normal_form(cx.boundary[k + 1])
+    return Homology(s, max_deg, cx, tuple(groups))
 
 
 # -- induced maps --------------------------------------------------------------

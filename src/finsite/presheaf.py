@@ -290,7 +290,9 @@ def restrict(fun: Functor | SetFunctor, s: Sieve) -> Functor | SetFunctor:
 def _solutions(keys: list, values: list, arrows: Iterable) -> tuple[tuple, ...]:
     """Every choice of one element of values[i] for each keys[i] such that
     each arrow (i, act, j) has act[s_j] == s_i, as (key, value) pairs in key
-    order, canonically sorted.  An arrow is checked once both ends are chosen."""
+    order.  An arrow is checked once both ends are chosen.  The keys are fixed
+    and each values[i] is canonically sorted, so the depth-first search yields
+    the choices canonically sorted."""
     checks: list[list[tuple[int, dict, int]]] = [[] for _ in keys]
     for i, act, j in arrows:
         checks[max(i, j)].append((i, act, j))
@@ -307,7 +309,7 @@ def _solutions(keys: list, values: list, arrows: Iterable) -> tuple[tuple, ...]:
                 fill(idx + 1)
 
     fill(0)
-    return tuple(csorted(out))
+    return tuple(out)
 
 
 def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:

@@ -622,6 +622,18 @@ def _expand_compact(data: dict) -> SimplicialSet:
             if z in base_dim:
                 raise InputError(f"duplicate nondegenerate id {z!r}")
             base_dim[z] = k
+    # every declared entry must be read: faces of declared simplices only, k + 1
+    # of them for a k-simplex with k >= 1, and no table of the full form
+    for key in ("degeneracies", "simplices"):
+        if key in data:
+            raise InputError(f"compact simplicial set JSON has a {key!r} table it never reads")
+    for k, rows in declared_faces.items():
+        for z, refs in rows.items():
+            if base_dim.get(z) != k:
+                raise InputError(f"faces given for {z!r}, which is not a declared {k}-simplex")
+            want = k + 1 if k else 0
+            if len(refs) != want:
+                raise InputError(f"{k}-simplex {z!r} has {len(refs)} faces, not {want}")
 
     def s_apply(i: int, z: tuple[tuple[int, ...], str]) -> tuple[tuple[int, ...], str]:
         J, base = z

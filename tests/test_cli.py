@@ -7,6 +7,7 @@ import pytest
 
 from finsite import gallery
 from finsite.canon import cjson
+from finsite.catsite import space_to_json
 from finsite.cli import DOCUMENTS, EXAMPLES, main
 
 
@@ -204,6 +205,23 @@ def test_compare_collapse_verdict(capsys):
     assert data["pi0_certificate"]["ok"] is True
     for row in data["degrees"]:
         assert row["identity"] is True
+
+
+@pytest.mark.parametrize("presheaf, perm", [("collapse", [0]), ("constant:a,b,c", [0, 1, 2])])
+def test_compare_on_the_two_sphere_matches_the_h2_generators(capsys, presheaf, perm):
+    # McCord's six-point S^2: H2 is nonzero, so the verdict rests on the
+    # generator bases of degree 2 agreeing at both ends of the map
+    from test_homology import mccord_sphere
+
+    space = json.dumps(space_to_json(mccord_sphere(2)))
+    argv = ["compare", "--space", space, "--presheaf", presheaf, "--dim-cap", "3"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["verdict"]["ok"] is True
+    h2 = data["degrees"][2]
+    assert h2["source"]["betti"] == len(perm)
+    assert (h2["identity"], h2["permutation"]) == (True, perm)
 
 
 def test_validate_good_and_bad_space(tmp_path, capsys):
@@ -581,6 +599,11 @@ MALFORMED = {
             "faces": {"1": {"e": ["v", {"degeneracy": ["a"], "of": "v"}]}},
         }
     ),
+    "sset-compact-extra-face": lambda kit: _sset(_compact_edge(e=["v", "v", "v"])),
+    "sset-compact-undeclared-faces": lambda kit: _sset(_compact_edge(zz=["v", "v"])),
+    "sset-compact-degeneracy-table": lambda kit: _sset(
+        {**_compact_edge(), "degeneracies": {"0": {"v": ["zz"]}}}
+    ),
     "sset-degeneracy-index-too-large": lambda kit: _sset(_compact_with_face_word([5])),
     "sset-degeneracy-index-negative": lambda kit: _sset(_compact_with_face_word([-1])),
     "simplicial-value-identifier-number": lambda kit: [
@@ -595,6 +618,12 @@ MALFORMED = {
 
 def _sset(data: dict) -> list[str]:
     return ["validate", "--sset", json.dumps(data)]
+
+
+def _compact_edge(**faces) -> dict:
+    """A compact edge e on the vertex v, its face rows updated by faces."""
+    rows = {"e": ["v", "v"], **faces}
+    return {"dim_cap": 1, "nondegenerate": {"0": ["v"], "1": ["e"]}, "faces": {"1": rows}}
 
 
 def _compact_with_face_word(word: list) -> dict:

@@ -7,8 +7,9 @@ import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from finsite import homology as homology_module
 from finsite.catsite import FiniteSpace, site_from_finite_space
-from finsite.gallery import bz2_category, circle_sset, interval_cover_space
+from finsite.gallery import bz2_category, circle_sset, interval_cover_space, pseudo_circle_space
 from finsite.homology import (
     IntMatrix,
     _verify_transforms,
@@ -20,7 +21,7 @@ from finsite.homology import (
     sset_homology,
 )
 from finsite.catsite import nerve
-from finsite.presheaf import point_functor
+from finsite.presheaf import discretize, point_functor
 from finsite.realization import order_complex_functor, realize
 from finsite.reports import InputError, InternalCheckError
 from finsite.sset import (
@@ -40,7 +41,7 @@ from oracles import (
     from_dense,
     snf_violations,
 )
-from randgen import random_matrix
+from randgen import random_matrix, random_set_presheaf, random_space
 
 
 def test_snf_known_diagonal():
@@ -263,11 +264,84 @@ def test_homology_of_mccord_spheres(n):
     assert [grp.label() for grp in h.groups] == ["Z"] + ["0"] * (n - 1) + ["Z"]
 
 
+def _terminal_realization(space: FiniteSpace, cap: int):
+    """The order complex of the space realized against the terminal presheaf."""
+    site = site_from_finite_space(space)
+    f = order_complex_functor(space, cap, site)
+    return realize(site.category, f, point_functor(site.category, cap, covariant=False), cap)
+
+
+def test_homology_walk_takes_each_normal_form_once(monkeypatch):
+    # 2d + 1 normal forms through degree d >= 1 where no boundary past the
+    # first is zero: the one of the zero boundary out of level 0 is that of
+    # the boundary out of level 1, taken once; none is taken past degree d
+    s = _terminal_realization(pseudo_circle_space(), 3)
+    cx = normalized_chain_complex(s, 3)
+    assert all(any(b.sparse) for b in cx.boundary[1:])
+    n = [len(level) for level in cx.basis]
+    calls = []
+    real = homology_module.smith_normal_form
+    monkeypatch.setattr(homology_module, "smith_normal_form", lambda a: calls.append(a) or real(a))
+    # columns of each input: boundary 0, boundary 1 (= M_0), then M_k and the
+    # boundary out of level k + 1 in turn, and M_d last
+    for d, levels in ((0, [0, 1]), (1, [0, 1, 2]), (2, [0, 1, 2, 2, 3])):
+        calls.clear()
+        h = sset_homology(s, d)
+        assert [a.cols for a in calls] == [n[j] for j in levels]
+    assert len(calls) == 5 and calls[-1].rows < cx.boundary[3].rows
+    assert [g.label() for g in h.groups] == ["Z", "Z", "0"]
+
+
+def _assert_walk_matches_each_degree(s, d):
+    """sset_homology(s, d) against homology() run alone in each degree."""
+    walked = sset_homology(s, d).groups
+    cx = normalized_chain_complex(s, d + 1)
+    for k in range(d + 1):
+        g, alone = walked[k], homology(cx, k)
+        assert (g.summands, g.generators) == (alone.summands, alone.generators)
+        assert [g.reduce(z) for z in g.generators] == [alone.reduce(z) for z in g.generators]
+
+
+def test_homology_walk_matches_each_degree_on_the_realize_gallery(monkeypatch, capsys):
+    from finsite import cli
+
+    seen = []
+
+    def recorded(s, max_deg):
+        seen.append((s, max_deg))
+        return sset_homology(s, max_deg)
+
+    monkeypatch.setattr(cli, "sset_homology", recorded)
+    for name in cli.EXAMPLES["realize"]:
+        assert cli.main(["realize", "--example", name]) == 0
+    capsys.readouterr()
+    assert len(seen) == len(cli.EXAMPLES["realize"])
+    for s, max_deg in seen:
+        _assert_walk_matches_each_degree(s, max_deg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_homology_walk_matches_each_degree_on_mccord_spheres(n):
+    _assert_walk_matches_each_degree(_terminal_realization(mccord_sphere(n), n + 1), n)
+
+
+def test_homology_walk_matches_each_degree_on_random_spaces():
+    # mostly contractible, with several components and zero boundaries
+    rng = random.Random(20)
+    cap = 3
+    for _ in range(12):
+        space = random_space(rng)
+        site = site_from_finite_space(space)
+        f = order_complex_functor(space, cap, site)
+        g = discretize(random_set_presheaf(rng, site.category), cap)
+        _assert_walk_matches_each_degree(realize(site.category, f, g, cap), cap - 1)
+
+
 def test_homology_disjoint_union_adds_betti():
     u = disjoint_union([circle_sset(3), circle_sset(3)])
     h = sset_homology(u, 2)
-    assert h.group(0).betti == 2
-    assert h.group(1).betti == 2
+    assert h.group(0).to_json()["betti"] == 2
+    assert h.group(1).to_json()["betti"] == 2
 
 
 def test_homology_degree_guards():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from finsite import presheaf
+from finsite.canon import csorted
 from finsite.catsite import (
     FiniteSpace,
     Sieve,
@@ -50,7 +51,7 @@ from finsite.reports import InputError
 from finsite.sset import SimplicialMap
 
 from oracles import germs, pi0_components, stalk_family_sheaf, stalk_family_unit
-from randgen import disjoint_union_sp, product_sp, random_set_presheaf
+from randgen import disjoint_union_sp, product_sp, random_set_presheaf, random_space
 
 
 def _pc():
@@ -178,6 +179,23 @@ def test_collapse_sheafifies_to_singletons():
     sh = sheafify_set(site, col)
     assert all(len(v) == 1 for v in sh.sheaf.values.values())
     assert is_sheaf_set(site, sh.sheaf).ok
+
+
+def test_sections_and_matching_families_come_out_canonically_sorted():
+    # the search returns what it finds unsorted: fixed keys and sorted values
+    # make its depth-first order the canonical one; the sheafified presheaf
+    # has nested family tuples as values
+    rng = random.Random(43)
+    found = []
+    for _ in range(40):
+        site = site_from_finite_space(random_space(rng, 8))
+        sp = random_set_presheaf(rng, site.category)
+        for q in (sp, sheafify_set(site, sp).sheaf):
+            found.append(sections_set(site.category, q))
+            for x in site.category.objects:
+                found += [matching_sections(site, q, s) for s in site.coverings[x]]
+    assert all(list(out) == csorted(out) for out in found)
+    assert sum(len(out) > 1 for out in found) > 100
 
 
 def test_sheafify_agrees_with_stalk_family_oracle():

@@ -571,7 +571,7 @@ def test_realize_disjoint_union_presheaf_splits():
     h1 = sset_homology(re1, cap - 1)
     h2 = sset_homology(re2, cap - 1)
     for k in range(cap):
-        assert h2.group(k).betti == 2 * h1.group(k).betti
+        assert h2.group(k).to_json()["betti"] == 2 * h1.group(k).to_json()["betti"]
 
 
 @pytest.fixture

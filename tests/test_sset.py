@@ -1,6 +1,7 @@
 """Simplicial set layer: identities, constructors, serialization."""
 
 import random
+import re
 
 from finsite import catsite, sset
 from finsite.catsite import nerve, poset_category
@@ -272,6 +273,28 @@ def test_compact_degeneracy_index_out_of_range_is_an_input_error(word, top):
     }
     with pytest.raises(InputError, match=rf"degeneracy index {index} outside 0\.\.0 on 'v'"):
         from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "faces, extra, named",
+    [
+        ({"e": ["v", "v", "v"]}, {}, "1-simplex 'e' has 3 faces, not 2"),
+        ({"e": ["v", "v"], "zz": ["v", "v"]}, {}, "'zz', which is not a declared 1-simplex"),
+        ({"e": ["v", "v"]}, {"degeneracies": {"0": {"v": ["zz"]}}}, "'degeneracies' table"),
+        ({"e": ["v", "v"]}, {"simplices": {"0": ["v"]}}, "'simplices' table"),
+    ],
+    ids=["extra-face", "undeclared-faces", "degeneracy-table", "simplices-table"],
+)
+def test_compact_entries_that_are_never_read_are_input_errors(faces, extra, named):
+    doc = {"dim_cap": 1, "nondegenerate": {"0": ["v"], "1": ["e"]}, "faces": {"1": faces}}
+    with pytest.raises(InputError, match=re.escape(named)):
+        from_json({**doc, **extra})
+
+
+def test_compact_simplices_above_the_cap_keep_their_faces():
+    # truncation: a declared 2-simplex at cap 1 is legal, with its faces
+    doc = {**COMPACT["rp2"], "dim_cap": 1}
+    assert from_json(doc).nondegenerate_counts() == (1, 1)
 
 
 def test_from_json_rejects_garbage():

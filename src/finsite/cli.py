@@ -3,7 +3,9 @@
 Every run with the same inputs produces byte-identical output: JSON is
 rendered canonically (sorted keys, tight separators) and text output is built
 from the same already-sorted data.  JSON is written piece by piece
-(canon.write_cjson), and realize streams its realization tables into it.
+(canon.write_cjson), and realize streams its realization tables into it in
+bounded pieces of simplices, never a whole level's text.  Input files are
+read and --out files written as UTF-8, whatever the locale.
 --threads is accepted and has no effect.
 
 Every JSON input flag (--space, --cat, --presheaf, --sieve, --map and
@@ -79,7 +81,7 @@ EXIT_CODES = {InputError: 2, ValidationError: 3, InternalCheckError: 4}
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
     try:
@@ -328,7 +330,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     to --out or stdout.  Commands compute and check everything first, so a
     refusal never leaves a partial file."""
     try:
-        with Path(args.out).open("w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        stdout = contextlib.nullcontext(sys.stdout)
+        with Path(args.out).open("w", encoding="utf-8") if args.out else stdout as out:
             if args.format == "json":
                 write_cjson(out.write, payload)
             else:
@@ -649,7 +652,7 @@ def cmd_examples(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for fname in KITS[name]:
             path = outdir / fname
-            path.write_text(cjson(DOCUMENTS[fname](None)))
+            path.write_text(cjson(DOCUMENTS[fname](None)), encoding="utf-8")
             written.append(str(path))
     except OSError as e:
         raise InputError(f"cannot write to {args.dir}: {e}") from e

@@ -12,8 +12,9 @@ confirms it on any concrete instance.
 Simplex identifiers are structured: (start object, morphism chain, F simplex,
 G simplex).  write_realization streams a realization's canonical JSON, these
 parts as per-simplex annotations beside the simplicial-set tables, level by
-level in sorted-key order, each identifier rendered once, without building
-the payload dict or the whole text in memory.
+level in sorted-key order, each identifier rendered once.  Each level goes out
+in bounded pieces of simplices, so neither the payload dict nor a level's
+text is ever built; the memory the writer adds is the table of names.
 
 Levels are laid out by chain position, from catsite.chains.  ckey orders a
 bar simplex by its parts in turn, so canonical level k is the concatenation,
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from finsite.canon import csorted, cstr
 from finsite.catsite import (
@@ -63,7 +64,7 @@ from finsite.presheaf import (
     reindex,
 )
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import SimplicialMap, SimplicialSet, json_layout, pi0, write_tables
+from finsite.sset import SimplicialMap, SimplicialSet, _write_pieces, json_layout, pi0, write_tables
 
 ObjId = Any
 MorId = Any
@@ -176,23 +177,27 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
     "annotations", the start object, chain, F part and G part of each
     simplex by name.
 
-    The object and chain are rendered once per block; each level is written
-    as one piece per table, in sorted-key order.
+    The object and chain are rendered once per block.  Each level goes out in
+    sorted-key order, in pieces of sset._PIECE simplices, so the text held at
+    once is one piece; the memory the writer adds is json_layout's names.
     """
     names, orders = json_layout(s)
     leaf = _Leaves()
+
+    def entries() -> Iterator[str]:
+        # "10_0" sorts before "1_0": levels go in the order of their name prefix
+        for k in sorted(range(len(s.levels)), key=lambda k: f"{k}_"):
+            level, here, blocks = s.levels[k], names[k], {}
+            for p in orders[k]:
+                x0, ms, fs, gs = level[p]
+                if (x0, ms) not in blocks:
+                    chain = ",".join(map(leaf.__getitem__, ms))
+                    blocks[x0, ms] = f':{{"chain":[{chain}],"f":', f',"object":{leaf[x0]}}}'
+                head, tail = blocks[x0, ms]
+                yield f'{here[p]}{head}{leaf[fs]},"g":{leaf[gs]}{tail}'
+
     write('{"annotations":{')
-    # "10_0" sorts before "1_0": levels go in the order of their name prefix
-    for n, k in enumerate(sorted(range(len(s.levels)), key=lambda k: f"{k}_")):
-        level, here, entries = s.levels[k], names[k], []
-        start = ms = None
-        for name, (x0, chain, fs, gs) in zip(here, level):
-            if chain is not ms or x0 is not start:
-                start, ms = x0, chain
-                head = ':{"chain":[' + ",".join(map(leaf.__getitem__, ms)) + '],"f":'
-                tail = ',"object":' + leaf[x0] + "}"
-            entries.append(f'{name}{head}{leaf[fs]},"g":{leaf[gs]}{tail}')
-        write(("," if n else "") + ",".join(map(entries.__getitem__, orders[k])))
+    _write_pieces(write, entries())
     write("},")
     write_tables(s, names, orders, write)
     write("}")

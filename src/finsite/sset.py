@@ -28,13 +28,16 @@ simplices (products, disjoint unions, bar simplices).  Serialization names
 the simplex at position p of level k "k_p", so internal tuple ids never leak
 into output.  to_json builds the tables as a dict, the form from_json reads
 back; write_tables writes the same tables as canonical JSON text straight
-from the position tables, keys in sorted order, without building the dict.
+from the position tables, keys in sorted order, each level in bounded pieces
+of simplices, so neither the dict nor a level's text is built: the memory it
+adds is json_layout's table of names.  from_json accepts one spelling of a
+level key, the one str(k) gives.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, islice
 from typing import Any, Callable, Iterable, Sequence
 
 from finsite.canon import ckey, csorted, cstr
@@ -474,9 +477,21 @@ def to_json(s: SimplicialSet) -> dict:
 def json_layout(s: SimplicialSet) -> tuple[list[list[str]], list[list[int]]]:
     """Per level, the quoted JSON name '"k_p"' of each position, and the
     positions in the order sorted keys take: names sort as strings, so
-    "k_10" comes before "k_2"."""
+    "k_10" comes before "k_2", and the closing quote before every digit."""
     names = [[f'"{k}_{p}"' for p in range(len(level))] for k, level in enumerate(s.levels)]
-    return names, [sorted(range(len(level)), key=str) for level in s.levels]
+    return names, [sorted(range(len(here)), key=here.__getitem__) for here in names]
+
+
+_PIECE = 1024
+
+
+def _write_pieces(write: Callable, entries: Iterable[str]) -> None:
+    """Writes the entries, none of them empty, comma-separated and _PIECE at
+    a time, so a writer holds one piece of a level's text, never the level."""
+    entries, seam = iter(entries), ""
+    while piece := ",".join(islice(entries, _PIECE)):
+        write(seam + piece)
+        seam = ","
 
 
 def write_tables(
@@ -484,24 +499,30 @@ def write_tables(
 ) -> None:
     """Writes the members of cjson(to_json(s)) from "degeneracies" to
     "simplices", without the braces around them, straight from the position
-    tables; names and orders come from json_layout."""
+    tables; names and orders come from json_layout.  Each level's rows and
+    names go out in pieces of _PIECE simplices, so beside names and orders
+    the text held at once is one piece."""
     # the level keys sort as strings too: "10" comes before "2"
     by_str = sorted(range(s.dim_cap + 1), key=str)
 
     def table(key: str, ops: tuple[Table, ...], step: int, ks: list[int]) -> None:
         write(f'"{key}":{{')
         for n, k in enumerate(ks):
-            near, here, rows = names[k + step], names[k], ops[k]
-            body = ",".join(
-                [here[p] + ":[" + ",".join(map(near.__getitem__, rows[p])) + "]" for p in orders[k]]
-            )
-            write(("," if n else "") + f'"{k}":{{{body}}}')
+            near, here, rows = names[k + step].__getitem__, names[k], ops[k]
+            write(("," if n else "") + f'"{k}":{{')
+            _write_pieces(write, (f"{here[p]}:[{','.join(map(near, rows[p]))}]" for p in orders[k]))
+            write("}")
         write("}")
 
     table("degeneracies", s._degeneracies, 1, [k for k in by_str if k < s.dim_cap])
     write(f',"dim_cap":{s.dim_cap},')
     table("faces", s._faces, -1, [k for k in by_str if k > 0])
-    write(',"simplices":{' + ",".join(f'"{k}":[' + ",".join(names[k]) + "]" for k in by_str) + "}")
+    write(',"simplices":{')
+    for n, k in enumerate(by_str):
+        write(("," if n else "") + f'"{k}":[')
+        _write_pieces(write, names[k])
+        write("]")
+    write("}")
 
 
 def _named_table(raw: dict) -> dict[tuple[int, SimplexId, int], SimplexId]:
@@ -516,8 +537,8 @@ def _named_table(raw: dict) -> dict[tuple[int, SimplexId, int], SimplexId]:
 
 def _check_shape(data: dict) -> None:
     """from_json's one check of shape: simplex identifiers are strings, levels
-    and operator tables are objects of lists, and the compact form's
-    degeneracy words are lists of ints."""
+    and operator tables are objects of lists keyed by level, and the compact
+    form's degeneracy words are lists of ints."""
     compact = "nondegenerate" in data
 
     def lists(table, ok) -> bool:
@@ -543,6 +564,10 @@ def _check_shape(data: dict) -> None:
             "bad simplicial set JSON: identifiers must be strings, tables objects of lists"
             " and degeneracy words lists of ints"
         )
+    # one spelling per level, the one str(k) gives, so no two keys name one level
+    for key in chain(levels, *tables):
+        if not (isinstance(key, str) and key.isdecimal() and key == str(int(key))):
+            raise InputError(f"bad simplicial set JSON: level key {key!r} is not 0, 1, 2, ...")
 
 
 def from_json(data: dict) -> SimplicialSet:

@@ -2,9 +2,14 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finsite
 from finsite import gallery
 from finsite.canon import cjson
 from finsite.catsite import space_to_json
@@ -606,6 +611,25 @@ MALFORMED = {
     ),
     "sset-degeneracy-index-too-large": lambda kit: _sset(_compact_with_face_word([5])),
     "sset-degeneracy-index-negative": lambda kit: _sset(_compact_with_face_word([-1])),
+    # a level has one spelling, str(k): each of these was once read as some
+    # level, silently dropping or misplacing data
+    "sset-compact-level-key-padded": lambda kit: _sset(
+        {**_compact_edge(e=["w", "w"]), "nondegenerate": {"0": ["v"], "00": ["w"], "1": ["e"]}}
+    ),
+    "sset-compact-face-level-key-padded": lambda kit: _sset(
+        {**_compact_edge(), "faces": {"01": {"e": ["v", "v"]}, "1": {"e": ["v", "v"]}}}
+    ),
+    "sset-compact-level-key-underscore": lambda kit: _sset(
+        {**_compact_edge(), "nondegenerate": {"0": ["v"], "1": ["e"], "1_0": ["x"]}}
+    ),
+    "sset-compact-level-key-negative": lambda kit: _sset(
+        {**_compact_edge(), "nondegenerate": {"0": ["v"], "1": ["e"], "-1": ["x"]}}
+    ),
+    "sset-full-level-key-padded": lambda kit: _sset(
+        {"dim_cap": 0, "simplices": {"0": ["v"], "00": ["w"]}}
+    ),
+    "sset-full-face-level-key-signed": lambda kit: _sset(_full_edge("+1", "0")),
+    "sset-full-degeneracy-level-key-spaced": lambda kit: _sset(_full_edge("1", " 0")),
     "simplicial-value-identifier-number": lambda kit: [
         "realize",
         "--cat",
@@ -626,6 +650,17 @@ def _compact_edge(**faces) -> dict:
     return {"dim_cap": 1, "nondegenerate": {"0": ["v"], "1": ["e"]}, "faces": {"1": rows}}
 
 
+def _full_edge(faces_key: str, degeneracies_key: str) -> dict:
+    """The full tables of a point truncated at 1, its face and degeneracy
+    levels keyed as given."""
+    return {
+        "dim_cap": 1,
+        "simplices": {"0": ["v"], "1": ["sv"]},
+        "faces": {faces_key: {"sv": ["v", "v"]}},
+        "degeneracies": {degeneracies_key: {"v": ["sv"]}},
+    }
+
+
 def _compact_with_face_word(word: list) -> dict:
     """A compact 2-simplex whose d_0 is the word on its one vertex."""
     faces = [{"degeneracy": word, "of": "v"}] + [{"degeneracy": [0], "of": "v"}] * 2
@@ -642,6 +677,11 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, case):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "InputError"
+
+
+def test_a_refused_level_key_is_named(capsys):
+    doc = {**_compact_edge(), "nondegenerate": {"0": ["v"], "1": ["e"], "1_0": ["x"]}}
+    assert "level key '1_0'" in _input_error(*run(capsys, *_sset(doc)))
 
 
 def _point_presheaf_action(kit, mid, table):
@@ -837,6 +877,29 @@ def test_an_input_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert space.read_bytes()[:2] == b"\xff\xfe"
     detail = _input_error(*run(capsys, "validate", "--space", str(space)))
     assert detail.startswith(f"cannot read {space}")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode, Python's default file encoding
+    # is ASCII; a space file naming a point "\u00fc" must still load, and
+    # --out must hold the same bytes as a run in UTF-8 mode
+    space = tmp_path / "u.space.json"
+    space.write_bytes('{"points":["\u00fc","b"],"opens":[["\u00fc"],["\u00fc","b"]]}'.encode())
+    src = str(Path(finsite.__file__).parents[1])
+    base = {"PATH": os.environ["PATH"], "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    outputs, ascii_locale = [], {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    for env in (ascii_locale, {"PYTHONUTF8": "1"}):
+        out = tmp_path / f"out{len(outputs)}.json"
+        argv = ["realize", "--space", str(space), "--dim-cap", "1", "--format", "json"]
+        done = subprocess.run(
+            [sys.executable, "-m", "finsite.cli", *argv, "--out", str(out)],
+            env={**base, **env},
+            capture_output=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and "\u00fc".encode() in outputs[0]
 
 
 def _cat_with(path: list, value) -> str:

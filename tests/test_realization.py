@@ -3,10 +3,11 @@
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
-from finsite import catsite, realization
+from finsite import catsite, realization, sset
 from finsite.canon import cjson, csorted
 from finsite.catsite import (
     MappedCat,
@@ -228,6 +229,46 @@ def test_streamed_realization_json_sorts_names_and_levels_as_strings():
     assert text.index('"4_10":{') < text.index('"4_2":{')
     faces = text[text.index('"faces":') :]
     assert faces.index('"10":{') < faces.index('"2":{')
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3])
+def test_streamed_realization_json_is_the_same_in_any_piece_size(monkeypatch, piece):
+    # with a level cut into pieces of 1, 2 or 3 simplices, every seam between
+    # pieces and between levels falls somewhere in the two tests' texts
+    monkeypatch.setattr(sset, "_PIECE", piece)
+    test_streamed_realization_json_matches_the_reference_renderer()
+    test_streamed_realization_json_sorts_names_and_levels_as_strings()
+
+
+def test_streamed_realization_json_of_an_empty_realization_is_the_reference():
+    # no simplex at any level: the levels write no annotation and no seam
+    cat = point_category()
+    g = discretize(constant_set_presheaf(cat, []), 2)
+    re = realize(cat, point_functor(cat, 2, covariant=True), g, 2)
+    assert re.counts() == (0, 0, 0)
+    _assert_same_text(_streamed(re) + "\n", cjson(realization_to_json(re)))
+
+
+def test_streamed_realization_json_holds_one_piece_at_a_time():
+    # the interval cover against the terminal presheaf at cap 4: 18,208
+    # simplices, 5.28 MB of text, written to a sink that keeps only lengths
+    space = interval_cover_space()
+    site = site_from_finite_space(space)
+    cat = site.category
+    g = point_functor(cat, 4, covariant=False)
+    re = realize(cat, order_complex_functor(space, 4, site), g, 4)
+    lengths = []
+    tracemalloc.start()
+    try:
+        write_realization(re, lambda text: lengths.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = sum(lengths)
+    assert (sum(re.counts()), total) == (18208, 5279061)
+    assert max(lengths) < total / 10
+    # beside json_layout's names and orders, the writer holds one piece
+    assert peak < total
 
 
 def _up_set_presheaf(cat, cap: int) -> Functor:

@@ -11,13 +11,14 @@ enumerate, and every collection is kept canonically sorted.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Iterable
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import SimplicialSet, tabulate
+from finsite.sset import SimplicialSet, _from_columns, tabulate
 
 ObjId = Any
 MorId = Any
@@ -192,22 +193,19 @@ def chains(cat: FinCat, dim_cap: int) -> SimplicialSet:
     ident = [rank[at[cat.identity(x)]] for x in cat.objects]
     # steps: each chain's parent and last morphism; ends: its end object
     levels, steps, ends = [tuple((x, (), x) for x in cat.objects)], [], list(range(len(obj)))
-    faces, degeneracies, prev = [[()] * len(ends)], [], []
+    faces, degeneracies, prev = [array("i")], [], []
     for k in range(dim_cap):
         first = list(accumulate((len(out[e]) for e in ends), initial=0))
-        rows = [(first[p] + ident[e],) for p, e in enumerate(ends)]
-        if k:
-            up = degeneracies[-1]
-            rows = [(*[first[w] + rank[j] for w in up[q]], *s) for (q, j), s in zip(steps, rows)]
-        degeneracies.append(rows)
+        cols = [[first[degeneracies[-1][q * k + i]] + rank[j] for q, j in steps] for i in range(k)]
+        cols.append([first[p] + ident[e] for p, e in enumerate(ends)])
+        degeneracies.append(_from_columns(len(ends), k + 1, cols))
         new = [(q, j) for q, e in enumerate(ends) for j in out[e]]
-        ch, down = levels[k], faces[k]
+        ch = levels[k]
         levels.append(tuple([(ch[q][0], ch[q][1] + (mors[j].mid,), mors[j].tgt) for q, j in new]))
-        rows = [(tgt[j], q) for q, j in new]
-        if k:
-            d = [prev[down[q][-1]] + rank[comp[j, steps[q][1]]] for q, j in new]
-            rows = [(*[prev[w] + rank[j] for w in down[q][:-1]], c, q) for (q, j), c in zip(new, d)]
-        faces.append(rows)
+        cols = [[prev[faces[k][q * (k + 1) + i]] + rank[j] for q, j in new] for i in range(k)]
+        # d_k (k > 0) is q's parent steps[q][0] followed by m after q's last morphism
+        last = [tgt[j] if not k else prev[steps[q][0]] + rank[comp[j, steps[q][1]]] for q, j in new]
+        faces.append(_from_columns(len(new), k + 2, [*cols, last, [q for q, _ in new]]))
         steps, ends, prev = new, [tgt[j] for _, j in new], first
     cat._chains[dim_cap] = SimplicialSet(dim_cap, tuple(levels), tuple(faces), tuple(degeneracies))
     return cat._chains[dim_cap]
@@ -223,8 +221,8 @@ def nerve(cat: FinCat, dim_cap: int) -> SimplicialSet:
     return tabulate(
         dim_cap,
         names,
-        lambda k, z, i: names[k - 1][ch._faces[k][at[k][z]][i]],
-        lambda k, z, i: names[k + 1][ch._degeneracies[k][at[k][z]][i]],
+        lambda k, z, i: names[k - 1][ch._faces[k][at[k][z] * (k + 1) + i]],
+        lambda k, z, i: names[k + 1][ch._degeneracies[k][at[k][z] * (k + 1) + i]],
     )
 
 

@@ -327,15 +327,18 @@ def _caps(args) -> tuple[int, int]:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     """Writes the payload as canonical JSON (write_cjson), or the text lines,
-    to --out or stdout.  Commands compute and check everything first, so a
-    refusal never leaves a partial file."""
+    to --out or stdout as UTF-8 whatever the locale; an in-process stdout
+    with no bytes beneath takes the text.  Commands compute and check
+    everything first, so a refusal never leaves a partial file."""
     try:
-        stdout = contextlib.nullcontext(sys.stdout)
-        with Path(args.out).open("w", encoding="utf-8") if args.out else stdout as out:
+        sys.stdout.flush()
+        stdout = contextlib.nullcontext(getattr(sys.stdout, "buffer", None))
+        with Path(args.out).open("wb") if args.out else stdout as out:
+            write = sys.stdout.write if out is None else lambda text: out.write(text.encode())
             if args.format == "json":
-                write_cjson(out.write, payload)
+                write_cjson(write, payload)
             else:
-                out.write("\n".join(text_lines) + "\n")
+                write("\n".join(text_lines) + "\n")
     except OSError as e:
         raise InputError(f"cannot write {args.out or 'stdout'}: {e}") from e
 

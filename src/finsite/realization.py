@@ -26,12 +26,14 @@ t and (c, a, b) to t's start + fcol[a] * t's width + gcol[b].  d_i and s_i
 read t from the chain table and the columns from F's and G's tables, d_0
 pushing F's along the first morphism and d_k pulling G's back along the
 last; a map of realizations reads t from a map of chain tables, keeps the F
-column and moves the G column through a map of values.
+column and moves the G column through a map of values.  realize writes each
+operator's column into its slot of the level's flat table in one step.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -64,7 +66,9 @@ from finsite.presheaf import (
     reindex,
 )
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import SimplicialMap, SimplicialSet, _write_pieces, json_layout, pi0, write_tables
+from finsite.sset import (
+    SimplicialMap, SimplicialSet, _from_columns, _write_pieces, json_layout, pi0, write_tables
+)
 
 ObjId = Any
 MorId = Any
@@ -80,19 +84,19 @@ def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> list[tuple[list[int], 
     return out
 
 
-def _column(there: tuple, to: Sequence[int], fcols: Iterable, gcols: Iterable) -> list[int]:
-    """Where one operator or one map sends a whole level: chain c with its
-    a-th F and b-th G simplex goes to starts[t] + fcols[c][a] * widths[t] +
-    gcols[c][b], t = to[c], in the level laid out by there = (starts, widths)."""
+def _column(there: tuple, to: Sequence[int], fcols: Iterable, gcols: Iterable) -> array:
+    """Where one operator or one map sends a whole level, an array("i"): chain
+    c with its a-th F and b-th G simplex goes to starts[t] + fcols[c][a] *
+    widths[t] + gcols[c][b], t = to[c], in there = (starts, widths)."""
     starts, widths = there
     blocks = zip(map(starts.__getitem__, to), map(widths.__getitem__, to), fcols, gcols)
-    return [s + a * w + b for s, w, fcol, gcol in blocks for a in fcol for b in gcol]
+    return array("i", [s + a * w + b for s, w, fcol, gcol in blocks for a in fcol for b in gcol])
 
 
 def _columns(values: dict, k: int, table: str) -> dict[ObjId, list]:
     """Per object x and operator i: the positions of d_i or s_i, by table
-    "_faces" or "_degeneracies", on the k-simplices of values[x]."""
-    return {x: list(zip(*getattr(v, table)[k])) or [()] * (k + 1) for x, v in values.items()}
+    "_faces" or "_degeneracies", on the k-simplices of values[x]: column i."""
+    return {x: [getattr(v, table)[k][i :: k + 1] for i in range(k + 1)] for x, v in values.items()}
 
 
 def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
@@ -124,9 +128,7 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
         )
         for k, level in enumerate(ch.levels)
     )
-    # one int object per position, shared by every table
-    ints = list(range(max(map(len, levels))))
-    faces, degeneracies = [[()] * len(levels[0])], []
+    faces, degeneracies = [array("i")], []
     for k, level in enumerate(ch.levels):
         x0s, xks = [x0 for x0, _, _ in level], [xk for _, _, xk in level]
         moves = []
@@ -138,14 +140,14 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
             fcols, gcols = [*zip(*map(fd.__getitem__, x0s))], [*zip(*map(gd.__getitem__, xks))]
             fcols[:1] = [[push[ms[0]] for _, ms, _ in level]]
             gcols[k:] = [[pull[ms[-1]] for _, ms, _ in level]]
-            moves.append((faces, layout[low], zip(*ch._faces[k]), fcols, gcols))
+            moves.append((faces, layout[low], ch._faces[k], fcols, gcols))
         if k < dim_cap:
             fs, gs = _columns(f.values, k, "_degeneracies"), _columns(g.values, k, "_degeneracies")
             fcols, gcols = zip(*map(fs.__getitem__, x0s)), zip(*map(gs.__getitem__, xks))
-            moves.append((degeneracies, layout[k + 1], zip(*ch._degeneracies[k]), fcols, gcols))
-        for tables, there, *cols in moves:
-            rows = [list(map(ints.__getitem__, _column(there, *col))) for col in zip(*cols)]
-            tables.append(list(zip(*rows)))
+            moves.append((degeneracies, layout[k + 1], ch._degeneracies[k], fcols, gcols))
+        for tables, there, to, fcols, gcols in moves:
+            cols = (_column(there, to[i :: k + 1], *fg) for i, fg in enumerate(zip(fcols, gcols)))
+            tables.append(_from_columns(len(levels[k]), k + 1, cols))
     return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
 
 

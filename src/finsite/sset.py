@@ -9,7 +9,7 @@ J, so a simplex is degenerate exactly when it is an s_i image, and
 nondegenerate reads that off the s_i table alone.
 
 Storage is by position.  Each level lists its simplices once, in canonical
-order; d_i and s_i are per-level lists of int tuples, one tuple per simplex,
+order; d_i and s_i are flat int arrays per level, k + 1 entries a k-simplex
 giving the positions of its images in the adjacent level, and nondegenerate
 lists positions too.  The {simplex: position} index of the levels is derived
 on the first lookup by identifier (has, face, degeneracy, apply and
@@ -36,17 +36,18 @@ level key, the one str(k) gives.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, islice
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.reports import InputError, Report, ValidationError
 
 SimplexId = Any  # str | nested tuple of str/int
 
-# Per level, one tuple of image positions per simplex.
-Table = list[tuple[int, ...]]
+# Per level k, an array("i") whose entry p * (k + 1) + i is op_i of simplex p.
+Table = array
 # A formula (k, z, i) -> d_i z or s_i z for a k-simplex z.
 Op = Callable[[int, SimplexId, int], SimplexId]
 
@@ -54,12 +55,12 @@ Op = Callable[[int, SimplexId, int], SimplexId]
 class SimplicialSet:
     """Immutable-by-convention simplicial set truncated at dim_cap.
 
-    levels[k] holds the k-simplices in canonical order.  _faces[k][p] lists
-    the positions in level k-1 of d_0..d_k of the simplex at position p of
-    level k, and _degeneracies[k][p] the positions in level k+1 of s_0..s_k;
-    _faces[0] holds empty tuples, and _degeneracies covers levels 0..dim_cap-1
-    only.  Every constructor keeps each position in its level: tabulate checks
-    each image, realize and catsite.chains compute each one inside the level.
+    levels[k] holds the k-simplices in canonical order.  Entry p * (k + 1) + i
+    of _faces[k] is the position in level k-1 of d_i of the simplex at p of
+    level k, and of _degeneracies[k] the position in level k+1 of s_i;
+    _faces[0] is empty, and _degeneracies covers levels 0..dim_cap-1 only.
+    Every constructor keeps each position in its level: tabulate checks each
+    image, realize and catsite.chains compute each one inside the level.
     """
 
     def __init__(
@@ -95,7 +96,7 @@ class SimplicialSet:
         if 1 <= k <= self.dim_cap and 0 <= i <= k:
             p = self._index[k].get(z)
             if p is not None:
-                return self.levels[k - 1][self._faces[k][p][i]]
+                return self.levels[k - 1][self._faces[k][p * (k + 1) + i]]
         raise InputError(f"no face d_{i} for {cstr(z)} in dimension {k}")
 
     def degeneracy(self, k: int, z: SimplexId, i: int) -> SimplexId:
@@ -103,15 +104,15 @@ class SimplicialSet:
         if 0 <= k < self.dim_cap and 0 <= i <= k:
             p = self._index[k].get(z)
             if p is not None:
-                return self.levels[k + 1][self._degeneracies[k][p][i]]
+                return self.levels[k + 1][self._degeneracies[k][p * (k + 1) + i]]
         raise InputError(f"no degeneracy s_{i} for {cstr(z)} in dimension {k}")
 
     def nondegenerate(self, k: int) -> tuple[int, ...]:
         """Positions in level k of the nondegenerate k-simplices, ascending:
-        those that no row of the s_i table of level k-1 hits."""
+        those that no entry of the s_i table of level k-1 hits."""
         if k not in self._nondeg_cache:
             level = range(len(self.simplices(k)))
-            hit = set(chain.from_iterable(self._degeneracies[k - 1])) if k else set()
+            hit = set(self._degeneracies[k - 1]) if k else set()
             self._nondeg_cache[k] = tuple(p for p in level if p not in hit)
         return self._nondeg_cache[k]
 
@@ -144,21 +145,33 @@ def _refusal(kind: str, detail: str, witness: tuple) -> ValidationError:
 def _positions(
     fn: Op, k: int, level: tuple[SimplexId, ...], target: dict[SimplexId, int], kind: str, op: str
 ) -> Table:
-    """fn(k, z, i) for i = 0..k on every z of the level, as positions in the
-    target level."""
-    rows = []
+    """fn(k, z, i) for i = 0..k on every z of the level, as the flat table
+    of their positions in the target level."""
     ops = range(k + 1)
-    for z in level:
-        try:
-            rows.append(tuple([target[fn(k, z, i)] for i in ops]))
-        except KeyError:
+    try:
+        return array("i", [target[fn(k, z, i)] for z in level for i in ops])
+    except KeyError:
+        for z in level:
             for i in ops:
                 if fn(k, z, i) not in target:
                     raise _refusal(
                         f"{kind}-codomain", f"{op}_{i} lands outside", (k, z, i)
                     ) from None
-            raise
-    return rows
+        raise
+
+
+def _rows(t: Table, k: int) -> Iterator[tuple[int, ...]]:
+    """The rows of a level-k table in turn, k + 1 entries each."""
+    return zip(*[iter(t)] * (k + 1))
+
+
+def _from_columns(n: int, w: int, columns: Iterable[Sequence[int]]) -> Table:
+    """The table of n rows of w entries whose column i is the i-th of
+    columns, set as each comes: a lazy caller holds one column at a time."""
+    t = array("i", [0]) * (n * w)
+    for i, col in enumerate(columns):
+        t[i::w] = array("i", col)
+    return t
 
 
 def tabulate(
@@ -181,7 +194,7 @@ def tabulate(
     for k, (level, at) in enumerate(zip(ordered, index)):
         if len(at) != len(level):
             raise _refusal("duplicate-simplex", "level has duplicates", (k,))
-    s._faces = ([()] * len(ordered[0]),) + tuple(
+    s._faces = (array("i"),) + tuple(
         _positions(face_fn, k, ordered[k], index[k - 1], "face", "d") for k in range(1, dim_cap + 1)
     )
     s._degeneracies = tuple(
@@ -355,9 +368,9 @@ def validate_map(m: SimplicialMap) -> Report:
         ("map-degeneracy", "s", 1, range(cap), src._degeneracies, m.target._degeneracies),
     ):
         for k in ks:
-            near, here, ops_of_image = images[k + step], images[k], tgt_ops[k]
-            for p, ops in enumerate(src_ops[k]):
-                want = ops_of_image[here[p]]
+            near, here, ops_of_image, w = images[k + step], images[k], tgt_ops[k], k + 1
+            for p, ops in enumerate(_rows(src_ops[k], k)):
+                want = ops_of_image[here[p] * w : here[p] * w + w]
                 for i, q in enumerate(ops):
                     # m(op_i z) == op_i(m z)
                     if near[q] != want[i]:
@@ -385,7 +398,7 @@ def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
         return v
 
     if s.dim_cap >= 1:
-        for a, b in s._faces[1]:
+        for a, b in _rows(s._faces[1], 1):
             parent[find(a)] = find(b)
     classes: dict[int, list[int]] = {}
     for p in range(len(parent)):
@@ -408,39 +421,39 @@ def validate_sset(s: SimplicialSet) -> Report:
     levels, faces, degs = s.levels, s._faces, s._degeneracies
     for k in range(2, s.dim_cap + 1):
         below = faces[k - 1]
-        for p, fz in enumerate(faces[k]):
+        for p, fz in enumerate(_rows(faces[k], k)):
             for j in range(1, k + 1):
                 for i in range(j):
-                    # d_i d_j = d_{j-1} d_i
-                    if below[fz[j]][i] != below[fz[i]][j - 1]:
+                    # d_i d_j = d_{j-1} d_i, rows of level k-1 having k entries
+                    if below[fz[j] * k + i] != below[fz[i] * k + j - 1]:
                         return Report.failure(
                             "identity-dd",
                             f"d_{i} d_{j} != d_{j-1} d_{i}",
                             (k, levels[k][p], i, j),
                         )
     for k in range(s.dim_cap - 1):
-        above = degs[k + 1]
-        for p, sz in enumerate(degs[k]):
+        above, w = degs[k + 1], k + 2
+        for p, sz in enumerate(_rows(degs[k], k)):
             for j in range(k + 1):
                 for i in range(j + 1):
-                    # s_i s_j = s_{j+1} s_i for i <= j
-                    if above[sz[j]][i] != above[sz[i]][j + 1]:
+                    # s_i s_j = s_{j+1} s_i for i <= j, rows of level k+1 having k+2 entries
+                    if above[sz[j] * w + i] != above[sz[i] * w + j + 1]:
                         return Report.failure(
                             "identity-ss",
                             f"s_{i} s_{j} != s_{j+1} s_{i}",
                             (k, levels[k][p], i, j),
                         )
     for k in range(s.dim_cap):
-        for p, sz in enumerate(degs[k]):
+        for p, sz in enumerate(_rows(degs[k], k)):
             for j in range(k + 1):
-                fs = faces[k + 1][sz[j]]
+                fs = faces[k + 1][sz[j] * (k + 2) : (sz[j] + 1) * (k + 2)]
                 for i in range(k + 2):
                     if i == j or i == j + 1:
                         want = p
                     elif i < j:
-                        want = degs[k - 1][faces[k][p][i]][j - 1]
+                        want = degs[k - 1][faces[k][p * (k + 1) + i] * k + j - 1]
                     else:
-                        want = degs[k - 1][faces[k][p][i - 1]][j]
+                        want = degs[k - 1][faces[k][p * (k + 1) + i - 1] * k + j]
                     if fs[i] != want:
                         return Report.failure(
                             "identity-ds", f"d_{i} s_{j} mismatch", (k, levels[k][p], i, j)
@@ -454,32 +467,24 @@ def validate_sset(s: SimplicialSet) -> Report:
 def to_json(s: SimplicialSet) -> dict:
     """Tables with the simplex at position p of level k named "k_p"."""
     names = [[f"{k}_{p}" for p in range(len(level))] for k, level in enumerate(s.levels)]
-    faces = {}
-    for k in range(1, s.dim_cap + 1):
-        below = names[k - 1]
-        faces[str(k)] = {
-            name: [below[q] for q in fz] for name, fz in zip(names[k], s._faces[k])
-        }
-    degeneracies = {}
-    for k in range(s.dim_cap):
-        above = names[k + 1]
-        degeneracies[str(k)] = {
-            name: [above[q] for q in sz] for name, sz in zip(names[k], s._degeneracies[k])
-        }
+
+    def named(t: Table, k: int, near: list[str]) -> dict:
+        return {name: [near[q] for q in row] for name, row in zip(names[k], _rows(t, k))}
+
     return {
         "dim_cap": s.dim_cap,
         "simplices": {str(k): names[k] for k in range(s.dim_cap + 1)},
-        "faces": faces,
-        "degeneracies": degeneracies,
+        "faces": {str(k): named(s._faces[k], k, names[k - 1]) for k in range(1, s.dim_cap + 1)},
+        "degeneracies": {str(k): named(s._degeneracies[k], k, names[k + 1]) for k in range(s.dim_cap)},
     }
 
 
-def json_layout(s: SimplicialSet) -> tuple[list[list[str]], list[list[int]]]:
+def json_layout(s: SimplicialSet) -> tuple[list[list[str]], list[array]]:
     """Per level, the quoted JSON name '"k_p"' of each position, and the
-    positions in the order sorted keys take: names sort as strings, so
-    "k_10" comes before "k_2", and the closing quote before every digit."""
+    positions, an array("i"), in the order sorted keys take: names sort as
+    strings, so "k_10" before "k_2", and the closing quote before any digit."""
     names = [[f'"{k}_{p}"' for p in range(len(level))] for k, level in enumerate(s.levels)]
-    return names, [sorted(range(len(here)), key=here.__getitem__) for here in names]
+    return names, [array("i", sorted(range(len(here)), key=here.__getitem__)) for here in names]
 
 
 _PIECE = 1024
@@ -495,7 +500,7 @@ def _write_pieces(write: Callable, entries: Iterable[str]) -> None:
 
 
 def write_tables(
-    s: SimplicialSet, names: list[list[str]], orders: list[list[int]], write: Callable[[str], Any]
+    s: SimplicialSet, names: list[list[str]], orders: list[array], write: Callable[[str], Any]
 ) -> None:
     """Writes the members of cjson(to_json(s)) from "degeneracies" to
     "simplices", without the braces around them, straight from the position
@@ -508,9 +513,10 @@ def write_tables(
     def table(key: str, ops: tuple[Table, ...], step: int, ks: list[int]) -> None:
         write(f'"{key}":{{')
         for n, k in enumerate(ks):
-            near, here, rows = names[k + step].__getitem__, names[k], ops[k]
+            near, here, t, w = names[k + step].__getitem__, names[k], ops[k], k + 1
             write(("," if n else "") + f'"{k}":{{')
-            _write_pieces(write, (f"{here[p]}:[{','.join(map(near, rows[p]))}]" for p in orders[k]))
+            rows = (f"{here[p]}:[{','.join(map(near, t[p * w : p * w + w]))}]" for p in orders[k])
+            _write_pieces(write, rows)
             write("}")
         write("}")
 

@@ -902,6 +902,41 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert outputs[0] == outputs[1] and "\u00fc".encode() in outputs[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--dim-cap", "1", "--format", "json"],
+        ["sheafify", "--presheaf", "terminal", "--format", "text"],
+    ],
+)
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
+    # under the C locale without UTF-8 mode, stdout's text encoding is ASCII;
+    # a run naming a point "\u00fc" must still write stdout, the same bytes
+    # as --out, in JSON and in text
+    space = tmp_path / "u.space.json"
+    space.write_bytes('{"points":["\u00fc","b"],"opens":[["\u00fc"],["\u00fc","b"]]}'.encode())
+    out = tmp_path / "out"
+    env = {
+        "PATH": os.environ["PATH"],
+        "PYTHONPATH": str(Path(finsite.__file__).parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "LC_ALL": "C",
+    }
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "finsite.cli", *argv, "--space", str(space), *extra],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        for extra in ([], ["--out", str(out)])
+    ]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, b"")] * 2
+    assert runs[0].stdout == out.read_bytes() and "\u00fc".encode() in runs[0].stdout
+
+
 def _cat_with(path: list, value) -> str:
     """Inline JSON of the two-object category x -> y, with the entry at path
     replaced by value."""

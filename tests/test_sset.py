@@ -2,12 +2,13 @@
 
 import random
 import re
+from array import array
 
 from finsite import catsite, sset
-from finsite.catsite import nerve, poset_category
-from finsite.gallery import bz2_category, circle_sset
-from finsite.presheaf import discretize
-from finsite.realization import realize
+from finsite.catsite import nerve, poset_category, site_from_finite_space
+from finsite.gallery import bz2_category, circle_sset, interval_cover_space
+from finsite.presheaf import discretize, point_functor
+from finsite.realization import order_complex_functor, realize
 from finsite.reports import InputError, ValidationError
 from finsite.sset import (
     SimplicialMap,
@@ -376,6 +377,50 @@ def test_tables_match_reference_on_random_realizations(tables_checked):
         assert table_mismatches(re, by_formula) == []
 
 
+def _not_flat(s) -> list[tuple[str, int]]:
+    """The tables of s that are not one array("i") of k + 1 entries per
+    simplex of their level k; _faces[0] must be empty."""
+    assert (len(s._faces), len(s._degeneracies)) == (s.dim_cap + 1, s.dim_cap)
+    tables = [("d", k, t) for k, t in enumerate(s._faces)]
+    tables += [("s", k, t) for k, t in enumerate(s._degeneracies)]
+    return [
+        (op, k)
+        for op, k, t in tables
+        if not isinstance(t, array)
+        or t.typecode != "i"
+        or len(t) != (k + 1) * len(s.levels[k]) * (op == "s" or k > 0)
+    ]
+
+
+def test_every_constructor_builds_flat_int_tables(tables_checked):
+    # tables_checked holds every set tabulate builds (the standard simplex,
+    # both from_json forms, the nerve) to its formulas by identifier; the
+    # realization and the chain table are held to oracles' formulas here
+    cap, space, cat = 3, interval_cover_space(), bz2_category()
+    site = site_from_finite_space(space)
+    f, g = order_complex_functor(space, cap, site), point_functor(site.category, cap, covariant=False)
+    re = realize(site.category, f, g, cap)
+    compact = {**COMPACT["rp2"], "dim_cap": cap}
+    ch, named = catsite.chains(cat, cap), oracles.formula_nerve(cat, cap)
+    sets = [standard_simplex(2, cap), from_json(to_json(circle_sset(cap))), from_json(compact)]
+    sets += [nerve(cat, cap), ch, re]
+    assert [_not_flat(s) for s in sets] == [[]] * len(sets)
+    assert sets[2] == oracles.expand_compact(compact)
+    ref = formula_realize(site.category, f, g, cap)
+    assert table_mismatches(re, DictSimplicialSet(cap, ref.levels, ref.face, ref.degeneracy)) == []
+
+    def name(c):
+        return ("m",) + c[1] if c[1] else ("o", c[0])
+
+    for k in range(cap + 1):
+        for c in ch.levels[k]:
+            for i in range(k + 1):
+                if k:
+                    assert name(ch.face(k, c, i)) == named.face(k, name(c), i)
+                if k < cap:
+                    assert name(ch.degeneracy(k, c, i)) == named.degeneracy(k, name(c), i)
+
+
 def test_tabulate_refuses_an_image_outside_its_level():
     s = standard_simplex(1, 2)
 
@@ -397,10 +442,12 @@ def _degeneracy_flags_disagree(s) -> bool:
     """Whether some level's s_i images differ from the simplices z with
     s_i(d_i z) == z, read straight off the position tables."""
     for k in range(1, s.dim_cap + 1):
-        degs = s._degeneracies[k - 1]
-        images = {q for sz in degs for q in sz}
+        degs, faces = s._degeneracies[k - 1], s._faces[k]
+        images = set(degs)
         flagged = {
-            p for p, fz in enumerate(s._faces[k]) if any(degs[fz[i]][i] == p for i in range(k))
+            p
+            for p in range(len(s.levels[k]))
+            if any(degs[faces[p * (k + 1) + i] * k + i] == p for i in range(k))
         }
         if images != flagged:
             return True
@@ -414,13 +461,14 @@ def test_validate_sset_needs_no_degeneracy_flag_check():
     disagreements = 0
     for s in (standard_simplex(2, 3), circle_sset(3), nerve(bz2_category(), 3)):
         for k in range(s.dim_cap):
-            for p, sz in enumerate(s._degeneracies[k]):
+            for p in range(len(s.levels[k])):
                 for i in range(k + 1):
+                    at = p * (k + 1) + i
                     for q in range(len(s.levels[k + 1])):
-                        if q == sz[i]:
+                        if q == s._degeneracies[k][at]:
                             continue
-                        level = list(s._degeneracies[k])
-                        level[p] = sz[:i] + (q,) + sz[i + 1 :]
+                        level = s._degeneracies[k][:]
+                        level[at] = q
                         degs = s._degeneracies[:k] + (level,) + s._degeneracies[k + 1 :]
                         t = sset.SimplicialSet(s.dim_cap, s.levels, s._faces, degs)
                         if _degeneracy_flags_disagree(t):

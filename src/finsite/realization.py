@@ -9,12 +9,15 @@ simplex parts.  This is the diagonal of the evident bisimplicial set, so the
 simplicial identities hold whenever F and G are functorial; validate_sset
 confirms it on any concrete instance.
 
-Simplex identifiers are structured: (start object, morphism chain, F simplex,
-G simplex).  write_realization streams a realization's canonical JSON, these
+A simplex's identifier is (start object, morphism chain, F simplex, G
+simplex), but no level stores one: a level is a _BarLevel, which reads the
+identifier at a position off its chain table, block starts and the values'
+levels.  write_realization streams a realization's canonical JSON, these
 parts as per-simplex annotations beside the simplicial-set tables, level by
-level in sorted-key order, each identifier rendered once.  Each level goes out
-in bounded pieces of simplices, so neither the payload dict nor a level's
-text is ever built; the memory the writer adds is the table of names.
+level in sorted-key order, read by position and each part rendered once.
+Each level goes out in bounded pieces of simplices, so neither the payload
+dict nor a level's text is ever built; beside the orders of names, the memory
+the writer adds is json_layout's one table of digit strings.
 
 Levels are laid out by chain position, from catsite.chains.  ckey orders a
 bar simplex by its parts in turn, so canonical level k is the concatenation,
@@ -25,8 +28,9 @@ rule (_column) places every block: an operator or a map sends c to a chain
 t and (c, a, b) to t's start + fcol[a] * t's width + gcol[b].  d_i and s_i
 read t from the chain table and the columns from F's and G's tables, d_0
 pushing F's along the first morphism and d_k pulling G's back along the
-last; a map of realizations reads t from a map of chain tables, keeps the F
-column and moves the G column through a map of values.  realize writes each
+last; a map of realizations reads t from a map of chain tables and the
+starts and widths from the target realization's levels, keeps the F column
+and moves the G column through a map of values.  realize writes each
 operator's column into its slot of the level's flat table in one step.
 """
 
@@ -34,8 +38,10 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import eq, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from finsite.canon import csorted, cstr
@@ -74,21 +80,61 @@ ObjId = Any
 MorId = Any
 
 
-def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> list[tuple[list[int], list[int]]]:
-    """Per level k, (starts, widths): each chain's block start and |G(x_k)_k|."""
+class _BarLevel(Sequence):
+    """Level k of a bar realization, read by position and never stored
+    simplex by simplex: the k-chains (x0, ms, xk) of catsite.chains, each
+    chain's block start and width |G(x_k)_k| (starts ends with the level's
+    size), and each object's level k of F and of G.  The simplex at p is
+    (x0, ms, F part, G part) of the chain whose block holds p."""
+
+    __slots__ = ("chains", "starts", "widths", "fk", "gk")
+
+    def __init__(self, chains: Sequence, starts: list[int], widths: list[int], fk: dict, gk: dict):
+        self.chains, self.starts, self.widths, self.fk, self.gk = chains, starts, widths, fk, gk
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, p: int) -> tuple:
+        starts = self.starts
+        if p < 0:
+            p += starts[-1]
+        if not 0 <= p < starts[-1]:
+            raise IndexError("bar level index out of range")
+        c = bisect_right(starts, p) - 1
+        a, b = divmod(p - starts[c], self.widths[c])
+        x0, ms, xk = self.chains[c]
+        return x0, ms, self.fk[x0][a], self.gk[xk][b]
+
+    def __iter__(self) -> Iterator[tuple]:
+        fk, gk = self.fk, self.gk
+        return ((x0, ms, a, b) for x0, ms, xk in self.chains for a in fk[x0] for b in gk[xk])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _BarLevel)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> tuple[_BarLevel, ...]:
+    """Per level k, the bar level of f against g over ch's k-chains: each
+    chain's block start and width |G(x_k)_k|, and each object's level k of F
+    and of G."""
     out = []
     for k, level in enumerate(ch.levels):
-        widths = [len(g.values[xk].levels[k]) for _, _, xk in level]
-        sizes = [len(f.values[x0].levels[k]) * w for (x0, _, _), w in zip(level, widths)]
-        out.append((list(accumulate(sizes, initial=0)), widths))
-    return out
+        fk = {x: v.levels[k] for x, v in f.values.items()}
+        gk = {x: v.levels[k] for x, v in g.values.items()}
+        widths = [len(gk[xk]) for _, _, xk in level]
+        starts = list(accumulate(map(mul, [len(fk[x0]) for x0, _, _ in level], widths), initial=0))
+        out.append(_BarLevel(level, starts, widths, fk, gk))
+    return tuple(out)
 
 
-def _column(there: tuple, to: Sequence[int], fcols: Iterable, gcols: Iterable) -> array:
+def _column(there: _BarLevel, to: Sequence[int], fcols: Iterable, gcols: Iterable) -> array:
     """Where one operator or one map sends a whole level, an array("i"): chain
     c with its a-th F and b-th G simplex goes to starts[t] + fcols[c][a] *
-    widths[t] + gcols[c][b], t = to[c], in there = (starts, widths)."""
-    starts, widths = there
+    widths[t] + gcols[c][b], t = to[c], in the bar level there."""
+    starts, widths = there.starts, there.widths
     blocks = zip(map(starts.__getitem__, to), map(widths.__getitem__, to), fcols, gcols)
     return array("i", [s + a * w + b for s, w, fcol, gcol in blocks for a in fcol for b in gcol])
 
@@ -115,19 +161,7 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     if dim_cap < 0:
         raise InputError("dim_cap must be nonnegative")
     ch = chains(cat, dim_cap)
-    layout = _layout(ch, f, g)
-    # levels[k] lists chain by chain the block of (x0, ms, F part, G part)
-    levels = tuple(
-        tuple(
-            [
-                (x0, ms, fs, gs)
-                for x0, ms, xk in level
-                for fs in f.values[x0].levels[k]
-                for gs in g.values[xk].levels[k]
-            ]
-        )
-        for k, level in enumerate(ch.levels)
-    )
+    levels = _layout(ch, f, g)
     faces, degeneracies = [array("i")], []
     for k, level in enumerate(ch.levels):
         x0s, xks = [x0 for x0, _, _ in level], [xk for _, _, xk in level]
@@ -140,24 +174,27 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
             fcols, gcols = [*zip(*map(fd.__getitem__, x0s))], [*zip(*map(gd.__getitem__, xks))]
             fcols[:1] = [[push[ms[0]] for _, ms, _ in level]]
             gcols[k:] = [[pull[ms[-1]] for _, ms, _ in level]]
-            moves.append((faces, layout[low], ch._faces[k], fcols, gcols))
+            moves.append((faces, levels[low], ch._faces[k], fcols, gcols))
         if k < dim_cap:
             fs, gs = _columns(f.values, k, "_degeneracies"), _columns(g.values, k, "_degeneracies")
             fcols, gcols = zip(*map(fs.__getitem__, x0s)), zip(*map(gs.__getitem__, xks))
-            moves.append((degeneracies, layout[k + 1], ch._degeneracies[k], fcols, gcols))
+            moves.append((degeneracies, levels[k + 1], ch._degeneracies[k], fcols, gcols))
         for tables, there, to, fcols, gcols in moves:
             cols = (_column(there, to[i :: k + 1], *fg) for i, fg in enumerate(zip(fcols, gcols)))
             tables.append(_from_columns(len(levels[k]), k + 1, cols))
     return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
 
 
-def _block_map(f: Functor, chain_map: SimplicialMap, target: tuple, move: Callable) -> tuple:
+def _block_map(
+    f: Functor, chain_map: SimplicialMap, target: SimplicialSet, move: Callable
+) -> tuple:
     """Images of a map of realizations, f being the source's F and target
-    the target's (F, G): chain_map, a map of chain tables, picks each target
-    block, the F column stays, so F must have the value f(x0) at the target
-    chain's start, and the G column moves through move(xk), a map of G values."""
-    images, layout = [], _layout(chain_map.target, *target)
-    for k, (level, to, there) in enumerate(zip(chain_map.source.levels, chain_map.images, layout)):
+    the target realization: chain_map, a map of chain tables, picks each
+    target block, the F column stays, so F must have the value f(x0) at the
+    target chain's start, and the G column moves through move(xk), a map of G
+    values."""
+    images, steps = [], zip(chain_map.source.levels, chain_map.images, target.levels)
+    for k, (level, to, there) in enumerate(steps):
         fcols = [range(len(f.values[x0].levels[k])) for x0, _, _ in level]
         gcols = [move(xk).images[k] for _, _, xk in level]
         images.append(tuple(_column(there, to, fcols, gcols)))
@@ -174,34 +211,42 @@ class _Leaves(dict):
 
 
 def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
-    """Writes the canonical JSON of a bar realization, as cjson renders it
-    without the final newline: the tables of sset.write_tables and, under
-    "annotations", the start object, chain, F part and G part of each
-    simplex by name.
+    """Writes the canonical JSON of a realization that realize built, as
+    cjson renders it without the final newline: the tables of
+    sset.write_tables and, under "annotations", the start object, chain, F
+    part and G part of each simplex by name.
 
-    The object and chain are rendered once per block.  Each level goes out in
-    sorted-key order, in pieces of sset._PIECE simplices, so the text held at
-    once is one piece; the memory the writer adds is json_layout's names.
+    Each simplex is read off its level by position.  The object and chain
+    are rendered once per block, and each level goes out in sorted-key order,
+    in pieces of sset._PIECE simplices, so the text held at once is one
+    piece; the memory the writer adds is json_layout's digits and orders.
     """
-    names, orders = json_layout(s)
+    digits, orders = json_layout(s)
     leaf = _Leaves()
 
     def entries() -> Iterator[str]:
         # "10_0" sorts before "1_0": levels go in the order of their name prefix
         for k in sorted(range(len(s.levels)), key=lambda k: f"{k}_"):
-            level, here, blocks = s.levels[k], names[k], {}
+            level, key, blocks = s.levels[k], f'"{k}_', {}
+            starts, widths = level.starts, level.widths
+            # each object's value simplices by name, in their order
+            fk = {x: [*map(leaf.__getitem__, zs)] for x, zs in level.fk.items()}
+            gk = {x: [*map(leaf.__getitem__, zs)] for x, zs in level.gk.items()}
             for p in orders[k]:
-                x0, ms, fs, gs = level[p]
-                if (x0, ms) not in blocks:
+                c = bisect_right(starts, p) - 1
+                if c not in blocks:
+                    x0, ms, xk = level.chains[c]
                     chain = ",".join(map(leaf.__getitem__, ms))
-                    blocks[x0, ms] = f':{{"chain":[{chain}],"f":', f',"object":{leaf[x0]}}}'
-                head, tail = blocks[x0, ms]
-                yield f'{here[p]}{head}{leaf[fs]},"g":{leaf[gs]}{tail}'
+                    head, tail = f'":{{"chain":[{chain}],"f":', f',"object":{leaf[x0]}}}'
+                    blocks[c] = head, tail, fk[x0], gk[xk]
+                head, tail, fs, gs = blocks[c]
+                a, b = divmod(p - starts[c], widths[c])
+                yield f'{key}{digits[p]}{head}{fs[a]},"g":{gs[b]}{tail}'
 
     write('{"annotations":{')
     _write_pieces(write, entries())
     write("},")
-    write_tables(s, names, orders, write)
+    write_tables(s, digits, orders, write)
     write("}")
 
 
@@ -316,7 +361,7 @@ def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> Simplic
         raise InputError("presheaf map must live on the diagram's base")
     src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
     ch = chains(cat, dim_cap)
-    images = _block_map(f, SimplicialMap.identity(ch), (f, m.target), m.components.__getitem__)
+    images = _block_map(f, SimplicialMap.identity(ch), tgt, m.components.__getitem__)
     return SimplicialMap(src, tgt, images)
 
 
@@ -427,8 +472,8 @@ def projector_maps(
     )
     inclusion = SimplicialMap.from_function(ch_d, ch_c, lambda k, c: c)
     ident = {x: SimplicialMap.identity(v) for x, v in gd.values.items()}
-    a = _block_map(pf, through_p, (f, gd), lambda xk: g.action[d.psi[xk]])
-    b = _block_map(f, inclusion, (pf, g), ident.__getitem__)
+    a = _block_map(pf, through_p, re_d, lambda xk: g.action[d.psi[xk]])
+    b = _block_map(f, inclusion, re_c, ident.__getitem__)
     return SimplicialMap(re_c, re_d, a), SimplicialMap(re_d, re_c, b)
 
 

@@ -30,8 +30,9 @@ into output.  to_json builds the tables as a dict, the form from_json reads
 back; write_tables writes the same tables as canonical JSON text straight
 from the position tables, keys in sorted order, each level in bounded pieces
 of simplices, so neither the dict nor a level's text is built: the memory it
-adds is json_layout's table of names.  from_json accepts one spelling of a
-level key, the one str(k) gives.
+adds is json_layout's orders and its one table of digit strings str(p),
+shared by all levels, from which each name is assembled as it goes out.
+from_json accepts one spelling of a level key, the one str(k) gives.
 """
 
 from __future__ import annotations
@@ -55,10 +56,13 @@ Op = Callable[[int, SimplexId, int], SimplexId]
 class SimplicialSet:
     """Immutable-by-convention simplicial set truncated at dim_cap.
 
-    levels[k] holds the k-simplices in canonical order.  Entry p * (k + 1) + i
-    of _faces[k] is the position in level k-1 of d_i of the simplex at p of
-    level k, and of _degeneracies[k] the position in level k+1 of s_i;
-    _faces[0] is empty, and _degeneracies covers levels 0..dim_cap-1 only.
+    levels[k] holds the k-simplices in canonical order, as any read-only
+    sequence addressed by position: a tuple, or a bar level that computes
+    the simplex at p (realization._BarLevel); simplices(k) gives it as a
+    tuple.  Entry p * (k + 1) + i of _faces[k] is the position in level k-1
+    of d_i of the simplex at p of level k, and of _degeneracies[k] the
+    position in level k+1 of s_i; _faces[0] is empty, and _degeneracies
+    covers levels 0..dim_cap-1 only.
     Every constructor keeps each position in its level: tabulate checks each
     image, realize and catsite.chains compute each one inside the level.
     """
@@ -66,7 +70,7 @@ class SimplicialSet:
     def __init__(
         self,
         dim_cap: int,
-        levels: tuple[tuple[SimplexId, ...], ...],
+        levels: tuple[Sequence[SimplexId], ...],
         faces: tuple[Table, ...],
         degeneracies: tuple[Table, ...],
     ):
@@ -83,10 +87,13 @@ class SimplicialSet:
 
     # -- basic access ------------------------------------------------------
 
-    def simplices(self, k: int) -> tuple[SimplexId, ...]:
+    def _level(self, k: int) -> Sequence[SimplexId]:
         if not 0 <= k <= self.dim_cap:
             raise InputError(f"dimension {k} outside 0..{self.dim_cap}")
         return self.levels[k]
+
+    def simplices(self, k: int) -> tuple[SimplexId, ...]:
+        return tuple(self._level(k))
 
     def has(self, k: int, z: SimplexId) -> bool:
         return 0 <= k <= self.dim_cap and z in self._index[k]
@@ -111,7 +118,7 @@ class SimplicialSet:
         """Positions in level k of the nondegenerate k-simplices, ascending:
         those that no entry of the s_i table of level k-1 hits."""
         if k not in self._nondeg_cache:
-            level = range(len(self.simplices(k)))
+            level = range(len(self._level(k)))
             hit = set(self._degeneracies[k - 1]) if k else set()
             self._nondeg_cache[k] = tuple(p for p in level if p not in hit)
         return self._nondeg_cache[k]
@@ -479,12 +486,15 @@ def to_json(s: SimplicialSet) -> dict:
     }
 
 
-def json_layout(s: SimplicialSet) -> tuple[list[list[str]], list[array]]:
-    """Per level, the quoted JSON name '"k_p"' of each position, and the
-    positions, an array("i"), in the order sorted keys take: names sort as
-    strings, so "k_10" before "k_2", and the closing quote before any digit."""
-    names = [[f'"{k}_{p}"' for p in range(len(level))] for k, level in enumerate(s.levels)]
-    return names, [array("i", sorted(range(len(here)), key=here.__getitem__)) for here in names]
+def json_layout(s: SimplicialSet) -> tuple[list[str], list[array]]:
+    """The digits str(p) of every position up to the largest level, one table
+    for all levels, and per level the positions, an array("i"), in the order
+    sorted keys take: the JSON name of p in level k is '"k_' + digits[p] +
+    '"', and names sort as their digits do, "k_10" before "k_2" and "k_1"
+    before "k_10", because the closing quote sorts before any digit."""
+    digits = [str(p) for p in range(max(map(len, s.levels)))]
+    by_digits = digits.__getitem__
+    return digits, [array("i", sorted(range(len(level)), key=by_digits)) for level in s.levels]
 
 
 _PIECE = 1024
@@ -500,22 +510,27 @@ def _write_pieces(write: Callable, entries: Iterable[str]) -> None:
 
 
 def write_tables(
-    s: SimplicialSet, names: list[list[str]], orders: list[array], write: Callable[[str], Any]
+    s: SimplicialSet, digits: list[str], orders: list[array], write: Callable[[str], Any]
 ) -> None:
     """Writes the members of cjson(to_json(s)) from "degeneracies" to
     "simplices", without the braces around them, straight from the position
-    tables; names and orders come from json_layout.  Each level's rows and
-    names go out in pieces of _PIECE simplices, so beside names and orders
+    tables; digits and orders come from json_layout.  Each level's rows and
+    names go out in pieces of _PIECE simplices, so beside digits and orders
     the text held at once is one piece."""
     # the level keys sort as strings too: "10" comes before "2"
     by_str = sorted(range(s.dim_cap + 1), key=str)
+    digit = digits.__getitem__
 
     def table(key: str, ops: tuple[Table, ...], step: int, ks: list[int]) -> None:
         write(f'"{key}":{{')
         for n, k in enumerate(ks):
-            near, here, t, w = names[k + step].__getitem__, names[k], ops[k], k + 1
+            t, w, j = ops[k], k + 1, k + step
+            here, first, seam = f'"{k}_', f'":["{j}_', f'","{j}_'
             write(("," if n else "") + f'"{k}":{{')
-            rows = (f"{here[p]}:[{','.join(map(near, t[p * w : p * w + w]))}]" for p in orders[k])
+            rows = (
+                f'{here}{digits[p]}{first}{seam.join(map(digit, t[p * w : p * w + w]))}"]'
+                for p in orders[k]
+            )
             _write_pieces(write, rows)
             write("}")
         write("}")
@@ -526,7 +541,7 @@ def write_tables(
     write(',"simplices":{')
     for n, k in enumerate(by_str):
         write(("," if n else "") + f'"{k}":[')
-        _write_pieces(write, names[k])
+        _write_pieces(write, (f'"{k}_{d}"' for d in islice(digits, len(s.levels[k]))))
         write("]")
     write("}")
 

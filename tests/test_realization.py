@@ -271,16 +271,23 @@ def test_streamed_realization_json_holds_one_piece_at_a_time():
     assert peak < total
 
 
+def _interval_cover_case(cap: int):
+    """The interval cover's order complex against the terminal presheaf, the
+    realize-render job, with the chain table already built."""
+    space = interval_cover_space()
+    site = site_from_finite_space(space)
+    cat = site.category
+    f, g = order_complex_functor(space, cap, site), point_functor(cat, cap, covariant=False)
+    catsite.chains(cat, cap)
+    return cat, f, g
+
+
 def test_realize_holds_flat_tables_and_one_column_at_a_time():
     # the interval cover against the terminal presheaf at cap 4, with the
     # chain table already built: tables of 4 bytes an entry, each written a
     # column at a time, keep realize's traced peak under 3.5 MB (4.5 MB when
     # each simplex held a tuple of shared int objects)
-    space = interval_cover_space()
-    site = site_from_finite_space(space)
-    cat = site.category
-    f, g = order_complex_functor(space, 4, site), point_functor(cat, 4, covariant=False)
-    catsite.chains(cat, 4)
+    cat, f, g = _interval_cover_case(4)
     tracemalloc.start()
     try:
         re = realize(cat, f, g, 4)
@@ -289,6 +296,42 @@ def test_realize_holds_flat_tables_and_one_column_at_a_time():
         tracemalloc.stop()
     assert sum(re.counts()) == 18208
     assert peak < 3.5 * 2**20
+
+
+def test_realize_at_cap_5_keeps_no_table_of_identifiers():
+    # levels read by position keep 1.7 MB at cap 5 (5.8 MB when each of the
+    # 55,987 simplices held its (x0, ms, F part, G part) tuple)
+    cat, f, g = _interval_cover_case(5)
+    tracemalloc.start()
+    try:
+        re = realize(cat, f, g, 5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(re.counts()) == 55987
+    assert kept < 2.5 * 2**20
+
+
+def test_streamed_realization_json_at_cap_5_holds_one_digit_table():
+    # one table of digit strings for every level, and no identifier read off
+    # a level: a traced peak of 4.2 MB (5.5 MB with a quoted name per
+    # simplex and identifier tuples in the realization)
+    cat, f, g = _interval_cover_case(5)
+    re = realize(cat, f, g, 5)
+    size = 0
+
+    def count(text: str) -> None:
+        nonlocal size
+        size += len(text)
+
+    tracemalloc.start()
+    try:
+        write_realization(re, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sum(re.counts()), size) == (55987, 19481339)
+    assert peak < 4.8 * 2**20
 
 
 def _up_set_presheaf(cat, cap: int) -> Functor:
@@ -359,6 +402,37 @@ def test_realize_matches_the_formula_oracle():
         re, ref = realize(cat, f, g, cap), formula_realize(cat, f, g, cap)
         assert re == ref and re._index == ref._index
         assert all(list(level) == csorted(level) for level in re.levels)
+
+
+def _level_cases():
+    """The interval cover's order complex against the terminal presheaf at
+    caps 2-4, bz2's point diagram against the terminal presheaf and the swap
+    action, and a realization with no simplex at all."""
+    for cap in (2, 3, 4):
+        yield (*_interval_cover_case(cap), cap)
+    bz2 = bz2_category()
+    pt = point_functor(bz2, 4, covariant=True)
+    yield bz2, pt, point_functor(bz2, 4, covariant=False), 4
+    yield bz2, pt, discretize(swap_set_presheaf(bz2), 4), 4
+    point = point_category()
+    empty = discretize(constant_set_presheaf(point, []), 2)
+    yield point, point_functor(point, 2, covariant=True), empty, 2
+
+
+def test_bar_levels_are_sequences_read_by_position():
+    for cat, f, g, cap in _level_cases():
+        re, ref = realize(cat, f, g, cap), formula_realize(cat, f, g, cap)
+        copy = sset.tabulate(cap, re.levels, re.face, re.degeneracy)
+        assert all(type(level) is tuple for level in copy.levels)
+        assert re == copy and copy == re and re == ref
+        for k, level in enumerate(re.levels):
+            n, items = len(level), list(level)
+            assert [level[p] for p in range(n)] == items == list(ref.levels[k])
+            assert [level[p - n] for p in range(n)] == items
+            for p in (n, -n - 1, n + 5):
+                with pytest.raises(IndexError):
+                    level[p]
+            assert type(re.simplices(k)) is tuple and list(re.simplices(k)) == items
 
 
 def _checked(m: SimplicialMap, rule, reports: bool = True) -> SimplicialMap:

@@ -16,6 +16,7 @@ from finsite.sset import (
     disjoint_union,
     empty_sset,
     from_json,
+    json_layout,
     pi0,
     point_sset,
     product,
@@ -419,6 +420,31 @@ def test_every_constructor_builds_flat_int_tables(tables_checked):
                     assert name(ch.face(k, c, i)) == named.face(k, name(c), i)
                 if k < cap:
                     assert name(ch.degeneracy(k, c, i)) == named.degeneracy(k, name(c), i)
+
+
+def _quoted_order(k: int, n: int) -> list[int]:
+    """Positions 0..n-1 of level k in the order their names "k_p" sort in."""
+    names = [f'"{k}_{p}"' for p in range(n)]
+    return sorted(range(n), key=names.__getitem__)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 99, 100, 101, 1000])
+def test_json_layout_orders_positions_as_their_quoted_names_sort(n):
+    # "k_1" < "k_10" < "k_2": past ten simplices the string order of the
+    # names and the numeric order of their positions part
+    digits, orders = json_layout(discrete_sset([f"e{p}" for p in range(n)], 1))
+    assert digits == [str(p) for p in range(n)]
+    assert [list(order) for order in orders] == [_quoted_order(0, n), _quoted_order(1, n)]
+    assert (list(orders[0]) == list(range(n))) == (n <= 10)
+
+
+def test_json_layout_shares_one_digit_table_across_levels():
+    s = standard_simplex(3, 3)
+    assert s.counts() == (4, 10, 20, 35)
+    digits, orders = json_layout(s)
+    assert digits == [str(p) for p in range(35)]
+    want = [_quoted_order(k, n) for k, n in enumerate(s.counts())]
+    assert [list(order) for order in orders] == want
 
 
 def test_tabulate_refuses_an_image_outside_its_level():

@@ -16,8 +16,8 @@ levels.  write_realization streams a realization's canonical JSON, these
 parts as per-simplex annotations beside the simplicial-set tables, level by
 level in sorted-key order, read by position and each part rendered once.
 Each level goes out in bounded pieces of simplices, so neither the payload
-dict nor a level's text is ever built; beside the orders of names, the memory
-the writer adds is json_layout's one table of digit strings.
+dict nor a level's text is ever built, and the only per-position memory the
+writer adds is json_layout's orders of names.
 
 Levels are laid out by chain position, from catsite.chains.  ckey orders a
 bar simplex by its parts in turn, so canonical level k is the concatenation,
@@ -216,12 +216,14 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
     sset.write_tables and, under "annotations", the start object, chain, F
     part and G part of each simplex by name.
 
-    Each simplex is read off its level by position.  The object and chain
-    are rendered once per block, and each level goes out in sorted-key order,
-    in pieces of sset._PIECE simplices, so the text held at once is one
-    piece; the memory the writer adds is json_layout's digits and orders.
+    Each simplex is read off its level by position and named by formatting
+    its position.  The object and chain are rendered once per block, and
+    each level goes out in sorted-key order, in pieces of sset._PIECE
+    simplices, so the text held at once is one piece; beside it, the memory
+    the writer adds is json_layout's orders and each level's rendered
+    blocks and value simplices.
     """
-    digits, orders = json_layout(s)
+    orders = json_layout(s)
     leaf = _Leaves()
 
     def entries() -> Iterator[str]:
@@ -241,12 +243,12 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
                     blocks[c] = head, tail, fk[x0], gk[xk]
                 head, tail, fs, gs = blocks[c]
                 a, b = divmod(p - starts[c], widths[c])
-                yield f'{key}{digits[p]}{head}{fs[a]},"g":{gs[b]}{tail}'
+                yield f'{key}{p}{head}{fs[a]},"g":{gs[b]}{tail}'
 
     write('{"annotations":{')
     _write_pieces(write, entries())
     write("},")
-    write_tables(s, digits, orders, write)
+    write_tables(s, orders, write)
     write("}")
 
 

@@ -29,9 +29,10 @@ the simplex at position p of level k "k_p", so internal tuple ids never leak
 into output.  to_json builds the tables as a dict, the form from_json reads
 back; write_tables writes the same tables as canonical JSON text straight
 from the position tables, keys in sorted order, each level in bounded pieces
-of simplices, so neither the dict nor a level's text is built: the memory it
-adds is json_layout's orders and its one table of digit strings str(p),
-shared by all levels, from which each name is assembled as it goes out.
+of simplices, so neither the dict nor a level's text is built.  A piece of
+rows is one % format, filled from strided views of the table, and the only
+per-position memory it adds is json_layout's orders, each level's positions
+in the string order of their names, found by a walk of the decimal digits.
 from_json accepts one spelling of a level key, the one str(k) gives.
 """
 
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import chain, combinations, combinations_with_replacement, compress, islice
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from finsite.canon import ckey, csorted, cstr
@@ -116,11 +118,14 @@ class SimplicialSet:
 
     def nondegenerate(self, k: int) -> tuple[int, ...]:
         """Positions in level k of the nondegenerate k-simplices, ascending:
-        those that no entry of the s_i table of level k-1 hits."""
+        those that no entry of the s_i table of level k-1 hits, kept as a
+        bytearray of one byte a position that each hit clears."""
         if k not in self._nondeg_cache:
-            level = range(len(self._level(k)))
-            hit = set(self._degeneracies[k - 1]) if k else set()
-            self._nondeg_cache[k] = tuple(p for p in level if p not in hit)
+            n = len(self._level(k))
+            free = bytearray(b"\1") * n
+            for q in self._degeneracies[k - 1] if k else ():
+                free[q] = 0
+            self._nondeg_cache[k] = tuple(compress(range(n), free))
         return self._nondeg_cache[k]
 
     def counts(self) -> tuple[int, ...]:
@@ -486,15 +491,32 @@ def to_json(s: SimplicialSet) -> dict:
     }
 
 
-def json_layout(s: SimplicialSet) -> tuple[list[str], list[array]]:
-    """The digits str(p) of every position up to the largest level, one table
-    for all levels, and per level the positions, an array("i"), in the order
-    sorted keys take: the JSON name of p in level k is '"k_' + digits[p] +
-    '"', and names sort as their digits do, "k_10" before "k_2" and "k_1"
-    before "k_10", because the closing quote sorts before any digit."""
-    digits = [str(p) for p in range(max(map(len, s.levels)))]
-    by_digits = digits.__getitem__
-    return digits, [array("i", sorted(range(len(level)), key=by_digits)) for level in s.levels]
+def _string_order(n: int) -> array:
+    """0..n-1 as an array("i") in the order of their decimal strings, "10"
+    before "2": 0, then each of 1..9 and the numbers under it in the decimal
+    trie, depth first.  A node whose children have none of their own puts
+    them out as one run."""
+    order = array("i", range(min(n, 1)))
+    stack = list(range(min(n, 10) - 1, 0, -1))
+    while stack:
+        p = stack.pop()
+        order.append(p)
+        first = p * 10
+        if first < n:
+            last = min(first + 10, n)
+            if first * 10 >= n:
+                order.extend(range(first, last))
+            else:
+                stack.extend(range(last - 1, first - 1, -1))
+    return order
+
+
+def json_layout(s: SimplicialSet) -> list[array]:
+    """Per level, its positions, an array("i"), in the order sorted keys
+    take: the JSON name of p in level k is '"k_' + str(p) + '"', and names
+    sort as their digits do, "k_10" before "k_2" and "k_1" before "k_10",
+    because the closing quote sorts before any digit."""
+    return [_string_order(len(level)) for level in s.levels]
 
 
 _PIECE = 1024
@@ -503,35 +525,48 @@ _PIECE = 1024
 def _write_pieces(write: Callable, entries: Iterable[str]) -> None:
     """Writes the entries, none of them empty, comma-separated and _PIECE at
     a time, so a writer holds one piece of a level's text, never the level."""
-    entries, seam = iter(entries), ""
+    entries, seam = iter(entries), False
     while piece := ",".join(islice(entries, _PIECE)):
-        write(seam + piece)
-        seam = ","
+        if seam:
+            write(",")
+        write(piece)
+        seam = True
 
 
-def write_tables(
-    s: SimplicialSet, digits: list[str], orders: list[array], write: Callable[[str], Any]
-) -> None:
+def _write_rows(write: Callable, row: str, order: Sequence[int], cols: list[Sequence[int]]) -> None:
+    """Writes row % (p, cols[0][p], ..., cols[-1][p]) for each p of order,
+    comma-separated: each piece of _PIECE rows is one % format of the row
+    joined _PIECE times, filled with one flat tuple."""
+    full = ",".join([row] * _PIECE)
+    for start in range(0, len(order), _PIECE):
+        ps = order[start : start + _PIECE]
+        if len(ps) == 1:  # itemgetter of one index gives the entry, not a tuple
+            values = (ps[0], *(col[ps[0]] for col in cols))
+        else:
+            values = tuple(chain.from_iterable(zip(ps, *map(itemgetter(*ps), cols))))
+        text = full if len(ps) == _PIECE else ",".join([row] * len(ps))
+        if start:
+            write(",")
+        write(text % values)
+
+
+def write_tables(s: SimplicialSet, orders: list[array], write: Callable[[str], Any]) -> None:
     """Writes the members of cjson(to_json(s)) from "degeneracies" to
     "simplices", without the braces around them, straight from the position
-    tables; digits and orders come from json_layout.  Each level's rows and
-    names go out in pieces of _PIECE simplices, so beside digits and orders
-    the text held at once is one piece."""
+    tables; orders come from json_layout.  Each level's rows and names go
+    out in pieces of _PIECE simplices, so beside the orders the text held at
+    once is one piece, and a row's entries are read through strided views
+    of its table, never copied."""
     # the level keys sort as strings too: "10" comes before "2"
     by_str = sorted(range(s.dim_cap + 1), key=str)
-    digit = digits.__getitem__
 
     def table(key: str, ops: tuple[Table, ...], step: int, ks: list[int]) -> None:
         write(f'"{key}":{{')
         for n, k in enumerate(ks):
-            t, w, j = ops[k], k + 1, k + step
-            here, first, seam = f'"{k}_', f'":["{j}_', f'","{j}_'
+            t, w, j = memoryview(ops[k]), k + 1, k + step
             write(("," if n else "") + f'"{k}":{{')
-            rows = (
-                f'{here}{digits[p]}{first}{seam.join(map(digit, t[p * w : p * w + w]))}"]'
-                for p in orders[k]
-            )
-            _write_pieces(write, rows)
+            row = f'"{k}_%d":[' + ",".join([f'"{j}_%d"'] * w) + "]"
+            _write_rows(write, row, orders[k], [t[i::w] for i in range(w)])
             write("}")
         write("}")
 
@@ -541,7 +576,7 @@ def write_tables(
     write(',"simplices":{')
     for n, k in enumerate(by_str):
         write(("," if n else "") + f'"{k}":[')
-        _write_pieces(write, (f'"{k}_{d}"' for d in islice(digits, len(s.levels[k]))))
+        _write_pieces(write, (f'"{k}_{p}"' for p in range(len(s.levels[k]))))
         write("]")
     write("}")
 

@@ -238,6 +238,20 @@ def test_streamed_realization_json_is_the_same_in_any_piece_size(monkeypatch, pi
     monkeypatch.setattr(sset, "_PIECE", piece)
     test_streamed_realization_json_matches_the_reference_renderer()
     test_streamed_realization_json_sorts_names_and_levels_as_strings()
+    test_streamed_realization_json_at_levels_of_one_piece_and_one_more()
+
+
+def test_streamed_realization_json_at_levels_of_one_piece_and_one_more():
+    # levels of exactly 1, _PIECE and _PIECE + 1 simplices: a lone row, one
+    # full piece, and a full piece followed by a piece of one row, where
+    # the rows' % format takes its one-row path
+    cat = point_category()
+    f = point_functor(cat, 2, covariant=True)
+    for n in (1, sset._PIECE, sset._PIECE + 1):
+        g = discretize(constant_set_presheaf(cat, [f"v{i:05d}" for i in range(n)]), 2)
+        re = realize(cat, f, g, 2)
+        assert re.counts() == (n, n, n)
+        _assert_same_text(_streamed(re) + "\n", cjson(realization_to_json(re)))
 
 
 def test_streamed_realization_json_of_an_empty_realization_is_the_reference():
@@ -267,7 +281,7 @@ def test_streamed_realization_json_holds_one_piece_at_a_time():
     total = sum(lengths)
     assert (sum(re.counts()), total) == (18208, 5279061)
     assert max(lengths) < total / 10
-    # beside json_layout's names and orders, the writer holds one piece
+    # beside json_layout's orders, the writer holds one piece
     assert peak < total
 
 
@@ -313,9 +327,10 @@ def test_realize_at_cap_5_keeps_no_table_of_identifiers():
 
 
 def test_streamed_realization_json_at_cap_5_holds_one_digit_table():
-    # one table of digit strings for every level, and no identifier read off
-    # a level: a traced peak of 4.2 MB (5.5 MB with a quoted name per
-    # simplex and identifier tuples in the realization)
+    # no identifier read off a level: a traced peak of 4.2 MB with one table
+    # of digit strings for every level (5.5 MB with a quoted name per
+    # simplex and identifier tuples in the realization); the test below
+    # holds the writer without that table to a tighter bound
     cat, f, g = _interval_cover_case(5)
     re = realize(cat, f, g, 5)
     size = 0
@@ -332,6 +347,31 @@ def test_streamed_realization_json_at_cap_5_holds_one_digit_table():
         tracemalloc.stop()
     assert (sum(re.counts()), size) == (55987, 19481339)
     assert peak < 4.8 * 2**20
+
+
+def test_writer_and_degeneracy_scan_at_cap_5_keep_no_per_position_table():
+    # table rows formatted a piece at a time from strided views of the
+    # tables, and names ordered by a digit walk, keep the writer's traced
+    # peak at 1.9 MiB (4.2 MiB with a digit string per position and a sort
+    # key list); a bytearray whose hits are cleared keeps the scan of all
+    # six levels at 0.4 MiB (3.4 MiB with a set of the hit positions)
+    cat, f, g = _interval_cover_case(5)
+    re = realize(cat, f, g, 5)
+    tracemalloc.start()
+    try:
+        write_realization(re, lambda text: None)
+        writer = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        counts = re.nondegenerate_counts()
+        scan = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (44, 235, 646, 1338, 2488, 4280)
+    assert writer < 2.5 * 2**20
+    assert scan < 2**20
 
 
 def _up_set_presheaf(cat, cap: int) -> Functor:

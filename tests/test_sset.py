@@ -1,10 +1,12 @@
 """Simplicial set layer: identities, constructors, serialization."""
 
+import io
 import random
 import re
 from array import array
 
 from finsite import catsite, sset
+from finsite.canon import cjson
 from finsite.catsite import nerve, poset_category, site_from_finite_space
 from finsite.gallery import bz2_category, circle_sset, interval_cover_space
 from finsite.presheaf import discretize, point_functor
@@ -12,6 +14,7 @@ from finsite.realization import order_complex_functor, realize
 from finsite.reports import InputError, ValidationError
 from finsite.sset import (
     SimplicialMap,
+    SimplicialSet,
     discrete_sset,
     disjoint_union,
     empty_sset,
@@ -432,19 +435,60 @@ def _quoted_order(k: int, n: int) -> list[int]:
 def test_json_layout_orders_positions_as_their_quoted_names_sort(n):
     # "k_1" < "k_10" < "k_2": past ten simplices the string order of the
     # names and the numeric order of their positions part
-    digits, orders = json_layout(discrete_sset([f"e{p}" for p in range(n)], 1))
-    assert digits == [str(p) for p in range(n)]
+    orders = json_layout(discrete_sset([f"e{p}" for p in range(n)], 1))
     assert [list(order) for order in orders] == [_quoted_order(0, n), _quoted_order(1, n)]
     assert (list(orders[0]) == list(range(n))) == (n <= 10)
 
 
-def test_json_layout_shares_one_digit_table_across_levels():
+def test_json_layout_orders_each_level_by_its_own_size():
     s = standard_simplex(3, 3)
     assert s.counts() == (4, 10, 20, 35)
-    digits, orders = json_layout(s)
-    assert digits == [str(p) for p in range(35)]
+    orders = json_layout(s)
+    assert [order.typecode for order in orders] == ["i"] * 4
     want = [_quoted_order(k, n) for k, n in enumerate(s.counts())]
     assert [list(order) for order in orders] == want
+
+
+def test_json_layout_is_the_string_order_at_every_size_to_2100_and_the_bench_levels():
+    # the digit walk against sorting by str, at every size up to 2,100 and at
+    # the two largest levels of the interval cover at cap 5
+    sizes = [*range(2101), 12700, 37779]
+    s = SimplicialSet(len(sizes) - 1, tuple(map(range, sizes)), (), ())
+    for n, order in zip(sizes, json_layout(s), strict=True):
+        assert list(order) == sorted(range(n), key=str), n
+
+
+def test_write_tables_is_the_reference_text_at_the_seams_of_a_piece():
+    # levels of exactly 1, _PIECE and _PIECE + 1 simplices: a lone row, one
+    # full piece, and a full piece followed by a piece of one row
+    sets = [discrete_sset([f"e{p}" for p in range(n)], 2) for n in (1, sset._PIECE, sset._PIECE + 1)]
+    sets += [standard_simplex(3, 3), empty_sset(2), point_sset(0)]
+    for s in sets:
+        out = io.StringIO()
+        sset.write_tables(s, json_layout(s), out.write)
+        assert "{" + out.getvalue() + "}\n" == cjson(to_json(s))
+
+
+def test_nondegenerate_matches_the_reference_rule_on_gallery_and_random_sets():
+    # the positions no s_i image hits, against the oracle's rule read by
+    # identifier: z is degenerate when z == s_i(d_i z) for some i < k
+    rng = random.Random(23)
+    space = interval_cover_space()
+    site = site_from_finite_space(space)
+    terminal = point_functor(site.category, 3, covariant=False)
+    sets = [circle_sset(4), nerve(bz2_category(), 4), standard_simplex(3, 4)]
+    sets += [from_json({**doc, "dim_cap": 4}) for doc in COMPACT.values()]
+    sets.append(realize(site.category, order_complex_functor(space, 3, site), terminal, 3))
+    for _ in range(6):
+        cat, _ = random_poset_with_max(rng, rng.randint(3, 6))
+        f = random_nested_diagram(rng, cat, 3)
+        sets.append(realize(cat, f, discretize(random_set_presheaf(rng, cat), 3), 3))
+        sets.append(from_json(random_compact_document(rng)[0]))
+    for s in sets:
+        ref = DictSimplicialSet(s.dim_cap, s.levels, s.face, s.degeneracy)
+        for k in range(s.dim_cap + 1):
+            assert tuple(s.levels[k][p] for p in s.nondegenerate(k)) == ref.nondegenerate(k)
+    assert sum(len(s.nondegenerate(s.dim_cap)) < len(s.levels[s.dim_cap]) for s in sets) > 10
 
 
 def test_tabulate_refuses_an_image_outside_its_level():

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import SimplicialSet, _from_columns, tabulate
+from finsite.sset import SimplicialSet, tabulate
 
 ObjId = Any
 MorId = Any
@@ -193,19 +193,20 @@ def chains(cat: FinCat, dim_cap: int) -> SimplicialSet:
     ident = [rank[at[cat.identity(x)]] for x in cat.objects]
     # steps: each chain's parent and last morphism; ends: its end object
     levels, steps, ends = [tuple((x, (), x) for x in cat.objects)], [], list(range(len(obj)))
-    faces, degeneracies, prev = [array("i")], [], []
+    faces, degeneracies, prev = [()], [], []
     for k in range(dim_cap):
         first = list(accumulate((len(out[e]) for e in ends), initial=0))
-        cols = [[first[degeneracies[-1][q * k + i]] + rank[j] for q, j in steps] for i in range(k)]
-        cols.append([first[p] + ident[e] for p, e in enumerate(ends)])
-        degeneracies.append(_from_columns(len(ends), k + 1, cols))
+        below = degeneracies[k - 1] if k else ()
+        cols = [array("i", [first[col[q]] + rank[j] for q, j in steps]) for col in below]
+        cols.append(array("i", [first[p] + ident[e] for p, e in enumerate(ends)]))
+        degeneracies.append(tuple(cols))
         new = [(q, j) for q, e in enumerate(ends) for j in out[e]]
         ch = levels[k]
         levels.append(tuple([(ch[q][0], ch[q][1] + (mors[j].mid,), mors[j].tgt) for q, j in new]))
-        cols = [[prev[faces[k][q * (k + 1) + i]] + rank[j] for q, j in new] for i in range(k)]
+        cols = [array("i", [prev[col[q]] + rank[j] for q, j in new]) for col in faces[k][:k]]
         # d_k (k > 0) is q's parent steps[q][0] followed by m after q's last morphism
         last = [tgt[j] if not k else prev[steps[q][0]] + rank[comp[j, steps[q][1]]] for q, j in new]
-        faces.append(_from_columns(len(new), k + 2, [*cols, last, [q for q, _ in new]]))
+        faces.append((*cols, array("i", last), array("i", [q for q, _ in new])))
         steps, ends, prev = new, [tgt[j] for _, j in new], first
     cat._chains[dim_cap] = SimplicialSet(dim_cap, tuple(levels), tuple(faces), tuple(degeneracies))
     return cat._chains[dim_cap]
@@ -221,8 +222,8 @@ def nerve(cat: FinCat, dim_cap: int) -> SimplicialSet:
     return tabulate(
         dim_cap,
         names,
-        lambda k, z, i: names[k - 1][ch._faces[k][at[k][z] * (k + 1) + i]],
-        lambda k, z, i: names[k + 1][ch._degeneracies[k][at[k][z] * (k + 1) + i]],
+        lambda k, z, i: names[k - 1][ch._faces[k][i][at[k][z]]],
+        lambda k, z, i: names[k + 1][ch._degeneracies[k][i][at[k][z]]],
     )
 
 

@@ -300,8 +300,8 @@ def normalized_chain_complex(s: SimplicialSet, top: int) -> ChainComplex:
         faces = s._faces[k]
         for j, p in enumerate(basis[k]):
             sign = 1
-            for q in faces[p * (k + 1) : (p + 1) * (k + 1)]:
-                pos = row_of.get(q)
+            for col in faces:
+                pos = row_of.get(col[p])
                 if pos is not None:
                     _axpy(lines[pos], {j: sign}, 1)
                 sign = -sign

@@ -30,8 +30,10 @@ read t from the chain table and the columns from F's and G's tables, d_0
 pushing F's along the first morphism and d_k pulling G's back along the
 last; a map of realizations reads t from a map of chain tables and the
 starts and widths from the target realization's levels, keeps the F column
-and moves the G column through a map of values.  realize writes each
-operator's column into its slot of the level's flat table in one step.
+and moves the G column through a map of values.  Tables and map images are
+stored as such columns, so realize keeps each operator's column as the
+level's table column of that operator, and _block_map each level's column
+as the map's images there.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from finsite.presheaf import (
 )
 from finsite.reports import InputError, Report, ValidationError
 from finsite.sset import (
-    SimplicialMap, SimplicialSet, _from_columns, _write_pieces, json_layout, pi0, write_tables
+    SimplicialMap, SimplicialSet, _write_pieces, json_layout, pi0, write_tables
 )
 
 ObjId = Any
@@ -139,12 +141,6 @@ def _column(there: _BarLevel, to: Sequence[int], fcols: Iterable, gcols: Iterabl
     return array("i", [s + a * w + b for s, w, fcol, gcol in blocks for a in fcol for b in gcol])
 
 
-def _columns(values: dict, k: int, table: str) -> dict[ObjId, list]:
-    """Per object x and operator i: the positions of d_i or s_i, by table
-    "_faces" or "_degeneracies", on the k-simplices of values[x]: column i."""
-    return {x: [getattr(v, table)[k][i :: k + 1] for i in range(k + 1)] for x, v in values.items()}
-
-
 def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     """Bar realization of the covariant f against the contravariant g,
     truncated at dim_cap.
@@ -162,26 +158,27 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
         raise InputError("dim_cap must be nonnegative")
     ch = chains(cat, dim_cap)
     levels = _layout(ch, f, g)
-    faces, degeneracies = [array("i")], []
+    fv, gv = f.values, g.values
+    faces, degeneracies = [()], []
     for k, level in enumerate(ch.levels):
         x0s, xks = [x0 for x0, _, _ in level], [xk for _, _, xk in level]
         moves = []
         if k:
-            fd, gd, low = _columns(f.values, k, "_faces"), _columns(g.values, k, "_faces"), k - 1
+            low = k - 1
             # d_0 pushes F's column along the first morphism, d_k pulls G's back
-            push = {m: [a.images[low][q] for q in fd[cat.src(m)][0]] for m, a in f.action.items()}
-            pull = {m: [a.images[low][q] for q in gd[cat.tgt(m)][k]] for m, a in g.action.items()}
-            fcols, gcols = [*zip(*map(fd.__getitem__, x0s))], [*zip(*map(gd.__getitem__, xks))]
+            push = {m: [a.images[low][q] for q in fv[cat.src(m)]._faces[k][0]] for m, a in f.action.items()}
+            pull = {m: [a.images[low][q] for q in gv[cat.tgt(m)]._faces[k][k]] for m, a in g.action.items()}
+            fcols = [*zip(*(fv[x]._faces[k] for x in x0s))]
+            gcols = [*zip(*(gv[x]._faces[k] for x in xks))]
             fcols[:1] = [[push[ms[0]] for _, ms, _ in level]]
             gcols[k:] = [[pull[ms[-1]] for _, ms, _ in level]]
             moves.append((faces, levels[low], ch._faces[k], fcols, gcols))
         if k < dim_cap:
-            fs, gs = _columns(f.values, k, "_degeneracies"), _columns(g.values, k, "_degeneracies")
-            fcols, gcols = zip(*map(fs.__getitem__, x0s)), zip(*map(gs.__getitem__, xks))
+            fcols = zip(*(fv[x]._degeneracies[k] for x in x0s))
+            gcols = zip(*(gv[x]._degeneracies[k] for x in xks))
             moves.append((degeneracies, levels[k + 1], ch._degeneracies[k], fcols, gcols))
         for tables, there, to, fcols, gcols in moves:
-            cols = (_column(there, to[i :: k + 1], *fg) for i, fg in enumerate(zip(fcols, gcols)))
-            tables.append(_from_columns(len(levels[k]), k + 1, cols))
+            tables.append(tuple(_column(there, *col) for col in zip(to, fcols, gcols)))
     return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
 
 
@@ -197,7 +194,7 @@ def _block_map(
     for k, (level, to, there) in enumerate(steps):
         fcols = [range(len(f.values[x0].levels[k])) for x0, _, _ in level]
         gcols = [move(xk).images[k] for _, _, xk in level]
-        images.append(tuple(_column(there, to, fcols, gcols)))
+        images.append(_column(there, to, fcols, gcols))
     return tuple(images)
 
 

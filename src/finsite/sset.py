@@ -9,16 +9,18 @@ J, so a simplex is degenerate exactly when it is an s_i image, and
 nondegenerate reads that off the s_i table alone.
 
 Storage is by position.  Each level lists its simplices once, in canonical
-order; d_i and s_i are flat int arrays per level, k + 1 entries a k-simplex
-giving the positions of its images in the adjacent level, and nondegenerate
-lists positions too.  The {simplex: position} index of the levels is derived
-on the first lookup by identifier (has, face, degeneracy, apply and
-from_function).  tabulate builds a set from formulas: it sorts each level,
-evaluates the formulas once per simplex through that index, and refuses an
-image outside its level.  The bar realization (realization.realize) computes
-every position inside a block from tables already in range, so it needs
-neither the sort, the check nor the index.  A map between two sets is stored
-the same way: per level, the target position of each source simplex's image.
+order.  d_i and s_i of level k are k + 1 int array columns, one per operator:
+entry p of column i is the position in the adjacent level of op_i of the
+simplex at p.  Builders fill a table one operator column at a time, and
+readers index t[i][p].  nondegenerate lists positions too.  The {simplex:
+position} index of the levels is derived on the first lookup by identifier
+(has, face, degeneracy, apply and from_function).  tabulate builds a set from
+formulas: it sorts each level, evaluates the formulas once per simplex through
+that index, and refuses an image outside its level.  The bar realization
+(realization.realize) computes every position inside a block from tables
+already in range, so it needs neither the sort, the check nor the index.  A
+map between two sets is stored the same way: per level, an int array of the
+target position of each source simplex's image, like one operator's column.
 SimplicialMap.from_function evaluates a formula once per simplex and refuses
 an image outside the target.  pi0 answers by position too: each component is
 the tuple of its vertex positions in level 0.
@@ -30,7 +32,7 @@ into output.  to_json builds the tables as a dict, the form from_json reads
 back; write_tables writes the same tables as canonical JSON text straight
 from the position tables, keys in sorted order, each level in bounded pieces
 of simplices, so neither the dict nor a level's text is built.  A piece of
-rows is one % format, filled from strided views of the table, and the only
+rows is one % format, filled from the columns of the table, and the only
 per-position memory it adds is json_layout's orders, each level's positions
 in the string order of their names, found by a walk of the decimal digits.
 from_json accepts one spelling of a level key, the one str(k) gives.
@@ -42,15 +44,15 @@ from array import array
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, compress, islice
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.reports import InputError, Report, ValidationError
 
 SimplexId = Any  # str | nested tuple of str/int
 
-# Per level k, an array("i") whose entry p * (k + 1) + i is op_i of simplex p.
-Table = array
+# Per level k, k + 1 array("i") columns: entry p of column i is op_i of simplex p.
+Table = tuple[array, ...]
 # A formula (k, z, i) -> d_i z or s_i z for a k-simplex z.
 Op = Callable[[int, SimplexId, int], SimplexId]
 
@@ -61,10 +63,10 @@ class SimplicialSet:
     levels[k] holds the k-simplices in canonical order, as any read-only
     sequence addressed by position: a tuple, or a bar level that computes
     the simplex at p (realization._BarLevel); simplices(k) gives it as a
-    tuple.  Entry p * (k + 1) + i of _faces[k] is the position in level k-1
-    of d_i of the simplex at p of level k, and of _degeneracies[k] the
-    position in level k+1 of s_i; _faces[0] is empty, and _degeneracies
-    covers levels 0..dim_cap-1 only.
+    tuple.  _faces[k][i][p] is the position in level k-1 of d_i of the
+    simplex at p of level k, and _degeneracies[k][i][p] the position in
+    level k+1 of s_i; _faces[0] has no columns, and _degeneracies covers
+    levels 0..dim_cap-1 only.
     Every constructor keeps each position in its level: tabulate checks each
     image, realize and catsite.chains compute each one inside the level.
     """
@@ -105,7 +107,7 @@ class SimplicialSet:
         if 1 <= k <= self.dim_cap and 0 <= i <= k:
             p = self._index[k].get(z)
             if p is not None:
-                return self.levels[k - 1][self._faces[k][p * (k + 1) + i]]
+                return self.levels[k - 1][self._faces[k][i][p]]
         raise InputError(f"no face d_{i} for {cstr(z)} in dimension {k}")
 
     def degeneracy(self, k: int, z: SimplexId, i: int) -> SimplexId:
@@ -113,17 +115,17 @@ class SimplicialSet:
         if 0 <= k < self.dim_cap and 0 <= i <= k:
             p = self._index[k].get(z)
             if p is not None:
-                return self.levels[k + 1][self._degeneracies[k][p * (k + 1) + i]]
+                return self.levels[k + 1][self._degeneracies[k][i][p]]
         raise InputError(f"no degeneracy s_{i} for {cstr(z)} in dimension {k}")
 
     def nondegenerate(self, k: int) -> tuple[int, ...]:
         """Positions in level k of the nondegenerate k-simplices, ascending:
-        those that no entry of the s_i table of level k-1 hits, kept as a
+        those that no entry of the s_i columns of level k-1 hits, kept as a
         bytearray of one byte a position that each hit clears."""
         if k not in self._nondeg_cache:
             n = len(self._level(k))
             free = bytearray(b"\1") * n
-            for q in self._degeneracies[k - 1] if k else ():
+            for q in chain.from_iterable(self._degeneracies[k - 1] if k else ()):
                 free[q] = 0
             self._nondeg_cache[k] = tuple(compress(range(n), free))
         return self._nondeg_cache[k]
@@ -157,11 +159,12 @@ def _refusal(kind: str, detail: str, witness: tuple) -> ValidationError:
 def _positions(
     fn: Op, k: int, level: tuple[SimplexId, ...], target: dict[SimplexId, int], kind: str, op: str
 ) -> Table:
-    """fn(k, z, i) for i = 0..k on every z of the level, as the flat table
-    of their positions in the target level."""
+    """fn(k, z, i) for i = 0..k on every z of the level, as the k + 1
+    columns of their positions in the target level.  The formulas run simplex
+    by simplex, so a refusal names the first bad simplex in level order."""
     ops = range(k + 1)
     try:
-        return array("i", [target[fn(k, z, i)] for z in level for i in ops])
+        flat = array("i", [target[fn(k, z, i)] for z in level for i in ops])
     except KeyError:
         for z in level:
             for i in ops:
@@ -170,20 +173,7 @@ def _positions(
                         f"{kind}-codomain", f"{op}_{i} lands outside", (k, z, i)
                     ) from None
         raise
-
-
-def _rows(t: Table, k: int) -> Iterator[tuple[int, ...]]:
-    """The rows of a level-k table in turn, k + 1 entries each."""
-    return zip(*[iter(t)] * (k + 1))
-
-
-def _from_columns(n: int, w: int, columns: Iterable[Sequence[int]]) -> Table:
-    """The table of n rows of w entries whose column i is the i-th of
-    columns, set as each comes: a lazy caller holds one column at a time."""
-    t = array("i", [0]) * (n * w)
-    for i, col in enumerate(columns):
-        t[i::w] = array("i", col)
-    return t
+    return tuple(flat[i :: k + 1] for i in ops)
 
 
 def tabulate(
@@ -206,7 +196,7 @@ def tabulate(
     for k, (level, at) in enumerate(zip(ordered, index)):
         if len(at) != len(level):
             raise _refusal("duplicate-simplex", "level has duplicates", (k,))
-    s._faces = (array("i"),) + tuple(
+    s._faces = ((),) + tuple(
         _positions(face_fn, k, ordered[k], index[k - 1], "face", "d") for k in range(1, dim_cap + 1)
     )
     s._degeneracies = tuple(
@@ -301,10 +291,10 @@ def disjoint_union(parts: Iterable[SimplicialSet]) -> SimplicialSet:
 class SimplicialMap:
     """Levelwise map of simplicial sets, stored by position.
 
-    images[k][p] is the position in the target's level k of the image of the
-    simplex at position p of the source's level k.  Build one with
-    from_function, identity or compose: from_function refuses an image
-    outside the target, so every map is total and in range.  Whether it
+    images[k], an array("i"), holds at p the position in the target's level
+    k of the image of the simplex at position p of the source's level k.
+    Build one with from_function, identity or compose: from_function refuses
+    an image outside the target, so every map is total and in range.  Whether it
     commutes with d_i and s_i is validate_map's question.
     """
 
@@ -312,7 +302,7 @@ class SimplicialMap:
         self,
         source: SimplicialSet,
         target: SimplicialSet,
-        images: tuple[tuple[int, ...], ...],
+        images: tuple[array, ...],
     ):
         if source.dim_cap != target.dim_cap:
             raise InputError("map requires equal dim_cap")
@@ -336,7 +326,7 @@ class SimplicialMap:
 
     @staticmethod
     def identity(s: SimplicialSet) -> "SimplicialMap":
-        return SimplicialMap(s, s, tuple(tuple(range(len(level))) for level in s.levels))
+        return SimplicialMap(s, s, tuple(array("i", range(len(level))) for level in s.levels))
 
     @staticmethod
     def from_function(
@@ -348,14 +338,14 @@ class SimplicialMap:
         target raises a ValidationError whose report kind is map-codomain."""
         images = []
         for k, (level, at) in enumerate(zip(source.levels, target._index)):
-            row = []
+            row = array("i")
             for z in level:
                 w = fn(k, z)
                 q = at.get(w)
                 if q is None:
                     raise _refusal("map-codomain", "image not in target", (k, z, w))
                 row.append(q)
-            images.append(tuple(row))
+            images.append(row)
         return SimplicialMap(source, target, tuple(images))
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
@@ -363,7 +353,7 @@ class SimplicialMap:
         if other.target is not self.source and other.target != self.source:
             raise InputError("composition mismatch")
         images = tuple(
-            tuple(mine[q] for q in theirs) for mine, theirs in zip(self.images, other.images)
+            array("i", map(mine.__getitem__, theirs)) for mine, theirs in zip(self.images, other.images)
         )
         return SimplicialMap(other.source, self.target, images)
 
@@ -380,12 +370,11 @@ def validate_map(m: SimplicialMap) -> Report:
         ("map-degeneracy", "s", 1, range(cap), src._degeneracies, m.target._degeneracies),
     ):
         for k in ks:
-            near, here, ops_of_image, w = images[k + step], images[k], tgt_ops[k], k + 1
-            for p, ops in enumerate(_rows(src_ops[k], k)):
-                want = ops_of_image[here[p] * w : here[p] * w + w]
+            near, here, ops_of_image = images[k + step], images[k], tgt_ops[k]
+            for p, ops in enumerate(zip(*src_ops[k])):
                 for i, q in enumerate(ops):
                     # m(op_i z) == op_i(m z)
-                    if near[q] != want[i]:
+                    if near[q] != ops_of_image[i][here[p]]:
                         return Report.failure(
                             kind, f"does not commute with {op}_{i}", (k, src.levels[k][p], i)
                         )
@@ -410,7 +399,7 @@ def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
         return v
 
     if s.dim_cap >= 1:
-        for a, b in _rows(s._faces[1], 1):
+        for a, b in zip(*s._faces[1]):
             parent[find(a)] = find(b)
     classes: dict[int, list[int]] = {}
     for p in range(len(parent)):
@@ -433,40 +422,40 @@ def validate_sset(s: SimplicialSet) -> Report:
     levels, faces, degs = s.levels, s._faces, s._degeneracies
     for k in range(2, s.dim_cap + 1):
         below = faces[k - 1]
-        for p, fz in enumerate(_rows(faces[k], k)):
+        for p, fz in enumerate(zip(*faces[k])):
             for j in range(1, k + 1):
                 for i in range(j):
-                    # d_i d_j = d_{j-1} d_i, rows of level k-1 having k entries
-                    if below[fz[j] * k + i] != below[fz[i] * k + j - 1]:
+                    # d_i d_j = d_{j-1} d_i
+                    if below[i][fz[j]] != below[j - 1][fz[i]]:
                         return Report.failure(
                             "identity-dd",
                             f"d_{i} d_{j} != d_{j-1} d_{i}",
                             (k, levels[k][p], i, j),
                         )
     for k in range(s.dim_cap - 1):
-        above, w = degs[k + 1], k + 2
-        for p, sz in enumerate(_rows(degs[k], k)):
+        above = degs[k + 1]
+        for p, sz in enumerate(zip(*degs[k])):
             for j in range(k + 1):
                 for i in range(j + 1):
-                    # s_i s_j = s_{j+1} s_i for i <= j, rows of level k+1 having k+2 entries
-                    if above[sz[j] * w + i] != above[sz[i] * w + j + 1]:
+                    # s_i s_j = s_{j+1} s_i for i <= j
+                    if above[i][sz[j]] != above[j + 1][sz[i]]:
                         return Report.failure(
                             "identity-ss",
                             f"s_{i} s_{j} != s_{j+1} s_{i}",
                             (k, levels[k][p], i, j),
                         )
     for k in range(s.dim_cap):
-        for p, sz in enumerate(_rows(degs[k], k)):
-            for j in range(k + 1):
-                fs = faces[k + 1][sz[j] * (k + 2) : (sz[j] + 1) * (k + 2)]
+        up, down = faces[k + 1], faces[k]
+        for p, sz in enumerate(zip(*degs[k])):
+            for j, q in enumerate(sz):
                 for i in range(k + 2):
                     if i == j or i == j + 1:
                         want = p
                     elif i < j:
-                        want = degs[k - 1][faces[k][p * (k + 1) + i] * k + j - 1]
+                        want = degs[k - 1][j - 1][down[i][p]]
                     else:
-                        want = degs[k - 1][faces[k][p * (k + 1) + i - 1] * k + j]
-                    if fs[i] != want:
+                        want = degs[k - 1][j][down[i - 1][p]]
+                    if up[i][q] != want:
                         return Report.failure(
                             "identity-ds", f"d_{i} s_{j} mismatch", (k, levels[k][p], i, j)
                         )
@@ -481,7 +470,7 @@ def to_json(s: SimplicialSet) -> dict:
     names = [[f"{k}_{p}" for p in range(len(level))] for k, level in enumerate(s.levels)]
 
     def named(t: Table, k: int, near: list[str]) -> dict:
-        return {name: [near[q] for q in row] for name, row in zip(names[k], _rows(t, k))}
+        return {name: [near[q] for q in row] for name, row in zip(names[k], zip(*t))}
 
     return {
         "dim_cap": s.dim_cap,
@@ -533,7 +522,7 @@ def _write_pieces(write: Callable, entries: Iterable[str]) -> None:
         seam = True
 
 
-def _write_rows(write: Callable, row: str, order: Sequence[int], cols: list[Sequence[int]]) -> None:
+def _write_rows(write: Callable, row: str, order: Sequence[int], cols: Sequence[Sequence[int]]) -> None:
     """Writes row % (p, cols[0][p], ..., cols[-1][p]) for each p of order,
     comma-separated: each piece of _PIECE rows is one % format of the row
     joined _PIECE times, filled with one flat tuple."""
@@ -555,18 +544,18 @@ def write_tables(s: SimplicialSet, orders: list[array], write: Callable[[str], A
     "simplices", without the braces around them, straight from the position
     tables; orders come from json_layout.  Each level's rows and names go
     out in pieces of _PIECE simplices, so beside the orders the text held at
-    once is one piece, and a row's entries are read through strided views
-    of its table, never copied."""
+    once is one piece, and a row's entries are read off the table's columns,
+    never copied."""
     # the level keys sort as strings too: "10" comes before "2"
     by_str = sorted(range(s.dim_cap + 1), key=str)
 
     def table(key: str, ops: tuple[Table, ...], step: int, ks: list[int]) -> None:
         write(f'"{key}":{{')
         for n, k in enumerate(ks):
-            t, w, j = memoryview(ops[k]), k + 1, k + step
+            cols, j = ops[k], k + step
             write(("," if n else "") + f'"{k}":{{')
-            row = f'"{k}_%d":[' + ",".join([f'"{j}_%d"'] * w) + "]"
-            _write_rows(write, row, orders[k], [t[i::w] for i in range(w)])
+            row = f'"{k}_%d":[' + ",".join([f'"{j}_%d"'] * len(cols)) + "]"
+            _write_rows(write, row, orders[k], cols)
             write("}")
         write("}")
 

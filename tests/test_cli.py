@@ -363,6 +363,21 @@ def test_validate_sset_reports_malformed_tables(tmp_path, capsys, case):
     }
 
 
+def test_validate_sset_names_the_first_broken_simplex_in_level_order(tmp_path, capsys):
+    # aab lacks d_2 and the later abb lacks every face, d_0 first: tables are
+    # filled simplex by simplex, so the report names aab, not the d_0 gap
+    tables = _interval_tables()
+    _drop_last_face(tables)
+    del tables["faces"]["2"]["abb"]
+    path = tmp_path / "two-gaps.json"
+    path.write_text(json.dumps(tables))
+    code, out, err = run(capsys, "validate", "--sset", str(path), "--format", "json")
+    assert code == 3 and err == ""
+    assert json.loads(out)["report"] == {
+        "ok": False, "kind": "face-missing", "detail": "d_2 missing", "witness": ["2", "aab"]
+    }
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "realize", "--space", "/nonexistent.json")
     assert code == 2

@@ -182,7 +182,7 @@ def test_chain_complex_refuses_nonzero_boundary_squared():
         # vertices a, b, edge e, triangle t, by position: d(e) = b - a, but
         # d(t) = e - e + e = e, so d(d(t)) != 0
         dim_cap = 2
-        _faces = (array("i"), array("i", [1, 0]), array("i", [0, 0, 0]))
+        _faces = ((), (array("i", [1]), array("i", [0])), (array("i", [0]),) * 3)
 
         def nondegenerate(self, k):
             return ((0, 1), (0,), (0,))[k]

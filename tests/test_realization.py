@@ -4,6 +4,7 @@ import io
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -298,8 +299,8 @@ def _interval_cover_case(cap: int):
 
 def test_realize_holds_flat_tables_and_one_column_at_a_time():
     # the interval cover against the terminal presheaf at cap 4, with the
-    # chain table already built: tables of 4 bytes an entry, each written a
-    # column at a time, keep realize's traced peak under 3.5 MB (4.5 MB when
+    # chain table already built: int-array columns of 4 bytes an entry, built
+    # one at a time, keep realize's traced peak under 3.5 MB (4.5 MB when
     # each simplex held a tuple of shared int objects)
     cat, f, g = _interval_cover_case(4)
     tracemalloc.start()
@@ -669,6 +670,37 @@ def test_induced_realization_map_functorial_in_composition():
     m2 = induced_realization_map(f, pm2, 2)
     m12 = induced_realization_map(f, discretize_map(sh.unit.then(third), 2), 2)
     assert m2.compose(m1) == m12
+
+
+def test_every_map_constructor_gives_int_array_images():
+    # one array("i") per level, one entry per simplex of the source's level
+    cap = 2
+    space, site = _pc_site()
+    cat = site.category
+    sh = sheafify_set(site, collapse_set_presheaf(cat, has_final_object(cat)))
+    f = order_complex_functor(space, cap, site)
+    induced = induced_realization_map(f, discretize_map(sh.unit, cap), cap)
+    a, b = projector_maps(*_triples_case(sierpinski_space(), cap), cap)
+    circle = circle_sset(cap)
+    maps = [
+        SimplicialMap.from_function(circle, circle, lambda k, z: z),
+        SimplicialMap.identity(circle),
+        induced,
+        SimplicialMap.identity(induced.target).compose(induced),
+        a,
+        b,
+        a.compose(b),
+    ]
+
+    def not_arrays(m):
+        assert len(m.images) == cap + 1
+        return [
+            k
+            for k, (images, level) in enumerate(zip(m.images, m.source.levels))
+            if not isinstance(images, array) or images.typecode != "i" or len(images) != len(level)
+        ]
+
+    assert [not_arrays(m) for m in maps] == [[]] * len(maps)
 
 
 def test_projector_data_on_triples_validates():

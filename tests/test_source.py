@@ -53,12 +53,38 @@ def test_only_sset_reads_the_identifier_index():
     assert found == []
 
 
+def test_only_sset_knows_the_table_layout():
+    """Face and degeneracy tables are columns, one per operator, and map
+    images one array per level, so every other module indexes them directly:
+    none computes a product inside a subscript (a row offset such as
+    p * (k + 1) + i), slices with a step read from a name (a stride such as
+    [i :: k + 1]), or builds a memoryview."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "sset.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Subscript):
+                inside = list(ast.walk(n.slice))
+                if any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult) for b in inside) or any(
+                    isinstance(sl, ast.Slice)
+                    and sl.step is not None
+                    and any(isinstance(x, ast.Name) for x in ast.walk(sl.step))
+                    for sl in inside
+                ):
+                    found.append(f"{path.name}:{n.lineno} {ast.unparse(n)}")
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "memoryview":
+                found.append(f"{path.name}:{n.lineno} memoryview")
+    assert found == []
+
+
 def test_only_catsite_applies_the_chain_rule():
     """Faces and degeneracies of chains are read from catsite.chains: the
     realization and its maps compose no morphisms and insert no identities
     (SimplicialMap.identity is the identity map of a simplicial set)."""
     tree = ast.parse((PACKAGE / "realization.py").read_text())
-    names = {"realize", "_layout", "_column", "_columns", "_block_map", "induced_realization_map"}
+    names = {"realize", "_layout", "_column", "_block_map", "induced_realization_map"}
     defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
     assert {n.name for n in defs} == names
     found = [

@@ -381,22 +381,25 @@ def test_tables_match_reference_on_random_realizations(tables_checked):
         assert table_mismatches(re, by_formula) == []
 
 
-def _not_flat(s) -> list[tuple[str, int]]:
-    """The tables of s that are not one array("i") of k + 1 entries per
-    simplex of their level k; _faces[0] must be empty."""
+def _not_columns(s) -> list[tuple[str, int]]:
+    """The tables of s that are not k + 1 array("i") columns of one entry per
+    simplex of their level k; _faces[0] must have no columns."""
     assert (len(s._faces), len(s._degeneracies)) == (s.dim_cap + 1, s.dim_cap)
     tables = [("d", k, t) for k, t in enumerate(s._faces)]
     tables += [("s", k, t) for k, t in enumerate(s._degeneracies)]
     return [
         (op, k)
         for op, k, t in tables
-        if not isinstance(t, array)
-        or t.typecode != "i"
-        or len(t) != (k + 1) * len(s.levels[k]) * (op == "s" or k > 0)
+        if not isinstance(t, tuple)
+        or len(t) != (k + 1) * (op == "s" or k > 0)
+        or any(
+            not isinstance(col, array) or col.typecode != "i" or len(col) != len(s.levels[k])
+            for col in t
+        )
     ]
 
 
-def test_every_constructor_builds_flat_int_tables(tables_checked):
+def test_every_constructor_builds_int_array_columns(tables_checked):
     # tables_checked holds every set tabulate builds (the standard simplex,
     # both from_json forms, the nerve) to its formulas by identifier; the
     # realization and the chain table are held to oracles' formulas here
@@ -408,7 +411,7 @@ def test_every_constructor_builds_flat_int_tables(tables_checked):
     ch, named = catsite.chains(cat, cap), oracles.formula_nerve(cat, cap)
     sets = [standard_simplex(2, cap), from_json(to_json(circle_sset(cap))), from_json(compact)]
     sets += [nerve(cat, cap), ch, re]
-    assert [_not_flat(s) for s in sets] == [[]] * len(sets)
+    assert [_not_columns(s) for s in sets] == [[]] * len(sets)
     assert sets[2] == oracles.expand_compact(compact)
     ref = formula_realize(site.category, f, g, cap)
     assert table_mismatches(re, DictSimplicialSet(cap, ref.levels, ref.face, ref.degeneracy)) == []
@@ -508,16 +511,41 @@ def test_tabulate_refuses_an_image_outside_its_level():
         tabulate(2, [levels[0] * 2, levels[1], levels[2]], s.face, s.degeneracy)
 
 
+def test_validate_sset_names_the_first_broken_simplex_in_level_order():
+    # In Delta^3, (0,1,2) with d_2 moved to (2,3) fails d_0 d_2, and the later
+    # (1,2,3) with d_0 moved to (0,1) fails d_0 d_1, which comes first in
+    # operator order; with both moved, the report names the earlier simplex.
+    s = standard_simplex(3, 3)
+    edges, triangles = s.levels[1], s.levels[2]
+    early = (2, triangles.index((0, 1, 2)), edges.index((2, 3)))
+    late = (0, triangles.index((1, 2, 3)), edges.index((0, 1)))
+
+    def moved(*edits):
+        cols = [col[:] for col in s._faces[2]]
+        for i, p, q in edits:
+            cols[i][p] = q
+        faces = s._faces[:2] + (tuple(cols),) + s._faces[3:]
+        return validate_sset(sset.SimplicialSet(3, s.levels, faces, s._degeneracies))
+
+    reports = [moved(early), moved(late), moved(early, late), moved(late, early)]
+    assert [(r.kind, r.witness) for r in reports] == [
+        ("identity-dd", (2, (0, 1, 2), 0, 2)),
+        ("identity-dd", (2, (1, 2, 3), 0, 1)),
+        ("identity-dd", (2, (0, 1, 2), 0, 2)),
+        ("identity-dd", (2, (0, 1, 2), 0, 2)),
+    ]
+
+
 def _degeneracy_flags_disagree(s) -> bool:
     """Whether some level's s_i images differ from the simplices z with
     s_i(d_i z) == z, read straight off the position tables."""
     for k in range(1, s.dim_cap + 1):
         degs, faces = s._degeneracies[k - 1], s._faces[k]
-        images = set(degs)
+        images = {q for col in degs for q in col}
         flagged = {
             p
             for p in range(len(s.levels[k]))
-            if any(degs[faces[p * (k + 1) + i] * k + i] == p for i in range(k))
+            if any(degs[i][faces[i][p]] == p for i in range(k))
         }
         if images != flagged:
             return True
@@ -533,13 +561,12 @@ def test_validate_sset_needs_no_degeneracy_flag_check():
         for k in range(s.dim_cap):
             for p in range(len(s.levels[k])):
                 for i in range(k + 1):
-                    at = p * (k + 1) + i
                     for q in range(len(s.levels[k + 1])):
-                        if q == s._degeneracies[k][at]:
+                        if q == s._degeneracies[k][i][p]:
                             continue
-                        level = s._degeneracies[k][:]
-                        level[at] = q
-                        degs = s._degeneracies[:k] + (level,) + s._degeneracies[k + 1 :]
+                        level = [col[:] for col in s._degeneracies[k]]
+                        level[i][p] = q
+                        degs = s._degeneracies[:k] + (tuple(level),) + s._degeneracies[k + 1 :]
                         t = sset.SimplicialSet(s.dim_cap, s.levels, s._faces, degs)
                         if _degeneracy_flags_disagree(t):
                             disagreements += 1

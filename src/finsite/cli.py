@@ -224,11 +224,12 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
     raw_values = _per_object(cat, data, "presheaf", "values")
     values = {}
     for x in cat.objects:
+        # compared before anything is built at the value's cap; from_json
+        # refuses a cap that is missing or not an integer
+        got = raw_values[x].get("dim_cap") if isinstance(raw_values[x], dict) else None
+        if type(got) is int and got != dim_cap:
+            raise InputError(f"value at {x} has dim cap {got}, expected {dim_cap}")
         values[x] = sset_from_json(raw_values[x])
-        if values[x].dim_cap != dim_cap:
-            raise InputError(
-                f"value at {x} has dim cap {values[x].dim_cap}, expected {dim_cap}"
-            )
     raw_actions = _actions(cat, data)
     action = {}
     for m in cat.morphisms.values():
@@ -498,7 +499,7 @@ def cmd_realize(args) -> int:
         "pi0": n0,
         "homology": [g_.to_json() for g_ in h.groups],
         "counts": list(re.counts()),
-        "nondegenerate": [len(re.nondegenerate(k)) for k in range(cap + 1)],
+        "nondegenerate": list(re.nondegenerate_counts()),
         "realization": lambda write: write_realization(re, write),
     }
     lines = [f"realize: pi0={n0}"]

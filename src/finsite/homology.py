@@ -53,10 +53,6 @@ class IntMatrix:
         # count nonzeros; nothing in the package does.
         return [list(line.values()) for line in self.sparse]
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, sparse=_identity(n))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -414,19 +410,6 @@ def _group_at(cx: ChainComplex, k: int, cycles: SNFResult) -> tuple[HomologyGrou
         if g.reduce(gen) != want:
             raise InternalCheckError("generator does not reduce to a unit vector")
     return g, snf_m
-
-
-def homology(cx: ChainComplex, k: int) -> HomologyGroup:
-    """Homology of a chain complex in one degree.
-
-    Needs the boundary out of level k + 1, so k must stay below the top
-    level of the complex.
-    """
-    if k < 0:
-        raise InputError("degree must be nonnegative")
-    if k + 1 >= len(cx.basis):
-        raise InputError(f"degree {k} needs level {k + 1}, past the complex top")
-    return _group_at(cx, k, smith_normal_form(cx.boundary[k]))[0]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Variance is data: a covariant functor acts by action[f]: F(src f) -> F(tgt f),
 a contravariant one (a presheaf) by action[f]: F(tgt f) -> F(src f).
 Sheafification of set presheaves runs the plus construction twice.  On a
 finite site every object x has a minimum covering sieve, and a plus step's
-value at x is the matching families over it.  One solver finds both matching
-families and global sections; one rule restricts families along a morphism.
+value at x is the matching families over it, found by one backtracking
+solver straight from the sieve's members; one rule restricts families along a
+morphism.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from finsite.canon import csorted, cstr
-from finsite.catsite import FinCat, MappedCat, Morphism, Sieve, Site, sieve_category
+from finsite.catsite import FinCat, MappedCat, Morphism, Sieve, Site
 from finsite.reports import InputError, InternalCheckError, Report, ValidationError
 from finsite.sset import (
     SimplicialMap,
@@ -277,14 +278,7 @@ def reindex(fun: Functor | SetFunctor, mapped: MappedCat) -> Functor | SetFuncto
     )
 
 
-def restrict(fun: Functor | SetFunctor, s: Sieve) -> Functor | SetFunctor:
-    """Restriction to the sieve category; objects are the sieve's members."""
-    if s.base not in fun.category.objects:
-        raise InputError("sieve base is not an object of the functor's category")
-    return reindex(fun, sieve_category(fun.category, s))
-
-
-# -- sections (limit of a set presheaf) -----------------------------------------
+# -- compatible choices by backtracking -----------------------------------------
 
 
 def _solutions(keys: list, values: list, arrows: Iterable) -> tuple[tuple, ...]:
@@ -310,23 +304,6 @@ def _solutions(keys: list, values: list, arrows: Iterable) -> tuple[tuple, ...]:
 
     fill(0)
     return tuple(out)
-
-
-def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
-    """All global sections, each a tuple of (object, value) pairs in canonical
-    object order.  A section picks s_x with action[f](s_tgt) == s_src."""
-    if sp.covariant or not _same(sp.category, cat):
-        raise InputError("sections need a set presheaf on the given category")
-    pos = {x: i for i, x in enumerate(cat.objects)}
-    arrows = [(pos[m.src], sp.action[m.mid], pos[m.tgt]) for m in cat.morphisms.values()]
-    return _solutions(list(cat.objects), [sp.values[x] for x in cat.objects], arrows)
-
-
-def section_value(section: tuple, obj: ObjId):
-    for x, v in section:
-        if x == obj:
-            return v
-    raise KeyError(obj)
 
 
 # -- sheafification --------------------------------------------------------------

@@ -12,37 +12,40 @@ Storage is by position.  Each level lists its simplices once, in canonical
 order.  d_i and s_i of level k are k + 1 int array columns, one per operator:
 entry p of column i is the position in the adjacent level of op_i of the
 simplex at p.  Builders fill a table one operator column at a time, and
-readers index t[i][p].  nondegenerate lists positions too.  The {simplex:
-position} index of the levels is derived on the first lookup by identifier
-(has, face, degeneracy, apply and from_function).  tabulate builds a set from
-formulas: it sorts each level, evaluates the formulas once per simplex through
-that index, and refuses an image outside its level.  The bar realization
-(realization.realize) computes every position inside a block from tables
-already in range, so it needs neither the sort, the check nor the index.  A
-map between two sets is stored the same way: per level, an int array of the
-target position of each source simplex's image, like one operator's column.
-SimplicialMap.from_function evaluates a formula once per simplex and refuses
-an image outside the target.  pi0 answers by position too: each component is
-the tuple of its vertex positions in level 0.
+readers index t[i][p].  nondegenerate lists positions too, and a built
+simplex has no other address than its position.  The {simplex: position}
+index of the levels is derived only where a formula names simplices by
+identifier: in tabulate, in SimplicialMap.from_function, and in has, which
+from_json needs.  tabulate builds a set from formulas: it sorts each level,
+evaluates the formulas once per simplex through that index, and refuses an
+image outside its level.  The bar realization (realization.realize) computes
+every position inside a block from tables already in range, so it needs
+neither the sort, the check nor the index.  A map between two sets is stored
+the same way: per level, an int array of the target position of each source
+simplex's image, like one operator's column.  SimplicialMap.from_function
+evaluates a formula once per simplex and refuses an image outside the target.
+pi0 answers by position too: each component is the tuple of its vertex
+positions in level 0.
 
 Identifiers are opaque: strings for user data, nested tuples for constructed
-simplices (products, disjoint unions, bar simplices).  Serialization names
+simplices (chains of a category, bar simplices).  Serialization names
 the simplex at position p of level k "k_p", so internal tuple ids never leak
-into output.  to_json builds the tables as a dict, the form from_json reads
-back; write_tables writes the same tables as canonical JSON text straight
-from the position tables, keys in sorted order, each level in bounded pieces
-of simplices, so neither the dict nor a level's text is built.  A piece of
-rows is one % format, filled from the columns of the table, and the only
-per-position memory it adds is json_layout's orders, each level's positions
-in the string order of their names, found by a walk of the decimal digits.
+into output.  write_tables writes the tables in the form from_json reads back,
+as canonical JSON text straight from the position tables, keys in sorted
+order, each level in bounded pieces of simplices, so neither a dict of the
+tables nor a level's text is built.  A piece of rows is one % format, filled
+from the columns of the table, and the only per-position memory it adds is
+json_layout's orders, each level's positions in the string order of their
+names, found by a walk of the decimal digits.
 from_json accepts one spelling of a level key, the one str(k) gives.
 """
 
 from __future__ import annotations
 
+import json
 from array import array
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, compress, islice
+from itertools import chain, combinations, compress, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -101,22 +104,6 @@ class SimplicialSet:
 
     def has(self, k: int, z: SimplexId) -> bool:
         return 0 <= k <= self.dim_cap and z in self._index[k]
-
-    def face(self, k: int, z: SimplexId, i: int) -> SimplexId:
-        """d_i on a k-simplex, 0 <= i <= k, k >= 1."""
-        if 1 <= k <= self.dim_cap and 0 <= i <= k:
-            p = self._index[k].get(z)
-            if p is not None:
-                return self.levels[k - 1][self._faces[k][i][p]]
-        raise InputError(f"no face d_{i} for {cstr(z)} in dimension {k}")
-
-    def degeneracy(self, k: int, z: SimplexId, i: int) -> SimplexId:
-        """s_i on a k-simplex, 0 <= i <= k, k < dim_cap."""
-        if 0 <= k < self.dim_cap and 0 <= i <= k:
-            p = self._index[k].get(z)
-            if p is not None:
-                return self.levels[k + 1][self._degeneracies[k][i][p]]
-        raise InputError(f"no degeneracy s_{i} for {cstr(z)} in dimension {k}")
 
     def nondegenerate(self, k: int) -> tuple[int, ...]:
         """Positions in level k of the nondegenerate k-simplices, ascending:
@@ -205,26 +192,7 @@ def tabulate(
     return s
 
 
-# -- standard constructions ------------------------------------------------
-
-
-def standard_simplex(n: int, dim_cap: int) -> SimplicialSet:
-    """Delta^n truncated at dim_cap; k-simplices are weak monotone tuples."""
-    if n < 0:
-        raise InputError("standard_simplex needs n >= 0")
-    levels = [combinations_with_replacement(range(n + 1), k + 1) for k in range(dim_cap + 1)]
-
-    def face(k: int, z: tuple, i: int) -> tuple:
-        return z[:i] + z[i + 1 :]
-
-    def deg(k: int, z: tuple, i: int) -> tuple:
-        return z[: i + 1] + z[i:]
-
-    return tabulate(dim_cap, levels, face, deg)
-
-
-def empty_sset(dim_cap: int) -> SimplicialSet:
-    return discrete_sset([], dim_cap)
+# -- constant sets -----------------------------------------------------------
 
 
 def discrete_sset(elements: Iterable[str], dim_cap: int) -> SimplicialSet:
@@ -240,49 +208,6 @@ def discrete_sset(elements: Iterable[str], dim_cap: int) -> SimplicialSet:
 
 def point_sset(dim_cap: int) -> SimplicialSet:
     return discrete_sset(["pt"], dim_cap)
-
-
-def product(a: SimplicialSet, b: SimplicialSet) -> SimplicialSet:
-    """Levelwise product; operators act componentwise."""
-    if a.dim_cap != b.dim_cap:
-        raise InputError("product requires equal dim_cap")
-    cap = a.dim_cap
-    levels = [
-        [(za, zb) for za in a.simplices(k) for zb in b.simplices(k)]
-        for k in range(cap + 1)
-    ]
-
-    def face(k: int, z: tuple, i: int) -> tuple:
-        return (a.face(k, z[0], i), b.face(k, z[1], i))
-
-    def deg(k: int, z: tuple, i: int) -> tuple:
-        return (a.degeneracy(k, z[0], i), b.degeneracy(k, z[1], i))
-
-    return tabulate(cap, levels, face, deg)
-
-
-def disjoint_union(parts: Iterable[SimplicialSet]) -> SimplicialSet:
-    """Tagged disjoint union; all parts must share one dim_cap."""
-    parts = list(parts)
-    if not parts:
-        raise InputError("disjoint_union needs at least one part")
-    cap = parts[0].dim_cap
-    if any(p.dim_cap != cap for p in parts):
-        raise InputError("disjoint_union requires equal dim_cap")
-    levels = [
-        [(t, z) for t, p in enumerate(parts) for z in p.simplices(k)]
-        for k in range(cap + 1)
-    ]
-
-    def face(k: int, z: tuple, i: int) -> tuple:
-        t, w = z
-        return (t, parts[t].face(k, w, i))
-
-    def deg(k: int, z: tuple, i: int) -> tuple:
-        t, w = z
-        return (t, parts[t].degeneracy(k, w, i))
-
-    return tabulate(cap, levels, face, deg)
 
 
 # -- maps --------------------------------------------------------------------
@@ -309,12 +234,6 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.images = images
-
-    def apply(self, k: int, z: SimplexId) -> SimplexId:
-        p = self.source._index[k].get(z) if 0 <= k <= self.source.dim_cap else None
-        if p is None:
-            raise InputError(f"map undefined on {cstr(z)} in dimension {k}")
-        return self.target.levels[k][self.images[k][p]]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -465,21 +384,6 @@ def validate_sset(s: SimplicialSet) -> Report:
 # -- serialization -------------------------------------------------------------
 
 
-def to_json(s: SimplicialSet) -> dict:
-    """Tables with the simplex at position p of level k named "k_p"."""
-    names = [[f"{k}_{p}" for p in range(len(level))] for k, level in enumerate(s.levels)]
-
-    def named(t: Table, k: int, near: list[str]) -> dict:
-        return {name: [near[q] for q in row] for name, row in zip(names[k], zip(*t))}
-
-    return {
-        "dim_cap": s.dim_cap,
-        "simplices": {str(k): names[k] for k in range(s.dim_cap + 1)},
-        "faces": {str(k): named(s._faces[k], k, names[k - 1]) for k in range(1, s.dim_cap + 1)},
-        "degeneracies": {str(k): named(s._degeneracies[k], k, names[k + 1]) for k in range(s.dim_cap)},
-    }
-
-
 def _string_order(n: int) -> array:
     """0..n-1 as an array("i") in the order of their decimal strings, "10"
     before "2": 0, then each of 1..9 and the numbers under it in the decimal
@@ -540,12 +444,13 @@ def _write_rows(write: Callable, row: str, order: Sequence[int], cols: Sequence[
 
 
 def write_tables(s: SimplicialSet, orders: list[array], write: Callable[[str], Any]) -> None:
-    """Writes the members of cjson(to_json(s)) from "degeneracies" to
-    "simplices", without the braces around them, straight from the position
-    tables; orders come from json_layout.  Each level's rows and names go
-    out in pieces of _PIECE simplices, so beside the orders the text held at
-    once is one piece, and a row's entries are read off the table's columns,
-    never copied."""
+    """Writes the tables of s as canonical JSON in the full form from_json
+    reads, the simplex at position p of level k named "k_p": the members from
+    "degeneracies" to "simplices", without the braces around them, straight
+    from the position tables; orders come from json_layout.  Each level's
+    rows and names go out in pieces of _PIECE simplices, so beside the orders
+    the text held at once is one piece, and a row's entries are read off the
+    table's columns, never copied."""
     # the level keys sort as strings too: "10" comes before "2"
     by_str = sorted(range(s.dim_cap + 1), key=str)
 
@@ -581,9 +486,13 @@ def _named_table(raw: dict) -> dict[tuple[int, SimplexId, int], SimplexId]:
 
 
 def _check_shape(data: dict) -> None:
-    """from_json's one check of shape: simplex identifiers are strings, levels
-    and operator tables are objects of lists keyed by level, and the compact
-    form's degeneracy words are lists of ints."""
+    """from_json's one check of shape: dim_cap is an integer, simplex
+    identifiers are strings, levels and operator tables are objects of lists
+    keyed by level, and the compact form's degeneracy words are lists of ints."""
+    # not int(...) of it: "2", true and 2.9 would be read as 2, 1 and 2
+    cap = data.get("dim_cap")
+    if type(cap) is not int:
+        raise InputError(f"bad simplicial set JSON: dim_cap {json.dumps(cap)} is not an integer")
     compact = "nondegenerate" in data
 
     def lists(table, ok) -> bool:
@@ -627,7 +536,7 @@ def from_json(data: dict) -> SimplicialSet:
     if "nondegenerate" in data:
         return _expand_compact(data)
     try:
-        cap = int(data["dim_cap"])
+        cap = data["dim_cap"]
         levels = [list(data["simplices"].get(str(k), [])) for k in range(cap + 1)]
         faces = _named_table(data.get("faces", {}))
         degeneracies = _named_table(data.get("degeneracies", {}))
@@ -676,7 +585,7 @@ def from_json(data: dict) -> SimplicialSet:
 
 def _expand_compact(data: dict) -> SimplicialSet:
     try:
-        cap = int(data["dim_cap"])
+        cap = data["dim_cap"]
         nondeg = {
             int(k): list(v) for k, v in data["nondegenerate"].items()
         }

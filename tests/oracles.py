@@ -1,9 +1,13 @@
-"""Independent oracles for the property tests.
+"""Independent oracles and reference routes for the property tests.
 
 These recompute results the package already produces, by different
 algorithms (fraction-free determinants, determinant divisors, exhaustive
 stalk-family search), so agreement between the two routes is evidence and
-not circularity.
+not circularity.  Beside them are reference routes that no command runs:
+the former identifier-keyed tables and formulas, the tables as a JSON dict
+(sset_to_json), homology one degree at a time (homology), and the global
+sections of a set presheaf (sections_set), the route through the sieve
+category that matching families are checked against.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from math import gcd
 from typing import NamedTuple
 
 from finsite.canon import ckey, cstr
-from finsite.catsite import FiniteSpace, Site, open_id
-from finsite.homology import IntMatrix
-from finsite.presheaf import SetFunctor
+from finsite.catsite import FinCat, FiniteSpace, Site, open_id
+from finsite.homology import ChainComplex, HomologyGroup, IntMatrix, _group_at, smith_normal_form
+from finsite.presheaf import SetFunctor, _solutions
 from finsite.reports import InputError, Report
-from finsite.sset import tabulate, to_json as sset_to_json
+from finsite.sset import tabulate
+
+from fixtures import apply, degeneracy, face, formulas
 
 # -- integer matrices ---------------------------------------------------------------
 
@@ -279,7 +285,35 @@ def composite_is_zero(cx) -> bool:
     return True
 
 
+def homology(cx: ChainComplex, k: int) -> HomologyGroup:
+    """Homology of a chain complex in one degree, from the normal form of
+    boundary[k] taken afresh: the per-degree reference for sset_homology's
+    walk.  Needs the boundary out of level k + 1, so k must stay below the
+    top level of the complex."""
+    if k < 0:
+        raise InputError("degree must be nonnegative")
+    if k + 1 >= len(cx.basis):
+        raise InputError(f"degree {k} needs level {k + 1}, past the complex top")
+    return _group_at(cx, k, smith_normal_form(cx.boundary[k]))[0]
+
+
 # -- simplicial set tables keyed by identifier --------------------------------------
+
+
+def sset_to_json(s) -> dict:
+    """The tables of s as the dict from_json reads, with the simplex at
+    position p of level k named "k_p": the reference for sset.write_tables."""
+    names = [[f"{k}_{p}" for p in range(len(level))] for k, level in enumerate(s.levels)]
+
+    def named(t, k: int, near: list[str]) -> dict:
+        return {name: [near[q] for q in row] for name, row in zip(names[k], zip(*t))}
+
+    return {
+        "dim_cap": s.dim_cap,
+        "simplices": {str(k): names[k] for k in range(s.dim_cap + 1)},
+        "faces": {str(k): named(s._faces[k], k, names[k - 1]) for k in range(1, s.dim_cap + 1)},
+        "degeneracies": {str(k): named(s._degeneracies[k], k, names[k + 1]) for k in range(s.dim_cap)},
+    }
 
 
 class DictSimplicialSet:
@@ -345,10 +379,7 @@ def table_mismatches(s, ref: DictSimplicialSet) -> list[str]:
     out = []
     if s.dim_cap != ref.dim_cap or s.levels != ref.levels:
         return ["levels differ"]
-    for table, op, get in (
-        (ref.faces, "d", s.face),
-        (ref.degeneracies, "s", s.degeneracy),
-    ):
+    for table, op, get in zip((ref.faces, ref.degeneracies), "ds", formulas(s)):
         out += [
             f"{op}_{i} of {z!r} in dimension {k}"
             for (k, z, i), w in table.items()
@@ -503,14 +534,12 @@ def dict_validate_map(m: DictSimplicialMap) -> Report:
     for k in range(1, src.dim_cap + 1):
         for z in src.simplices(k):
             for i in range(k + 1):
-                if m.apply(k - 1, src.face(k, z, i)) != tgt.face(k, m.apply(k, z), i):
+                if m.apply(k - 1, face(src, k, z, i)) != face(tgt, k, m.apply(k, z), i):
                     return Report.failure("map-face", f"does not commute with d_{i}", (k, z, i))
     for k in range(src.dim_cap):
         for z in src.simplices(k):
             for i in range(k + 1):
-                if m.apply(k + 1, src.degeneracy(k, z, i)) != tgt.degeneracy(
-                    k, m.apply(k, z), i
-                ):
+                if m.apply(k + 1, degeneracy(src, k, z, i)) != degeneracy(tgt, k, m.apply(k, z), i):
                     return Report.failure(
                         "map-degeneracy", f"does not commute with s_{i}", (k, z, i)
                     )
@@ -522,7 +551,7 @@ def pi0_components(s) -> tuple:
     component in ckey order, and the components in ckey order."""
     neighbours = {v: set() for v in s.simplices(0)}
     for e in s.simplices(1) if s.dim_cap >= 1 else ():
-        a, b = s.face(1, e, 0), s.face(1, e, 1)
+        a, b = face(s, 1, e, 0), face(s, 1, e, 1)
         neighbours[a].add(b)
         neighbours[b].add(a)
     comps: list[tuple] = []
@@ -601,27 +630,27 @@ def formula_realize(cat, f, g, dim_cap: int):
     ]
     end = {m.mid: m.tgt for m in cat.morphisms.values()}
 
-    def face(k: int, z: tuple, i: int) -> tuple:
+    def bar_face(k: int, z: tuple, i: int) -> tuple:
         x0, ms, fs, gs = z
         xk = end[ms[-1]] if ms else x0
         if i == 0:
-            fv = f.action[ms[0]].apply(k - 1, f.values[x0].face(k, fs, 0))
-            return (end[ms[0]], ms[1:], fv, g.values[xk].face(k, gs, 0))
+            fv = apply(f.action[ms[0]], k - 1, face(f.values[x0], k, fs, 0))
+            return (end[ms[0]], ms[1:], fv, face(g.values[xk], k, gs, 0))
         if i == k:
-            fv = f.values[x0].face(k, fs, k)
-            gv = g.action[ms[-1]].apply(k - 1, g.values[xk].face(k, gs, k))
+            fv = face(f.values[x0], k, fs, k)
+            gv = apply(g.action[ms[-1]], k - 1, face(g.values[xk], k, gs, k))
             return (x0, ms[:-1], fv, gv)
         merged = ms[: i - 1] + (cat.compose(ms[i], ms[i - 1]),) + ms[i + 1 :]
-        return (x0, merged, f.values[x0].face(k, fs, i), g.values[xk].face(k, gs, i))
+        return (x0, merged, face(f.values[x0], k, fs, i), face(g.values[xk], k, gs, i))
 
-    def deg(k: int, z: tuple, i: int) -> tuple:
+    def bar_degeneracy(k: int, z: tuple, i: int) -> tuple:
         x0, ms, fs, gs = z
         xk = end[ms[-1]] if ms else x0
         at = x0 if i == 0 else end[ms[i - 1]]
         ext = ms[:i] + (cat.identity(at),) + ms[i:]
-        return (x0, ext, f.values[x0].degeneracy(k, fs, i), g.values[xk].degeneracy(k, gs, i))
+        return (x0, ext, degeneracy(f.values[x0], k, fs, i), degeneracy(g.values[xk], k, gs, i))
 
-    return tabulate(dim_cap, levels, face, deg)
+    return tabulate(dim_cap, levels, bar_face, bar_degeneracy)
 
 
 def push_rule(cat, m):
@@ -631,7 +660,7 @@ def push_rule(cat, m):
     def push(k: int, z: tuple) -> tuple:
         x0, ms, fs, gs = z
         xk = cat.tgt(ms[-1]) if ms else x0
-        return (x0, ms, fs, m.components[xk].apply(k, gs))
+        return (x0, ms, fs, apply(m.components[xk], k, gs))
 
     return push
 
@@ -646,7 +675,7 @@ def projector_rules(d, g):
         x0, ms, fs, gs = z
         xk = cat.tgt(ms[-1]) if ms else x0
         pms = tuple(d.mor_map[m] for m in ms)
-        return (d.obj_map[x0], pms, fs, g.action[d.psi[xk]].apply(k, gs))
+        return (d.obj_map[x0], pms, fs, apply(g.action[d.psi[xk]], k, gs))
 
     return a_rule, lambda k, z: z
 
@@ -699,6 +728,20 @@ def direct_sum_matches(sa, sb, s_total) -> bool:
     bb, pb = prime_powers(sb)
     bt, pt = prime_powers(s_total)
     return bt == ba + bb and pt == tuple(sorted(pa + pb))
+
+
+# -- global sections ----------------------------------------------------------------
+
+
+def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
+    """All global sections, each a tuple of (object, value) pairs in canonical
+    object order, found by the package's solver for matching families.  A
+    section picks s_x with action[f](s_tgt) == s_src."""
+    if sp.covariant or (sp.category is not cat and sp.category != cat):
+        raise InputError("sections need a set presheaf on the given category")
+    pos = {x: i for i, x in enumerate(cat.objects)}
+    arrows = [(pos[m.src], sp.action[m.mid], pos[m.tgt]) for m in cat.morphisms.values()]
+    return _solutions(list(cat.objects), [sp.values[x] for x in cat.objects], arrows)
 
 
 # -- brute-force sheafification over a finite space -------------------------------

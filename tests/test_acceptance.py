@@ -46,13 +46,8 @@ from finsite.realization import (
     sections_presheaf_on_triples,
     triples_category,
 )
-from finsite.sset import (
-    SimplicialMap,
-    disjoint_union,
-    pi0,
-    product,
-    standard_simplex,
-)
+from finsite.sset import SimplicialMap, pi0
+from fixtures import disjoint_union, product, standard_simplex
 from oracles import (
     composite_is_zero,
     direct_sum_matches,

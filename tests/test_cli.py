@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import finsite
-from finsite import gallery
+from finsite import cli, gallery
 from finsite.canon import cjson
 from finsite.catsite import space_to_json
 from finsite.cli import DOCUMENTS, EXAMPLES, main
@@ -733,6 +733,41 @@ def test_a_simplicial_presheaf_value_that_breaks_an_identity_is_refused(capsys):
     assert json.loads(err)["error"]["detail"] == (
         "value-sset: value not a simplicial set: d_0 s_0 mismatch"
     )
+
+
+def _one_value_presheaf(value: dict, cap: str) -> list[str]:
+    """realize on the one-object category against a presheaf of one value."""
+    return [
+        "realize",
+        "--cat",
+        json.dumps({"objects": ["*"], "morphisms": []}),
+        "--presheaf",
+        json.dumps({"values": {"*": value}}),
+        "--dim-cap",
+        cap,
+    ]
+
+
+def test_a_presheaf_value_at_another_cap_is_refused_before_it_is_built(monkeypatch, capsys):
+    # built at its own cap, this value would be 3,001 levels of tables
+    def refuse(data):
+        raise AssertionError("the value was built")
+
+    monkeypatch.setattr(cli, "sset_from_json", refuse)
+    argv = _one_value_presheaf({"dim_cap": 3000, "simplices": {"0": ["v"]}}, "2")
+    assert _input_error(*run(capsys, *argv)) == "value at * has dim cap 3000, expected 2"
+
+
+@pytest.mark.parametrize(
+    "cap, read_as", [('"2"', "2"), ("true", "1"), ("2.9", "2")], ids=["string", "bool", "float"]
+)
+def test_a_dim_cap_that_is_not_a_json_integer_is_an_input_error(capsys, cap, read_as):
+    # each was once read as the integer read_as, alone and as a presheaf value
+    doc = '{"dim_cap": %s, "simplices": {"0": ["v"]}}' % cap
+    want = f"bad simplicial set JSON: dim_cap {cap} is not an integer"
+    assert _input_error(*run(capsys, "validate", "--sset", doc)) == want
+    argv = _one_value_presheaf(json.loads(doc), read_as)
+    assert _input_error(*run(capsys, *argv)) == want
 
 
 def test_a_set_presheaf_value_that_repeats_an_element_is_an_input_error(capsys):

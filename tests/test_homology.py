@@ -15,7 +15,6 @@ from finsite.homology import (
     IntMatrix,
     _verify_transforms,
     chain_map_matrix,
-    homology,
     induced_map,
     normalized_chain_complex,
     smith_normal_form,
@@ -25,14 +24,9 @@ from finsite.catsite import nerve
 from finsite.presheaf import discretize, point_functor
 from finsite.realization import order_complex_functor, realize
 from finsite.reports import InputError, InternalCheckError
-from finsite.sset import (
-    SimplicialMap,
-    disjoint_union,
-    pi0,
-    product,
-    standard_simplex,
-)
+from finsite.sset import SimplicialMap, pi0
 
+from fixtures import degeneracy, disjoint_union, product, standard_simplex
 from oracles import (
     composite_is_zero,
     dense_rows,
@@ -40,6 +34,7 @@ from oracles import (
     densify,
     determinant_divisor_diagonal,
     from_dense,
+    homology,
     snf_violations,
 )
 from randgen import random_matrix, random_set_presheaf, random_space
@@ -57,7 +52,7 @@ def test_snf_zero_and_identity():
     z = smith_normal_form(IntMatrix(3, 2))
     assert z.diag == (0, 0)
     assert z.rank == 0
-    i = smith_normal_form(IntMatrix.identity(3))
+    i = smith_normal_form(IntMatrix(3, 3, [{0: 1}, {1: 1}, {2: 1}]))
     assert i.diag == (1, 1, 1)
 
 
@@ -207,7 +202,7 @@ def test_int_matrix_refuses_bad_entries_and_compares_sparse_rows():
     assert a == IntMatrix(2, 3, sparse=[{1: 2}, {0: -1}])
     assert a == from_dense([[0, 2, 0], [-1, 0, 0]])
     assert a != IntMatrix(2, 3, [{1: 2}, {0: 1}])
-    assert IntMatrix.identity(2).sparse == [{0: 1}, {1: 1}]
+    assert IntMatrix(2, 2, [{0: 1}, {1: 1}]) == from_dense([[1, 0], [0, 1]])
     for bad in ([{3: 1}, {}], [{-1: 1}, {}], [{1: 0}, {}], [{}]):
         with pytest.raises(InputError):
             IntMatrix(2, 3, bad)
@@ -394,7 +389,7 @@ def test_induced_map_collapse_kills_h1():
     def to_point(k, z):
         out = v
         for j in range(k):
-            out = pt.degeneracy(j, out, 0)
+            out = degeneracy(pt, j, out, 0)
         return out
 
     m = SimplicialMap.from_function(s, pt, to_point)
@@ -412,7 +407,7 @@ def test_chain_map_matrix_drops_degenerate_images():
     def to_point(k, z):
         out = v
         for j in range(k):
-            out = pt.degeneracy(j, out, 0)
+            out = degeneracy(pt, j, out, 0)
         return out
 
     m = SimplicialMap.from_function(s, pt, to_point)

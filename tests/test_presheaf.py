@@ -38,9 +38,6 @@ from finsite.presheaf import (
     pi0_functor,
     reindex,
     representable_set_presheaf,
-    restrict,
-    section_value,
-    sections_set,
     sheafify_set,
     terminal_set_presheaf,
     validate_set_functor,
@@ -50,7 +47,8 @@ from finsite.realization import induced_realization_map, order_complex_functor
 from finsite.reports import InputError
 from finsite.sset import SimplicialMap
 
-from oracles import germs, pi0_components, stalk_family_sheaf, stalk_family_unit
+from fixtures import apply
+from oracles import germs, pi0_components, sections_set, stalk_family_sheaf, stalk_family_unit
 from randgen import disjoint_union_sp, product_sp, random_set_presheaf, random_space
 
 
@@ -86,7 +84,7 @@ def test_section_value_reads_components():
     secs = sections_set(cat, sp)
     assert len(secs) == 1
     for x in cat.objects:
-        assert section_value(secs[0], x) == sp.values[x][0]
+        assert dict(secs[0])[x] == sp.values[x][0]
 
 
 def test_matching_sections_two_open_cover():
@@ -128,10 +126,10 @@ def test_restrict_dispatches_on_type():
     from finsite.gallery import two_open_cover
 
     s = two_open_cover(site)
-    out = restrict(sp, s)
+    out = reindex(sp, sieve_category(cat, s))
     assert set(out.category.objects) == set(s.members)
     p = discretize(sp, 2)
-    out2 = restrict(p, s)
+    out2 = reindex(p, sieve_category(cat, s))
     assert set(out2.category.objects) == set(s.members)
 
 
@@ -278,7 +276,7 @@ def _induced_on_components(sm: SimplicialMap) -> dict:
     target_of = {v: f"c{j}" for j, comp in enumerate(pi0_components(sm.target)) for v in comp}
     induced = {}
     for i, comp in enumerate(pi0_components(sm.source)):
-        lands = {target_of[sm.apply(0, v)] for v in comp}
+        lands = {target_of[apply(sm, 0, v)] for v in comp}
         assert len(lands) == 1, (i, lands)
         induced[f"c{i}"] = lands.pop()
     return induced

@@ -61,6 +61,7 @@ from finsite.realization import (
 from finsite.reports import InputError, ValidationError
 from finsite.sset import SimplicialMap, pi0, validate_map, validate_sset
 
+import fixtures
 from oracles import (
     DictSimplicialMap,
     dict_validate_map,
@@ -463,7 +464,7 @@ def _level_cases():
 def test_bar_levels_are_sequences_read_by_position():
     for cat, f, g, cap in _level_cases():
         re, ref = realize(cat, f, g, cap), formula_realize(cat, f, g, cap)
-        copy = sset.tabulate(cap, re.levels, re.face, re.degeneracy)
+        copy = sset.tabulate(cap, re.levels, *fixtures.formulas(re))
         assert all(type(level) is tuple for level in copy.levels)
         assert re == copy and copy == re and re == ref
         for k, level in enumerate(re.levels):
@@ -480,7 +481,8 @@ def _checked(m: SimplicialMap, rule, reports: bool = True) -> SimplicialMap:
     """m, after checking every image against the rule read by identifier and,
     if reports, validate_map's report against the reference map's."""
     for k, level in enumerate(m.source.levels):
-        assert [m.target.levels[k][q] for q in m.images[k]] == [rule(k, z) for z in level]
+        target = fixtures.levels(m.target)[k]
+        assert [target[q] for q in m.images[k]] == [rule(k, z) for z in level]
     if reports:
         ref = DictSimplicialMap.from_function(m.source, m.target, rule)
         assert validate_map(m) == dict_validate_map(ref)
@@ -793,7 +795,7 @@ def maps_checked(monkeypatch):
         m = real(source, target, fn)
         ref = DictSimplicialMap.from_function(source, target, fn)
         for k in range(source.dim_cap + 1):
-            assert [m.apply(k, z) for z in source.simplices(k)] == [
+            assert [fixtures.apply(m, k, z) for z in source.simplices(k)] == [
                 ref.apply(k, z) for z in source.simplices(k)
             ]
         assert validate_map(m) == dict_validate_map(ref)

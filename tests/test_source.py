@@ -7,6 +7,7 @@ from pathlib import Path
 import finsite
 
 PACKAGE = Path(finsite.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_package_has_no_assert_statements():
@@ -125,13 +126,14 @@ def test_one_function_places_the_bar_blocks():
 
 
 def test_matching_families_are_written_once():
-    """One solver finds global sections and matching families, without a
-    sieve category; one rule restricts families, so neither the plus step
-    nor the triples presheaf composes morphisms itself; and the pi0
-    certificate runs its two plus steps through one call site."""
+    """One solver finds global sections (in the tests' reference route) and
+    matching families, without a sieve category; one rule restricts families,
+    so neither the plus step nor the triples presheaf composes morphisms
+    itself; and the pi0 certificate runs its two plus steps through one call
+    site."""
     defs = {}
-    for name in ("presheaf.py", "realization.py"):
-        tree = ast.parse((PACKAGE / name).read_text())
+    for path in (PACKAGE / "presheaf.py", PACKAGE / "realization.py", TESTS / "oracles.py"):
+        tree = ast.parse(path.read_text())
         defs.update({n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)})
 
     def calls(name: str) -> list[str]:
@@ -142,7 +144,7 @@ def test_matching_families_are_written_once():
         ]
 
     assert not {"sieve_category", "reindex"} & set(calls("matching_sections"))
-    assert set(calls("sections_set")) & set(calls("matching_sections")) & set(defs)
+    assert "_solutions" in set(calls("sections_set")) & set(calls("matching_sections")) & set(defs)
     for name in ("gamma_prime_set", "sections_presheaf_on_triples"):
         assert "compose" not in calls(name)
     assert calls("illusie_pi0_certificate").count("gamma_prime_set") == 1
@@ -186,3 +188,56 @@ def test_degeneracy_is_read_off_the_degeneracy_table():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == f.name
     ]
     assert recursive == []
+
+
+# Reached by no command, and kept in the package on purpose: gallery is the
+# shared home of named instances; validate_site is the check a site document
+# will run; the projector stack is where criterion 6 checks the paper's
+# projector lemma; IntMatrix.data is read by the benchmark's tracer.
+NOT_RUN_BUT_KEPT = {
+    "gallery.circle_sset",
+    "gallery.two_open_cover",
+    "catsite.validate_site",
+    "realization.projector_maps",
+    "realization.triples_category",
+    "realization.sections_presheaf_on_triples",
+    "homology.IntMatrix.data",
+}
+
+
+def test_every_package_name_is_used_in_the_package():
+    """src holds what the commands run: every top-level function and class,
+    and every public method, is referenced in the package outside its own
+    definition, a function or class by name, import or attribute, a method
+    by attribute.  Fixtures and reference routes that only tests call live in
+    tests/fixtures.py and tests/oracles.py."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defs = []
+    for module, tree in trees.items():
+        for n in tree.body:
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{module}.{n.name}", n, False))
+            if isinstance(n, ast.ClassDef):
+                defs += [
+                    (f"{module}.{n.name}.{m.name}", m, True)
+                    for m in n.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+
+    def used(name: str, node: ast.AST, method: bool) -> bool:
+        inside = {id(n) for n in ast.walk(node)}
+        for tree in trees.values():
+            for n in ast.walk(tree):
+                if id(n) in inside:
+                    continue
+                if isinstance(n, ast.Attribute) and n.attr == name:
+                    return True
+                if not method and (
+                    (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.alias) and n.name == name)
+                ):
+                    return True
+        return False
+
+    unused = {full for full, node, method in defs if not used(full.rsplit(".", 1)[1], node, method)}
+    assert unused - NOT_RUN_BUT_KEPT == set()
+    assert NOT_RUN_BUT_KEPT <= unused

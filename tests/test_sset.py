@@ -4,6 +4,7 @@ import io
 import random
 import re
 from array import array
+from functools import partial
 
 from finsite import catsite, sset
 from finsite.canon import cjson
@@ -16,24 +17,21 @@ from finsite.sset import (
     SimplicialMap,
     SimplicialSet,
     discrete_sset,
-    disjoint_union,
-    empty_sset,
     from_json,
     json_layout,
     pi0,
     point_sset,
-    product,
-    standard_simplex,
     tabulate,
-    to_json,
     validate_map,
     validate_sset,
 )
 
 import pytest
 
+import fixtures
 import oracles
-from oracles import DictSimplicialSet, formula_realize, pi0_components, table_mismatches
+from fixtures import disjoint_union, product, standard_simplex
+from oracles import DictSimplicialSet, formula_realize, pi0_components, sset_to_json, table_mismatches
 from randgen import (
     random_compact_document,
     random_nested_diagram,
@@ -67,27 +65,25 @@ def test_simplicial_identities_random_spotcheck():
         j = rng.randint(0, k)
         if i < j:
             # d_i d_j == d_{j-1} d_i
-            assert s.face(k - 1, s.face(k, z, j), i) == s.face(
-                k - 1, s.face(k, z, i), j - 1
+            assert fixtures.face(s, k - 1, fixtures.face(s, k, z, j), i) == fixtures.face(
+                s, k - 1, fixtures.face(s, k, z, i), j - 1
             )
         if k < 3:
-            assert s.face(k + 1, s.degeneracy(k, z, i), i) == z
-            assert s.face(k + 1, s.degeneracy(k, z, i), i + 1) == z
+            assert fixtures.face(s, k + 1, fixtures.degeneracy(s, k, z, i), i) == z
+            assert fixtures.face(s, k + 1, fixtures.degeneracy(s, k, z, i), i + 1) == z
 
 
 def test_validate_sset_catches_broken_face():
     s = standard_simplex(2, 2)
     top = s.simplices(2)[s.nondegenerate(2)[0]]
-    wrong = s.face(2, top, 2)
+    wrong = fixtures.face(s, 2, top, 2)
 
     def face(k, z, i):
         if (k, z, i) == (2, top, 0):
             return wrong
-        return s.face(k, z, i)
+        return fixtures.face(s, k, z, i)
 
-    broken = tabulate(
-        2, [s.simplices(k) for k in range(3)], face, lambda k, z, i: s.degeneracy(k, z, i)
-    )
+    broken = tabulate(2, [s.simplices(k) for k in range(3)], face, partial(fixtures.degeneracy, s))
     assert not validate_sset(broken).ok
 
 
@@ -116,7 +112,7 @@ def test_disjoint_union_counts_and_pi0():
 
 
 def test_empty_and_discrete():
-    e = empty_sset(2)
+    e = discrete_sset([], 2)
     assert e.counts() == (0, 0, 0)
     d = discrete_sset(["x", "y", "z"], 2)
     assert d.counts() == (3, 3, 3)
@@ -147,7 +143,7 @@ def test_pi0_matches_reference_components():
         interleaved,
         disjoint_union([circle_sset(2), standard_simplex(0, 2), interleaved]),
         discrete_sset(["y", "x", "z"], 0),
-        empty_sset(1),
+        discrete_sset([], 1),
     ]
     for _ in range(4):
         cat, _ = random_poset_with_max(rng, rng.randint(2, 5))
@@ -192,7 +188,7 @@ def test_map_from_function_refuses_an_image_outside_the_target():
 
 def test_json_roundtrip_full():
     s = product(standard_simplex(1, 3), standard_simplex(1, 3))
-    data = to_json(s)
+    data = sset_to_json(s)
     back = from_json(data)
     assert back.counts() == s.counts()
     assert back.nondegenerate_counts() == s.nondegenerate_counts()
@@ -332,7 +328,7 @@ def tables_checked(monkeypatch):
         built.append(out)
         return out
 
-    for module in (sset, catsite, oracles):
+    for module in (sset, catsite, oracles, fixtures):
         monkeypatch.setattr(module, "tabulate", checked)
     yield built
 
@@ -342,7 +338,7 @@ def test_tables_match_reference_on_constructions(tables_checked):
         standard_simplex(n, 4)
     product(standard_simplex(2, 3), standard_simplex(1, 3))
     product(circle_sset(3), standard_simplex(1, 3))
-    disjoint_union([standard_simplex(2, 3), circle_sset(3), empty_sset(3)])
+    disjoint_union([standard_simplex(2, 3), circle_sset(3), discrete_sset([], 3)])
     discrete_sset(["x", "y"], 2)
     nerve(bz2_category(), 4)
     nerve(poset_category("abc", lambda a, b: a <= b), 3)
@@ -359,7 +355,7 @@ def test_tables_match_reference_on_loaded_sets(tables_checked):
         }
     )
     for s in (sphere, circle_sset(4)):
-        back = from_json(to_json(s))
+        back = from_json(sset_to_json(s))
         assert back.nondegenerate_counts() == s.nondegenerate_counts()
     assert len(tables_checked) == 4
 
@@ -377,7 +373,7 @@ def test_tables_match_reference_on_random_realizations(tables_checked):
         assert validate_sset(re).ok
         ref = formula_realize(cat, f, g, cap)
         assert tables_checked[-1] is ref
-        by_formula = DictSimplicialSet(cap, ref.levels, ref.face, ref.degeneracy)
+        by_formula = DictSimplicialSet(cap, ref.levels, *fixtures.formulas(ref))
         assert table_mismatches(re, by_formula) == []
 
 
@@ -409,12 +405,12 @@ def test_every_constructor_builds_int_array_columns(tables_checked):
     re = realize(site.category, f, g, cap)
     compact = {**COMPACT["rp2"], "dim_cap": cap}
     ch, named = catsite.chains(cat, cap), oracles.formula_nerve(cat, cap)
-    sets = [standard_simplex(2, cap), from_json(to_json(circle_sset(cap))), from_json(compact)]
+    sets = [standard_simplex(2, cap), from_json(sset_to_json(circle_sset(cap))), from_json(compact)]
     sets += [nerve(cat, cap), ch, re]
     assert [_not_columns(s) for s in sets] == [[]] * len(sets)
     assert sets[2] == oracles.expand_compact(compact)
     ref = formula_realize(site.category, f, g, cap)
-    assert table_mismatches(re, DictSimplicialSet(cap, ref.levels, ref.face, ref.degeneracy)) == []
+    assert table_mismatches(re, DictSimplicialSet(cap, ref.levels, *fixtures.formulas(ref))) == []
 
     def name(c):
         return ("m",) + c[1] if c[1] else ("o", c[0])
@@ -423,9 +419,10 @@ def test_every_constructor_builds_int_array_columns(tables_checked):
         for c in ch.levels[k]:
             for i in range(k + 1):
                 if k:
-                    assert name(ch.face(k, c, i)) == named.face(k, name(c), i)
+                    assert name(fixtures.face(ch, k, c, i)) == fixtures.face(named, k, name(c), i)
                 if k < cap:
-                    assert name(ch.degeneracy(k, c, i)) == named.degeneracy(k, name(c), i)
+                    got = fixtures.degeneracy(ch, k, c, i)
+                    assert name(got) == fixtures.degeneracy(named, k, name(c), i)
 
 
 def _quoted_order(k: int, n: int) -> list[int]:
@@ -465,11 +462,11 @@ def test_write_tables_is_the_reference_text_at_the_seams_of_a_piece():
     # levels of exactly 1, _PIECE and _PIECE + 1 simplices: a lone row, one
     # full piece, and a full piece followed by a piece of one row
     sets = [discrete_sset([f"e{p}" for p in range(n)], 2) for n in (1, sset._PIECE, sset._PIECE + 1)]
-    sets += [standard_simplex(3, 3), empty_sset(2), point_sset(0)]
+    sets += [standard_simplex(3, 3), discrete_sset([], 2), point_sset(0)]
     for s in sets:
         out = io.StringIO()
         sset.write_tables(s, json_layout(s), out.write)
-        assert "{" + out.getvalue() + "}\n" == cjson(to_json(s))
+        assert "{" + out.getvalue() + "}\n" == cjson(sset_to_json(s))
 
 
 def test_nondegenerate_matches_the_reference_rule_on_gallery_and_random_sets():
@@ -488,7 +485,7 @@ def test_nondegenerate_matches_the_reference_rule_on_gallery_and_random_sets():
         sets.append(realize(cat, f, discretize(random_set_presheaf(rng, cat), 3), 3))
         sets.append(from_json(random_compact_document(rng)[0]))
     for s in sets:
-        ref = DictSimplicialSet(s.dim_cap, s.levels, s.face, s.degeneracy)
+        ref = DictSimplicialSet(s.dim_cap, s.levels, *fixtures.formulas(s))
         for k in range(s.dim_cap + 1):
             assert tuple(s.levels[k][p] for p in s.nondegenerate(k)) == ref.nondegenerate(k)
     assert sum(len(s.nondegenerate(s.dim_cap)) < len(s.levels[s.dim_cap]) for s in sets) > 10
@@ -498,17 +495,17 @@ def test_tabulate_refuses_an_image_outside_its_level():
     s = standard_simplex(1, 2)
 
     def face(k, z, i):
-        return "nowhere" if (k, z, i) == (2, (0, 1, 1), 1) else s.face(k, z, i)
+        return "nowhere" if (k, z, i) == (2, (0, 1, 1), 1) else fixtures.face(s, k, z, i)
 
     levels = [s.simplices(k) for k in range(3)]
     outside = r"face-codomain: d_1 lands outside at \(2,\(0,1,1\),1\)"
     with pytest.raises(ValidationError, match=outside) as err:
-        tabulate(2, levels, face, s.degeneracy)
+        tabulate(2, levels, face, partial(fixtures.degeneracy, s))
     assert err.value.report.witness == (2, (0, 1, 1), 1)
     with pytest.raises(ValidationError, match="degeneracy-codomain"):
-        tabulate(2, levels, s.face, lambda k, z, i: z)
+        tabulate(2, levels, partial(fixtures.face, s), lambda k, z, i: z)
     with pytest.raises(ValidationError, match="duplicate-simplex"):
-        tabulate(2, [levels[0] * 2, levels[1], levels[2]], s.face, s.degeneracy)
+        tabulate(2, [levels[0] * 2, levels[1], levels[2]], *fixtures.formulas(s))
 
 
 def test_validate_sset_names_the_first_broken_simplex_in_level_order():

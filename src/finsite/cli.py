@@ -44,7 +44,7 @@ from finsite.catsite import (
     validate_category,
     validate_space,
 )
-from finsite.homology import induced_map, sset_homology, summands_label
+from finsite.homology import component_count, induced_map, sset_homology, summands_label
 from finsite.presheaf import (
     Functor,
     SetFunctor,
@@ -70,7 +70,7 @@ from finsite.realization import (
     write_realization,
 )
 from finsite.reports import FinsiteError, InputError, InternalCheckError, Report, ValidationError
-from finsite.sset import SimplicialMap, pi0, validate_sset
+from finsite.sset import SimplicialMap, validate_sset
 from finsite.sset import from_json as sset_from_json
 
 EXIT_CODES = {InputError: 2, ValidationError: 3, InternalCheckError: 4}
@@ -490,7 +490,7 @@ def cmd_realize(args) -> int:
     g = _parse_g(args.presheaf or "terminal", cat, cap)
     re = realize(cat, f, g, cap)
     h = sset_homology(re, max_deg)
-    n0 = len(pi0(re))
+    n0 = component_count(h)
     payload = {
         "command": "realize",
         "dim_cap": cap,
@@ -604,10 +604,8 @@ def cmd_compare(args) -> int:
     ht = sset_homology(rmap.target, max_deg)
     maps = [induced_map(rmap, hs, ht, k) for k in range(max_deg + 1)]
     degrees = []
-    all_perm = True
     for k, im in enumerate(maps):
         perm = im.permutation()
-        all_perm = all_perm and perm is not None
         degrees.append(
             {
                 "degree": k,
@@ -618,8 +616,9 @@ def cmd_compare(args) -> int:
                 "permutation": list(perm) if perm is not None else None,
             }
         )
-    n_src, n_tgt = len(pi0(rmap.source)), len(pi0(rmap.target))
-    ok = cert.ok and all_perm and n_src == n_tgt
+    n_src, n_tgt = component_count(hs), component_count(ht)
+    isos = [im.is_isomorphism() for im in maps]
+    ok = cert.ok and all(isos) and n_src == n_tgt
     payload = {
         "command": "compare",
         "dim_cap": cap,
@@ -637,9 +636,10 @@ def cmd_compare(args) -> int:
         f"compare: {'EQUIVALENT' if ok else 'DIFFERENT'} through degree {max_deg}",
         f"pi0: {n_src} vs {n_tgt}; certificate {'ok' if cert.ok else cert.kind}",
     ]
-    for d, im in zip(degrees, maps):
+    for d, im, iso in zip(degrees, maps, isos):
         tag = "identity" if d["identity"] else (
-            "permutation" if d["permutation"] is not None else "no match"
+            "permutation" if d["permutation"] is not None else
+            "isomorphism" if iso else "no match"
         )
         lines.append(f"H{d['degree']}: {im.source.label()} -> {im.target.label()} ({tag})")
     _emit(args, payload, lines)

@@ -3,10 +3,10 @@
 Chains live on nondegenerate simplices with faces pushed to zero when they
 degenerate.  All arithmetic is exact over Python ints.  A dimension cap of D
 supports trusted homology in degrees up to D - 1 only, because H_k needs the
-boundary out of level k + 1.  sset_homology walks up the degrees once:
-degree k takes the normal form of the boundary out of level k + 1 written in
-its cycle coordinates.  Where the boundary out of level k is zero, that is the
-boundary itself, and degree k + 1 reuses its normal form for its cycles.
+boundary out of level k + 1.  sset_homology walks up the degrees once and
+takes one normal form per degree: degree k takes that of M_k, the boundary out
+of level k + 1 written in its cycle coordinates, and M_k has the kernel of
+that boundary, so its normal form gives degree k + 1 its cycles.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from finsite.reports import InputError, InternalCheckError
-from finsite.sset import SimplicialMap, SimplicialSet
+from finsite.sset import SimplicialMap, SimplicialSet, pi0
 
 # Gates nothing: every normal form is verified at every size.  It stays only
 # because the benchmark's tracer reads it to count verified normal forms.
@@ -370,31 +370,27 @@ class HomologyGroup:
 
 
 def _group_at(cx: ChainComplex, k: int, cycles: SNFResult) -> tuple[HomologyGroup, SNFResult]:
-    """H_k from cycles, the normal form of boundary[k], and the normal form of
-    M_k, rows r.. of Vinv*boundary[k + 1] for r the rank of cycles.  At r == 0,
-    Vinv is the identity and M_k is boundary[k + 1] itself."""
+    """H_k from cycles, a normal form whose V has the k-cycles as its columns
+    r.. for r its rank, and the normal form of M_k, rows r.. of
+    Vinv*boundary[k + 1].  The first r rows are zero, and Vinv is invertible,
+    so M_k has the kernel of boundary[k + 1]: its normal form, returned with
+    the group, is degree k + 1's cycles."""
     n_k = len(cx.basis[k])
     r = cycles.rank
     kappa = n_k - r
     b = cx.boundary[k + 1]
-    if r:
-        w = _mul(cycles.Vinv, b.sparse)
-        if any(w[:r]):
-            raise InternalCheckError("boundary chain has nonzero differential")
-        b = IntMatrix(kappa, b.cols, sparse=w[r:])
-    snf_m = smith_normal_form(b)
+    w = _mul(cycles.Vinv, b.sparse)
+    if any(w[:r]):
+        raise InternalCheckError("boundary chain has nonzero differential")
+    snf_m = smith_normal_form(IntMatrix(kappa, b.cols, sparse=w[r:]))
     dfull = list(snf_m.diag) + [0] * (kappa - len(snf_m.diag))
-    um = list(snf_m.U)
-    # kernel basis in chain coordinates: trailing columns of V for the k-boundary
+    # H_k's generators: cycles V's columns r.. combined by Uinv's columns
     kept = [i for i in range(kappa) if dfull[i] != 1]
     gens = []
     for i in kept:
         col: dict[int, int] = {}
         for bidx, u in snf_m.Uinv[i].items():
             _axpy(col, cycles.V[r + bidx], u)
-        if col and col[min(col)] < 0:
-            col = {a_: -v for a_, v in col.items()}
-            um[i] = {j: -v for j, v in um[i].items()}
         gens.append(tuple(col.get(a_, 0) for a_ in range(n_k)))
     g = HomologyGroup(
         degree=k,
@@ -402,7 +398,7 @@ def _group_at(cx: ChainComplex, k: int, cycles: SNFResult) -> tuple[HomologyGrou
         generators=tuple(gens),
         _vinv=cycles.Vinv,
         _cycle_rank=r,
-        _um=um,
+        _um=snf_m.U,
         _dfull=tuple(dfull),
     )
     for j, gen in enumerate(g.generators):
@@ -436,11 +432,18 @@ def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
     groups = []
     cycles = smith_normal_form(cx.boundary[0])
     for k in range(max_deg + 1):
-        g, m = _group_at(cx, k, cycles)
+        g, cycles = _group_at(cx, k, cycles)
         groups.append(g)
-        if k < max_deg:
-            cycles = m if cycles.rank == 0 else smith_normal_form(cx.boundary[k + 1])
     return Homology(s, max_deg, cx, tuple(groups))
+
+
+def component_count(h: Homology) -> int:
+    """The components of h's simplicial set by union-find (pi0), confirmed
+    by the second route, H0's betti number from the normal form."""
+    n, betti = len(pi0(h.sset)), summands_json(h.group(0).summands)["betti"]
+    if n != betti:
+        raise InternalCheckError(f"pi0 has {n} components but H0 has betti number {betti}")
+    return n
 
 
 # -- induced maps --------------------------------------------------------------
@@ -472,24 +475,32 @@ class InducedMap:
     def permutation(self) -> tuple[int, ...] | None:
         """Column -> row assignment when the matrix is a summand-matching
         permutation with unit entries, else None."""
-        ncols = len(self.source.summands)
-        nrows = len(self.target.summands)
-        if ncols != nrows:
+        src, tgt = self.source.summands, self.target.summands
+        if len(src) != len(tgt):
             return None
         assign = []
-        for j in range(ncols):
-            hits = [i for i in range(nrows) if self.matrix[i][j] != 0]
-            if len(hits) != 1:
+        for j, col in enumerate(zip(*self.matrix)):
+            hits = [i for i, v in enumerate(col) if v]
+            if len(hits) != 1 or col[hits[0]] != 1 or tgt[hits[0]] != src[j]:
                 return None
-            i = hits[0]
-            if self.matrix[i][j] != 1:
-                return None
-            if self.target.summands[i] != self.source.summands[j]:
-                return None
-            assign.append(i)
-        if len(set(assign)) != ncols:
-            return None
-        return tuple(assign)
+            assign.append(hits[0])
+        return tuple(assign) if len(set(assign)) == len(assign) else None
+
+    def is_isomorphism(self) -> bool:
+        """Whether the map is an isomorphism, whatever the generator bases:
+        equal summands, and m unit invariant factors of [matrix | D] for D the
+        diagonal of the m target orders (0 where free).  Then the map is onto
+        a group isomorphic to its source, so one-to-one, as an onto
+        endomorphism of a finitely generated module is (Matsumura, Thm 2.4)."""
+        orders = self.target.summands
+        if self.source.summands != orders:
+            return False
+        n = len(orders)
+        rows = [
+            {j: v for j, v in enumerate(row) if v} | ({n + i: d} if d else {})
+            for i, (row, d) in enumerate(zip(self.matrix, orders))
+        ]
+        return all(v == 1 for v in smith_normal_form(IntMatrix(n, 2 * n, rows)).diag)
 
 
 def induced_map(m: SimplicialMap, hs: Homology, ht: Homology, degree: int) -> InducedMap:
@@ -502,9 +513,6 @@ def induced_map(m: SimplicialMap, hs: Homology, ht: Homology, degree: int) -> In
     gsrc = hs.group(degree)
     gtgt = ht.group(degree)
     cols = [gtgt.reduce(_apply(cmat, gen)) for gen in gsrc.generators]
-    nrows = len(gtgt.summands)
-    matrix = tuple(
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(nrows)
-    )
+    matrix = tuple(tuple(c[i] for c in cols) for i in range(len(gtgt.summands)))
     return InducedMap(gsrc, gtgt, matrix)
 

@@ -63,7 +63,7 @@ from finsite.catsite import (
     pullback_sieve,
     sieve_category,
 )
-from finsite.homology import summands_json, sset_homology
+from finsite.homology import component_count, summands_json, sset_homology
 from finsite.presheaf import (
     Functor,
     PresheafMap,
@@ -75,7 +75,7 @@ from finsite.presheaf import (
 )
 from finsite.reports import InputError, Report, ValidationError
 from finsite.sset import (
-    SimplicialMap, SimplicialSet, _write_pieces, json_layout, pi0, write_tables
+    SimplicialMap, SimplicialSet, _write_pieces, json_layout, write_tables
 )
 
 ObjId = Any
@@ -344,7 +344,7 @@ def covariant_descent_check(
     degrees = tuple(
         (k, h_re.group(k).summands, h_val.group(k).summands) for k in range(max_deg + 1)
     )
-    n_re, n_val = len(pi0(re)), len(pi0(value))
+    n_re, n_val = component_count(h_re), component_count(h_val)
     ok = n_re == n_val and all(a == b for _, a, b in degrees)
     return DescentReport(ok, x, s.key(), max_deg, n_re, n_val, degrees)
 

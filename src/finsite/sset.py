@@ -46,6 +46,7 @@ import json
 from array import array
 from functools import cached_property
 from itertools import chain, combinations, compress, islice
+from math import comb
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -524,15 +525,44 @@ def _check_shape(data: dict) -> None:
             raise InputError(f"bad simplicial set JSON: level key {key!r} is not 0, 1, 2, ...")
 
 
+# The most face and degeneracy columns, plus entries in them, that one
+# document may ask tabulate to build.  The realization that realize writes for
+# the interval cover at --dim-cap 5 needs about 394,000.
+_TABLE_BUDGET = 4_000_000
+
+
+def _check_budget(data: dict) -> None:
+    """Refuses, before anything is built, a document whose tables would
+    exceed _TABLE_BUDGET: level k has k + 1 face columns for k >= 1 and k + 1
+    degeneracy columns below the cap, each with one entry per k-simplex.
+    Level sizes are those listed, or in the compact form the binomial sizes
+    of the expansion."""
+    cap = data["dim_cap"]
+    cost = cap * cap + 2 * cap  # the columns alone
+    if cost <= _TABLE_BUDGET:
+        compact = "nondegenerate" in data
+        levels = data.get("nondegenerate" if compact else "simplices", {})
+        counts = {int(k): len(zs) for k, zs in levels.items()}
+        for k in range(cap + 1):
+            size = sum(c * comb(k, n) for n, c in counts.items()) if compact else counts.get(k, 0)
+            cost += (k + 1) * size * ((k > 0) + (k < cap))
+    if cost > _TABLE_BUDGET:
+        raise InputError(
+            f"dim_cap {cap} needs tables of more than {_TABLE_BUDGET} columns and entries"
+        )
+
+
 def from_json(data: dict) -> SimplicialSet:
     """Load either the full table form or the compact generator form.
 
+    A document whose tables would exceed _TABLE_BUDGET is an InputError.
     Tables that are not total maps between the listed levels raise a
     ValidationError whose report names the first defect.
     """
     if not isinstance(data, dict):
         raise InputError("simplicial set JSON must be an object")
     _check_shape(data)
+    _check_budget(data)
     if "nondegenerate" in data:
         return _expand_compact(data)
     try:

@@ -214,8 +214,8 @@ def test_compare_collapse_verdict(capsys):
 
 @pytest.mark.parametrize("presheaf, perm", [("collapse", [0]), ("constant:a,b,c", [0, 1, 2])])
 def test_compare_on_the_two_sphere_matches_the_h2_generators(capsys, presheaf, perm):
-    # McCord's six-point S^2: H2 is nonzero, so the verdict rests on the
-    # generator bases of degree 2 agreeing at both ends of the map
+    # McCord's six-point S^2: H2 is nonzero, so the verdict rests on the map
+    # induced in degree 2 being an isomorphism
     from test_homology import mccord_sphere
 
     space = json.dumps(space_to_json(mccord_sphere(2)))
@@ -227,6 +227,25 @@ def test_compare_on_the_two_sphere_matches_the_h2_generators(capsys, presheaf, p
     h2 = data["degrees"][2]
     assert h2["source"]["betti"] == len(perm)
     assert (h2["identity"], h2["permutation"]) == (True, perm)
+
+
+def test_compare_on_the_three_sphere_tags_an_isomorphism_that_is_no_permutation(capsys):
+    # the two ends' H3 generators differ by a sign, so the induced matrix is
+    # no permutation; the verdict is that of the map, an isomorphism
+    from test_homology import mccord_sphere
+
+    space = json.dumps(space_to_json(mccord_sphere(3)))
+    argv = ["compare", "--space", space, "--presheaf", "constant:0,1", "--dim-cap", "4"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "compare: EQUIVALENT through degree 3",
+        "pi0: 2 vs 2; certificate ok",
+        "H0: Z^2 -> Z^2 (identity)",
+        "H1: 0 -> 0 (identity)",
+        "H2: 0 -> 0 (identity)",
+        "H3: Z^2 -> Z^2 (isomorphism)",
+    ]
 
 
 def test_validate_good_and_bad_space(tmp_path, capsys):
@@ -758,6 +777,49 @@ def test_a_presheaf_value_at_another_cap_is_refused_before_it_is_built(monkeypat
     assert _input_error(*run(capsys, *argv)) == "value at * has dim cap 3000, expected 2"
 
 
+# full form: 3,001 levels, and k + 1 face and degeneracy columns on each
+# would be built before the missing s_0 of v were found; compact form: one
+# vertex, and one 6-simplex whose expansion grows as C(k, 6) at level k
+_COSTLY = {
+    "full-3000": {"dim_cap": 3000, "simplices": {"0": ["v"]}},
+    "full-30000000": {"dim_cap": 30_000_000, "simplices": {"0": ["v"]}},
+    "compact-3000": {"dim_cap": 3000, "nondegenerate": {"0": ["v"]}},
+    "compact-30000000": {"dim_cap": 30_000_000, "nondegenerate": {"0": ["v"]}},
+    "compact-binomial-60": {
+        "dim_cap": 60,
+        "nondegenerate": {"0": ["v"], "6": ["x"]},
+        "faces": {"6": {"x": [{"degeneracy": [4, 3, 2, 1, 0], "of": "v"}] * 7}},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COSTLY))
+def test_a_document_whose_tables_exceed_the_budget_is_refused_before_it_is_built(
+    monkeypatch, capsys, case
+):
+    from finsite import sset
+
+    def refuse(*args):
+        raise AssertionError("the tables were built")
+
+    monkeypatch.setattr(sset, "tabulate", refuse)
+    doc = _COSTLY[case]
+    want = f"dim_cap {doc['dim_cap']} needs tables of more than 4000000 columns and entries"
+    assert _input_error(*run(capsys, "validate", "--sset", json.dumps(doc))) == want
+
+
+def test_the_table_budget_admits_a_written_realization(tmp_path, capsys):
+    # realize-render's job: the interval cover realized at cap 5, read back
+    from finsite import sset
+
+    run(capsys, "examples", "interval_cover", "--dir", str(tmp_path))
+    out = tmp_path / "out.json"
+    space = str(tmp_path / "interval_cover.space.json")
+    argv = ["realize", "--space", space, "--dim-cap", "5", "--max-deg", "0"]
+    assert run(capsys, *argv, "--format", "json", "--out", str(out))[0] == 0
+    sset._check_budget(json.loads(out.read_text())["realization"])
+
+
 @pytest.mark.parametrize(
     "cap, read_as", [('"2"', "2"), ("true", "1"), ("2.9", "2")], ids=["string", "bool", "float"]
 )
@@ -813,6 +875,133 @@ def test_simplicial_presheaf_action_outside_its_target_is_a_validation_error(tmp
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ValidationError" and "image not in target" in error["detail"]
+
+
+def _constant2_with(kit, mid, table):
+    """The kit's constant:0,1 presheaf document with the action of mid
+    replaced by table."""
+    data = json.loads((kit / "pseudo_circle.constant2.presheaf.json").read_text())
+    data["actions"][mid] = table
+    return json.dumps(data)
+
+
+def _two_point_presheaf_action(kit, mid, table):
+    """A simplicial presheaf at cap 1 with the two points v and w at every
+    object of the kit's site, acting as the identity except at mid."""
+    objects = json.loads((kit / "pseudo_circle.collapse.presheaf.json").read_text())
+    two = {
+        "dim_cap": 1,
+        "simplices": {"0": ["v", "w"], "1": ["sv", "sw"]},
+        "faces": {"1": {"sv": ["v", "v"], "sw": ["w", "w"]}},
+        "degeneracies": {"0": {"v": ["sv"], "w": ["sw"]}},
+    }
+    ident = {"0": {"v": "v", "w": "w"}, "1": {"sv": "sv", "sw": "sw"}}
+    actions = {m: ident for m in objects["actions"]}
+    actions[mid] = table
+    return json.dumps({"values": {x: two for x in objects["values"]}, "actions": actions})
+
+
+REFUSED = {
+    "action-codomain": lambda kit: [
+        "sheafify", "--presheaf", _constant2_with(kit, "{a}<={a,b}", {"0": "0", "1": "ghost"}),
+    ],
+    "action-identity": lambda kit: [
+        "sheafify", "--presheaf", _constant2_with(kit, "{a}<={a}", {"0": "1", "1": "0"}),
+    ],
+    "action-composition": lambda kit: [
+        "sheafify", "--presheaf", _constant2_with(kit, "{a}<={a,b}", {"0": "1", "1": "0"}),
+    ],
+    # sv goes to sw while its faces, v, stay at v
+    "action-map": lambda kit: [
+        "realize",
+        "--presheaf",
+        _two_point_presheaf_action(
+            kit, "{a}<={a,b}", {"0": {"v": "v", "w": "w"}, "1": {"sv": "sw", "sw": "sw"}}
+        ),
+        "--dim-cap",
+        "1",
+    ],
+    "naturality": lambda kit: [
+        *_compare_map(kit, lambda c: c.update({"{a}": {"0": "1", "1": "0"}})), "--dim-cap", "1",
+    ],
+    "component-codomain": lambda kit: [
+        *_compare_map(kit, lambda c: c["{a}"].update({"0": "ghost"})), "--dim-cap", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED))
+def test_an_inconsistent_presheaf_or_map_is_refused_by_its_kind(tmp_path, capsys, kind):
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
+    argv = REFUSED[kind](tmp_path)
+    space = str(tmp_path / "pseudo_circle.space.json")
+    code, out, err = run(capsys, argv[0], "--space", space, *argv[1:])
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and error["detail"].startswith(f"{kind}: ")
+
+
+def test_sheafify_the_terminal_presheaf(tmp_path, capsys):
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
+    space = str(tmp_path / "pseudo_circle.space.json")
+    code, out, err = run(capsys, "sheafify", "--space", space, "--presheaf", "terminal")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["sheafify: input is already a sheaf", "unit bijective: yes"]
+    assert lines[2:] == [f"{x}: 1 -> 1" for x in
+                         ["{a,b,c,d}", "{a,b,c}", "{a,b,d}", "{a,b}", "{a}", "{b}"]]
+
+
+def test_compare_along_a_map_that_is_no_isomorphism_is_different(tmp_path, capsys):
+    # both values of constant:0,1 go to 0: H0 is Z^2 -> Z^2 of rank 1
+    run(capsys, "examples", "pseudo_circle", "--dir", str(tmp_path))
+    space = str(tmp_path / "pseudo_circle.space.json")
+    argv = _compare_map(tmp_path, lambda c: [m.update({"1": "0"}) for m in c.values()])
+    code, out, err = run(capsys, argv[0], "--space", space, *argv[1:], "--dim-cap", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "compare: DIFFERENT through degree 1"
+    assert "H0: Z^2 -> Z^2 (no match)" in out.splitlines()
+
+
+# a discrete two-point space: every command below sees two components
+_TWO_POINTS = json.dumps({"points": ["p", "q"], "opens": [["p"], ["q"], ["p", "q"]]})
+_PI0_RUNS = {
+    "realize": ["realize"],
+    "compare": ["compare", "--presheaf", "terminal"],
+    "descent-check": [
+        "descent-check",
+        "--object",
+        "{p,q}",
+        "--sieve",
+        json.dumps({"base": "{p,q}", "generators": ["{p}<={p,q}", "{q}<={p,q}"]}),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, call", [("realize", 0), ("compare", 0), ("compare", 1),
+                      ("descent-check", 0), ("descent-check", 1)]
+)
+def test_pi0_is_checked_against_h0_on_every_side(monkeypatch, capsys, command, call):
+    # pi0 by union-find merges two components on one side only: the count
+    # then disagrees with H0's betti number, and the run stops with exit 4
+    from finsite import homology
+
+    argv = [*_PI0_RUNS[command], "--space", _TWO_POINTS, "--dim-cap", "2"]
+    assert run(capsys, *argv)[0] == 0
+    real, seen = homology.pi0, []
+
+    def merged(s):
+        comps = real(s)
+        seen.append(s)
+        return (comps[0] + comps[1], *comps[2:]) if len(seen) - 1 == call else comps
+
+    monkeypatch.setattr(homology, "pi0", merged)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InternalCheckError"
+    assert error["detail"] == "pi0 has 1 components but H0 has betti number 2"
 
 
 def test_realize_reads_the_space_file_once(tmp_path, capsys, monkeypatch):

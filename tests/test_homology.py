@@ -1,8 +1,11 @@
 """Integer homology engine: normal form, chain complexes, induced maps."""
 
+import itertools
+import math
 import random
 from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from sympy import Matrix, ZZ
@@ -12,6 +15,7 @@ from finsite import homology as homology_module
 from finsite.catsite import FiniteSpace, site_from_finite_space
 from finsite.gallery import bz2_category, circle_sset, interval_cover_space, pseudo_circle_space
 from finsite.homology import (
+    InducedMap,
     IntMatrix,
     _verify_transforms,
     chain_map_matrix,
@@ -268,9 +272,10 @@ def _terminal_realization(space: FiniteSpace, cap: int):
 
 
 def test_homology_walk_takes_each_normal_form_once(monkeypatch):
-    # 2d + 1 normal forms through degree d >= 1 where no boundary past the
-    # first is zero: the one of the zero boundary out of level 0 is that of
-    # the boundary out of level 1, taken once; none is taken past degree d
+    # d + 2 normal forms through degree d: the zero boundary out of level 0,
+    # then M_k for k = 0..d, the boundary out of level k + 1 in degree k's
+    # cycle coordinates, whose normal form gives degree k + 1 its cycles;
+    # none is taken past degree d
     s = _terminal_realization(pseudo_circle_space(), 3)
     cx = normalized_chain_complex(s, 3)
     assert all(any(b.sparse) for b in cx.boundary[1:])
@@ -278,24 +283,32 @@ def test_homology_walk_takes_each_normal_form_once(monkeypatch):
     calls = []
     real = homology_module.smith_normal_form
     monkeypatch.setattr(homology_module, "smith_normal_form", lambda a: calls.append(a) or real(a))
-    # columns of each input: boundary 0, boundary 1 (= M_0), then M_k and the
-    # boundary out of level k + 1 in turn, and M_d last
-    for d, levels in ((0, [0, 1]), (1, [0, 1, 2]), (2, [0, 1, 2, 2, 3])):
+    # columns of each input: boundary 0, then M_0..M_d
+    for d in (0, 1, 2):
         calls.clear()
         h = sset_homology(s, d)
-        assert [a.cols for a in calls] == [n[j] for j in levels]
-    assert len(calls) == 5 and calls[-1].rows < cx.boundary[3].rows
+        assert [a.cols for a in calls] == n[: d + 2]
+    assert len(calls) == 4 and calls[-1].rows < cx.boundary[3].rows
     assert [g.label() for g in h.groups] == ["Z", "Z", "0"]
 
 
 def _assert_walk_matches_each_degree(s, d):
-    """sset_homology(s, d) against homology() run alone in each degree."""
+    """sset_homology(s, d) against homology() run alone in each degree: the
+    same summands, the walk's generators reduced in the oracle's coordinates
+    form an isomorphism, and that change of basis carries the walk's
+    reduction of every oracle generator to the oracle's own."""
     walked = sset_homology(s, d).groups
     cx = normalized_chain_complex(s, d + 1)
     for k in range(d + 1):
         g, alone = walked[k], homology(cx, k)
-        assert (g.summands, g.generators) == (alone.summands, alone.generators)
-        assert [g.reduce(z) for z in g.generators] == [alone.reduce(z) for z in g.generators]
+        assert g.summands == alone.summands
+        cols = [alone.reduce(z) for z in g.generators]
+        change = tuple(tuple(c[i] for c in cols) for i in range(len(alone.summands)))
+        assert InducedMap(g, alone, change).is_isomorphism()
+        for z in alone.generators:
+            y = g.reduce(z)
+            back = [sum(a * b for a, b in zip(row, y)) for row in change]
+            assert tuple(v % o if o else v for v, o in zip(back, alone.summands)) == alone.reduce(z)
 
 
 def test_homology_walk_matches_each_degree_on_the_realize_gallery(monkeypatch, capsys):
@@ -378,6 +391,96 @@ def test_induced_map_identity():
         im = induced_map(ident, h, h, k)
         assert im.is_identity()
         assert im.permutation() == tuple(range(len(h.group(k).summands)))
+
+
+def _iso(src, tgt, matrix) -> bool:
+    groups = SimpleNamespace(summands=src), SimpleNamespace(summands=tgt)
+    return InducedMap(*groups, matrix).is_isomorphism()
+
+
+# canonical torsion parts: invariant factors in divisibility order
+_TORSION = [(), (2,), (3,), (4,), (2, 2), (2, 4), (6,)]
+
+
+def _random_hom(rng, src, tgt):
+    """A homomorphism between the groups with these summands, as induced_map
+    writes it: row i reduced mod tgt[i] where that is torsion, and a torsion
+    column sends its generator to an element of its order."""
+    rows = []
+    for e in tgt:
+        row = []
+        for d in src:
+            if e == 0:
+                row.append(0 if d else rng.randint(-2, 2))
+            elif d == 0:
+                row.append(rng.randrange(e))
+            else:
+                step = e // math.gcd(e, d)
+                row.append(step * rng.randrange(e // step))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _oracle_iso(src, tgt, matrix) -> bool:
+    """Isomorphism by the five lemma on torsion and free quotient: the free
+    block has determinant +-1 (sympy), and the torsion block is a bijection
+    by enumeration of every element."""
+    ts, fs = [j for j, d in enumerate(src) if d], [j for j, d in enumerate(src) if not d]
+    tt, ft = [i for i, e in enumerate(tgt) if e], [i for i, e in enumerate(tgt) if not e]
+    if len(fs) != len(ft):
+        return False
+    if abs(Matrix([[matrix[i][j] for j in fs] for i in ft]).det()) != 1:
+        return False
+    images = {
+        tuple(sum(matrix[i][j] * x for j, x in zip(ts, xs)) % tgt[i] for i in tt)
+        for xs in itertools.product(*(range(src[j]) for j in ts))
+    }
+    return len(images) == math.prod(src[j] for j in ts) == math.prod(tgt[i] for i in tt)
+
+
+def _sympy_onto(tgt, matrix) -> bool:
+    """All invariant factors of [matrix | diag(tgt)] are 1, by sympy."""
+    m = len(tgt)
+    if m == 0:
+        return True
+    orders = [[e if i == c else 0 for c in range(m)] for i, e in enumerate(tgt)]
+    wide = Matrix([list(row) + d for row, d in zip(matrix, orders)])
+    d = sympy_smith_normal_form(wide, domain=ZZ)
+    return all(abs(d[i, i]) == 1 for i in range(m))
+
+
+def test_is_isomorphism_against_sympy_on_seeded_maps():
+    rng = random.Random(28)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        src = rng.choice(_TORSION) + (0,) * rng.randint(0, 2)
+        tgt = src if rng.random() < 0.7 else rng.choice(_TORSION) + (0,) * rng.randint(0, 2)
+        matrix = _random_hom(rng, src, tgt)
+        want = _oracle_iso(src, tgt, matrix)
+        assert _iso(src, tgt, matrix) == want, (src, tgt, matrix)
+        if src == tgt:
+            assert want == _sympy_onto(tgt, matrix), (src, tgt, matrix)
+        seen[want] += 1
+    assert min(seen.values()) >= 50
+
+
+@pytest.mark.parametrize(
+    "src, tgt, matrix, iso",
+    [
+        ((2,), (4,), ((2,),), False),  # Z/2 -> Z/4, one-to-one but not onto
+        ((4,), (2,), ((1,),), False),  # onto but not one-to-one
+        ((0,), (0,), ((2,),), False),  # Z -> Z by 2
+        ((0,), (0,), ((-1,),), True),
+        ((0, 0), (0, 0), ((2, 1), (1, 1)), True),  # unimodular, not a permutation
+        ((2, 0), (2, 0), ((1, 1), (0, -1)), True),  # Z/2 + Z, mixing into the torsion
+        ((3,), (3,), ((2,),), True),
+        ((), (), (), True),
+        ((0,), (), (), False),
+    ],
+)
+def test_is_isomorphism_on_known_maps(src, tgt, matrix, iso):
+    assert _iso(src, tgt, matrix) is iso
+    assert _oracle_iso(src, tgt, matrix) is iso
 
 
 def test_induced_map_collapse_kills_h1():

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import finsite
@@ -224,19 +225,21 @@ def test_every_package_name_is_used_in_the_package():
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                 ]
 
+    # one walk of every tree: the nodes that reference each name, by attribute
+    # or by name and import
+    by_attr, by_name = defaultdict(set), defaultdict(set)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                by_attr[n.attr].add(id(n))
+            elif isinstance(n, ast.Name):
+                by_name[n.id].add(id(n))
+            elif isinstance(n, ast.alias):
+                by_name[n.name].add(id(n))
+
     def used(name: str, node: ast.AST, method: bool) -> bool:
-        inside = {id(n) for n in ast.walk(node)}
-        for tree in trees.values():
-            for n in ast.walk(tree):
-                if id(n) in inside:
-                    continue
-                if isinstance(n, ast.Attribute) and n.attr == name:
-                    return True
-                if not method and (
-                    (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.alias) and n.name == name)
-                ):
-                    return True
-        return False
+        refs = by_attr[name] if method else by_attr[name] | by_name[name]
+        return bool(refs - {id(n) for n in ast.walk(node)})
 
     unused = {full for full, node, method in defs if not used(full.rsplit(".", 1)[1], node, method)}
     assert unused - NOT_RUN_BUT_KEPT == set()

@@ -4,15 +4,17 @@ A FinCat stores objects, morphisms, identities, and a total composition table
 on composable pairs.  chains gives its nerve by position, built once per cap
 and kept on the category: the one place where faces and degeneracies act on
 chains, read by nerve, by the bar realization and by the maps between
-realizations.  Sites pair a category with a saturated covering store: for
-every object, every covering sieve is listed.  Everything is small enough to
-enumerate, and every collection is kept canonically sorted.
+realizations.  A site pairs a category with one minimal covering sieve per
+object: on a finite site a sieve covers exactly when it contains that one,
+and the list of covering sieves is derived from it when read.  Everything is
+small enough to enumerate, and every collection is kept canonically sorted.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Any, Callable, Iterable
 
@@ -262,23 +264,14 @@ class Sieve:
 
 
 def generate_sieve(cat: FinCat, x: ObjId, generators: Iterable[MorId]) -> Sieve:
-    """Smallest sieve on x containing the generators (precomposition closure)."""
-    members: set[MorId] = set()
-    frontier = list(generators)
-    for f in frontier:
+    """Smallest sieve on x containing the generators: every f.g for f a
+    generator and g into src(f), closed already, as composition is
+    associative and unital."""
+    generators = list(generators)
+    for f in generators:
         if cat.tgt(f) != x:
             raise InputError(f"generator {cstr(f)} does not land in {cstr(x)}")
-    while frontier:
-        f = frontier.pop()
-        if f in members:
-            continue
-        members.add(f)
-        for g in cat.morphisms.values():
-            if g.tgt == cat.src(f):
-                fg = cat.compose(f, g.mid)
-                if fg not in members:
-                    frontier.append(fg)
-    return Sieve(x, frozenset(members))
+    return Sieve(x, frozenset(cat.compose(f, g) for f in generators for g in cat.hom_into(cat.src(f))))
 
 
 def maximal_sieve(cat: FinCat, x: ObjId) -> Sieve:
@@ -286,13 +279,8 @@ def maximal_sieve(cat: FinCat, x: ObjId) -> Sieve:
 
 
 def is_sieve(cat: FinCat, s: Sieve) -> bool:
-    for f in s.members:
-        if cat.tgt(f) != s.base:
-            return False
-        for g in cat.morphisms.values():
-            if g.tgt == cat.src(f) and cat.compose(f, g.mid) not in s.members:
-                return False
-    return True
+    """A fixpoint of generate_sieve: closed under precomposition."""
+    return all(cat.tgt(f) == s.base for f in s.members) and generate_sieve(cat, s.base, s.members) == s
 
 
 def pullback_sieve(cat: FinCat, f: MorId, s: Sieve) -> Sieve:
@@ -330,45 +318,35 @@ def sieve_category(cat: FinCat, s: Sieve) -> MappedCat:
 _SIEVE_ENUM_LIMIT = 18
 
 
-def _sieve_masks(cat: FinCat, x: ObjId) -> tuple[tuple[MorId, ...], list[int]]:
-    """hom(-, x) and every sieve on x, as a bitmask over that tuple.
-
-    Brute force over all subsets: desk scale only, so it refuses when the
-    fan-in is too large to enumerate.
-    """
+def _fan_in(cat: FinCat, x: ObjId) -> tuple[MorId, ...]:
+    """hom(-, x), refused when it is too large for its sieves to be listed."""
     into = cat.hom_into(x)
-    n = len(into)
-    if n > _SIEVE_ENUM_LIMIT:
-        raise InputError(f"cannot enumerate sieves: {n} morphisms into {cstr(x)}")
-    # closure demand as a bitmask: choosing f forces every f.g
+    if len(into) > _SIEVE_ENUM_LIMIT:
+        raise InputError(f"cannot enumerate sieves: {len(into)} morphisms into {cstr(x)}")
+    return into
+
+
+def _sieve_masks(cat: FinCat, x: ObjId) -> tuple[tuple[MorId, ...], list[int]]:
+    """hom(-, x) and every sieve on x, as a bitmask over that tuple: brute
+    force over all subsets, so desk scale only, under _fan_in's limit."""
+    into = _fan_in(cat, x)
     index = {f: i for i, f in enumerate(into)}
-    need = [0] * n
-    for f in into:
-        bits = 1 << index[f]
-        for g in cat.hom_into(cat.src(f)):
-            bits |= 1 << index[cat.compose(f, g)]
-        need[index[f]] = bits
-    masks = []
-    for mask in range(1 << n):
-        closure = 0
-        m = mask
-        while m:
-            low = m & -m
-            closure |= need[low.bit_length() - 1]
-            m ^= low
-        if closure == mask:
-            masks.append(mask)
-    return into, masks
+    # choosing f forces the sieve it generates; a mask is a sieve when it is
+    # its own closure, the closure of its lowest bit and of the rest
+    need = [sum(1 << index[g] for g in generate_sieve(cat, x, [f]).members) for f in into]
+    closure = [0] * (1 << len(into))
+    for mask in range(1, 1 << len(into)):
+        low = mask & -mask
+        closure[mask] = closure[mask ^ low] | need[low.bit_length() - 1]
+    return into, [mask for mask, c in enumerate(closure) if c == mask]
 
 
-def _members(into: tuple[MorId, ...], mask: int) -> frozenset:
-    return frozenset(f for i, f in enumerate(into) if mask >> i & 1)
-
-
-def all_sieves(cat: FinCat, x: ObjId) -> tuple[Sieve, ...]:
-    """Every sieve on x, in canonical order."""
+def all_sieves(cat: FinCat, x: ObjId, containing: frozenset = frozenset()) -> tuple[Sieve, ...]:
+    """Every sieve on x that contains the given morphisms, in canonical order."""
     into, masks = _sieve_masks(cat, x)
-    sieves = [Sieve(x, _members(into, mask)) for mask in masks]
+    held = sum(1 << i for i, f in enumerate(into) if f in containing)
+    kept = [mask for mask in masks if mask & held == held]
+    sieves = [Sieve(x, frozenset(f for i, f in enumerate(into) if mask >> i & 1)) for mask in kept]
     return tuple(sorted(sieves, key=lambda s: ckey(s.key())))
 
 
@@ -376,63 +354,57 @@ def all_sieves(cat: FinCat, x: ObjId) -> tuple[Sieve, ...]:
 
 
 class Site:
-    """Category plus saturated covering store: every covering sieve listed."""
+    """Category plus one minimal covering sieve per object.  Finite
+    intersections of covering sieves cover, and a sieve containing a covering
+    one covers, so a sieve covers exactly when it contains the intersection
+    of them all (SGA 4, Exp. II): that is all a finite site stores."""
 
-    def __init__(self, category: FinCat, coverings: dict[ObjId, Iterable[Sieve]]):
+    def __init__(self, category: FinCat, minimal: dict[ObjId, Sieve]):
+        if set(minimal) != set(category.objects):
+            raise InputError("a site needs one minimal covering sieve per object")
         self.category = category
-        self.coverings: dict[ObjId, tuple[Sieve, ...]] = {
-            x: tuple(sorted(coverings.get(x, ()), key=lambda s: ckey(s.key())))
-            for x in category.objects
-        }
+        self.minimal = {x: minimal[x] for x in category.objects}
 
     def is_covering(self, s: Sieve) -> bool:
-        return s in self.coverings.get(s.base, ())
+        return s.base in self.minimal and self.minimal[s.base].members <= s.members
 
     def minimal_covering_sieve(self, x: ObjId) -> Sieve:
-        """Intersection of all covering sieves; covering again on a valid site."""
-        sieves = self.coverings[x]
-        if not sieves:
-            raise ValidationError(f"object {cstr(x)} has no covering sieves")
-        members = frozenset.intersection(*(s.members for s in sieves))
-        return Sieve(x, members)
+        return self.minimal[x]
+
+    @cached_property
+    def coverings(self) -> dict[ObjId, tuple[Sieve, ...]]:
+        """Every covering sieve per object, in canonical order; listed on
+        first read, under the fan-in limit of all_sieves."""
+        return {x: all_sieves(self.category, x, s.members) for x, s in self.minimal.items()}
 
 
 def validate_site(site: Site) -> Report:
+    """The axioms of a Grothendieck topology, on the minimal sieves: each is a
+    sieve on its object, f^* smin(x) contains smin(src f), and a sieve t on x
+    covers when f^* t covers for every f in smin(x).  A covering sieve
+    contains smin(x) and pullback is monotone, so these hold for every
+    covering sieve once they hold for the minimal ones."""
     cat = site.category
     rep = validate_category(cat)
     if not rep.ok:
         return rep
-    for x in cat.objects:
-        for s in site.coverings[x]:
-            if s.base != x:
-                return Report.failure("covering-base", "sieve stored under wrong object", (x,))
-            if not is_sieve(cat, s):
-                return Report.failure("covering-not-sieve", "stored covering is not a sieve", (x, s.key()))
-        if maximal_sieve(cat, x) not in site.coverings[x]:
-            return Report.failure("maximal-missing", "maximal sieve not covering", (x,))
-    # stability under pullback
-    for x in cat.objects:
-        for s in site.coverings[x]:
-            for f in cat.hom_into(x):
-                if not site.is_covering(pullback_sieve(cat, f, s)):
-                    return Report.failure(
-                        "stability", "pullback of covering sieve not covering", (x, f)
-                    )
+    for x, s in site.minimal.items():
+        if s.base != x:
+            return Report.failure("covering-base", "sieve stored under wrong object", (x,))
+        if not is_sieve(cat, s):
+            return Report.failure("covering-not-sieve", "stored covering is not a sieve", (x, s.key()))
+    for x, s in site.minimal.items():
+        for f in cat.hom_into(x):
+            if not site.is_covering(pullback_sieve(cat, f, s)):
+                return Report.failure("stability", "pullback of covering sieve not covering", (x, f))
     # transitivity (local character), exhaustively over all sieves
-    for x in cat.objects:
-        covering = set(site.coverings[x])
+    for x, s in site.minimal.items():
         for t in all_sieves(cat, x):
-            if t in covering:
-                continue
-            for s in site.coverings[x]:
-                if all(
-                    site.is_covering(pullback_sieve(cat, f, t)) for f in s.members
-                ):
-                    return Report.failure(
-                        "transitivity",
-                        "locally covering sieve is not covering",
-                        (x, t.key()),
-                    )
+            if not site.is_covering(t) and all(
+                site.is_covering(pullback_sieve(cat, g, t)) for g in s.members
+            ):
+                detail = "locally covering sieve is not covering"
+                return Report.failure("transitivity", detail, (x, t.key()))
     return Report.success()
 
 
@@ -495,33 +467,21 @@ def validate_space(space: FiniteSpace) -> Report:
 
 
 def site_from_finite_space(space: FiniteSpace) -> Site:
-    """Poset of nonempty opens; a sieve covers U iff its members union to U."""
-    rep = validate_space(space)
-    rep.raise_if_failed()
+    """Poset of nonempty opens; a sieve covers U iff its members union to U,
+    that is, iff it holds U_p <= U for each point p of U, where U_p is the
+    minimal open around p.  Those inclusions generate the minimal covering
+    sieve.  The covering sieves must stay listable: the whole space has the
+    most opens below it, so an oversized space is refused there first."""
+    validate_space(space).raise_if_failed()
     by_id = {open_id(o): o for o in space.opens}
     cat = poset_category(by_id.keys(), lambda a, b: by_id[a] <= by_id[b])
-    coverings: dict[str, list[Sieve]] = {}
-    point_index = {p: i for i, p in enumerate(space.points)}
-
-    def point_bits(o: frozenset) -> int:
-        return sum(1 << point_index[p] for p in o)
-
-    # largest open first: it has the most opens below it, so an oversized
-    # space is refused before any enumeration
-    for uid in reversed(by_id):
-        into, masks = _sieve_masks(cat, uid)
-        pts = [point_bits(by_id[cat.src(f)]) for f in into]
-        target = point_bits(by_id[uid])
-        sieves = []
-        for mask in masks:
-            union = 0
-            for i, p in enumerate(pts):
-                if mask >> i & 1:
-                    union |= p
-            if union == target:
-                sieves.append(Sieve(uid, _members(into, mask)))
-        coverings[uid] = sieves
-    return Site(cat, coverings)
+    _fan_in(cat, open_id(space.points))
+    near = {p: open_id(space.minimal_open(p)) for p in space.points}
+    minimal = {
+        uid: generate_sieve(cat, uid, [m for p in u for m in cat.hom(near[p], uid)])
+        for uid, u in by_id.items()
+    }
+    return Site(cat, minimal)
 
 
 # -- JSON ------------------------------------------------------------------------
@@ -541,21 +501,33 @@ def category_to_json(cat: FinCat) -> dict:
     }
 
 
+def _json_list(value, field: str) -> list:
+    """value, which must be a JSON list: a string is not read as its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a list")
+    return value
+
+
 def category_from_json(data: dict) -> FinCat:
     """Load a category; identity morphisms may be omitted and are synthesized.
     Every identifier is a string."""
     try:
-        objects = list(data["objects"])
-        morphisms = [
-            Morphism(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]
-        ]
-        identities: dict[Any, Any] = dict(data.get("identities", {}))
-        comp_rows = [tuple(row) for row in data.get("composition", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        objects = _json_list(data["objects"], '"objects"')
+        raw = _json_list(data["morphisms"], '"morphisms"')
+        morphisms = [Morphism(m["id"], m["src"], m["tgt"]) for m in raw]
+        identities = data.get("identities", {})
+        if not isinstance(identities, dict):
+            raise TypeError('"identities" must be an object')
+        identities = dict(identities)
+        rows = _json_list(data.get("composition", []), '"composition"')
+        comp_rows = [tuple(_json_list(row, 'each "composition" row')) for row in rows]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad category JSON: {exc}") from exc
     rows = [*comp_rows, *identities.items(), *((m.mid, m.src, m.tgt) for m in morphisms)]
     if not all(isinstance(x, str) for x in [*objects, *(x for row in rows for x in row)]):
         raise InputError("bad category JSON: identifiers must be strings")
+    if len(set(objects)) != len(objects):
+        raise InputError("duplicate object ids")
     mids = {m.mid for m in morphisms}
     if len(mids) != len(morphisms):
         raise InputError("duplicate morphism ids")
@@ -593,7 +565,9 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(data: dict) -> FiniteSpace:
+    """Load a space: "points" is a list of points, and so is each of "opens"."""
     try:
-        return FiniteSpace.build(data["points"], data["opens"])
+        opens = [_json_list(o, 'each of "opens"') for o in _json_list(data["opens"], '"opens"')]
+        return FiniteSpace.build(_json_list(data["points"], '"points"'), opens)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad finite space JSON: {exc}") from exc

@@ -2,8 +2,8 @@
 
 The pseudo-circle is the four-point model of the circle; the interval cover
 is a seven-point model of an interval carrying exactly the opens generated by
-three overlapping subintervals, so its full open poset stays small enough to
-saturate.  bz2 is the one-object category of the order-two group.
+three overlapping subintervals, so its covering sieves stay few enough to
+list.  bz2 is the one-object category of the order-two group.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Any, Iterable
 
 from finsite.canon import csorted, cstr
 from finsite.catsite import FinCat, MappedCat, Morphism, Sieve, Site
-from finsite.reports import InputError, InternalCheckError, Report, ValidationError
+from finsite.reports import InputError, InternalCheckError, Report
 from finsite.sset import (
     SimplicialMap,
     SimplicialSet,
@@ -357,11 +357,6 @@ def gamma_prime_set(site: Site, sp: SetFunctor) -> PlusStep:
     covering sieve, which every covering sieve refines on a finite site."""
     cat = site.category
     smin = {x: site.minimal_covering_sieve(x) for x in cat.objects}
-    for x, s in smin.items():
-        if not site.is_covering(s):
-            raise ValidationError(
-                "intersection of covering sieves fails to cover; site is invalid"
-            )
     result = _families(site, sp, cat, smin.__getitem__, lambda f: f)
     unit_components = {
         x: {s: _matching_image(sp, smin[x], s) for s in sp.values[x]}

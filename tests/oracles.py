@@ -7,7 +7,9 @@ not circularity.  Beside them are reference routes that no command runs:
 the former identifier-keyed tables and formulas, the tables as a JSON dict
 (sset_to_json), homology one degree at a time (homology), and the global
 sections of a set presheaf (sections_set), the route through the sieve
-category that matching families are checked against.
+category that matching families are checked against, and the covering sieves
+of a space site by their definition (union_coverings), which the site's
+minimal sieves replace.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from finsite.canon import ckey, cstr
-from finsite.catsite import FinCat, FiniteSpace, Site, open_id
+from finsite.catsite import FinCat, FiniteSpace, Site, all_sieves, open_id
 from finsite.homology import ChainComplex, HomologyGroup, IntMatrix, _group_at, smith_normal_form
 from finsite.presheaf import SetFunctor, _solutions
 from finsite.reports import InputError, Report
@@ -749,6 +751,20 @@ def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
 
 def _opens_by_id(space: FiniteSpace) -> dict[str, frozenset]:
     return {open_id(o): o for o in space.opens}
+
+
+def union_coverings(space: FiniteSpace, cat: FinCat) -> dict[str, tuple]:
+    """The covering sieves of the space's site by saturation: every sieve on
+    each open U whose members' opens union to U, in all_sieves order."""
+    by_id = _opens_by_id(space)
+    return {
+        uid: tuple(
+            s
+            for s in all_sieves(cat, uid)
+            if frozenset().union(*(by_id[cat.src(f)] for f in s.members)) == by_id[uid]
+        )
+        for uid in cat.objects
+    }
 
 
 def stalk_family_sheaf(space: FiniteSpace, site: Site, sp: SetFunctor) -> SetFunctor:

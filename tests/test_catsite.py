@@ -10,6 +10,8 @@ from finsite.catsite import (
     FinCat,
     FiniteSpace,
     Morphism,
+    Sieve,
+    Site,
     all_sieves,
     category_from_json,
     category_to_json,
@@ -39,7 +41,7 @@ from finsite.gallery import (
 from finsite.reports import InputError
 from finsite.sset import pi0, validate_sset
 
-from oracles import formula_chains, formula_nerve
+from oracles import formula_chains, formula_nerve, union_coverings
 from randgen import random_space
 
 
@@ -185,6 +187,66 @@ def test_minimal_covering_sieve_is_covering_and_minimum():
         assert site.is_covering(smin)
         for s in site.coverings[x]:
             assert smin.members <= s.members
+
+
+def test_a_site_stores_the_minimal_sieves_and_derives_the_coverings():
+    """On the gallery spaces and 40 seeded random ones, a sieve covers exactly
+    when its members union to the open, and the minimal sieve is the
+    intersection of the covering ones; the list is built on first read."""
+    rng = random.Random(29)
+    spaces = [sierpinski_space(), pseudo_circle_space(), interval_cover_space()]
+    spaces += [random_space(rng) for _ in range(40)]
+    for space in spaces:
+        site = site_from_finite_space(space)
+        assert "coverings" not in vars(site)
+        cat = site.category
+        ref = union_coverings(space, cat)
+        for x in cat.objects:
+            smin = frozenset.intersection(*(s.members for s in ref[x]))
+            assert site.minimal_covering_sieve(x) == Sieve(x, smin)
+            assert [site.is_covering(s) for s in all_sieves(cat, x)] == [
+                s in ref[x] for s in all_sieves(cat, x)
+            ]
+        assert site.coverings == ref and list(site.coverings) == list(cat.objects)
+
+
+def _chain_site(n: int, **minimal) -> Site:
+    """The chain a <= b <= ... on n objects, with the given sieves (a Sieve,
+    or members of a sieve on the object) as minimal covering sieves, and the
+    maximal sieve for every object not named."""
+    cat = poset_category("abc"[:n], lambda x, y: x <= y)
+    named = {x: s if isinstance(s, Sieve) else Sieve(x, frozenset(s)) for x, s in minimal.items()}
+    return Site(cat, {x: named.get(x, maximal_sieve(cat, x)) for x in cat.objects})
+
+
+def test_validate_site_accepts_the_atomic_topology_on_a_chain():
+    # every nonempty sieve covers: the minimal one is generated by a's arrow
+    site = _chain_site(3, b={"a<=b"}, c={"a<=c"})
+    assert validate_site(site).ok
+    assert {x: len(s) for x, s in site.coverings.items()} == {"a": 1, "b": 2, "c": 3}
+
+
+@pytest.mark.parametrize(
+    "site, kind, witness",
+    [
+        (_chain_site(3, c=Sieve("b", frozenset({"a<=b", "b<=b"}))), "covering-base", ("c",)),
+        (_chain_site(3, c={"b<=c"}), "covering-not-sieve", ("c", ("b<=c",))),
+        (_chain_site(3, c={"a<=b", "b<=b"}), "covering-not-sieve", ("c", ("a<=b", "b<=b"))),
+        # pulled back to b, the sieve {a<=c} is {a<=b}, which misses id_b
+        (_chain_site(3, c={"a<=c"}), "stability", ("c", "b<=c")),
+        # the empty sieve covers a, so the empty sieve on b covers locally
+        (_chain_site(2, a=set(), b={"a<=b"}), "transitivity", ("b", ())),
+    ],
+)
+def test_validate_site_refuses_each_broken_axiom(site, kind, witness):
+    rep = validate_site(site)
+    assert (rep.ok, rep.kind, rep.witness) == (False, kind, witness)
+
+
+def test_a_site_needs_a_minimal_sieve_for_every_object():
+    cat = poset_category("ab", lambda x, y: x <= y)
+    with pytest.raises(InputError, match="one minimal covering sieve per object"):
+        Site(cat, {"a": maximal_sieve(cat, "a")})
 
 
 def test_random_spaces_make_valid_sites():

@@ -1217,3 +1217,60 @@ def test_a_morphism_ending_outside_the_objects_fails_validation(capsys):
     code, out, err = run(capsys, "realize", "--cat", cat)
     assert (code, out) == (3, "")
     assert json.loads(err)["error"]["detail"] == "morphism-endpoints: endpoint not an object"
+
+
+def test_a_duplicated_object_is_an_input_error(capsys):
+    # two objects named x would give pi0 one component and H0 two
+    cat = '{"objects":["x","x"],"morphisms":[]}'
+    for command in ("validate", "realize"):
+        assert _input_error(*run(capsys, command, "--cat", cat)) == "duplicate object ids"
+
+
+@pytest.mark.parametrize(
+    "flag, document, detail",
+    [
+        ("--cat", _cat_with(["objects"], "xy"), 'bad category JSON: "objects" must be a list'),
+        (
+            "--cat",
+            _cat_with(["composition", 0], "fff"),
+            'bad category JSON: each "composition" row must be a list',
+        ),
+        (
+            "--cat",
+            _cat_with(["identities"], [["x", "id:x"]]),
+            'bad category JSON: "identities" must be an object',
+        ),
+        (
+            "--space",
+            '{"points":"ab","opens":[["a"],["a","b"]]}',
+            'bad finite space JSON: "points" must be a list',
+        ),
+        (
+            "--space",
+            '{"points":["a","b"],"opens":["a","ab"]}',
+            'bad finite space JSON: each of "opens" must be a list',
+        ),
+    ],
+    ids=["objects", "composition-row", "identities", "points", "open"],
+)
+def test_a_string_is_not_read_as_a_list_of_its_characters(capsys, flag, document, detail):
+    for command in ("validate", "realize"):
+        assert _input_error(*run(capsys, command, flag, document)) == detail
+
+
+@pytest.mark.parametrize(
+    "command, example",
+    [("realize", "pseudo_circle_terminal"), ("descent-check", "interval_cover")],
+)
+def test_realize_and_descent_check_list_no_covering_sieves(capsys, monkeypatch, command, example):
+    from finsite import catsite
+
+    def refuse(*args):
+        raise AssertionError("covering sieves were listed")
+
+    monkeypatch.setattr(catsite, "_sieve_masks", refuse)
+    code, _, err = run(capsys, command, "--example", example, "--dim-cap", "2")
+    assert (code, err) == (0, "")
+    # sheafify checks the sheaf condition on every covering sieve, so it lists them
+    with pytest.raises(AssertionError, match="covering sieves were listed"):
+        run(capsys, "sheafify", "--example", "collapse")

@@ -210,8 +210,9 @@ def test_every_package_name_is_used_in_the_package():
     """src holds what the commands run: every top-level function and class,
     and every public method, is referenced in the package outside its own
     definition, a function or class by name, import or attribute, a method
-    by attribute.  Fixtures and reference routes that only tests call live in
-    tests/fixtures.py and tests/oracles.py."""
+    by attribute; and every name imported into a module is referenced there
+    by name, or exported by its __all__.  Fixtures and reference routes that
+    only tests call live in tests/fixtures.py and tests/oracles.py."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     defs = []
     for module, tree in trees.items():
@@ -244,3 +245,22 @@ def test_every_package_name_is_used_in_the_package():
     unused = {full for full, node, method in defs if not used(full.rsplit(".", 1)[1], node, method)}
     assert unused - NOT_RUN_BUT_KEPT == set()
     assert NOT_RUN_BUT_KEPT <= unused
+
+    dead_imports = []
+    for module, tree in trees.items():
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        named |= {
+            c.value
+            for n in tree.body
+            if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+            for c in ast.walk(n.value)
+            if isinstance(c, ast.Constant)
+        }
+        dead_imports += [
+            f"{module}:{n.lineno} {alias.asname or alias.name}"
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", None) != "__future__"
+            for alias in n.names
+            if (alias.asname or alias.name).split(".")[0] not in named
+        ]
+    assert dead_imports == []

@@ -6,8 +6,11 @@ and kept on the category: the one place where faces and degeneracies act on
 chains, read by nerve, by the bar realization and by the maps between
 realizations.  A site pairs a category with one minimal covering sieve per
 object: on a finite site a sieve covers exactly when it contains that one,
-and the list of covering sieves is derived from it when read.  Everything is
-small enough to enumerate, and every collection is kept canonically sorted.
+and the list of covering sieves is derived from it when read.  A sieve is
+its set of members, a subpresheaf of hom(-, base) (presheaf.sieve_presheaf),
+and no slice category is built: a category built over another is a full
+subcategory.  Everything is small enough to enumerate, and every collection
+is kept canonically sorted.
 """
 
 from __future__ import annotations
@@ -252,6 +255,17 @@ class MappedCat:
     mor_to_base: dict[MorId, MorId]
 
 
+def full_subcategory(cat: FinCat, objects: Iterable[ObjId]) -> MappedCat:
+    """The full subcategory on the given objects; identifiers are unchanged."""
+    keep = set(objects)
+    objs = csorted(keep)
+    mors = [m for m in cat.morphisms.values() if m.src in keep and m.tgt in keep]
+    mids = {m.mid for m in mors}
+    composition = {(g, f): h for (g, f), h in cat.composition.items() if g in mids and f in mids}
+    sub = FinCat(objs, mors, {x: cat.identity(x) for x in objs}, composition)
+    return MappedCat(sub, {x: x for x in objs}, {m: m for m in sub.morphisms})
+
+
 @dataclass(frozen=True)
 class Sieve:
     """A precomposition-closed set of morphisms into base."""
@@ -289,30 +303,6 @@ def pullback_sieve(cat: FinCat, f: MorId, s: Sieve) -> Sieve:
         raise InputError("pullback morphism must land in the sieve base")
     y = cat.src(f)
     return Sieve(y, frozenset(g for g in cat.hom_into(y) if cat.compose(f, g) in s.members))
-
-
-def sieve_category(cat: FinCat, s: Sieve) -> MappedCat:
-    """Full subcategory of the slice cat/base on the sieve's members: objects
-    are the members, morphisms are the triangles between them."""
-    members = csorted(s.members)
-    mors = []
-    obj_to_base = {f: cat.src(f) for f in members}
-    mor_to_base = {}
-    for f in members:
-        for g in members:
-            for h in cat.hom(cat.src(f), cat.src(g)):
-                if cat.compose(g, h) == f:
-                    mid = ("t", h, f, g)
-                    mors.append(Morphism(mid, f, g))
-                    mor_to_base[mid] = h
-    identities = {f: ("t", cat.identity(cat.src(f)), f, f) for f in members}
-    composition = {}
-    for m1 in mors:
-        for m2 in mors:
-            if m1.tgt == m2.src:
-                h = cat.compose(mor_to_base[m2.mid], mor_to_base[m1.mid])
-                composition[(m2.mid, m1.mid)] = ("t", h, m1.src, m2.tgt)
-    return MappedCat(FinCat(members, mors, identities, composition), obj_to_base, mor_to_base)
 
 
 _SIEVE_ENUM_LIMIT = 18

@@ -277,8 +277,9 @@ def _parse_functor(
     name: str, space: FiniteSpace | None, site: Site | None, cat: FinCat, dim_cap: int
 ):
     if name == "order_complex":
-        # a site comes only with the space it was built from
-        return order_complex_functor(space, dim_cap, _require_site(site))
+        if space is None:
+            raise InputError("the order_complex functor needs a space's points; give --space, not --cat")
+        return order_complex_functor(space, dim_cap, site)
     if name == "point":
         return point_functor(cat, dim_cap, covariant=True)
     raise InputError(f"unknown functor {name}; known: order_complex, point")

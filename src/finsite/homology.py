@@ -411,7 +411,6 @@ def _group_at(cx: ChainComplex, k: int, cycles: SNFResult) -> tuple[HomologyGrou
 @dataclass(frozen=True)
 class Homology:
     sset: SimplicialSet
-    max_deg: int
     complex: ChainComplex
     groups: tuple[HomologyGroup, ...]
 
@@ -434,7 +433,7 @@ def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
     for k in range(max_deg + 1):
         g, cycles = _group_at(cx, k, cycles)
         groups.append(g)
-    return Homology(s, max_deg, cx, tuple(groups))
+    return Homology(s, cx, tuple(groups))
 
 
 def component_count(h: Homology) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from finsite.canon import csorted, cstr
-from finsite.catsite import FinCat, MappedCat, Morphism, Sieve, Site
+from finsite.catsite import FinCat, MappedCat, Morphism, Sieve, Site, maximal_sieve
 from finsite.reports import InputError, InternalCheckError, Report
 from finsite.sset import (
     SimplicialMap,
@@ -221,13 +221,18 @@ def terminal_set_presheaf(cat: FinCat) -> SetFunctor:
     return constant_set_presheaf(cat, ("*",))
 
 
-def representable_set_presheaf(cat: FinCat, z: ObjId) -> SetFunctor:
-    values = {x: cat.hom(x, z) for x in cat.objects}
-    action = {}
-    for m in cat.morphisms.values():
-        # precomposition hom(tgt, z) -> hom(src, z)
-        action[m.mid] = {h: cat.compose(h, m.mid) for h in values[m.tgt]}
+def sieve_presheaf(cat: FinCat, s: Sieve) -> SetFunctor:
+    """s as a subpresheaf of hom(-, s.base): members by source, acting by precomposition."""
+    values: dict[ObjId, list] = {x: [] for x in cat.objects}
+    for f in csorted(s.members):
+        values[cat.src(f)].append(f)
+    action = {m.mid: {h: cat.compose(h, m.mid) for h in values[m.tgt]} for m in cat.morphisms.values()}
     return SetFunctor(cat, values, action, covariant=False)
+
+
+def representable_set_presheaf(cat: FinCat, z: ObjId) -> SetFunctor:
+    """hom(-, z), the maximal sieve on z."""
+    return sieve_presheaf(cat, maximal_sieve(cat, z))
 
 
 def discretize(sf: SetFunctor, dim_cap: int) -> Functor:

@@ -56,12 +56,12 @@ from finsite.catsite import (
     Site,
     all_sieves,
     chains,
+    full_subcategory,
     maximal_sieve,
     nerve,
     open_id,
     poset_category,
     pullback_sieve,
-    sieve_category,
 )
 from finsite.homology import component_count, summands_json, sset_homology
 from finsite.presheaf import (
@@ -70,8 +70,9 @@ from finsite.presheaf import (
     SetFunctor,
     _families,
     _same,
-    point_functor,
+    discretize,
     reindex,
+    sieve_presheaf,
 )
 from finsite.reports import InputError, Report, ValidationError
 from finsite.sset import (
@@ -279,8 +280,9 @@ def order_complex_functor(space: FiniteSpace, dim_cap: int, site: Site) -> Funct
 
 @dataclass(frozen=True)
 class DescentReport:
-    """Per-instance descent certificate: realization over a covering sieve
-    against the plain value, compared on pi0 and homology up to max_deg."""
+    """Per-instance descent certificate: the realization Re(F, S) of a
+    covering sieve S on x, against the plain value F(x), compared on pi0 and
+    homology up to max_deg."""
 
     ok: bool
     obj: ObjId
@@ -316,8 +318,10 @@ class DescentReport:
 def covariant_descent_check(
     site: Site, f: Functor, x: ObjId, s: Sieve, max_deg: int
 ) -> DescentReport:
-    """Compares Re over the sieve category of (f restricted, terminal) with
-    f(x) on pi0 and homology in degrees 0..max_deg.
+    """Compares Re(f, S), S the sieve as a subpresheaf of hom(-, x), with
+    f(x) on pi0 and homology in degrees 0..max_deg.  Re is taken over the
+    full subcategory on the objects S reaches: a chain ending at y with S(y)
+    nonempty has S nonempty at each of its objects, so it holds every block.
 
     A passing report certifies this one instance only; it is not a proof
     about other sieves or degrees beyond max_deg.
@@ -333,14 +337,11 @@ def covariant_descent_check(
         raise InputError("max_deg must be nonnegative")
     if max_deg + 1 > f.dim_cap:
         raise InputError("max_deg needs one more level than the diagram cap")
-    mapped = sieve_category(cat, s)
-    restricted = reindex(f, mapped)
     cap = max_deg + 1
-    terminal = point_functor(mapped.category, cap, covariant=False)
-    re = realize(mapped.category, restricted, terminal, cap)
-    value = f.values[x]
-    h_re = sset_homology(re, max_deg)
-    h_val = sset_homology(value, max_deg)
+    sieve = sieve_presheaf(cat, s)
+    reached = full_subcategory(cat, [y for y in cat.objects if sieve.values[y]])
+    re = realize(reached.category, reindex(f, reached), discretize(reindex(sieve, reached), cap), cap)
+    h_re, h_val = sset_homology(re, max_deg), sset_homology(f.values[x], max_deg)
     degrees = tuple(
         (k, h_re.group(k).summands, h_val.group(k).summands) for k in range(max_deg + 1)
     )
@@ -421,22 +422,9 @@ def validate_projector(d: ProjectorData) -> Report:
 
 
 def projector_image(d: ProjectorData) -> MappedCat:
-    """Full subcategory on the image objects; identifiers are unchanged.
-
-    Naturality of psi forces P to fix every morphism between image objects,
-    so the full subcategory coincides with the image of P.
-    """
-    cat = d.category
-    objs = csorted({d.obj_map[x] for x in cat.objects})
-    keep = set(objs)
-    mors = [m for m in cat.morphisms.values() if m.src in keep and m.tgt in keep]
-    mids = {m.mid for m in mors}
-    identities = {x: cat.identity(x) for x in objs}
-    composition = {
-        (g, f): h for (g, f), h in cat.composition.items() if g in mids and f in mids
-    }
-    sub = FinCat(objs, mors, identities, composition)
-    return MappedCat(sub, {x: x for x in objs}, {m: m for m in mids})
+    """The full subcategory on the image objects: naturality of psi forces P
+    to fix every morphism between them, so it coincides with the image of P."""
+    return full_subcategory(d.category, [d.obj_map[x] for x in d.category.objects])
 
 
 def projector_maps(

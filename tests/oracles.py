@@ -7,9 +7,11 @@ not circularity.  Beside them are reference routes that no command runs:
 the former identifier-keyed tables and formulas, the tables as a JSON dict
 (sset_to_json), homology one degree at a time (homology), and the global
 sections of a set presheaf (sections_set), the route through the sieve
-category that matching families are checked against, and the covering sieves
-of a space site by their definition (union_coverings), which the site's
-minimal sieves replace.
+category that matching families and descent realizations are checked against
+(sieve_category, slice_descent_realization), the representable presheaf as
+hom-sets (hom_presheaf), which the maximal sieve replaces, and the covering
+sieves of a space site by their definition (union_coverings), which the
+site's minimal sieves replace.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
 
-from finsite.canon import ckey, cstr
-from finsite.catsite import FinCat, FiniteSpace, Site, all_sieves, open_id
+from finsite.canon import ckey, csorted, cstr
+from finsite.catsite import FinCat, FiniteSpace, MappedCat, Morphism, Sieve, Site, all_sieves, open_id
 from finsite.homology import ChainComplex, HomologyGroup, IntMatrix, _group_at, smith_normal_form
-from finsite.presheaf import SetFunctor, _solutions
+from finsite.presheaf import Functor, SetFunctor, _solutions, point_functor, reindex
+from finsite.realization import realize
 from finsite.reports import InputError, Report
 from finsite.sset import tabulate
 
@@ -744,6 +747,53 @@ def sections_set(cat: FinCat, sp: SetFunctor) -> tuple[tuple, ...]:
     pos = {x: i for i, x in enumerate(cat.objects)}
     arrows = [(pos[m.src], sp.action[m.mid], pos[m.tgt]) for m in cat.morphisms.values()]
     return _solutions(list(cat.objects), [sp.values[x] for x in cat.objects], arrows)
+
+
+# -- the slice category over a sieve -------------------------------------------------
+
+
+def sieve_category(cat: FinCat, s: Sieve) -> MappedCat:
+    """Full subcategory of the slice cat/base on the sieve's members: objects
+    are the members, morphisms are the triangles between them."""
+    members = csorted(s.members)
+    mors = []
+    obj_to_base = {f: cat.src(f) for f in members}
+    mor_to_base = {}
+    for f in members:
+        for g in members:
+            for h in cat.hom(cat.src(f), cat.src(g)):
+                if cat.compose(g, h) == f:
+                    mid = ("t", h, f, g)
+                    mors.append(Morphism(mid, f, g))
+                    mor_to_base[mid] = h
+    identities = {f: ("t", cat.identity(cat.src(f)), f, f) for f in members}
+    composition = {}
+    for m1 in mors:
+        for m2 in mors:
+            if m1.tgt == m2.src:
+                h = cat.compose(mor_to_base[m2.mid], mor_to_base[m1.mid])
+                composition[(m2.mid, m1.mid)] = ("t", h, m1.src, m2.tgt)
+    return MappedCat(FinCat(members, mors, identities, composition), obj_to_base, mor_to_base)
+
+
+def slice_descent_realization(site: Site, f: Functor, s: Sieve, cap: int):
+    """The former descent realization, kept as a reference: f reindexed onto
+    the sieve category of s, realized against the terminal presheaf there.
+    The sieve category is the category of elements of s, so this is
+    isomorphic to Re(f, s)."""
+    mapped = sieve_category(site.category, s)
+    terminal = point_functor(mapped.category, cap, covariant=False)
+    return realize(mapped.category, reindex(f, mapped), terminal, cap)
+
+
+def hom_presheaf(cat: FinCat, z) -> SetFunctor:
+    """The former representable presheaf, kept as a reference: hom(x, z) at
+    each x, acting by precomposition."""
+    values = {x: cat.hom(x, z) for x in cat.objects}
+    action = {}
+    for m in cat.morphisms.values():
+        action[m.mid] = {h: cat.compose(h, m.mid) for h in values[m.tgt]}
+    return SetFunctor(cat, values, action, covariant=False)
 
 
 # -- brute-force sheafification over a finite space -------------------------------

@@ -23,7 +23,6 @@ from finsite.catsite import (
     open_id,
     poset_category,
     pullback_sieve,
-    sieve_category,
     site_from_finite_space,
     space_from_json,
     space_to_json,
@@ -41,7 +40,7 @@ from finsite.gallery import (
 from finsite.reports import InputError
 from finsite.sset import pi0, validate_sset
 
-from oracles import formula_chains, formula_nerve, union_coverings
+from oracles import formula_chains, formula_nerve, sieve_category, union_coverings
 from randgen import random_space
 
 

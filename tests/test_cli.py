@@ -135,6 +135,19 @@ def test_file_inputs_build_no_gallery_instance(tmp_path, capsys, monkeypatch):
         assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
 
 
+def test_order_complex_on_a_bare_category_names_the_missing_space(capsys):
+    # realize needs no covering data, but the order complex is built on a
+    # space's points; a command that needs a site still asks for covering data
+    bz2 = cjson(DOCUMENTS["bz2.category.json"](4))
+    code, out, err = run(capsys, "realize", "--cat", bz2, "--functor", "order_complex")
+    assert code == 2 and out == ""
+    detail = json.loads(err)["error"]["detail"]
+    assert detail == "the order_complex functor needs a space's points; give --space, not --cat"
+    code, out, err = run(capsys, "descent-check", "--cat", bz2, "--functor", "order_complex")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["detail"] == "this command needs covering data; give --space, not --cat"
+
+
 def test_examples_unknown_name_lists_known(capsys):
     code, _, err = run(capsys, "examples", "moebius")
     assert code == 2

@@ -10,14 +10,16 @@ from finsite.catsite import (
     FiniteSpace,
     Sieve,
     all_sieves,
+    maximal_sieve,
     open_id,
     poset_category,
-    sieve_category,
     site_from_finite_space,
 )
 from finsite.gallery import (
+    bz2_category,
     collapse_set_presheaf,
     interval_cover_space,
+    point_category,
     pseudo_circle_space,
     sierpinski_space,
 )
@@ -39,6 +41,7 @@ from finsite.presheaf import (
     reindex,
     representable_set_presheaf,
     sheafify_set,
+    sieve_presheaf,
     terminal_set_presheaf,
     validate_set_functor,
     validate_set_presheaf_map,
@@ -48,8 +51,16 @@ from finsite.reports import InputError
 from finsite.sset import SimplicialMap
 
 from fixtures import apply
-from oracles import germs, pi0_components, sections_set, stalk_family_sheaf, stalk_family_unit
-from randgen import disjoint_union_sp, product_sp, random_set_presheaf, random_space
+from oracles import (
+    germs,
+    hom_presheaf,
+    pi0_components,
+    sections_set,
+    sieve_category,
+    stalk_family_sheaf,
+    stalk_family_unit,
+)
+from randgen import disjoint_union_sp, product_sp, random_poset_with_max, random_set_presheaf, random_space
 
 
 def _pc():
@@ -66,6 +77,26 @@ def test_representable_values_are_slices():
     assert len(y.values[open_id("ab")]) == 1
     assert len(y.values[open_id("abd")]) == 0
     assert len(y.values[open_id("abcd")]) == 0
+
+
+def test_the_maximal_sieve_is_the_representable_presheaf():
+    """hom(-, z) is the maximal sieve on z read as a presheaf: the same
+    values and actions, in the same order, as the hom-set construction on
+    every object of the gallery categories (bz2's one hom-set has two
+    morphisms) and of seeded random posets."""
+    cats = [site_from_finite_space(s()).category for s in (sierpinski_space, pseudo_circle_space, interval_cover_space)]
+    cats += [bz2_category(), point_category()]
+    rng = random.Random(30)
+    cats += [random_poset_with_max(rng, rng.randint(2, 8))[0] for _ in range(10)]
+    for cat in cats:
+        for z in cat.objects:
+            want = hom_presheaf(cat, z)
+            for got in (sieve_presheaf(cat, maximal_sieve(cat, z)), representable_set_presheaf(cat, z)):
+                assert validate_set_functor(got).ok
+                assert got.values == want.values
+                assert {m: list(a.items()) for m, a in got.action.items()} == {
+                    m: list(a.items()) for m, a in want.action.items()
+                }
 
 
 def test_sections_of_constant_presheaf_count_components():

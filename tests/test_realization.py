@@ -12,6 +12,7 @@ from finsite import catsite, realization, sset
 from finsite.canon import cjson, csorted
 from finsite.catsite import (
     MappedCat,
+    Sieve,
     has_final_object,
     maximal_sieve,
     nerve,
@@ -32,7 +33,7 @@ from finsite.gallery import (
     swap_set_presheaf,
     two_open_cover,
 )
-from finsite.homology import induced_map, sset_homology
+from finsite.homology import component_count, induced_map, sset_homology
 from finsite.presheaf import (
     Functor,
     SetFunctor,
@@ -69,6 +70,7 @@ from oracles import (
     projector_rules,
     push_rule,
     realization_to_json,
+    slice_descent_realization,
 )
 from randgen import (
     random_nested_diagram,
@@ -608,8 +610,8 @@ def test_descent_passes_on_interval_cover():
 
 
 def test_descent_constant_functor_passes_coned_cover():
-    # the arc cover's sieve category has {a,b} below both arcs, so the nerve
-    # is a cone and the constant functor still satisfies descent there
+    # the arc cover's category of elements has {a,b} below both arcs, so its
+    # nerve is a cone and the constant functor still satisfies descent there
     space, site = _pc_site()
     f = point_functor(site.category, 3, covariant=True)
     s = pseudo_circle_cover(site)
@@ -642,6 +644,60 @@ def test_descent_rejects_non_covering_sieve():
     s = generate_sieve(site.category, x, [f"{open_id('abc')}<={x}"])
     with pytest.raises(InputError):
         covariant_descent_check(site, f, x, s, 1)
+
+
+def _descent_sieves():
+    """(name, space, site, sieve, cap) for each sieve the descent routes are
+    compared on: the gallery descent examples, every covering sieve of the
+    pseudo-circle and of Sierpinski space, the interval cover, the cones
+    covers of McCord's S^2 and S^3 at a cap that reaches their top homology,
+    and every covering sieve, maximal or not, of seeded random spaces."""
+    from test_homology import mccord_sphere
+
+    def space_site(space):
+        return space, site_from_finite_space(space)
+
+    pc, sier = space_site(pseudo_circle_space()), space_site(sierpinski_space())
+    for name, (space, site) in (("pseudo-circle", pc), ("sierpinski", sier)):
+        for x, sieves in site.coverings.items():
+            for s in sieves:
+                yield f"{name} {x} {s.key()}", space, site, s, 3
+    interval = space_site(interval_cover_space())
+    yield "interval cover", *interval, interval_cover_sieve(interval[1]), 3
+    for n in (2, 3):
+        space, site = space_site(mccord_sphere(n))
+        yield f"S^{n} cones", space, site, site.minimal_covering_sieve(open_id(space.points)), n + 1
+    rng = random.Random(30)
+    for i in range(30):
+        space, site = space_site(random_space(rng))
+        for x, sieves in site.coverings.items():
+            for s in sieves:
+                yield f"random {i} {x} {s.key()}", space, site, s, 3
+
+
+@pytest.mark.parametrize("functor", ["order_complex", "point"])
+def test_descent_realizes_the_sieve_presheaf_like_the_slice_route(monkeypatch, functor):
+    """Re(f, S) over the full subcategory S reaches is isomorphic to the
+    former route over the sieve category: the same simplices and
+    nondegenerate simplices per level, and the same pi0 and homology."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(realize(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(realization, "realize", recorded)
+    for name, space, site, s, cap in _descent_sieves():
+        if functor == "point":
+            f = point_functor(site.category, cap, covariant=True)
+        else:
+            f = order_complex_functor(space, cap, site)
+        rep = covariant_descent_check(site, f, s.base, s, cap - 1)
+        new, old = seen.pop(), slice_descent_realization(site, f, s, cap)
+        assert (new.counts(), new.nondegenerate_counts()) == (old.counts(), old.nondegenerate_counts()), name
+        h = sset_homology(old, cap - 1)
+        assert rep.pi0_realization == component_count(h), name
+        assert [re_s for _, re_s, _ in rep.degrees] == [g.summands for g in h.groups], name
 
 
 def test_induced_realization_map_is_simplicial():

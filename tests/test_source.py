@@ -151,6 +151,45 @@ def test_matching_families_are_written_once():
     assert calls("illusie_pi0_certificate").count("gamma_prime_set") == 1
 
 
+def test_one_construction_for_sieves_and_representables():
+    """A sieve is the subpresheaf of hom(-, base) it is, and a representable
+    its maximal case: representable_set_presheaf calls sieve_presheaf;
+    covariant_descent_check realizes that presheaf over a full subcategory,
+    with no terminal presheaf on a second category; projector_image is a full
+    subcategory; and no package module defines sieve_category or builds the
+    ("t", h, f, g) triangles of a slice category."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defs = {
+        f"{module}.{n.name}": n
+        for module, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef)
+    }
+
+    def calls(name: str) -> set[str]:
+        return {
+            n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", "")
+            for n in ast.walk(defs[name])
+            if isinstance(n, ast.Call)
+        }
+
+    assert "sieve_presheaf" in calls("presheaf.representable_set_presheaf")
+    descent = calls("realization.covariant_descent_check")
+    assert {"sieve_presheaf", "full_subcategory"} <= descent and "point_functor" not in descent
+    assert "full_subcategory" in calls("realization.projector_image")
+    assert [name for name in defs if name.endswith(".sieve_category")] == []
+    triangles = [
+        f"{module}:{n.lineno}"
+        for module, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Tuple)
+        and len(n.elts) == 4
+        and isinstance(n.elts[0], ast.Constant)
+        and n.elts[0].value == "t"
+    ]
+    assert triangles == []
+
+
 def test_no_package_line_is_longer_than_110_characters():
     """Line counts compare like with like only while lines keep one width."""
     found = [

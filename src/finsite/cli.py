@@ -44,7 +44,7 @@ from finsite.catsite import (
     validate_category,
     validate_space,
 )
-from finsite.homology import component_count, induced_map, sset_homology, summands_label
+from finsite.homology import component_count, induced_by_chains, sset_homology, summands_label
 from finsite.presheaf import (
     Functor,
     SetFunctor,
@@ -63,14 +63,15 @@ from finsite.presheaf import (
     validate_set_presheaf_map,
 )
 from finsite.realization import (
+    core_chain_map,
+    core_homology,
     covariant_descent_check,
-    induced_realization_map,
     order_complex_functor,
     realize,
     write_realization,
 )
 from finsite.reports import FinsiteError, InputError, InternalCheckError, Report, ValidationError
-from finsite.sset import SimplicialMap, validate_sset
+from finsite.sset import SimplicialMap, pi0, validate_sset
 from finsite.sset import from_json as sset_from_json
 
 EXIT_CODES = {InputError: 2, ValidationError: 3, InternalCheckError: 4}
@@ -260,17 +261,20 @@ def presheaf_from_json(cat: FinCat, data: dict, dim_cap: int) -> Functor:
     return p
 
 
-def _parse_g(spec: str, cat: FinCat, dim_cap: int) -> Functor:
-    """The contravariant side of a realization, at the given cap."""
+def _parse_g(spec: str, cat: FinCat, dim_cap: int) -> tuple[Functor, SetFunctor | None]:
+    """The contravariant side of a realization at the given cap, with the set
+    presheaf it is made from when it is discrete."""
     if spec == "terminal":
-        return point_functor(cat, dim_cap, covariant=False)
+        return point_functor(cat, dim_cap, covariant=False), terminal_set_presheaf(cat)
     if spec.startswith(("constant:", "representable:")) or spec == "collapse":
-        return discretize(_parse_set_presheaf(spec, cat), dim_cap)
-    data = _inline_or_file(spec)
-    vals = data.get("values")
-    if isinstance(vals, dict) and vals and all(isinstance(v, dict) for v in vals.values()):
-        return presheaf_from_json(cat, data, dim_cap)
-    return discretize(set_presheaf_from_json(cat, data), dim_cap)
+        sp = _parse_set_presheaf(spec, cat)
+    else:
+        data = _inline_or_file(spec)
+        vals = data.get("values")
+        if isinstance(vals, dict) and vals and all(isinstance(v, dict) for v in vals.values()):
+            return presheaf_from_json(cat, data, dim_cap), None
+        sp = set_presheaf_from_json(cat, data)
+    return discretize(sp, dim_cap), sp
 
 
 def _parse_functor(
@@ -487,24 +491,28 @@ def _with_example(parser: argparse.ArgumentParser, args):
 def cmd_realize(args) -> int:
     cap, max_deg = _caps(args)
     space, site, cat = _resolve_base(args)
-    f = _parse_functor(args.functor or ("order_complex" if args.space else "point"), space, site, cat, cap)
-    g = _parse_g(args.presheaf or "terminal", cat, cap)
+    name = args.functor or ("order_complex" if args.space else "point")
+    f = _parse_functor(name, space, site, cat, cap)
+    g, sp = _parse_g(args.presheaf or "terminal", cat, cap)
     re = realize(cat, f, g, cap)
-    h = sset_homology(re, max_deg)
-    n0 = component_count(h)
+    if space is not None and sp is not None:
+        groups = core_homology(space, cat, sp, name == "point", max_deg).groups
+    else:
+        groups = sset_homology(re, max_deg).groups
+    n0 = component_count(len(pi0(re)), groups[0])
     payload = {
         "command": "realize",
         "dim_cap": cap,
         "max_deg": max_deg,
         "trusted_max_degree": cap - 1,
         "pi0": n0,
-        "homology": [g_.to_json() for g_ in h.groups],
+        "homology": [g_.to_json() for g_ in groups],
         "counts": list(re.counts()),
         "nondegenerate": list(re.nondegenerate_counts()),
         "realization": lambda write: write_realization(re, write),
     }
     lines = [f"realize: pi0={n0}"]
-    for g_ in h.groups:
+    for g_ in groups:
         lines.append(f"H{g_.degree}: {g_.label()}")
     lines.append("counts: " + " ".join(str(c) for c in payload["counts"]))
     lines.append("nondegenerate: " + " ".join(str(c) for c in payload["nondegenerate"]))
@@ -580,7 +588,7 @@ def cmd_compare(args) -> int:
     cap, max_deg = _caps(args)
     space, site, cat = _resolve_base(args)
     site = _require_site(site)
-    f = _parse_functor(args.functor or "order_complex", space, site, cat, cap)
+    point = args.functor == "point"
     if not args.presheaf:
         raise InputError("compare needs --presheaf")
     sp = _parse_set_presheaf(args.presheaf, cat)
@@ -598,12 +606,12 @@ def cmd_compare(args) -> int:
         else:
             raise InputError("compare with --presheaf2 needs --map unless values coincide")
     validate_set_presheaf_map(pm_set).raise_if_failed()
-    pm = discretize_map(pm_set, cap)
-    cert = illusie_pi0_certificate(site, pm)
-    rmap = induced_realization_map(f, pm, cap)
-    hs = sset_homology(rmap.source, max_deg)
-    ht = sset_homology(rmap.target, max_deg)
-    maps = [induced_map(rmap, hs, ht, k) for k in range(max_deg + 1)]
+    cert = illusie_pi0_certificate(site, discretize_map(pm_set, cap))
+    hs, ht = (core_homology(space, cat, g, point, max_deg) for g in (pm_set.source, pm_set.target))
+    maps = [
+        induced_by_chains(core_chain_map(hs, ht, pm_set.components, k), hs.groups[k], ht.groups[k])
+        for k in range(max_deg + 1)
+    ]
     degrees = []
     for k, im in enumerate(maps):
         perm = im.permutation()
@@ -617,7 +625,7 @@ def cmd_compare(args) -> int:
                 "permutation": list(perm) if perm is not None else None,
             }
         )
-    n_src, n_tgt = component_count(hs), component_count(ht)
+    n_src, n_tgt = hs.pi0, ht.pi0
     isos = [im.is_isomorphism() for im in maps]
     ok = cert.ok and all(isos) and n_src == n_tgt
     payload = {

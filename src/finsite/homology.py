@@ -1,12 +1,14 @@
-"""Integer homology of truncated simplicial sets via Smith normal form.
+"""Integer homology of chain complexes via Smith normal form.
 
-Chains live on nondegenerate simplices with faces pushed to zero when they
-degenerate.  All arithmetic is exact over Python ints.  A dimension cap of D
-supports trusted homology in degrees up to D - 1 only, because H_k needs the
-boundary out of level k + 1.  sset_homology walks up the degrees once and
-takes one normal form per degree: degree k takes that of M_k, the boundary out
-of level k + 1 written in its cycle coordinates, and M_k has the kernel of
-that boundary, so its normal form gives degree k + 1 its cycles.
+A complex is that of a truncated simplicial set, whose chains live on
+nondegenerate simplices with faces pushed to zero when they degenerate, or
+any other ChainComplex, such as the strict chains of a finite poset.  All
+arithmetic is exact over Python ints.  A dimension cap of D supports trusted
+homology in degrees up to D - 1 only, because H_k needs the boundary out of
+level k + 1.  complex_homology walks up the degrees once and takes one normal
+form per degree: degree k takes that of M_k, the boundary out of level k + 1
+written in its cycle coordinates, and M_k has the kernel of that boundary, so
+its normal form gives degree k + 1 its cycles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from finsite.reports import InputError, InternalCheckError
-from finsite.sset import SimplicialMap, SimplicialSet, pi0
+from finsite.sset import SimplicialSet
 
 # Gates nothing: every normal form is verified at every size.  It stays only
 # because the benchmark's tracer reads it to count verified normal forms.
@@ -279,7 +281,8 @@ def _verify_transforms(a: IntMatrix, res: SNFResult) -> None:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """basis[k] lists nondegenerate k-simplices by position; boundary[k] maps C_k to C_{k-1}."""
+    """basis[k] lists the k-chains' generators, such as nondegenerate
+    k-simplices by position; boundary[k] maps C_k to C_{k-1}."""
 
     basis: tuple[tuple, ...]
     boundary: tuple[IntMatrix, ...]
@@ -418,9 +421,20 @@ class Homology:
         return self.groups[k]
 
 
+def complex_homology(cx: ChainComplex, max_deg: int) -> tuple[HomologyGroup, ...]:
+    """H_0..H_max_deg of a complex listed through degree max_deg + 1, in one
+    walk up the degrees that takes no normal form past max_deg."""
+    groups = []
+    cycles = smith_normal_form(cx.boundary[0])
+    for k in range(max_deg + 1):
+        g, cycles = _group_at(cx, k, cycles)
+        groups.append(g)
+    return tuple(groups)
+
+
 def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
-    """Homology in degrees 0..max_deg, in one walk up the complex that takes
-    no normal form past max_deg; requires max_deg < dim cap."""
+    """Homology in degrees 0..max_deg of the normalized complex; requires
+    max_deg < dim cap."""
     if max_deg < 0:
         raise InputError("max_deg must be nonnegative")
     if max_deg + 1 > s.dim_cap:
@@ -428,36 +442,19 @@ def sset_homology(s: SimplicialSet, max_deg: int) -> Homology:
             f"degree {max_deg} needs level {max_deg + 1}, past cap {s.dim_cap}"
         )
     cx = normalized_chain_complex(s, max_deg + 1)
-    groups = []
-    cycles = smith_normal_form(cx.boundary[0])
-    for k in range(max_deg + 1):
-        g, cycles = _group_at(cx, k, cycles)
-        groups.append(g)
-    return Homology(s, cx, tuple(groups))
+    return Homology(s, cx, complex_homology(cx, max_deg))
 
 
-def component_count(h: Homology) -> int:
-    """The components of h's simplicial set by union-find (pi0), confirmed
-    by the second route, H0's betti number from the normal form."""
-    n, betti = len(pi0(h.sset)), summands_json(h.group(0).summands)["betti"]
+def component_count(n: int, h0: HomologyGroup) -> int:
+    """n, a count of components found by union-find (pi0), confirmed by the
+    second route, H0's betti number from the normal form."""
+    betti = summands_json(h0.summands)["betti"]
     if n != betti:
         raise InternalCheckError(f"pi0 has {n} components but H0 has betti number {betti}")
     return n
 
 
 # -- induced maps --------------------------------------------------------------
-
-
-def chain_map_matrix(m: SimplicialMap, k: int, src_basis, tgt_basis) -> Sparse:
-    """Sparse rows, one per target basis position, of the normalized chain
-    map in degree k; degenerate images, which tgt_basis omits, drop to 0."""
-    row_of, images = {p: i for i, p in enumerate(tgt_basis)}, m.images[k]
-    out: Sparse = [{} for _ in tgt_basis]
-    for j, p in enumerate(src_basis):
-        i = row_of.get(images[p])
-        if i is not None:
-            out[i][j] = 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -502,16 +499,9 @@ class InducedMap:
         return all(v == 1 for v in smith_normal_form(IntMatrix(n, 2 * n, rows)).diag)
 
 
-def induced_map(m: SimplicialMap, hs: Homology, ht: Homology, degree: int) -> InducedMap:
-    if m.source is not hs.sset or m.target is not ht.sset:
-        if m.source != hs.sset or m.target != ht.sset:
-            raise InputError("homology data does not match the map's endpoints")
-    cmat = chain_map_matrix(
-        m, degree, hs.complex.basis[degree], ht.complex.basis[degree]
-    )
-    gsrc = hs.group(degree)
-    gtgt = ht.group(degree)
-    cols = [gtgt.reduce(_apply(cmat, gen)) for gen in gsrc.generators]
-    matrix = tuple(tuple(c[i] for c in cols) for i in range(len(gtgt.summands)))
-    return InducedMap(gsrc, gtgt, matrix)
-
+def induced_by_chains(chain_map: Sparse, source: HomologyGroup, target: HomologyGroup) -> InducedMap:
+    """The map on homology of a chain map, given as sparse rows over the
+    target's degree basis, in the canonical coordinates of both groups."""
+    cols = [target.reduce(_apply(chain_map, gen)) for gen in source.generators]
+    matrix = tuple(tuple(c[i] for c in cols) for i in range(len(target.summands)))
+    return InducedMap(source, target, matrix)

@@ -34,6 +34,13 @@ and moves the G column through a map of values.  Tables and map images are
 stored as such columns, so realize keeps each operator's column as the
 level's table column of that operator, and _block_map each level's column
 as the map's images there.
+
+When G is a set presheaf on a space's opens and F is the point or the order
+complex, homology needs no bar realization: Re(F, G) is equivalent to the
+nerve of one finite poset, the elements (U, s, W) (Thomason), and so to the
+order complex of its Stong core.  core_homology takes homology and pi0 from
+there, core_chain_map gives the map a presheaf map induces on the cores, and
+check_core re-checks the core by second routes.
 """
 
 from __future__ import annotations
@@ -63,10 +70,18 @@ from finsite.catsite import (
     poset_category,
     pullback_sieve,
 )
-from finsite.homology import component_count, summands_json, sset_homology
+from finsite.homology import (
+    ChainComplex,
+    HomologyGroup,
+    IntMatrix,
+    Sparse,
+    complex_homology,
+    component_count,
+    summands_json,
+    sset_homology,
+)
 from finsite.presheaf import (
     Functor,
-    PresheafMap,
     SetFunctor,
     _families,
     _same,
@@ -74,9 +89,9 @@ from finsite.presheaf import (
     reindex,
     sieve_presheaf,
 )
-from finsite.reports import InputError, Report, ValidationError
+from finsite.reports import InputError, InternalCheckError, Report, ValidationError
 from finsite.sset import (
-    SimplicialMap, SimplicialSet, _write_pieces, json_layout, write_tables
+    SimplicialMap, SimplicialSet, _write_pieces, components, json_layout, pi0, write_tables
 )
 
 ObjId = Any
@@ -345,24 +360,186 @@ def covariant_descent_check(
     degrees = tuple(
         (k, h_re.group(k).summands, h_val.group(k).summands) for k in range(max_deg + 1)
     )
-    n_re, n_val = component_count(h_re), component_count(h_val)
+    n_re = component_count(len(pi0(re)), h_re.group(0))
+    n_val = component_count(len(pi0(f.values[x])), h_val.group(0))
     ok = n_re == n_val and all(a == b for _, a, b in degrees)
     return DescentReport(ok, x, s.key(), max_deg, n_re, n_val, degrees)
 
 
-# -- maps induced on realizations ---------------------------------------------------
+# -- homology from the core of one finite poset -------------------------------------
 
 
-def induced_realization_map(f: Functor, m: PresheafMap, dim_cap: int) -> SimplicialMap:
-    """The map Re(f, m.source) -> Re(f, m.target) acting on the g part only:
-    block to block of the same chain, through the component at its end."""
-    cat = f.category
-    if not _same(m.source.category, cat):
-        raise InputError("presheaf map must live on the diagram's base")
-    src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
-    ch = chains(cat, dim_cap)
-    images = _block_map(f, SimplicialMap.identity(ch), tgt, m.components.__getitem__)
-    return SimplicialMap(src, tgt, images)
+@dataclass(frozen=True)
+class ElementPoset:
+    """The Grothendieck construction of P over the elements of a set presheaf
+    G on a space's opens, by position: x is (U, s, W), s in G(U) and W in
+    P(U), which is U alone for the point and, for the order complex, the
+    minimal opens inside U, U's points up to specialization equivalence.
+    (V, t, W') <= (U, s, W) iff V is inside U, s restricts to t and W' is
+    inside W; below[x] and above[x] are bitmasks of the y <= x and y >= x."""
+
+    elements: tuple[tuple, ...]
+    below: list[int]
+    above: list[int]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def element_poset(space: FiniteSpace, cat: FinCat, g: SetFunctor, point: bool) -> ElementPoset:
+    by_id, basic = {open_id(o): o for o in space.opens}, {space.minimal_open(q) for q in space.points}
+    parts = {u: [o] if point else [w for w in space.opens if w in basic and w <= o] for u, o in by_id.items()}
+    elements = [(u, s, w) for u in cat.objects for s in g.values[u] for w in parts[u]]
+    at = {e: x for x, e in enumerate(elements)}
+    below, above = [], [0] * len(elements)
+    for x, (u, s, w) in enumerate(elements):
+        below.append(sum(1 << at[cat.src(m), g.action[m][s], v]
+                         for m in cat.hom_into(u) for v in parts[cat.src(m)] if v <= w))
+        for y in _bits(below[x]):
+            above[y] |= 1 << x
+    return ElementPoset(tuple(elements), below, above)
+
+
+@dataclass(frozen=True)
+class Core:
+    """The Stong core: the points left once beat points are removed one at a
+    time, each removal (x, w) with w the maximum of x's strict down-set or the
+    minimum of its strict up-set among the points left then, and the
+    retraction r onto the points, r(x) = r(w) for each removal."""
+
+    poset: ElementPoset
+    points: tuple[int, ...]
+    removals: tuple[tuple[int, int], ...]
+    retraction: tuple[int, ...]
+
+
+def stong_core(p: ElementPoset) -> Core:
+    """Removes beat points in position order, pass after pass, until none is
+    left; each removal is a strong deformation retraction (Stong)."""
+    alive, removals, found = (1 << len(p.elements)) - 1, [], True
+    while found:
+        found = False
+        for x in _bits(alive):
+            for rel in (p.below, p.above):
+                rest = rel[x] & alive & ~(1 << x)
+                # a maximum (minimum) has the most elements below (above) it
+                w = max(_bits(rest), key=lambda y: (rel[y] & alive).bit_count(), default=None)
+                if w is not None and not rest & ~rel[w]:
+                    alive, found = alive ^ 1 << x, True
+                    removals.append((x, w))
+                    break
+    r = list(range(len(p.elements)))
+    for x, w in reversed(removals):
+        r[x] = r[w]
+    return Core(p, tuple(_bits(alive)), tuple(removals), tuple(r))
+
+
+def core_complex(core: Core, top: int) -> ChainComplex:
+    """The strict chains x0 < ... < xk of the core through degree top, each
+    level in lexicographic order, face i dropping x_i with sign (-1)^i."""
+    above = core.poset.above
+    up = {x: [y for y in core.points if y != x and above[x] >> y & 1] for x in core.points}
+    levels = [[(x,) for x in core.points]]
+    for _ in range(top):
+        levels.append([c + (y,) for c in levels[-1] for y in up[c[-1]]])
+    boundary = [IntMatrix(0, len(levels[0]))]
+    for low, level in zip(levels, levels[1:]):
+        row = {c: i for i, c in enumerate(low)}
+        lines: Sparse = [{} for _ in low]
+        for j, c in enumerate(level):
+            for i in range(len(c)):
+                lines[row[c[:i] + c[i + 1:]]][j] = -1 if i & 1 else 1
+        boundary.append(IntMatrix(len(low), len(level), lines))
+    return ChainComplex(tuple(map(tuple, levels)), tuple(boundary))
+
+
+def check_core(core: Core, cx: ChainComplex) -> None:
+    """The second routes of the core, each an InternalCheckError: every
+    removal's witness, replayed; r fixes the core, lands in it and keeps the
+    order; and the Euler characteristic of the whole poset, the sum of
+    e(x) = 1 - (the sum of e(y) over y > x) off the up-sets, is the core's
+    alternating count of strict chains off the down-sets, the counts cx lists."""
+    p, n, r = core.poset, len(core.poset.elements), core.retraction
+    alive = (1 << n) - 1
+    for x, w in core.removals:
+        rest = alive & ~(1 << x)
+        if not (alive >> x & 1 and rest >> w & 1) or not any(
+            rel[x] >> w & 1 and not rel[x] & rest & ~rel[w] for rel in (p.below, p.above)
+        ):
+            raise InternalCheckError(f"element {w} is no beat-point witness for element {x}")
+        alive = rest
+    if core.points != tuple(_bits(alive)) or any(r[x] != x for x in core.points) or any(
+        not alive >> y & 1 for y in r
+    ):
+        raise InternalCheckError("the retraction does not fix the core and land in it")
+    if any(not p.above[r[x]] >> r[y] & 1 for x in range(n) for y in _bits(p.above[x])):
+        raise InternalCheckError("the retraction does not preserve the order")
+    e = [0] * n
+    for x in sorted(range(n), key=lambda x: p.above[x].bit_count()):
+        e[x] = 1 - sum(e[y] for y in _bits(p.above[x] & ~(1 << x)))
+    # chains[x][k]: the strict chains of k + 1 core points that end at x
+    chains_at, counts = {}, [0] * max(len(core.points), len(cx.basis))
+    for x in sorted(core.points, key=lambda x: p.below[x].bit_count()):
+        row = chains_at[x] = [0] * len(counts)
+        row[0] = 1
+        for y in _bits(p.below[x] & alive & ~(1 << x)):
+            row[1:] = map(sum, zip(row[1:], chains_at[y]))
+        counts = list(map(sum, zip(counts, row)))
+    if [len(b) for b in cx.basis] != counts[: len(cx.basis)]:
+        raise InternalCheckError("the core complex does not list every strict chain")
+    if sum(e) != sum(-c if k & 1 else c for k, c in enumerate(counts)):
+        raise InternalCheckError("the core and the whole poset differ in Euler characteristic")
+
+
+def poset_pi0(p: ElementPoset) -> int:
+    """The components of the whole poset, by union-find over comparable pairs."""
+    return len(components(len(p.elements), ((x, y) for x, m in enumerate(p.below) for y in _bits(m))))
+
+
+@dataclass(frozen=True)
+class CoreHomology:
+    """Re(F, G)'s homology through max_deg from the core, and pi0 of the whole poset."""
+
+    core: Core
+    complex: ChainComplex
+    groups: tuple[HomologyGroup, ...]
+    pi0: int
+
+
+def core_homology(space: FiniteSpace, cat: FinCat, g: SetFunctor, point: bool, max_deg: int) -> CoreHomology:
+    """H_0..H_max_deg and pi0 of Re(F, G), F the point or the order complex
+    and G a set presheaf: Re is equivalent to the nerve of the element poset
+    (Thomason), and so to that of its core (Stong).  check_core, and pi0 of
+    the whole poset against betti_0 of the core, are the second routes."""
+    p = element_poset(space, cat, g, point)
+    core = stong_core(p)
+    cx = core_complex(core, max_deg + 1)
+    check_core(core, cx)
+    groups = complex_homology(cx, max_deg)
+    return CoreHomology(core, cx, groups, component_count(poset_pi0(p), groups[0]))
+
+
+def core_chain_map(src: CoreHomology, tgt: CoreHomology, components: dict, k: int) -> Sparse:
+    """Sparse rows, one per strict k-chain of tgt's core, of the chain map of
+    r'.f.i, f(U, s, W) = (U, m_U(s), W) for m a map of set presheaves by its
+    components, i including src's core and r' retracting onto tgt's; a chain
+    whose image repeats an element goes to 0."""
+    at, r = {e: x for x, e in enumerate(tgt.core.poset.elements)}, tgt.core.retraction
+    elements = src.core.poset.elements
+    image = {x: r[at[u, components[u][s], w]] for x in src.core.points for u, s, w in [elements[x]]}
+    row = {c: i for i, c in enumerate(tgt.complex.basis[k])}
+    out: Sparse = [{} for _ in row]
+    for j, c in enumerate(src.complex.basis[k]):
+        fc = tuple(map(image.__getitem__, c))
+        if fc in row:
+            out[row[fc]][j] = 1
+        elif len(set(fc)) == len(fc):
+            raise InternalCheckError("the core map sends a strict chain to no chain")
+    return out
 
 
 # -- projector data and the two comparison maps --------------------------------------

@@ -304,13 +304,11 @@ def validate_map(m: SimplicialMap) -> Report:
 # -- pi0 ---------------------------------------------------------------------
 
 
-def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
-    """Connected components as tuples of level-0 positions, by union-find.
-
-    Each component lists its vertex positions in increasing order, and the
-    components come out ordered by first vertex.
-    """
-    parent = list(range(len(s.levels[0])))
+def components(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph on 0..n-1 with these edges, by
+    union-find: each lists its vertices in increasing order, and they come
+    out ordered by first vertex."""
+    parent = list(range(n))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -318,13 +316,18 @@ def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
             v = parent[v]
         return v
 
-    if s.dim_cap >= 1:
-        for a, b in zip(*s._faces[1]):
-            parent[find(a)] = find(b)
+    for a, b in edges:
+        parent[find(a)] = find(b)
     classes: dict[int, list[int]] = {}
-    for p in range(len(parent)):
+    for p in range(n):
         classes.setdefault(find(p), []).append(p)
     return tuple(tuple(ps) for ps in classes.values())
+
+
+def pi0(s: SimplicialSet) -> tuple[tuple[int, ...], ...]:
+    """Connected components as tuples of level-0 positions, by union-find
+    over the edges."""
+    return components(len(s.levels[0]), zip(*s._faces[1]) if s.dim_cap >= 1 else ())
 
 
 # -- validation ----------------------------------------------------------------

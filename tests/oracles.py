@@ -11,7 +11,10 @@ category that matching families and descent realizations are checked against
 (sieve_category, slice_descent_realization), the representable presheaf as
 hom-sets (hom_presheaf), which the maximal sieve replaces, and the covering
 sieves of a space site by their definition (union_coverings), which the
-site's minimal sieves replace.
+site's minimal sieves replace.  The diagonal route of compare is here too:
+the map of bar realizations a presheaf map induces (induced_realization_map)
+and the map it induces on homology (chain_map_matrix, induced_map), the
+oracle for compare and realize on the core of the element poset.
 """
 
 from __future__ import annotations
@@ -22,12 +25,23 @@ from math import gcd
 from typing import NamedTuple
 
 from finsite.canon import ckey, csorted, cstr
-from finsite.catsite import FinCat, FiniteSpace, MappedCat, Morphism, Sieve, Site, all_sieves, open_id
-from finsite.homology import ChainComplex, HomologyGroup, IntMatrix, _group_at, smith_normal_form
-from finsite.presheaf import Functor, SetFunctor, _solutions, point_functor, reindex
-from finsite.realization import realize
+from finsite.catsite import (
+    FinCat, FiniteSpace, MappedCat, Morphism, Sieve, Site, all_sieves, chains, open_id
+)
+from finsite.homology import (
+    ChainComplex,
+    Homology,
+    HomologyGroup,
+    InducedMap,
+    IntMatrix,
+    _group_at,
+    induced_by_chains,
+    smith_normal_form,
+)
+from finsite.presheaf import Functor, SetFunctor, _same, _solutions, point_functor, reindex
+from finsite.realization import _block_map, realize
 from finsite.reports import InputError, Report
-from finsite.sset import tabulate
+from finsite.sset import SimplicialMap, tabulate
 
 from fixtures import apply, degeneracy, face, formulas
 
@@ -683,6 +697,43 @@ def projector_rules(d, g):
         return (d.obj_map[x0], pms, fs, apply(g.action[d.psi[xk]], k, gs))
 
     return a_rule, lambda k, z: z
+
+
+# -- the diagonal route of compare ------------------------------------------------
+
+
+def induced_realization_map(f: Functor, m, dim_cap: int) -> SimplicialMap:
+    """The map Re(f, m.source) -> Re(f, m.target) acting on the g part only:
+    block to block of the same chain, through the component at its end."""
+    cat = f.category
+    if not _same(m.source.category, cat):
+        raise InputError("presheaf map must live on the diagram's base")
+    src, tgt = realize(cat, f, m.source, dim_cap), realize(cat, f, m.target, dim_cap)
+    ch = chains(cat, dim_cap)
+    images = _block_map(f, SimplicialMap.identity(ch), tgt, m.components.__getitem__)
+    return SimplicialMap(src, tgt, images)
+
+
+def chain_map_matrix(m: SimplicialMap, k: int, src_basis, tgt_basis) -> list[dict[int, int]]:
+    """Sparse rows, one per target basis position, of the normalized chain
+    map in degree k; degenerate images, which tgt_basis omits, drop to 0."""
+    row_of, images = {p: i for i, p in enumerate(tgt_basis)}, m.images[k]
+    out: list[dict[int, int]] = [{} for _ in tgt_basis]
+    for j, p in enumerate(src_basis):
+        i = row_of.get(images[p])
+        if i is not None:
+            out[i][j] = 1
+    return out
+
+
+def induced_map(m: SimplicialMap, hs: Homology, ht: Homology, degree: int) -> InducedMap:
+    """The map a simplicial map induces on homology in one degree, in the
+    canonical coordinates of the two groups."""
+    if m.source is not hs.sset or m.target is not ht.sset:
+        if m.source != hs.sset or m.target != ht.sset:
+            raise InputError("homology data does not match the map's endpoints")
+    cmat = chain_map_matrix(m, degree, hs.complex.basis[degree], ht.complex.basis[degree])
+    return induced_by_chains(cmat, hs.group(degree), ht.group(degree))
 
 
 def realization_to_json(s) -> dict:

@@ -75,6 +75,42 @@ def random_space(rng, max_opens: int = 12) -> FiniteSpace:
             return FiniteSpace.build(pts, sets)
 
 
+def random_joined_space(rng, max_opens: int = 12) -> FiniteSpace:
+    """Small finite space whose opens are generated by the minimal opens of a
+    random order on three to five points and the unions of the minimal opens
+    of incomparable points, closed under union and intersection; a third of
+    the spaces also get a point that no open separates from another.  The
+    union of U_p and U_q, for p and q incomparable, is covered by the sieve
+    the two generate, which is not maximal, so these sites hold many covering
+    sieves that random_space rarely makes."""
+    while True:
+        pts = "vwxyz"[: rng.randint(3, 5)]
+        below = {}
+        for i, q in enumerate(pts):
+            below[q] = {q}.union(*(below[p] for p in pts[:i] if rng.random() < 0.35))
+        minimal = [frozenset(below[q]) for q in pts]
+        joins = [
+            a | b
+            for i, a in enumerate(minimal)
+            for b in minimal[i + 1 :]
+            if not (a <= b or b <= a) and rng.random() < 0.6
+        ]
+        sets = {frozenset(pts), *minimal, *joins}
+        while True:
+            fresh = {c for a in sets for b in sets for c in (a | b, a & b) if c and c not in sets}
+            if not fresh:
+                break
+            sets |= fresh
+        points = list(pts)
+        if rng.random() < 1 / 3:
+            # t lies in exactly the opens of its twin: the space is not T0
+            twin = rng.choice(pts)
+            sets = {o | {"t"} if twin in o else o for o in sets}
+            points.append("t")
+        if len(sets) <= max_opens:
+            return FiniteSpace.build(points, sets)
+
+
 def disjoint_union_sp(a: SetFunctor, b: SetFunctor) -> SetFunctor:
     """Objectwise disjoint union, tagged left/right."""
     cat = a.category

@@ -21,7 +21,6 @@ from finsite.gallery import (
     sierpinski_space,
 )
 from finsite.homology import (
-    induced_map,
     normalized_chain_complex,
     smith_normal_form,
     sset_homology,
@@ -38,7 +37,6 @@ from finsite.presheaf import (
 )
 from finsite.realization import (
     covariant_descent_check,
-    induced_realization_map,
     order_complex_functor,
     projector_image,
     projector_maps,
@@ -53,6 +51,8 @@ from oracles import (
     direct_sum_matches,
     from_dense,
     germs,
+    induced_map,
+    induced_realization_map,
     snf_violations,
     stalk_family_sheaf,
     stalk_family_unit,

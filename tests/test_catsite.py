@@ -41,7 +41,7 @@ from finsite.reports import InputError
 from finsite.sset import pi0, validate_sset
 
 from oracles import formula_chains, formula_nerve, sieve_category, union_coverings
-from randgen import random_space
+from randgen import random_joined_space, random_space
 
 
 def test_poset_category_shape():
@@ -255,6 +255,23 @@ def test_random_spaces_make_valid_sites():
         assert validate_space(space).ok
         site = site_from_finite_space(space)
         assert validate_site(site).ok
+
+
+def test_joined_spaces_make_valid_sites_with_many_proper_covers():
+    """random_joined_space's sites satisfy the axioms, their minimal sieves
+    give the coverings of the definition, and most covering sieves are not
+    maximal, where random_space's sites from the same seed hold 15 of 96."""
+    rng = random.Random(30)
+    proper = total = 0
+    for _ in range(30):
+        space = random_joined_space(rng)
+        site = site_from_finite_space(space)
+        assert validate_space(space).ok and validate_site(site).ok
+        assert site.coverings == union_coverings(space, site.category)
+        for x, covers in site.coverings.items():
+            total += len(covers)
+            proper += sum(s != maximal_sieve(site.category, x) for s in covers)
+    assert (proper, total) == (372, 592)
 
 
 def test_specialization_order():

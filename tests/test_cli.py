@@ -12,7 +12,7 @@ import pytest
 import finsite
 from finsite import cli, gallery
 from finsite.canon import cjson
-from finsite.catsite import space_to_json
+from finsite.catsite import FiniteSpace, open_id, space_to_json
 from finsite.cli import DOCUMENTS, EXAMPLES, main
 
 
@@ -243,12 +243,29 @@ def test_compare_on_the_two_sphere_matches_the_h2_generators(capsys, presheaf, p
 
 
 def test_compare_on_the_three_sphere_tags_an_isomorphism_that_is_no_permutation(capsys):
-    # the two ends' H3 generators differ by a sign, so the induced matrix is
-    # no permutation; the verdict is that of the map, an isomorphism
+    # the base is the cone on McCord's S^2 (McCord's S^3 without p3), and the
+    # presheaf holds {0, 1} times {a, b} at the whole space, restricting to
+    # {0, 1} below it.  Each of its two components realizes the suspension
+    # S^3 of S^2, one cone per letter, and the map swaps a and b: it exchanges
+    # the cones, so H3 goes to -1 times itself in any generator basis.  The
+    # matrix is no permutation; the verdict is that of the map, an
+    # isomorphism
     from test_homology import mccord_sphere
 
-    space = json.dumps(space_to_json(mccord_sphere(3)))
-    argv = ["compare", "--space", space, "--presheaf", "constant:0,1", "--dim-cap", "4"]
+    s3 = mccord_sphere(3)
+    cone = FiniteSpace.build([q for q in s3.points if q != "p3"], [o for o in s3.opens if "p3" not in o])
+    top = open_id(cone.points)
+    values = {open_id(o): ["0", "1"] for o in cone.opens} | {top: ["0a", "0b", "1a", "1b"]}
+    actions = {
+        f"{open_id(u)}<={open_id(v)}": {x: x[0] for x in values[open_id(v)]}
+        for u in cone.opens
+        for v in cone.opens
+        if u < v
+    }
+    doc = json.dumps({"values": values, "actions": actions})
+    swap = {x: {v: v.translate(str.maketrans("ab", "ba")) for v in vs} for x, vs in values.items()}
+    argv = ["compare", "--space", json.dumps(space_to_json(cone)), "--presheaf", doc,
+            "--presheaf2", doc, "--map", json.dumps({"components": swap}), "--dim-cap", "4"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.splitlines() == [
@@ -992,24 +1009,32 @@ _PI0_RUNS = {
 
 
 @pytest.mark.parametrize(
-    "command, call", [("realize", 0), ("compare", 0), ("compare", 1),
+    "command, call", [("realize", 0), ("realize", 1), ("compare", 0), ("compare", 1),
                       ("descent-check", 0), ("descent-check", 1)]
 )
 def test_pi0_is_checked_against_h0_on_every_side(monkeypatch, capsys, command, call):
     # pi0 by union-find merges two components on one side only: the count
-    # then disagrees with H0's betti number, and the run stops with exit 4
-    from finsite import homology
+    # then disagrees with H0's betti number, and the run stops with exit 4.
+    # The union-finds are pi0 on a bar realization (realize's second, both
+    # of descent-check's) and poset_pi0 on a whole element poset (realize's
+    # first, both of compare's)
+    from finsite import realization
 
     argv = [*_PI0_RUNS[command], "--space", _TWO_POINTS, "--dim-cap", "2"]
     assert run(capsys, *argv)[0] == 0
-    real, seen = homology.pi0, []
+    seen = []
 
-    def merged(s):
-        comps = real(s)
-        seen.append(s)
-        return (comps[0] + comps[1], *comps[2:]) if len(seen) - 1 == call else comps
+    def merging(real, merge):
+        def counted(s):
+            found = real(s)
+            seen.append(s)
+            return merge(found) if len(seen) - 1 == call else found
 
-    monkeypatch.setattr(homology, "pi0", merged)
+        return counted
+
+    for module in (cli, realization):
+        monkeypatch.setattr(module, "pi0", merging(module.pi0, lambda c: (c[0] + c[1], *c[2:])))
+    monkeypatch.setattr(realization, "poset_pi0", merging(realization.poset_pi0, lambda n: n - 1))
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     error = json.loads(err)["error"]

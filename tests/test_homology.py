@@ -18,8 +18,6 @@ from finsite.homology import (
     InducedMap,
     IntMatrix,
     _verify_transforms,
-    chain_map_matrix,
-    induced_map,
     normalized_chain_complex,
     smith_normal_form,
     sset_homology,
@@ -32,6 +30,7 @@ from finsite.sset import SimplicialMap, pi0
 
 from fixtures import degeneracy, disjoint_union, product, standard_simplex
 from oracles import (
+    chain_map_matrix,
     composite_is_zero,
     dense_rows,
     dense_smith_normal_form,
@@ -39,6 +38,7 @@ from oracles import (
     determinant_divisor_diagonal,
     from_dense,
     homology,
+    induced_map,
     snf_violations,
 )
 from randgen import random_matrix, random_set_presheaf, random_space
@@ -312,15 +312,17 @@ def _assert_walk_matches_each_degree(s, d):
 
 
 def test_homology_walk_matches_each_degree_on_the_realize_gallery(monkeypatch, capsys):
+    # each example's bar realization, which realize builds whichever route
+    # its homology takes, at the default cap and max_deg
     from finsite import cli
 
     seen = []
 
-    def recorded(s, max_deg):
-        seen.append((s, max_deg))
-        return sset_homology(s, max_deg)
+    def recorded(*args):
+        seen.append((realize(*args), args[-1] - 1))
+        return seen[-1][0]
 
-    monkeypatch.setattr(cli, "sset_homology", recorded)
+    monkeypatch.setattr(cli, "realize", recorded)
     for name in cli.EXAMPLES["realize"]:
         assert cli.main(["realize", "--example", name]) == 0
     capsys.readouterr()

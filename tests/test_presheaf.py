@@ -46,7 +46,7 @@ from finsite.presheaf import (
     validate_set_functor,
     validate_set_presheaf_map,
 )
-from finsite.realization import induced_realization_map, order_complex_functor
+from finsite.realization import order_complex_functor
 from finsite.reports import InputError
 from finsite.sset import SimplicialMap
 
@@ -54,6 +54,7 @@ from fixtures import apply
 from oracles import (
     germs,
     hom_presheaf,
+    induced_realization_map,
     pi0_components,
     sections_set,
     sieve_category,

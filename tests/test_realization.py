@@ -33,7 +33,7 @@ from finsite.gallery import (
     swap_set_presheaf,
     two_open_cover,
 )
-from finsite.homology import component_count, induced_map, sset_homology
+from finsite.homology import component_count, sset_homology
 from finsite.presheaf import (
     Functor,
     SetFunctor,
@@ -49,7 +49,6 @@ from finsite.presheaf import (
 )
 from finsite.realization import (
     covariant_descent_check,
-    induced_realization_map,
     order_complex_functor,
     projector_image,
     projector_maps,
@@ -67,6 +66,8 @@ from oracles import (
     DictSimplicialMap,
     dict_validate_map,
     formula_realize,
+    induced_map,
+    induced_realization_map,
     projector_rules,
     push_rule,
     realization_to_json,
@@ -696,7 +697,7 @@ def test_descent_realizes_the_sieve_presheaf_like_the_slice_route(monkeypatch, f
         new, old = seen.pop(), slice_descent_realization(site, f, s, cap)
         assert (new.counts(), new.nondegenerate_counts()) == (old.counts(), old.nondegenerate_counts()), name
         h = sset_homology(old, cap - 1)
-        assert rep.pi0_realization == component_count(h), name
+        assert rep.pi0_realization == component_count(len(pi0(old)), h.group(0)), name
         assert [re_s for _, re_s, _ in rep.degrees] == [g.summands for g in h.groups], name
 
 

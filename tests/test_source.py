@@ -83,11 +83,16 @@ def test_only_sset_knows_the_table_layout():
 
 def test_only_catsite_applies_the_chain_rule():
     """Faces and degeneracies of chains are read from catsite.chains: the
-    realization and its maps compose no morphisms and insert no identities
+    realization and its maps, the oracle's induced_realization_map among
+    them, compose no morphisms and insert no identities
     (SimplicialMap.identity is the identity map of a simplicial set)."""
-    tree = ast.parse((PACKAGE / "realization.py").read_text())
     names = {"realize", "_layout", "_column", "_block_map", "induced_realization_map"}
-    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    defs = [
+        n
+        for path in (PACKAGE / "realization.py", TESTS / "oracles.py")
+        for n in ast.parse(path.read_text()).body
+        if isinstance(n, ast.FunctionDef) and n.name in names
+    ]
     assert {n.name for n in defs} == names
     found = [
         f"{d.name}:{n.lineno}"

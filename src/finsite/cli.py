@@ -51,7 +51,6 @@ from finsite.presheaf import (
     SetPresheafMap,
     constant_set_presheaf,
     discretize,
-    discretize_map,
     illusie_pi0_certificate,
     is_sheaf_set,
     point_functor,
@@ -606,7 +605,7 @@ def cmd_compare(args) -> int:
         else:
             raise InputError("compare with --presheaf2 needs --map unless values coincide")
     validate_set_presheaf_map(pm_set).raise_if_failed()
-    cert = illusie_pi0_certificate(site, discretize_map(pm_set, cap))
+    cert = illusie_pi0_certificate(site, pm_set)
     hs, ht = (core_homology(space, cat, g, point, max_deg) for g in (pm_set.source, pm_set.target))
     maps = [
         induced_by_chains(core_chain_map(hs, ht, pm_set.components, k), hs.groups[k], ht.groups[k])

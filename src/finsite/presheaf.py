@@ -6,7 +6,9 @@ Sheafification of set presheaves runs the plus construction twice.  On a
 finite site every object x has a minimum covering sieve, and a plus step's
 value at x is the matching families over it, found by one backtracking
 solver straight from the sieve's members; one rule restricts families along a
-morphism.
+morphism.  The pi0 certificate of compare sheafifies a map of set presheaves
+itself, since pi0 of a set presheaf is the presheaf; a set presheaf becomes
+simplicial (discretize) only where a bar realization is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from finsite.sset import (
     SimplicialMap,
     SimplicialSet,
     discrete_sset,
-    pi0,
     point_sset,
     validate_map,
     validate_sset,
@@ -139,30 +140,6 @@ def validate_set_functor(fun: SetFunctor) -> Report:
 
 
 @dataclass(frozen=True)
-class PresheafMap:
-    """A map of simplicial presheaves, one component per object.  Its ends
-    are contravariant Functors on one category with one cap, and each
-    component goes from the source's value to the target's; naturality is not
-    checked here."""
-
-    source: Functor
-    target: Functor
-    components: dict[ObjId, SimplicialMap]
-
-    def __post_init__(self):
-        src, tgt = self.source, self.target
-        if not all(isinstance(e, Functor) and not e.covariant for e in (src, tgt)):
-            raise InputError("a presheaf map needs contravariant functors at both ends")
-        if not _same(src.category, tgt.category) or src.dim_cap != tgt.dim_cap:
-            raise InputError("a presheaf map needs both ends on one category with one cap")
-        if set(self.components) != set(src.category.objects):
-            raise InputError("presheaf map components must match the category's objects")
-        for x, comp in self.components.items():
-            if not (_same(comp.source, src.values[x]) and _same(comp.target, tgt.values[x])):
-                raise InputError(f"the component at {cstr(x)} does not go between its values")
-
-
-@dataclass(frozen=True)
 class SetPresheafMap:
     source: SetFunctor
     target: SetFunctor
@@ -179,15 +156,21 @@ class SetPresheafMap:
         return SetPresheafMap(self.source, after.target, comps)
 
 
-def validate_set_presheaf_map(pm: SetPresheafMap) -> Report:
-    """Components and naturality of a map of set presheaves; endpoints that
-    are not contravariant SetFunctors on one category are an InputError."""
+def _set_map_category(pm: SetPresheafMap) -> FinCat:
+    """The one category of pm's ends; ends that are not contravariant
+    SetFunctors on one category are an InputError."""
     ends = (pm.source, pm.target)
     if not all(isinstance(e, SetFunctor) and not e.covariant for e in ends):
         raise InputError("a set presheaf map needs contravariant set functors at both ends")
-    cat = pm.source.category
-    if not _same(pm.target.category, cat):
+    if not _same(pm.target.category, pm.source.category):
         raise InputError("a set presheaf map needs both ends on the same category")
+    return pm.source.category
+
+
+def validate_set_presheaf_map(pm: SetPresheafMap) -> Report:
+    """Components and naturality of a map of set presheaves; endpoints that
+    are not contravariant SetFunctors on one category are an InputError."""
+    cat = _set_map_category(pm)
     for x in cat.objects:
         comp = pm.components.get(x)
         if comp is None or set(comp) != set(pm.source.values[x]):
@@ -246,18 +229,6 @@ def discretize(sf: SetFunctor, dim_cap: int) -> Functor:
             values[a], values[b], lambda k, v, act=act: act[v]
         )
     return Functor(sf.category, dim_cap, values, action, sf.covariant)
-
-
-def discretize_map(pm: SetPresheafMap, dim_cap: int) -> PresheafMap:
-    """The same map between the discrete presheaves of its endpoints."""
-    src = discretize(pm.source, dim_cap)
-    tgt = discretize(pm.target, dim_cap)
-    comps = {}
-    for x, comp in pm.components.items():
-        comps[x] = SimplicialMap.from_function(
-            src.values[x], tgt.values[x], lambda k, v, comp=comp: comp[v]
-        )
-    return PresheafMap(src, tgt, comps)
 
 
 def point_functor(cat: FinCat, dim_cap: int, covariant: bool) -> Functor:
@@ -425,47 +396,21 @@ def is_sheaf_set(site: Site, sp: SetFunctor) -> Report:
     return Report.success()
 
 
-# -- connected components of simplicial functors -----------------------------------
-
-
-def _component_map(sm: SimplicialMap, source: tuple, target: tuple) -> dict[str, str]:
-    """The map on pi0 from the components of sm.source to those of sm.target,
-    both named c0, c1, ...: a component goes where its first vertex goes."""
-    of = [0] * len(sm.target.levels[0])
-    for j, comp in enumerate(target):
-        for p in comp:
-            of[p] = j
-    return {f"c{i}": f"c{of[sm.images[0][comp[0]]]}" for i, comp in enumerate(source)}
-
-
-def pi0_functor(fun: Functor) -> tuple[SetFunctor, dict]:
-    """Componentwise pi0, of the same variance; returns the set functor and
-    each value's components as tuples of vertex positions."""
-    comp = {x: pi0(fun.values[x]) for x in fun.category.objects}
-    values = {x: tuple(f"c{i}" for i in range(len(comp[x]))) for x in fun.category.objects}
-    action = {}
-    for m in fun.category.morphisms.values():
-        a, b = _ends(fun, m)
-        action[m.mid] = _component_map(fun.action[m.mid], comp[a], comp[b])
-    return SetFunctor(fun.category, values, action, fun.covariant), comp
-
-
 # -- the pi0 half of the equivalence condition --------------------------------------
 
 
-def illusie_pi0_certificate(site: Site, m: PresheafMap) -> Report:
-    """Certifies that the map becomes a componentwise bijection after taking
-    pi0 objectwise and sheafifying both sides.
+def illusie_pi0_certificate(site: Site, pm: SetPresheafMap) -> Report:
+    """Certifies that a map of set presheaves becomes a componentwise
+    bijection after sheafifying both sides.  pi0 of a set presheaf is the
+    presheaf itself, so this is the pi0 condition of a local weak equivalence
+    (Illusie, Jardine).
 
     This covers only the pi0 condition; higher homotopy presheaves are not
-    examined, and the report says so.
+    examined, and the report says so.  Ends that are not set presheaves on
+    the site's category are an InputError.
     """
-    if not _same(m.source.category, site.category):
+    if not _same(_set_map_category(pm), site.category):
         raise InputError("presheaf map must live on the site's category")
-    p0s, comp_s = pi0_functor(m.source)
-    p0t, comp_t = pi0_functor(m.target)
-    comps = {x: _component_map(m.components[x], comp_s[x], comp_t[x]) for x in site.category.objects}
-    pm = SetPresheafMap(p0s, p0t, comps)
     for _ in range(2):
         steps = [gamma_prime_set(site, p) for p in (pm.source, pm.target)]
         pm = gamma_prime_map(site, pm, *steps)

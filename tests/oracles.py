@@ -12,13 +12,16 @@ category that matching families and descent realizations are checked against
 hom-sets (hom_presheaf), which the maximal sieve replaces, and the covering
 sieves of a space site by their definition (union_coverings), which the
 site's minimal sieves replace.  The diagonal route of compare is here too:
-the map of bar realizations a presheaf map induces (induced_realization_map)
-and the map it induces on homology (chain_map_matrix, induced_map), the
-oracle for compare and realize on the core of the element poset.
+a map of simplicial presheaves (PresheafMap) and the discrete one a set map
+gives (discretize_map), the map of bar realizations a presheaf map induces
+(induced_realization_map) and the map it induces on homology
+(chain_map_matrix, induced_map), the oracle for compare and realize on the
+core of the element poset.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -38,7 +41,17 @@ from finsite.homology import (
     induced_by_chains,
     smith_normal_form,
 )
-from finsite.presheaf import Functor, SetFunctor, _same, _solutions, point_functor, reindex
+from finsite.presheaf import (
+    Functor,
+    ObjId,
+    SetFunctor,
+    SetPresheafMap,
+    _same,
+    _solutions,
+    discretize,
+    point_functor,
+    reindex,
+)
 from finsite.realization import _block_map, realize
 from finsite.reports import InputError, Report
 from finsite.sset import SimplicialMap, tabulate
@@ -700,6 +713,42 @@ def projector_rules(d, g):
 
 
 # -- the diagonal route of compare ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PresheafMap:
+    """A map of simplicial presheaves, one component per object.  Its ends
+    are contravariant Functors on one category with one cap, and each
+    component goes from the source's value to the target's; naturality is not
+    checked here."""
+
+    source: Functor
+    target: Functor
+    components: dict[ObjId, SimplicialMap]
+
+    def __post_init__(self):
+        src, tgt = self.source, self.target
+        if not all(isinstance(e, Functor) and not e.covariant for e in (src, tgt)):
+            raise InputError("a presheaf map needs contravariant functors at both ends")
+        if not _same(src.category, tgt.category) or src.dim_cap != tgt.dim_cap:
+            raise InputError("a presheaf map needs both ends on one category with one cap")
+        if set(self.components) != set(src.category.objects):
+            raise InputError("presheaf map components must match the category's objects")
+        for x, comp in self.components.items():
+            if not (_same(comp.source, src.values[x]) and _same(comp.target, tgt.values[x])):
+                raise InputError(f"the component at {cstr(x)} does not go between its values")
+
+
+def discretize_map(pm: SetPresheafMap, dim_cap: int) -> PresheafMap:
+    """The same map between the discrete presheaves of its endpoints."""
+    src = discretize(pm.source, dim_cap)
+    tgt = discretize(pm.target, dim_cap)
+    comps = {}
+    for x, comp in pm.components.items():
+        comps[x] = SimplicialMap.from_function(
+            src.values[x], tgt.values[x], lambda k, v, comp=comp: comp[v]
+        )
+    return PresheafMap(src, tgt, comps)
 
 
 def induced_realization_map(f: Functor, m, dim_cap: int) -> SimplicialMap:

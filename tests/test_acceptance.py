@@ -28,7 +28,6 @@ from finsite.homology import (
 from finsite.presheaf import (
     constant_set_presheaf,
     discretize,
-    discretize_map,
     gamma_prime_set,
     is_sheaf_set,
     point_functor,
@@ -49,6 +48,7 @@ from fixtures import disjoint_union, product, standard_simplex
 from oracles import (
     composite_is_zero,
     direct_sum_matches,
+    discretize_map,
     from_dense,
     germs,
     induced_map,

@@ -33,7 +33,6 @@ from finsite.presheaf import (
     SetPresheafMap,
     constant_set_presheaf,
     discretize,
-    discretize_map,
     point_functor,
     sheafify_set,
     terminal_set_presheaf,
@@ -52,7 +51,7 @@ from finsite.realization import (
 from finsite.reports import InternalCheckError
 from finsite.sset import pi0
 
-from oracles import induced_map, induced_realization_map
+from oracles import discretize_map, induced_map, induced_realization_map
 from randgen import random_joined_space, random_set_presheaf, random_space
 from test_golden import STDOUT_SHA256
 from test_homology import mccord_sphere

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from finsite import presheaf
 from finsite.canon import csorted
 from finsite.catsite import (
     FiniteSpace,
@@ -12,7 +11,6 @@ from finsite.catsite import (
     all_sieves,
     maximal_sieve,
     open_id,
-    poset_category,
     site_from_finite_space,
 )
 from finsite.gallery import (
@@ -25,19 +23,16 @@ from finsite.gallery import (
 )
 from finsite.presheaf import (
     Functor,
-    PresheafMap,
     SetFunctor,
     SetPresheafMap,
     constant_set_presheaf,
     discretize,
-    discretize_map,
     gamma_prime_map,
     point_functor,
     gamma_prime_set,
     illusie_pi0_certificate,
     is_sheaf_set,
     matching_sections,
-    pi0_functor,
     reindex,
     representable_set_presheaf,
     sheafify_set,
@@ -52,6 +47,8 @@ from finsite.sset import SimplicialMap
 
 from fixtures import apply
 from oracles import (
+    PresheafMap,
+    discretize_map,
     germs,
     hom_presheaf,
     induced_realization_map,
@@ -61,7 +58,14 @@ from oracles import (
     stalk_family_sheaf,
     stalk_family_unit,
 )
-from randgen import disjoint_union_sp, product_sp, random_poset_with_max, random_set_presheaf, random_space
+from randgen import (
+    disjoint_union_sp,
+    product_sp,
+    random_joined_space,
+    random_poset_with_max,
+    random_set_presheaf,
+    random_space,
+)
 
 
 def _pc():
@@ -282,22 +286,11 @@ def test_disjoint_union_and_product_presheaves_validate():
     assert validate_set_functor(product_sp(a, b)).ok
 
 
-def test_pi0_presheaf_counts_components_per_object():
-    _, site = _pc()
-    cat = site.category
-    sp = constant_set_presheaf(cat, ["0", "1"])
-    p = discretize(sp, 2)
-    classes, _ = pi0_functor(p)
-    assert all(len(classes.values[x]) == 2 for x in cat.objects)
-
-
 def test_illusie_certificate_accepts_sheafification_unit():
     _, site = _pc()
     cat = site.category
     sp = constant_set_presheaf(cat, ["0", "1"])
-    sh = sheafify_set(site, sp)
-    pm = discretize_map(sh.unit, 2)
-    rep = illusie_pi0_certificate(site, pm)
+    rep = illusie_pi0_certificate(site, sheafify_set(site, sp).unit)
     assert rep.ok
 
 
@@ -314,46 +307,10 @@ def _induced_on_components(sm: SimplicialMap) -> dict:
     return induced
 
 
-def _certificate_m0(monkeypatch, site, pm: PresheafMap) -> SetPresheafMap:
-    """The map on objectwise pi0 that illusie_pi0_certificate sheafifies:
-    the first map its plus step is applied to."""
-    seen = []
-    plus = presheaf.gamma_prime_map
-    monkeypatch.setattr(
-        presheaf, "gamma_prime_map", lambda site, m, *steps: seen.append(m) or plus(site, m, *steps)
-    )
-    illusie_pi0_certificate(site, pm)
-    monkeypatch.undo()
-    return seen[0]
-
-
-def _alone(monkeypatch, sm: SimplicialMap) -> tuple[dict, dict]:
-    """pi0_functor's action on sm as the arrow of the poset s <= t, and the
-    certificate's m0 on sm as the one component of a map over the point."""
-    arrow = poset_category("st", lambda a, b: a <= b)
-    values = {"s": sm.source, "t": sm.target}
-    action = {"s<=s": SimplicialMap.identity(sm.source), "t<=t": SimplicialMap.identity(sm.target)}
-    p0, _ = pi0_functor(Functor(arrow, sm.source.dim_cap, values, {**action, "s<=t": sm}, True))
-    site = site_from_finite_space(FiniteSpace.build("p", ["p"]))
-    ((x, ident),) = site.category.identities.items()
-
-    def ends(s):
-        return Functor(site.category, s.dim_cap, {x: s}, {ident: SimplicialMap.identity(s)}, False)
-
-    m0 = _certificate_m0(monkeypatch, site, PresheafMap(ends(sm.source), ends(sm.target), {x: sm}))
-    return p0.action["s<=t"], m0.components[x]
-
-
-def test_pi0_maps_follow_vertices(monkeypatch):
+def test_pi0_maps_follow_vertices():
     space, site = _pc()
     cat = site.category
     f = order_complex_functor(space, 2, site)
-    p0, _ = pi0_functor(f)
-    assert sorted(len(p0.values[x]) for x in cat.objects) == [1, 1, 1, 1, 1, 2]
-    for mid, sm in f.action.items():
-        induced = _induced_on_components(sm)
-        assert p0.action[mid] == induced
-        assert _alone(monkeypatch, sm) == (induced, induced)
     two = constant_set_presheaf(cat, ["0", "1"])
     one = terminal_set_presheaf(cat)
     crush = SetPresheafMap(
@@ -361,12 +318,8 @@ def test_pi0_maps_follow_vertices(monkeypatch):
     )
     units = [sheafify_set(site, p).unit for p in (collapse_set_presheaf(cat, open_id("abcd")), two)]
     counts = []
-    for pm in [discretize_map(m, 2) for m in (*units, crush)]:
-        m0 = _certificate_m0(monkeypatch, site, pm)
-        assert m0.components == {x: _induced_on_components(pm.components[x]) for x in cat.objects}
-        rmap = induced_realization_map(f, pm, 2)
-        induced = _induced_on_components(rmap)
-        assert _alone(monkeypatch, rmap) == (induced, induced)
+    for m in (*units, crush):
+        induced = _induced_on_components(induced_realization_map(f, discretize_map(m, 2), 2))
         counts.append((len(induced), len(set(induced.values()))))
     assert counts == [(1, 1), (2, 2), (2, 1)]
 
@@ -381,8 +334,66 @@ def test_illusie_certificate_rejects_component_collapse():
     crush = SetPresheafMap(
         two, one, {x: {v: one.values[x][0] for v in two.values[x]} for x in cat.objects}
     )
-    rep = illusie_pi0_certificate(site, discretize_map(crush, 2))
+    rep = illusie_pi0_certificate(site, crush)
     assert not rep.ok and rep.kind == "pi0-sheaf-not-bijective"
+
+
+def test_illusie_certificate_refuses_ends_that_are_not_set_presheaves_on_the_site():
+    _, site = _pc()
+    cat = site.category
+    sp = constant_set_presheaf(cat, ["0"])
+    ident = {x: {"0": "0"} for x in cat.objects}
+    cov = SetFunctor(cat, sp.values, sp.action, covariant=True)
+    simplicial = discretize(sp, 2)
+    other = site_from_finite_space(sierpinski_space()).category
+    foreign = constant_set_presheaf(other, ["0"])
+    assert illusie_pi0_certificate(site, SetPresheafMap(sp, sp, ident)).ok
+    refused = [
+        (cov, sp, ident),
+        (sp, cov, ident),
+        (simplicial, sp, ident),
+        (sp, simplicial, ident),
+        (sp, foreign, ident),
+        (foreign, foreign, {x: {"0": "0"} for x in other.objects}),
+    ]
+    for ends in refused:
+        with pytest.raises(InputError):
+            illusie_pi0_certificate(site, SetPresheafMap(*ends))
+
+
+def _bijective_on_stalks(space: FiniteSpace, pm: SetPresheafMap) -> bool:
+    """A finite space has enough points, and the stalk at p of a presheaf is
+    its value at the minimal open U_p, so pm becomes an isomorphism after
+    sheafifying exactly when its component at every U_p is a bijection."""
+    for p in space.points:
+        u = open_id(space.minimal_open(p))
+        image = set(pm.components[u].values())
+        if len(image) != len(pm.source.values[u]) or image != set(pm.target.values[u]):
+            return False
+    return True
+
+
+def test_illusie_certificate_agrees_with_the_stalk_rule():
+    rng = random.Random(45)
+    spaces = [pseudo_circle_space(), sierpinski_space(), interval_cover_space()]
+    spaces += [gen(rng) for gen in (random_space, random_joined_space) for _ in range(10)]
+    verdicts = []
+    for space in spaces:
+        site = site_from_finite_space(space)
+        cat = site.category
+        one = terminal_set_presheaf(cat)
+        for _ in range(4):
+            sp = random_set_presheaf(rng, cat)
+            maps = (
+                sheafify_set(site, sp).unit,
+                SetPresheafMap(sp, one, {x: {v: "*" for v in sp.values[x]} for x in cat.objects}),
+                SetPresheafMap(sp, sp, {x: {v: v for v in sp.values[x]} for x in cat.objects}),
+            )
+            for pm in maps:
+                ok = illusie_pi0_certificate(site, pm).ok
+                assert ok == _bijective_on_stalks(space, pm), (space.opens, pm.source.values)
+                verdicts.append(ok)
+    assert len(verdicts) == 276 and verdicts.count(False) > 50
 
 
 def test_sections_set_rejects_foreign_presheaf():

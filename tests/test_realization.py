@@ -40,7 +40,6 @@ from finsite.presheaf import (
     SetPresheafMap,
     constant_set_presheaf,
     discretize,
-    discretize_map,
     point_functor,
     reindex,
     sheafify_set,
@@ -65,6 +64,7 @@ import fixtures
 from oracles import (
     DictSimplicialMap,
     dict_validate_map,
+    discretize_map,
     formula_realize,
     induced_map,
     induced_realization_map,

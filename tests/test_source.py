@@ -195,6 +195,25 @@ def test_one_construction_for_sieves_and_representables():
     assert triangles == []
 
 
+def test_a_set_presheaf_is_discretized_only_where_a_diagonal_is_built():
+    """pi0 of a set presheaf is the presheaf itself, so only a bar
+    realization needs it as a simplicial presheaf: discretize is called by
+    cli._parse_g, for the presheaf that realize realizes, and by
+    realization.covariant_descent_check, for the sieve presheaf, and by no
+    other top-level definition of the package."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            called = {
+                getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                for n in ast.walk(top)
+                if isinstance(n, ast.Call)
+            }
+            if "discretize" in called:
+                callers.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert callers == {"cli._parse_g", "realization.covariant_descent_check"}
+
+
 def test_no_package_line_is_longer_than_110_characters():
     """Line counts compare like with like only while lines keep one width."""
     found = [

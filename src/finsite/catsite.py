@@ -16,7 +16,6 @@ is kept canonically sorted.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Any, Callable, Iterable
@@ -29,11 +28,19 @@ ObjId = Any
 MorId = Any
 
 
-@dataclass(frozen=True)
 class Morphism:
-    mid: MorId
-    src: ObjId
-    tgt: ObjId
+    __slots__ = ("mid", "src", "tgt")
+
+    def __init__(self, mid: MorId, src: ObjId, tgt: ObjId):
+        self.mid, self.src, self.tgt = mid, src, tgt
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mid, self.src, self.tgt) == (other.mid, other.src, other.tgt)
+
+    def __hash__(self) -> int:
+        return hash((self.mid, self.src, self.tgt))
 
 
 class FinCat:
@@ -243,16 +250,16 @@ def has_final_object(cat: FinCat) -> ObjId | None:
 # -- sieves ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MappedCat:
     """A category built over another, with the projection to the base.
 
     Objects project to base objects, morphisms to base morphisms.
     """
 
-    category: FinCat
-    obj_to_base: dict[ObjId, ObjId]
-    mor_to_base: dict[MorId, MorId]
+    __slots__ = ("category", "obj_to_base", "mor_to_base")
+
+    def __init__(self, category: FinCat, obj_to_base: dict[ObjId, ObjId], mor_to_base: dict[MorId, MorId]):
+        self.category, self.obj_to_base, self.mor_to_base = category, obj_to_base, mor_to_base
 
 
 def full_subcategory(cat: FinCat, objects: Iterable[ObjId]) -> MappedCat:
@@ -266,12 +273,21 @@ def full_subcategory(cat: FinCat, objects: Iterable[ObjId]) -> MappedCat:
     return MappedCat(sub, {x: x for x in objs}, {m: m for m in sub.morphisms})
 
 
-@dataclass(frozen=True)
 class Sieve:
     """A precomposition-closed set of morphisms into base."""
 
-    base: ObjId
-    members: frozenset[MorId]
+    __slots__ = ("base", "members")
+
+    def __init__(self, base: ObjId, members: frozenset[MorId]):
+        self.base, self.members = base, members
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.members) == (other.base, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.members))
 
     def key(self) -> tuple:
         return tuple(csorted(self.members))
@@ -405,15 +421,24 @@ def open_id(points: Iterable[str]) -> str:
     return "{" + ",".join(sorted(frozenset(points))) + "}"
 
 
-@dataclass(frozen=True)
 class FiniteSpace:
     """Finite topological space: points plus its nonempty open sets.
 
     The empty set is implicit; the whole point set must be open.
     """
 
-    points: tuple[str, ...]
-    opens: tuple[frozenset, ...]
+    __slots__ = ("points", "opens")
+
+    def __init__(self, points: tuple[str, ...], opens: tuple[frozenset, ...]):
+        self.points, self.opens = points, opens
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.opens) == (other.points, other.opens)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.opens))
 
     @staticmethod
     def build(points: Iterable[str], opens: Iterable[Iterable[str]]) -> "FiniteSpace":

@@ -13,8 +13,6 @@ its normal form gives degree k + 1 its cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from finsite.reports import InputError, InternalCheckError
 from finsite.sset import SimplicialSet
 
@@ -112,7 +110,6 @@ def _apply(rows: Sparse, vec) -> tuple[int, ...]:
 # -- Smith normal form -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SNFResult:
     """U @ A @ V == D with U, V unimodular; diag holds the full diagonal of D.
 
@@ -121,12 +118,10 @@ class SNFResult:
     Vinv as sparse rows, V and Uinv as sparse columns.
     """
 
-    diag: tuple[int, ...]
-    rank: int
-    U: Sparse
-    V: Sparse
-    Uinv: Sparse
-    Vinv: Sparse
+    __slots__ = ("diag", "rank", "U", "V", "Uinv", "Vinv")
+
+    def __init__(self, diag: tuple[int, ...], rank: int, U: Sparse, V: Sparse, Uinv: Sparse, Vinv: Sparse):
+        self.diag, self.rank, self.U, self.V, self.Uinv, self.Vinv = diag, rank, U, V, Uinv, Vinv
 
 
 class _Side:
@@ -279,13 +274,14 @@ def _verify_transforms(a: IntMatrix, res: SNFResult) -> None:
 # -- chain complexes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """basis[k] lists the k-chains' generators, such as nondegenerate
     k-simplices by position; boundary[k] maps C_k to C_{k-1}."""
 
-    basis: tuple[tuple, ...]
-    boundary: tuple[IntMatrix, ...]
+    __slots__ = ("basis", "boundary")
+
+    def __init__(self, basis: tuple[tuple, ...], boundary: tuple[IntMatrix, ...]):
+        self.basis, self.boundary = basis, boundary
 
 
 def normalized_chain_complex(s: SimplicialSet, top: int) -> ChainComplex:
@@ -332,7 +328,6 @@ def summands_label(summands: tuple[int, ...]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
     """One homology group with canonical generators and coordinate reduction.
 
@@ -340,13 +335,20 @@ class HomologyGroup:
     for a Z/d summand.  Torsion comes first, in divisibility order.
     """
 
-    degree: int
-    summands: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    _vinv: Sparse  # rows
-    _cycle_rank: int
-    _um: Sparse  # rows
-    _dfull: tuple[int, ...]
+    __slots__ = ("degree", "summands", "generators", "_vinv", "_cycle_rank", "_um", "_dfull")
+
+    def __init__(
+        self,
+        degree: int,
+        summands: tuple[int, ...],
+        generators: tuple[tuple[int, ...], ...],
+        _vinv: Sparse,  # rows
+        _cycle_rank: int,
+        _um: Sparse,  # rows
+        _dfull: tuple[int, ...],
+    ):
+        self.degree, self.summands, self.generators = degree, summands, generators
+        self._vinv, self._cycle_rank, self._um, self._dfull = _vinv, _cycle_rank, _um, _dfull
 
     def reduce(self, chain) -> tuple[int, ...]:
         """Canonical coordinates of a cycle's class, one per summand."""
@@ -411,11 +413,11 @@ def _group_at(cx: ChainComplex, k: int, cycles: SNFResult) -> tuple[HomologyGrou
     return g, snf_m
 
 
-@dataclass(frozen=True)
 class Homology:
-    sset: SimplicialSet
-    complex: ChainComplex
-    groups: tuple[HomologyGroup, ...]
+    __slots__ = ("sset", "complex", "groups")
+
+    def __init__(self, sset: SimplicialSet, complex: ChainComplex, groups: tuple[HomologyGroup, ...]):
+        self.sset, self.complex, self.groups = sset, complex, groups
 
     def group(self, k: int) -> HomologyGroup:
         return self.groups[k]
@@ -457,13 +459,13 @@ def component_count(n: int, h0: HomologyGroup) -> int:
 # -- induced maps --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InducedMap:
     """Induced map on one homology degree, in the canonical coordinates."""
 
-    source: HomologyGroup
-    target: HomologyGroup
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: HomologyGroup, target: HomologyGroup, matrix: tuple[tuple[int, ...], ...]):
+        self.source, self.target, self.matrix = source, target, matrix
 
     def is_identity(self) -> bool:
         return self.permutation() == tuple(range(len(self.source.summands)))

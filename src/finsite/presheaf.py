@@ -13,7 +13,6 @@ simplicial (discretize) only where a bar realization is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from finsite.canon import csorted, cstr
@@ -32,17 +31,21 @@ ObjId = Any
 MorId = Any
 
 
-@dataclass(eq=False)
 class Functor:
     """Simplicial-set-valued functor; every value has the same dim cap."""
 
-    category: FinCat
-    dim_cap: int
-    values: dict[ObjId, SimplicialSet]
-    action: dict[MorId, SimplicialMap]
-    covariant: bool
+    __slots__ = ("category", "dim_cap", "values", "action", "covariant")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        category: FinCat,
+        dim_cap: int,
+        values: dict[ObjId, SimplicialSet],
+        action: dict[MorId, SimplicialMap],
+        covariant: bool,
+    ):
+        self.category, self.dim_cap, self.values, self.action = category, dim_cap, values, action
+        self.covariant = covariant
         if set(self.values) != set(self.category.objects):
             raise InputError("functor values must match the category's objects")
         if any(v.dim_cap != self.dim_cap for v in self.values.values()):
@@ -56,17 +59,16 @@ class Functor:
                 raise InputError(f"the action of {cstr(m.mid)} does not go between its values")
 
 
-@dataclass(eq=False)
 class SetFunctor:
     """Set-valued functor; each value is a canonically sorted tuple."""
 
-    category: FinCat
-    values: dict[ObjId, tuple]
-    action: dict[MorId, dict]
-    covariant: bool
+    __slots__ = ("category", "values", "action", "covariant")
 
-    def __post_init__(self):
-        self.values = {x: tuple(csorted(v)) for x, v in self.values.items()}
+    def __init__(
+        self, category: FinCat, values: dict[ObjId, Iterable], action: dict[MorId, dict], covariant: bool
+    ):
+        self.category, self.action, self.covariant = category, action, covariant
+        self.values = {x: tuple(csorted(v)) for x, v in values.items()}
         for x, v in self.values.items():
             for a, b in zip(v, v[1:]):
                 if a == b:
@@ -139,11 +141,11 @@ def validate_set_functor(fun: SetFunctor) -> Report:
 # -- maps -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SetPresheafMap:
-    source: SetFunctor
-    target: SetFunctor
-    components: dict[ObjId, dict]
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: SetFunctor, target: SetFunctor, components: dict[ObjId, dict]):
+        self.source, self.target, self.components = source, target, components
 
     def then(self, after: "SetPresheafMap") -> "SetPresheafMap":
         # rebuilt middles are fine as long as the values line up
@@ -246,12 +248,12 @@ def point_functor(cat: FinCat, dim_cap: int, covariant: bool) -> Functor:
 def reindex(fun: Functor | SetFunctor, mapped: MappedCat) -> Functor | SetFunctor:
     """fun after the projection of mapped.category to its base: a functor of
     the same kind and variance whose value at o is fun's value at base(o)."""
-    return replace(
-        fun,
-        category=mapped.category,
-        values={o: fun.values[mapped.obj_to_base[o]] for o in mapped.category.objects},
-        action={m: fun.action[mapped.mor_to_base[m]] for m in mapped.category.morphisms},
-    )
+    cat = mapped.category
+    values = {o: fun.values[mapped.obj_to_base[o]] for o in cat.objects}
+    action = {m: fun.action[mapped.mor_to_base[m]] for m in cat.morphisms}
+    if isinstance(fun, SetFunctor):
+        return SetFunctor(cat, values, action, fun.covariant)
+    return Functor(cat, fun.dim_cap, values, action, fun.covariant)
 
 
 # -- compatible choices by backtracking -----------------------------------------
@@ -285,10 +287,11 @@ def _solutions(keys: list, values: list, arrows: Iterable) -> tuple[tuple, ...]:
 # -- sheafification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PlusStep:
-    presheaf: SetFunctor
-    unit: SetPresheafMap
+    __slots__ = ("presheaf", "unit")
+
+    def __init__(self, presheaf: SetFunctor, unit: SetPresheafMap):
+        self.presheaf, self.unit = presheaf, unit
 
 
 def matching_sections(site: Site, sp: SetFunctor, sieve: Sieve) -> tuple[tuple, ...]:
@@ -354,10 +357,11 @@ def gamma_prime_map(
     return SetPresheafMap(src_step.presheaf, tgt_step.presheaf, comps)
 
 
-@dataclass(frozen=True)
 class Sheafification:
-    sheaf: SetFunctor
-    unit: SetPresheafMap
+    __slots__ = ("sheaf", "unit")
+
+    def __init__(self, sheaf: SetFunctor, unit: SetPresheafMap):
+        self.sheaf, self.unit = sheaf, unit
 
 
 def sheafify_set(site: Site, sp: SetFunctor) -> Sheafification:

@@ -28,12 +28,11 @@ rule (_column) places every block: an operator or a map sends c to a chain
 t and (c, a, b) to t's start + fcol[a] * t's width + gcol[b].  d_i and s_i
 read t from the chain table and the columns from F's and G's tables, d_0
 pushing F's along the first morphism and d_k pulling G's back along the
-last; a map of realizations reads t from a map of chain tables and the
-starts and widths from the target realization's levels, keeps the F column
-and moves the G column through a map of values.  Tables and map images are
-stored as such columns, so realize keeps each operator's column as the
-level's table column of that operator, and _block_map each level's column
-as the map's images there.
+last; a map of realizations (the tests' _block_map) reads t from a map of
+chain tables and the starts and widths from the target realization's
+levels, keeps the F column and moves the G column through a map of values.
+Tables and map images are stored as such columns, so realize keeps each
+operator's column as the level's table column of that operator.
 
 When G is a set presheaf on a space's opens and F is the point or the order
 complex, homology needs no bar realization: Re(F, G) is equivalent to the
@@ -48,27 +47,21 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import eq, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from finsite.canon import csorted, cstr
+from finsite.canon import cstr
 from finsite.catsite import (
     FinCat,
     FiniteSpace,
-    MappedCat,
-    Morphism,
     Sieve,
     Site,
-    all_sieves,
     chains,
     full_subcategory,
-    maximal_sieve,
     nerve,
     open_id,
     poset_category,
-    pullback_sieve,
 )
 from finsite.homology import (
     ChainComplex,
@@ -83,13 +76,12 @@ from finsite.homology import (
 from finsite.presheaf import (
     Functor,
     SetFunctor,
-    _families,
     _same,
     discretize,
     reindex,
     sieve_presheaf,
 )
-from finsite.reports import InputError, InternalCheckError, Report, ValidationError
+from finsite.reports import InputError, InternalCheckError
 from finsite.sset import (
     SimplicialMap, SimplicialSet, _write_pieces, components, json_layout, pi0, write_tables
 )
@@ -198,22 +190,6 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     return SimplicialSet(dim_cap, levels, tuple(faces), tuple(degeneracies))
 
 
-def _block_map(
-    f: Functor, chain_map: SimplicialMap, target: SimplicialSet, move: Callable
-) -> tuple:
-    """Images of a map of realizations, f being the source's F and target
-    the target realization: chain_map, a map of chain tables, picks each
-    target block, the F column stays, so F must have the value f(x0) at the
-    target chain's start, and the G column moves through move(xk), a map of G
-    values."""
-    images, steps = [], zip(chain_map.source.levels, chain_map.images, target.levels)
-    for k, (level, to, there) in enumerate(steps):
-        fcols = [range(len(f.values[x0].levels[k])) for x0, _, _ in level]
-        gcols = [move(xk).images[k] for _, _, xk in level]
-        images.append(_column(there, to, fcols, gcols))
-    return tuple(images)
-
-
 class _Leaves(dict):
     """identifier -> its JSON string, rendered on first use: bar simplices
     share their objects, morphisms and value simplices."""
@@ -293,19 +269,25 @@ def order_complex_functor(space: FiniteSpace, dim_cap: int, site: Site) -> Funct
 # -- covariant descent ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DescentReport:
     """Per-instance descent certificate: the realization Re(F, S) of a
     covering sieve S on x, against the plain value F(x), compared on pi0 and
     homology up to max_deg."""
 
-    ok: bool
-    obj: ObjId
-    sieve_key: tuple
-    max_deg: int
-    pi0_realization: int
-    pi0_value: int
-    degrees: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("ok", "obj", "sieve_key", "max_deg", "pi0_realization", "pi0_value", "degrees")
+
+    def __init__(
+        self,
+        ok: bool,
+        obj: ObjId,
+        sieve_key: tuple,
+        max_deg: int,
+        pi0_realization: int,
+        pi0_value: int,
+        degrees: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
+    ):
+        self.ok, self.obj, self.sieve_key, self.max_deg = ok, obj, sieve_key, max_deg
+        self.pi0_realization, self.pi0_value, self.degrees = pi0_realization, pi0_value, degrees
 
     def to_json(self) -> dict:
         return {
@@ -369,7 +351,6 @@ def covariant_descent_check(
 # -- homology from the core of one finite poset -------------------------------------
 
 
-@dataclass(frozen=True)
 class ElementPoset:
     """The Grothendieck construction of P over the elements of a set presheaf
     G on a space's opens, by position: x is (U, s, W), s in G(U) and W in
@@ -378,9 +359,10 @@ class ElementPoset:
     (V, t, W') <= (U, s, W) iff V is inside U, s restricts to t and W' is
     inside W; below[x] and above[x] are bitmasks of the y <= x and y >= x."""
 
-    elements: tuple[tuple, ...]
-    below: list[int]
-    above: list[int]
+    __slots__ = ("elements", "below", "above")
+
+    def __init__(self, elements: tuple[tuple, ...], below: list[int], above: list[int]):
+        self.elements, self.below, self.above = elements, below, above
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -404,17 +386,22 @@ def element_poset(space: FiniteSpace, cat: FinCat, g: SetFunctor, point: bool) -
     return ElementPoset(tuple(elements), below, above)
 
 
-@dataclass(frozen=True)
 class Core:
     """The Stong core: the points left once beat points are removed one at a
     time, each removal (x, w) with w the maximum of x's strict down-set or the
     minimum of its strict up-set among the points left then, and the
     retraction r onto the points, r(x) = r(w) for each removal."""
 
-    poset: ElementPoset
-    points: tuple[int, ...]
-    removals: tuple[tuple[int, int], ...]
-    retraction: tuple[int, ...]
+    __slots__ = ("poset", "points", "removals", "retraction")
+
+    def __init__(
+        self,
+        poset: ElementPoset,
+        points: tuple[int, ...],
+        removals: tuple[tuple[int, int], ...],
+        retraction: tuple[int, ...],
+    ):
+        self.poset, self.points, self.removals, self.retraction = poset, points, removals, retraction
 
 
 def stong_core(p: ElementPoset) -> Core:
@@ -500,14 +487,13 @@ def poset_pi0(p: ElementPoset) -> int:
     return len(components(len(p.elements), ((x, y) for x, m in enumerate(p.below) for y in _bits(m))))
 
 
-@dataclass(frozen=True)
 class CoreHomology:
     """Re(F, G)'s homology through max_deg from the core, and pi0 of the whole poset."""
 
-    core: Core
-    complex: ChainComplex
-    groups: tuple[HomologyGroup, ...]
-    pi0: int
+    __slots__ = ("core", "complex", "groups", "pi0")
+
+    def __init__(self, core: Core, complex: ChainComplex, groups: tuple[HomologyGroup, ...], pi0: int):
+        self.core, self.complex, self.groups, self.pi0 = core, complex, groups, pi0
 
 
 def core_homology(space: FiniteSpace, cat: FinCat, g: SetFunctor, point: bool, max_deg: int) -> CoreHomology:
@@ -540,170 +526,3 @@ def core_chain_map(src: CoreHomology, tgt: CoreHomology, components: dict, k: in
         elif len(set(fc)) == len(fc):
             raise InternalCheckError("the core map sends a strict chain to no chain")
     return out
-
-
-# -- projector data and the two comparison maps --------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectorData:
-    """An idempotent endofunctor P with a natural map psi: P -> identity
-    restricting to the identity on P's image."""
-
-    category: FinCat
-    obj_map: dict[ObjId, ObjId]
-    mor_map: dict[MorId, MorId]
-    psi: dict[ObjId, MorId]
-
-
-def validate_projector(d: ProjectorData) -> Report:
-    cat = d.category
-    for x in cat.objects:
-        if x not in d.obj_map or d.obj_map[x] not in cat.objects:
-            return Report.failure("projector-objects", "object image missing", (x,))
-    for m in cat.morphisms.values():
-        pm = d.mor_map.get(m.mid)
-        if pm is None or pm not in cat.morphisms:
-            return Report.failure("projector-morphisms", "morphism image missing", (m.mid,))
-        if cat.src(pm) != d.obj_map[m.src] or cat.tgt(pm) != d.obj_map[m.tgt]:
-            return Report.failure("projector-typing", "image endpoints wrong", (m.mid,))
-    for x in cat.objects:
-        if d.mor_map[cat.identity(x)] != cat.identity(d.obj_map[x]):
-            return Report.failure("projector-identity", "identity not preserved", (x,))
-    for (g, f), h in cat.composition.items():
-        if d.mor_map[h] != cat.compose(d.mor_map[g], d.mor_map[f]):
-            return Report.failure("projector-functorial", "composition not preserved", (g, f))
-    for x in cat.objects:
-        if d.obj_map[d.obj_map[x]] != d.obj_map[x]:
-            return Report.failure("projector-idempotent", "P(P(x)) != P(x)", (x,))
-    for m in cat.morphisms.values():
-        if d.mor_map[d.mor_map[m.mid]] != d.mor_map[m.mid]:
-            return Report.failure("projector-idempotent", "P(P(f)) != P(f)", (m.mid,))
-    for x in cat.objects:
-        px = d.psi.get(x)
-        if px is None or px not in cat.morphisms:
-            return Report.failure("psi-missing", "no component", (x,))
-        if cat.src(px) != d.obj_map[x] or cat.tgt(px) != x:
-            return Report.failure("psi-typing", "component endpoints wrong", (x,))
-    for m in cat.morphisms.values():
-        # naturality: f . psi_src == psi_tgt . P(f)
-        lhs = cat.compose(m.mid, d.psi[m.src])
-        rhs = cat.compose(d.psi[m.tgt], d.mor_map[m.mid])
-        if lhs != rhs:
-            return Report.failure("psi-naturality", "square does not commute", (m.mid,))
-    for x in cat.objects:
-        px = d.obj_map[x]
-        if d.psi[px] != cat.identity(px):
-            return Report.failure("psi-image", "psi is not the identity on the image", (x,))
-    return Report.success()
-
-
-def projector_image(d: ProjectorData) -> MappedCat:
-    """The full subcategory on the image objects: naturality of psi forces P
-    to fix every morphism between them, so it coincides with the image of P."""
-    return full_subcategory(d.category, [d.obj_map[x] for x in d.category.objects])
-
-
-def projector_maps(
-    d: ProjectorData, f: Functor, g: Functor, dim_cap: int
-) -> tuple[SimplicialMap, SimplicialMap]:
-    """The comparison maps a: Re_C(P*f, g) -> Re_D(f, g|_D) and its section b.
-
-    a projects the chain through P and pulls the g part back along psi at the
-    chain's end; b is induced by the inclusion of the image subcategory.
-    a . b is the identity on the nose; b . a is expected to act as the
-    identity on homology and pi0, which callers certify separately.
-    """
-    rep = validate_projector(d)
-    if not rep.ok:
-        raise ValidationError(f"invalid projector data: {rep.kind}: {rep.detail}")
-    cat = d.category
-    mapped = projector_image(d)
-    sub = mapped.category
-    if not _same(f.category, sub):
-        raise InputError("diagram must live on the projector's image category")
-    if not _same(g.category, cat):
-        raise InputError("presheaf must live on the projector's category")
-    # f after P: the diagram x -> f(P(x)) on the whole category
-    pf, gd = reindex(f, MappedCat(cat, d.obj_map, d.mor_map)), reindex(g, mapped)
-    re_c, re_d = realize(cat, pf, g, dim_cap), realize(sub, f, gd, dim_cap)
-    ch_c, ch_d = chains(cat, dim_cap), chains(sub, dim_cap)
-
-    # the F column stays: f after P has the value f(P(x0)) at x0, and P fixes
-    # the image objects
-    through_p = SimplicialMap.from_function(
-        ch_c, ch_d, lambda k, c: (d.obj_map[c[0]], tuple(map(d.mor_map.get, c[1])), d.obj_map[c[2]])
-    )
-    inclusion = SimplicialMap.from_function(ch_d, ch_c, lambda k, c: c)
-    ident = {x: SimplicialMap.identity(v) for x, v in gd.values.items()}
-    a = _block_map(pf, through_p, re_d, lambda xk: g.action[d.psi[xk]])
-    b = _block_map(f, inclusion, re_c, ident.__getitem__)
-    return SimplicialMap(re_c, re_d, a), SimplicialMap(re_d, re_c, b)
-
-
-# -- the category of sieve triples ----------------------------------------------------
-
-
-def triples_category(site: Site) -> ProjectorData:
-    """Category of triples (object x, sieve B on x, member m: y -> x of B),
-    with the projector sending a triple to (y, maximal sieve, identity).
-
-    A morphism (x,B,m) -> (x',B',m') is a pair (phi: x -> x', rho: y -> y')
-    with B contained in phi^* B' and m' . rho == phi . m.  Desk scale only:
-    sieves are enumerated exhaustively per object.
-    """
-    cat = site.category
-    triples: list[tuple] = []
-    for x in cat.objects:
-        for b in all_sieves(cat, x):
-            if not b.members:
-                continue
-            for m in csorted(b.members):
-                triples.append((("tri", x, b.key(), m), x, b, m))
-    mors = []
-    identities: dict[ObjId, MorId] = {}
-    for tid, x, b, m in triples:
-        y = cat.src(m)
-        for tid2, x2, b2, m2 in triples:
-            y2 = cat.src(m2)
-            for phi in cat.hom(x, x2):
-                if not b.members <= pullback_sieve(cat, phi, b2).members:
-                    continue
-                for rho in cat.hom(y, y2):
-                    if cat.compose(m2, rho) != cat.compose(phi, m):
-                        continue
-                    mid = ("trim", phi, rho, tid, tid2)
-                    mors.append(Morphism(mid, tid, tid2))
-                    if tid == tid2 and cat.is_identity(phi) and cat.is_identity(rho):
-                        identities[tid] = mid
-    composition = {}
-    for m1 in mors:
-        for m2 in mors:
-            if m2.src != m1.tgt:
-                continue
-            phi = cat.compose(m2.mid[1], m1.mid[1])
-            rho = cat.compose(m2.mid[2], m1.mid[2])
-            composition[(m2.mid, m1.mid)] = ("trim", phi, rho, m1.src, m2.tgt)
-    tcat = FinCat([t[0] for t in triples], mors, identities, composition)
-    obj_map = {}
-    psi = {}
-    for tid, x, b, m in triples:
-        y = cat.src(m)
-        ptid = ("tri", y, maximal_sieve(cat, y).key(), cat.identity(y))
-        obj_map[tid] = ptid
-        psi[tid] = ("trim", m, cat.identity(y), ptid, tid)
-    mor_map = {}
-    for mm in mors:
-        _, phi, rho, t1, t2 = mm.mid
-        mor_map[mm.mid] = ("trim", rho, rho, obj_map[t1], obj_map[t2])
-    return ProjectorData(tcat, obj_map, mor_map, psi)
-
-
-def sections_presheaf_on_triples(
-    site: Site, g: SetFunctor, d: ProjectorData
-) -> SetFunctor:
-    """Set presheaf on the triples category: the value at (x, B, m) is the
-    matching sections of g over B; (phi, rho) acts by precomposing with phi."""
-    if not _same(g.category, site.category):
-        raise InputError("presheaf must live on the site's category")
-    return _families(site, g, d.category, lambda t: Sieve(t[1], frozenset(t[2])), lambda mm: mm[1])

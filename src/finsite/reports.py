@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -29,7 +28,6 @@ class InternalCheckError(FinsiteError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
 class Report:
     """Outcome of a validator: ok, or the first violation found.
 
@@ -37,10 +35,20 @@ class Report:
     carries the offending identifiers so callers can point at the data.
     """
 
-    ok: bool
-    kind: str = "ok"
-    detail: str = ""
-    witness: tuple[Any, ...] = field(default=())
+    __slots__ = ("ok", "kind", "detail", "witness")
+
+    def __init__(self, ok: bool, kind: str = "ok", detail: str = "", witness: tuple[Any, ...] = ()):
+        self.ok, self.kind, self.detail, self.witness = ok, kind, detail, witness
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.kind, self.detail, self.witness) == (
+            other.ok, other.kind, other.detail, other.witness
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.kind, self.detail, self.witness))
 
     @staticmethod
     def failure(kind: str, detail: str, witness: tuple[Any, ...] = ()) -> "Report":

@@ -16,7 +16,13 @@ a map of simplicial presheaves (PresheafMap) and the discrete one a set map
 gives (discretize_map), the map of bar realizations a presheaf map induces
 (induced_realization_map) and the map it induces on homology
 (chain_map_matrix, induced_map), the oracle for compare and realize on the
-core of the element poset.
+core of the element poset.  So is the projector stack that criterion 6
+checks the paper's projector lemma with: the triples category and its
+projector (triples_category, ProjectorData, validate_projector,
+projector_image), the matching-sections presheaf on the triples
+(sections_presheaf_on_triples), and the two comparison maps
+(projector_maps), built, like induced_realization_map, by _block_map from
+the realization's one column rule.
 """
 
 from __future__ import annotations
@@ -25,11 +31,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.catsite import (
-    FinCat, FiniteSpace, MappedCat, Morphism, Sieve, Site, all_sieves, chains, open_id
+    FinCat,
+    FiniteSpace,
+    MappedCat,
+    Morphism,
+    Sieve,
+    Site,
+    all_sieves,
+    chains,
+    full_subcategory,
+    maximal_sieve,
+    open_id,
+    pullback_sieve,
 )
 from finsite.homology import (
     ChainComplex,
@@ -43,18 +60,20 @@ from finsite.homology import (
 )
 from finsite.presheaf import (
     Functor,
+    MorId,
     ObjId,
     SetFunctor,
     SetPresheafMap,
+    _families,
     _same,
     _solutions,
     discretize,
     point_functor,
     reindex,
 )
-from finsite.realization import _block_map, realize
-from finsite.reports import InputError, Report
-from finsite.sset import SimplicialMap, tabulate
+from finsite.realization import _column, realize
+from finsite.reports import InputError, Report, ValidationError
+from finsite.sset import SimplicialMap, SimplicialSet, tabulate
 
 from fixtures import apply, degeneracy, face, formulas
 
@@ -710,6 +729,189 @@ def projector_rules(d, g):
         return (d.obj_map[x0], pms, fs, apply(g.action[d.psi[xk]], k, gs))
 
     return a_rule, lambda k, z: z
+
+
+# -- projector data and the two comparison maps --------------------------------------
+
+
+def _block_map(
+    f: Functor, chain_map: SimplicialMap, target: SimplicialSet, move: Callable
+) -> tuple:
+    """Images of a map of realizations, f being the source's F and target
+    the target realization: chain_map, a map of chain tables, picks each
+    target block, the F column stays, so F must have the value f(x0) at the
+    target chain's start, and the G column moves through move(xk), a map of G
+    values."""
+    images, steps = [], zip(chain_map.source.levels, chain_map.images, target.levels)
+    for k, (level, to, there) in enumerate(steps):
+        fcols = [range(len(f.values[x0].levels[k])) for x0, _, _ in level]
+        gcols = [move(xk).images[k] for _, _, xk in level]
+        images.append(_column(there, to, fcols, gcols))
+    return tuple(images)
+
+
+@dataclass(frozen=True)
+class ProjectorData:
+    """An idempotent endofunctor P with a natural map psi: P -> identity
+    restricting to the identity on P's image."""
+
+    category: FinCat
+    obj_map: dict[ObjId, ObjId]
+    mor_map: dict[MorId, MorId]
+    psi: dict[ObjId, MorId]
+
+
+def validate_projector(d: ProjectorData) -> Report:
+    cat = d.category
+    for x in cat.objects:
+        if x not in d.obj_map or d.obj_map[x] not in cat.objects:
+            return Report.failure("projector-objects", "object image missing", (x,))
+    for m in cat.morphisms.values():
+        pm = d.mor_map.get(m.mid)
+        if pm is None or pm not in cat.morphisms:
+            return Report.failure("projector-morphisms", "morphism image missing", (m.mid,))
+        if cat.src(pm) != d.obj_map[m.src] or cat.tgt(pm) != d.obj_map[m.tgt]:
+            return Report.failure("projector-typing", "image endpoints wrong", (m.mid,))
+    for x in cat.objects:
+        if d.mor_map[cat.identity(x)] != cat.identity(d.obj_map[x]):
+            return Report.failure("projector-identity", "identity not preserved", (x,))
+    for (g, f), h in cat.composition.items():
+        if d.mor_map[h] != cat.compose(d.mor_map[g], d.mor_map[f]):
+            return Report.failure("projector-functorial", "composition not preserved", (g, f))
+    for x in cat.objects:
+        if d.obj_map[d.obj_map[x]] != d.obj_map[x]:
+            return Report.failure("projector-idempotent", "P(P(x)) != P(x)", (x,))
+    for m in cat.morphisms.values():
+        if d.mor_map[d.mor_map[m.mid]] != d.mor_map[m.mid]:
+            return Report.failure("projector-idempotent", "P(P(f)) != P(f)", (m.mid,))
+    for x in cat.objects:
+        px = d.psi.get(x)
+        if px is None or px not in cat.morphisms:
+            return Report.failure("psi-missing", "no component", (x,))
+        if cat.src(px) != d.obj_map[x] or cat.tgt(px) != x:
+            return Report.failure("psi-typing", "component endpoints wrong", (x,))
+    for m in cat.morphisms.values():
+        # naturality: f . psi_src == psi_tgt . P(f)
+        lhs = cat.compose(m.mid, d.psi[m.src])
+        rhs = cat.compose(d.psi[m.tgt], d.mor_map[m.mid])
+        if lhs != rhs:
+            return Report.failure("psi-naturality", "square does not commute", (m.mid,))
+    for x in cat.objects:
+        px = d.obj_map[x]
+        if d.psi[px] != cat.identity(px):
+            return Report.failure("psi-image", "psi is not the identity on the image", (x,))
+    return Report.success()
+
+
+def projector_image(d: ProjectorData) -> MappedCat:
+    """The full subcategory on the image objects: naturality of psi forces P
+    to fix every morphism between them, so it coincides with the image of P."""
+    return full_subcategory(d.category, [d.obj_map[x] for x in d.category.objects])
+
+
+def projector_maps(
+    d: ProjectorData, f: Functor, g: Functor, dim_cap: int
+) -> tuple[SimplicialMap, SimplicialMap]:
+    """The comparison maps a: Re_C(P*f, g) -> Re_D(f, g|_D) and its section b.
+
+    a projects the chain through P and pulls the g part back along psi at the
+    chain's end; b is induced by the inclusion of the image subcategory.
+    a . b is the identity on the nose; b . a is expected to act as the
+    identity on homology and pi0, which callers certify separately.
+    """
+    rep = validate_projector(d)
+    if not rep.ok:
+        raise ValidationError(f"invalid projector data: {rep.kind}: {rep.detail}")
+    cat = d.category
+    mapped = projector_image(d)
+    sub = mapped.category
+    if not _same(f.category, sub):
+        raise InputError("diagram must live on the projector's image category")
+    if not _same(g.category, cat):
+        raise InputError("presheaf must live on the projector's category")
+    # f after P: the diagram x -> f(P(x)) on the whole category
+    pf, gd = reindex(f, MappedCat(cat, d.obj_map, d.mor_map)), reindex(g, mapped)
+    re_c, re_d = realize(cat, pf, g, dim_cap), realize(sub, f, gd, dim_cap)
+    ch_c, ch_d = chains(cat, dim_cap), chains(sub, dim_cap)
+
+    # the F column stays: f after P has the value f(P(x0)) at x0, and P fixes
+    # the image objects
+    through_p = SimplicialMap.from_function(
+        ch_c, ch_d, lambda k, c: (d.obj_map[c[0]], tuple(map(d.mor_map.get, c[1])), d.obj_map[c[2]])
+    )
+    inclusion = SimplicialMap.from_function(ch_d, ch_c, lambda k, c: c)
+    ident = {x: SimplicialMap.identity(v) for x, v in gd.values.items()}
+    a = _block_map(pf, through_p, re_d, lambda xk: g.action[d.psi[xk]])
+    b = _block_map(f, inclusion, re_c, ident.__getitem__)
+    return SimplicialMap(re_c, re_d, a), SimplicialMap(re_d, re_c, b)
+
+
+# -- the category of sieve triples ----------------------------------------------------
+
+
+def triples_category(site: Site) -> ProjectorData:
+    """Category of triples (object x, sieve B on x, member m: y -> x of B),
+    with the projector sending a triple to (y, maximal sieve, identity).
+
+    A morphism (x,B,m) -> (x',B',m') is a pair (phi: x -> x', rho: y -> y')
+    with B contained in phi^* B' and m' . rho == phi . m.  Desk scale only:
+    sieves are enumerated exhaustively per object.
+    """
+    cat = site.category
+    triples: list[tuple] = []
+    for x in cat.objects:
+        for b in all_sieves(cat, x):
+            if not b.members:
+                continue
+            for m in csorted(b.members):
+                triples.append((("tri", x, b.key(), m), x, b, m))
+    mors = []
+    identities: dict[ObjId, MorId] = {}
+    for tid, x, b, m in triples:
+        y = cat.src(m)
+        for tid2, x2, b2, m2 in triples:
+            y2 = cat.src(m2)
+            for phi in cat.hom(x, x2):
+                if not b.members <= pullback_sieve(cat, phi, b2).members:
+                    continue
+                for rho in cat.hom(y, y2):
+                    if cat.compose(m2, rho) != cat.compose(phi, m):
+                        continue
+                    mid = ("trim", phi, rho, tid, tid2)
+                    mors.append(Morphism(mid, tid, tid2))
+                    if tid == tid2 and cat.is_identity(phi) and cat.is_identity(rho):
+                        identities[tid] = mid
+    composition = {}
+    for m1 in mors:
+        for m2 in mors:
+            if m2.src != m1.tgt:
+                continue
+            phi = cat.compose(m2.mid[1], m1.mid[1])
+            rho = cat.compose(m2.mid[2], m1.mid[2])
+            composition[(m2.mid, m1.mid)] = ("trim", phi, rho, m1.src, m2.tgt)
+    tcat = FinCat([t[0] for t in triples], mors, identities, composition)
+    obj_map = {}
+    psi = {}
+    for tid, x, b, m in triples:
+        y = cat.src(m)
+        ptid = ("tri", y, maximal_sieve(cat, y).key(), cat.identity(y))
+        obj_map[tid] = ptid
+        psi[tid] = ("trim", m, cat.identity(y), ptid, tid)
+    mor_map = {}
+    for mm in mors:
+        _, phi, rho, t1, t2 = mm.mid
+        mor_map[mm.mid] = ("trim", rho, rho, obj_map[t1], obj_map[t2])
+    return ProjectorData(tcat, obj_map, mor_map, psi)
+
+
+def sections_presheaf_on_triples(
+    site: Site, g: SetFunctor, d: ProjectorData
+) -> SetFunctor:
+    """Set presheaf on the triples category: the value at (x, B, m) is the
+    matching sections of g over B; (phi, rho) acts by precomposing with phi."""
+    if not _same(g.category, site.category):
+        raise InputError("presheaf must live on the site's category")
+    return _families(site, g, d.category, lambda t: Sieve(t[1], frozenset(t[2])), lambda mm: mm[1])
 
 
 # -- the diagonal route of compare ------------------------------------------------

@@ -34,15 +34,7 @@ from finsite.presheaf import (
     representable_set_presheaf,
     sheafify_set,
 )
-from finsite.realization import (
-    covariant_descent_check,
-    order_complex_functor,
-    projector_image,
-    projector_maps,
-    realize,
-    sections_presheaf_on_triples,
-    triples_category,
-)
+from finsite.realization import covariant_descent_check, order_complex_functor, realize
 from finsite.sset import SimplicialMap, pi0
 from fixtures import disjoint_union, product, standard_simplex
 from oracles import (
@@ -53,9 +45,13 @@ from oracles import (
     germs,
     induced_map,
     induced_realization_map,
+    projector_image,
+    projector_maps,
+    sections_presheaf_on_triples,
     snf_violations,
     stalk_family_sheaf,
     stalk_family_unit,
+    triples_category,
 )
 from randgen import (
     disjoint_union_sp,

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,6 +37,8 @@ from finsite.presheaf import (
     terminal_set_presheaf,
 )
 from finsite.realization import (
+    Core,
+    ElementPoset,
     check_core,
     core_chain_map,
     core_complex,
@@ -191,7 +192,7 @@ def test_a_wrong_beat_point_witness_is_refused():
     # x lies below and above itself, but outside its strict sets
     for wrong in (x, next(y for y in range(len(p.elements)) if y not in (x, w))):
         with pytest.raises(InternalCheckError, match="no beat-point witness"):
-            check_core(replace(core, removals=((x, wrong), *rest)), cx)
+            check_core(Core(core.poset, core.points, ((x, wrong), *rest), core.retraction), cx)
 
 
 def test_a_retraction_that_breaks_the_order_is_refused():
@@ -207,7 +208,7 @@ def test_a_retraction_that_breaks_the_order_is_refused():
         if any(p.above[x] >> y & 1 and r[y] != c for y in range(len(r)))
     )
     with pytest.raises(InternalCheckError, match="does not preserve the order"):
-        check_core(replace(core, retraction=r[:x] + (c,) + r[x + 1 :]), cx)
+        check_core(Core(core.poset, core.points, core.removals, r[:x] + (c,) + r[x + 1 :]), cx)
 
 
 def test_a_corrupted_up_set_changes_the_euler_characteristic():
@@ -220,9 +221,9 @@ def test_a_corrupted_up_set_changes_the_euler_characteristic():
     n = len(p.elements)
     x, w = next((x, w) for x, w in core.removals if p.below[x] == 1 << x)
     y = next(y for y in range(n) if p.above[x] >> y & 1 and p.above[y] == 1 << y and y != w)
-    cut = replace(p, above=p.above[:x] + [p.above[x] & ~(1 << y)] + p.above[x + 1 :])
+    cut = ElementPoset(p.elements, p.below, p.above[:x] + [p.above[x] & ~(1 << y)] + p.above[x + 1 :])
     with pytest.raises(InternalCheckError, match="Euler characteristic"):
-        check_core(replace(core, poset=cut), cx)
+        check_core(Core(cut, core.points, core.removals, core.retraction), cx)
 
 
 def test_a_pi0_mismatch_is_refused(monkeypatch):
@@ -243,7 +244,7 @@ def test_a_failed_second_route_is_exit_4(monkeypatch, capsys, corrupt):
         def wrong(p):
             core = take_core(p)
             (x, _), *rest = core.removals
-            return replace(core, removals=((x, x), *rest))
+            return Core(core.poset, core.points, ((x, x), *rest), core.retraction)
 
         monkeypatch.setattr(realization, "stong_core", wrong)
     else:
@@ -254,7 +255,7 @@ def test_a_failed_second_route_is_exit_4(monkeypatch, capsys, corrupt):
         def cut(*args):
             p = build(*args)
             x = next(x for x, down in enumerate(p.below) if down == 1 << x)
-            return replace(p, above=p.above[:x] + [1 << x] + p.above[x + 1 :])
+            return ElementPoset(p.elements, p.below, p.above[:x] + [1 << x] + p.above[x + 1 :])
 
         monkeypatch.setattr(realization, "element_poset", cut)
     for argv in (["realize", "--example", "pseudo_circle_terminal"], ["compare", "--example", "collapse"]):

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 from array import array
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +16,7 @@ from finsite.gallery import bz2_category, circle_sset, interval_cover_space, pse
 from finsite.homology import (
     InducedMap,
     IntMatrix,
+    SNFResult,
     _verify_transforms,
     normalized_chain_complex,
     smith_normal_form,
@@ -151,7 +151,8 @@ def test_transform_check_catches_one_flipped_entry_above_200(interval_cover_boun
         k = min(line)
         line[k] = -line[k]
         with pytest.raises(InternalCheckError):
-            _verify_transforms(a, replace(res, **{name: lines}))
+            transforms = {"U": res.U, "V": res.V, "Uinv": res.Uinv, "Vinv": res.Vinv, name: lines}
+            _verify_transforms(a, SNFResult(res.diag, res.rank, **transforms))
 
 
 def test_transform_check_catches_a_wrong_diagonal(interval_cover_boundaries):
@@ -162,7 +163,7 @@ def test_transform_check_catches_a_wrong_diagonal(interval_cover_boundaries):
         diag = list(res.diag)
         diag[i] += 1
         with pytest.raises(InternalCheckError, match="U\\*A == D\\*Vinv"):
-            _verify_transforms(a, replace(res, diag=tuple(diag)))
+            _verify_transforms(a, SNFResult(tuple(diag), res.rank, res.U, res.V, res.Uinv, res.Vinv))
 
 
 def test_chain_complex_boundaries_compose_to_zero():

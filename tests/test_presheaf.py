@@ -396,6 +396,26 @@ def test_illusie_certificate_agrees_with_the_stalk_rule():
     assert len(verdicts) == 276 and verdicts.count(False) > 50
 
 
+def test_one_plus_step_already_sheafifies_on_a_space_site():
+    """On a finite space's site the minimal covering sieve of U is generated
+    by the minimal opens U_p inside U, and the one of U_p is maximal, so a
+    family matching over it is already a section of the sheaf: one plus step
+    gives a sheaf.  sheafify_set keeps its second step all the same, since
+    the families of that step name the elements of its output."""
+    rng = random.Random(46)
+    spaces = [pseudo_circle_space(), sierpinski_space(), interval_cover_space()]
+    spaces += [gen(rng) for gen in (random_space, random_joined_space) for _ in range(10)]
+    not_sheaves = 0
+    for space in spaces:
+        site = site_from_finite_space(space)
+        for _ in range(4):
+            sp = random_set_presheaf(rng, site.category)
+            not_sheaves += not is_sheaf_set(site, sp).ok
+            rep = is_sheaf_set(site, gamma_prime_set(site, sp).presheaf)
+            assert rep.ok, (space.opens, sp.values, rep.kind)
+    assert not_sheaves > 20
+
+
 def test_sections_set_rejects_foreign_presheaf():
     _, site = _pc()
     other = site_from_finite_space(sierpinski_space())

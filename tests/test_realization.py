@@ -46,32 +46,29 @@ from finsite.presheaf import (
     terminal_set_presheaf,
     validate_functor,
 )
-from finsite.realization import (
-    covariant_descent_check,
-    order_complex_functor,
-    projector_image,
-    projector_maps,
-    realize,
-    sections_presheaf_on_triples,
-    triples_category,
-    validate_projector,
-    write_realization,
-)
+from finsite.realization import covariant_descent_check, order_complex_functor, realize, write_realization
 from finsite.reports import InputError, ValidationError
 from finsite.sset import SimplicialMap, pi0, validate_map, validate_sset
 
 import fixtures
+import oracles
 from oracles import (
     DictSimplicialMap,
+    ProjectorData,
     dict_validate_map,
     discretize_map,
     formula_realize,
     induced_map,
     induced_realization_map,
+    projector_image,
+    projector_maps,
     projector_rules,
     push_rule,
     realization_to_json,
+    sections_presheaf_on_triples,
     slice_descent_realization,
+    triples_category,
+    validate_projector,
 )
 from randgen import (
     random_nested_diagram,
@@ -569,7 +566,7 @@ def test_chain_table_is_built_once_per_category_and_cap(monkeypatch):
         tables.setdefault((id(cat), cap), []).append(ch)
         return ch
 
-    for module in (catsite, realization):
+    for module in (catsite, realization, oracles):
         monkeypatch.setattr(module, "chains", counted)
     for call, categories in (
         (lambda: induced_realization_map(f, pm, 3), 1),
@@ -781,8 +778,6 @@ def test_projector_rejects_non_idempotent_data():
     # redirect one object image to a non-fixed point of the projector
     moving = next(k for k in keys if str(broken_obj[k]) != str(k))
     broken_obj[broken_obj[moving]] = moving
-    from finsite.realization import ProjectorData
-
     bad = ProjectorData(d.category, broken_obj, d.mor_map, d.psi)
     assert not validate_projector(bad).ok
 

@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -35,6 +37,16 @@ def test_package_imports_only_itself_and_the_standard_library():
                 continue
             found += [f"{path.name}:{n.lineno} {m}" for m in names if m.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every command is a fresh process, so its imports are paid on every
+    job: dataclasses pulls in inspect, ast, dis and tokenize and exec-compiles
+    each record's methods.  -S keeps site hooks out of what is counted."""
+    code = "import sys, finsite.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_only_sset_reads_the_identifier_index():
@@ -106,12 +118,20 @@ def test_only_catsite_applies_the_chain_rule():
     assert found == []
 
 
+def _oracle_def(name: str) -> ast.FunctionDef:
+    """The top-level function of tests/oracles.py with that name."""
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def test_one_function_places_the_bar_blocks():
     """The block rule of the bar realization, start + a * width + b, is
     written once: one function of realization.py adds a product, realize and
-    _block_map both call it, and realize defines no function of its own."""
+    the tests' _block_map both call it and add none, and realize defines no
+    function of its own."""
     tree = ast.parse((PACKAGE / "realization.py").read_text())
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    block_map = _oracle_def("_block_map")
 
     def adds_a_product(node: ast.AST) -> bool:
         return any(
@@ -126,7 +146,8 @@ def test_one_function_places_the_bar_blocks():
 
     placing = [name for name, d in defs.items() if adds_a_product(d)]
     assert len(placing) == 1
-    assert placing[0] in called(defs["realize"]) & called(defs["_block_map"])
+    assert placing[0] in called(defs["realize"]) & called(block_map)
+    assert not adds_a_product(block_map)
     inner = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     assert [n for n in ast.walk(defs["realize"]) if isinstance(n, inner)] == [defs["realize"]]
 
@@ -160,9 +181,9 @@ def test_one_construction_for_sieves_and_representables():
     """A sieve is the subpresheaf of hom(-, base) it is, and a representable
     its maximal case: representable_set_presheaf calls sieve_presheaf;
     covariant_descent_check realizes that presheaf over a full subcategory,
-    with no terminal presheaf on a second category; projector_image is a full
-    subcategory; and no package module defines sieve_category or builds the
-    ("t", h, f, g) triangles of a slice category."""
+    with no terminal presheaf on a second category; the tests' projector_image
+    is a full subcategory; and no package module defines sieve_category or
+    builds the ("t", h, f, g) triangles of a slice category."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     defs = {
         f"{module}.{n.name}": n
@@ -170,6 +191,7 @@ def test_one_construction_for_sieves_and_representables():
         for n in ast.walk(tree)
         if isinstance(n, ast.FunctionDef)
     }
+    defs["oracles.projector_image"] = _oracle_def("projector_image")
 
     def calls(name: str) -> set[str]:
         return {
@@ -181,7 +203,7 @@ def test_one_construction_for_sieves_and_representables():
     assert "sieve_presheaf" in calls("presheaf.representable_set_presheaf")
     descent = calls("realization.covariant_descent_check")
     assert {"sieve_presheaf", "full_subcategory"} <= descent and "point_functor" not in descent
-    assert "full_subcategory" in calls("realization.projector_image")
+    assert "full_subcategory" in calls("oracles.projector_image")
     assert [name for name in defs if name.endswith(".sieve_category")] == []
     triangles = [
         f"{module}:{n.lineno}"
@@ -256,15 +278,11 @@ def test_degeneracy_is_read_off_the_degeneracy_table():
 
 # Reached by no command, and kept in the package on purpose: gallery is the
 # shared home of named instances; validate_site is the check a site document
-# will run; the projector stack is where criterion 6 checks the paper's
-# projector lemma; IntMatrix.data is read by the benchmark's tracer.
+# will run; IntMatrix.data is read by the benchmark's tracer.
 NOT_RUN_BUT_KEPT = {
     "gallery.circle_sset",
     "gallery.two_open_cover",
     "catsite.validate_site",
-    "realization.projector_maps",
-    "realization.triples_category",
-    "realization.sections_presheaf_on_triples",
     "homology.IntMatrix.data",
 }
 

@@ -14,10 +14,11 @@ simplex), but no level stores one: a level is a _BarLevel, which reads the
 identifier at a position off its chain table, block starts and the values'
 levels.  write_realization streams a realization's canonical JSON, these
 parts as per-simplex annotations beside the simplicial-set tables, level by
-level in sorted-key order, read by position and each part rendered once.
+level in sorted-key order, read by position, each identifier rendered once.
 Each level goes out in bounded pieces of simplices, so neither the payload
 dict nor a level's text is ever built, and the only per-position memory the
-writer adds is json_layout's orders of names.
+writer adds is json_layout's orders of names; of the chains it holds the
+rendered one in hand.
 
 Levels are laid out by chain position, from catsite.chains.  ckey orders a
 bar simplex by its parts in turn, so canonical level k is the concatenation,
@@ -32,7 +33,8 @@ last; a map of realizations (the tests' _block_map) reads t from a map of
 chain tables and the starts and widths from the target realization's
 levels, keeps the F column and moves the G column through a map of values.
 Tables and map images are stored as such columns, so realize keeps each
-operator's column as the level's table column of that operator.
+operator's column as the level's table column of that operator, filled a
+bounded part at a time.
 
 When G is a set presheaf on a space's opens and F is the point or the order
 complex, homology needs no bar realization: Re(F, G) is equivalent to the
@@ -47,10 +49,11 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from operator import eq, mul
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
+from finsite import sset
 from finsite.canon import cstr
 from finsite.catsite import (
     FinCat,
@@ -140,13 +143,20 @@ def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> tuple[_BarLevel, ...]:
     return tuple(out)
 
 
-def _column(there: _BarLevel, to: Sequence[int], fcols: Iterable, gcols: Iterable) -> array:
-    """Where one operator or one map sends a whole level, an array("i"): chain
-    c with its a-th F and b-th G simplex goes to starts[t] + fcols[c][a] *
-    widths[t] + gcols[c][b], t = to[c], in the bar level there."""
+def _column(there: _BarLevel, to: Sequence[int], fcols: Sequence, gcols: Sequence) -> array:
+    """Where one operator or one map sends a whole level, an array("i") of
+    exactly the level's length: chain c with its a-th F and b-th G simplex
+    goes to starts[t] + fcols[c][a] * widths[t] + gcols[c][b], t = to[c], in
+    the bar level there.  The array is filled sset._PIECE chains at a time,
+    so the only entries held as int objects are one part's."""
     starts, widths = there.starts, there.widths
+    out, at = array("i", [0]) * sum(map(mul, map(len, fcols), map(len, gcols))), 0
     blocks = zip(map(starts.__getitem__, to), map(widths.__getitem__, to), fcols, gcols)
-    return array("i", [s + a * w + b for s, w, fcol, gcol in blocks for a in fcol for b in gcol])
+    for _ in range(0, len(to), sset._PIECE):
+        part = [s + a * w + b for s, w, fcol, gcol in islice(blocks, sset._PIECE) for a in fcol for b in gcol]
+        out[at : at + len(part)] = array("i", part)
+        at += len(part)
+    return out
 
 
 def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
@@ -169,21 +179,22 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
     fv, gv = f.values, g.values
     faces, degeneracies = [()], []
     for k, level in enumerate(ch.levels):
-        x0s, xks = [x0 for x0, _, _ in level], [xk for _, _, xk in level]
+        # each chain's F value at its start and G value at its end
+        fs, gs = [fv[x0] for x0, _, _ in level], [gv[xk] for _, _, xk in level]
         moves = []
         if k:
             low = k - 1
             # d_0 pushes F's column along the first morphism, d_k pulls G's back
             push = {m: [a.images[low][q] for q in fv[cat.src(m)]._faces[k][0]] for m, a in f.action.items()}
             pull = {m: [a.images[low][q] for q in gv[cat.tgt(m)]._faces[k][k]] for m, a in g.action.items()}
-            fcols = [*zip(*(fv[x]._faces[k] for x in x0s))]
-            gcols = [*zip(*(gv[x]._faces[k] for x in xks))]
-            fcols[:1] = [[push[ms[0]] for _, ms, _ in level]]
-            gcols[k:] = [[pull[ms[-1]] for _, ms, _ in level]]
+            fcols = ([v._faces[k][i] for v in fs] for i in range(1, k + 1))
+            gcols = ([v._faces[k][i] for v in gs] for i in range(k))
+            fcols = chain([[push[ms[0]] for _, ms, _ in level]], fcols)
+            gcols = chain(gcols, [[pull[ms[-1]] for _, ms, _ in level]])
             moves.append((faces, levels[low], ch._faces[k], fcols, gcols))
         if k < dim_cap:
-            fcols = zip(*(fv[x]._degeneracies[k] for x in x0s))
-            gcols = zip(*(gv[x]._degeneracies[k] for x in xks))
+            fcols = ([v._degeneracies[k][i] for v in fs] for i in range(k + 1))
+            gcols = ([v._degeneracies[k][i] for v in gs] for i in range(k + 1))
             moves.append((degeneracies, levels[k + 1], ch._degeneracies[k], fcols, gcols))
         for tables, there, to, fcols, gcols in moves:
             tables.append(tuple(_column(there, *col) for col in zip(to, fcols, gcols)))
@@ -206,11 +217,13 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
     part and G part of each simplex by name.
 
     Each simplex is read off its level by position and named by formatting
-    its position.  The object and chain are rendered once per block, and
-    each level goes out in sorted-key order, in pieces of sset._PIECE
-    simplices, so the text held at once is one piece; beside it, the memory
-    the writer adds is json_layout's orders and each level's rendered
-    blocks and value simplices.
+    its position.  Only the chain in hand is kept rendered, its object and
+    morphisms as the annotation's head and tail: string order visits a
+    block in runs of positions, and when it moves to another chain, that
+    chain is rendered.  Each level goes out in sorted-key order, in pieces
+    of sset._PIECE simplices, so the text held at once is one piece; beside
+    it, the memory the writer adds is json_layout's orders, one chain's head
+    and tail, and the level's value simplices by name.
     """
     orders = json_layout(s)
     leaf = _Leaves()
@@ -218,20 +231,22 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
     def entries() -> Iterator[str]:
         # "10_0" sorts before "1_0": levels go in the order of their name prefix
         for k in sorted(range(len(s.levels)), key=lambda k: f"{k}_"):
-            level, key, blocks = s.levels[k], f'"{k}_', {}
+            level, key = s.levels[k], f'"{k}_'
             starts, widths = level.starts, level.widths
             # each object's value simplices by name, in their order
             fk = {x: [*map(leaf.__getitem__, zs)] for x, zs in level.fk.items()}
             gk = {x: [*map(leaf.__getitem__, zs)] for x, zs in level.gk.items()}
+            start = stop = 0
             for p in orders[k]:
-                c = bisect_right(starts, p) - 1
-                if c not in blocks:
+                if not start <= p < stop:
+                    # the order left the chain in hand: render the one holding p
+                    c = bisect_right(starts, p) - 1
+                    start, stop, width = starts[c], starts[c + 1], widths[c]
                     x0, ms, xk = level.chains[c]
-                    chain = ",".join(map(leaf.__getitem__, ms))
-                    head, tail = f'":{{"chain":[{chain}],"f":', f',"object":{leaf[x0]}}}'
-                    blocks[c] = head, tail, fk[x0], gk[xk]
-                head, tail, fs, gs = blocks[c]
-                a, b = divmod(p - starts[c], widths[c])
+                    mors = ",".join(map(leaf.__getitem__, ms))
+                    head, tail = f'":{{"chain":[{mors}],"f":', f',"object":{leaf[x0]}}}'
+                    fs, gs = fk[x0], gk[xk]
+                a, b = divmod(p - start, width)
                 yield f'{key}{p}{head}{fs[a]},"g":{gs[b]}{tail}'
 
     write('{"annotations":{')

@@ -416,7 +416,8 @@ def json_layout(s: SimplicialSet) -> list[array]:
     return [_string_order(len(level)) for level in s.levels]
 
 
-_PIECE = 1024
+# a piece of text is held three times at once: as a list of entries, joined and encoded
+_PIECE = 256
 
 
 def _write_pieces(write: Callable, entries: Iterable[str]) -> None:
@@ -474,7 +475,7 @@ def write_tables(s: SimplicialSet, orders: list[array], write: Callable[[str], A
     write(',"simplices":{')
     for n, k in enumerate(by_str):
         write(("," if n else "") + f'"{k}":[')
-        _write_pieces(write, (f'"{k}_{p}"' for p in range(len(s.levels[k]))))
+        _write_rows(write, f'"{k}_%d"', range(len(s.levels[k])), ())
         write("]")
     write("}")
 

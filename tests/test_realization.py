@@ -236,8 +236,11 @@ def test_streamed_realization_json_sorts_names_and_levels_as_strings():
 @pytest.mark.parametrize("piece", [1, 2, 3])
 def test_streamed_realization_json_is_the_same_in_any_piece_size(monkeypatch, piece):
     # with a level cut into pieces of 1, 2 or 3 simplices, every seam between
-    # pieces and between levels falls somewhere in the two tests' texts
+    # pieces and between levels falls somewhere in the two tests' texts; and
+    # realize, filling each column 1, 2 or 3 chains at a time, still matches
+    # the formula oracle
     monkeypatch.setattr(sset, "_PIECE", piece)
+    test_realize_matches_the_formula_oracle()
     test_streamed_realization_json_matches_the_reference_renderer()
     test_streamed_realization_json_sorts_names_and_levels_as_strings()
     test_streamed_realization_json_at_levels_of_one_piece_and_one_more()
@@ -290,7 +293,12 @@ def test_streamed_realization_json_holds_one_piece_at_a_time():
 def _interval_cover_case(cap: int):
     """The interval cover's order complex against the terminal presheaf, the
     realize-render job, with the chain table already built."""
-    space = interval_cover_space()
+    return _order_complex_case(interval_cover_space(), cap)
+
+
+def _order_complex_case(space, cap: int):
+    """A space's order complex against the terminal presheaf, with the chain
+    table already built."""
     site = site_from_finite_space(space)
     cat = site.category
     f, g = order_complex_functor(space, cap, site), point_functor(cat, cap, covariant=False)
@@ -315,17 +323,20 @@ def test_realize_holds_flat_tables_and_one_column_at_a_time():
 
 
 def test_realize_at_cap_5_keeps_no_table_of_identifiers():
-    # levels read by position keep 1.7 MB at cap 5 (5.8 MB when each of the
-    # 55,987 simplices held its (x0, ms, F part, G part) tuple)
+    # levels read by position keep 1.66 MiB at cap 5 (5.8 MB when each of
+    # the 55,987 simplices held its (x0, ms, F part, G part) tuple, 1.78 MiB
+    # with columns grown by +=); columns filled _PIECE chains at a time hold
+    # 1.18 MiB beside that (1.65 MiB with a whole column of int objects)
     cat, f, g = _interval_cover_case(5)
     tracemalloc.start()
     try:
         re = realize(cat, f, g, 5)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sum(re.counts()) == 55987
-    assert kept < 2.5 * 2**20
+    assert kept < 1.7 * 2**20
+    assert peak - kept < 1.25 * 2**20
 
 
 def test_streamed_realization_json_at_cap_5_holds_one_digit_table():
@@ -353,18 +364,24 @@ def test_streamed_realization_json_at_cap_5_holds_one_digit_table():
 
 def test_writer_and_degeneracy_scan_at_cap_5_keep_no_per_position_table():
     # table rows formatted a piece at a time from strided views of the
-    # tables, and names ordered by a digit walk, keep the writer's traced
-    # peak at 1.9 MiB (4.2 MiB with a digit string per position and a sort
-    # key list); a bytearray whose hits are cleared keeps the scan of all
-    # six levels at 0.4 MiB (3.4 MiB with a set of the hit positions)
-    cat, f, g = _interval_cover_case(5)
-    re = realize(cat, f, g, 5)
-    tracemalloc.start()
-    try:
-        write_realization(re, lambda text: None)
-        writer = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # tables, names ordered by a digit walk, and only the chain in hand
+    # rendered keep the writer's traced peak at 0.55 MiB here and 0.48 MiB
+    # on McCord's S^3 at cap 4 (1.90 and 2.33 MiB with every chain's head
+    # and tail kept for the level and pieces of 1,024 simplices, 4.2 MiB here
+    # with a digit string per position and a sort key list); a bytearray
+    # whose hits are cleared keeps the scan of all six levels at 0.4 MiB
+    # (3.4 MiB with a set of the hit positions)
+    from test_homology import mccord_sphere
+
+    re = realize(*_interval_cover_case(5), 5)
+    for s in (re, realize(*_order_complex_case(mccord_sphere(3), 4), 4)):
+        tracemalloc.start()
+        try:
+            write_realization(s, lambda text: None)
+            writer = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert writer < 2**20
     tracemalloc.start()
     try:
         counts = re.nondegenerate_counts()
@@ -372,7 +389,6 @@ def test_writer_and_degeneracy_scan_at_cap_5_keep_no_per_position_table():
     finally:
         tracemalloc.stop()
     assert counts == (44, 235, 646, 1338, 2488, 4280)
-    assert writer < 2.5 * 2**20
     assert scan < 2**20
 
 

@@ -3,14 +3,11 @@
 A FinCat stores objects, morphisms, identities, and a total composition table
 on composable pairs.  chains gives its nerve by position, built once per cap
 and kept on the category: the one place where faces and degeneracies act on
-chains, read by nerve, by the bar realization and by the maps between
-realizations.  A site pairs a category with one minimal covering sieve per
-object: on a finite site a sieve covers exactly when it contains that one,
-and the list of covering sieves is derived from it when read.  A sieve is
-its set of members, a subpresheaf of hom(-, base) (presheaf.sieve_presheaf),
-and no slice category is built: a category built over another is a full
-subcategory.  Everything is small enough to enumerate, and every collection
-is kept canonically sorted.
+chains.  A site pairs a category with one minimal covering sieve per object:
+on a finite site a sieve covers exactly when it contains that one.  A sieve
+is its set of members, a subpresheaf of hom(-, base), and a category built
+over another is a full subcategory.  Every collection is kept canonically
+sorted.
 """
 
 from __future__ import annotations
@@ -18,11 +15,11 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from finsite.canon import ckey, csorted, cstr
 from finsite.reports import InputError, Report, ValidationError
-from finsite.sset import SimplicialSet, tabulate
+from finsite.sset import Level, SimplicialSet, tabulate
 
 ObjId = Any
 MorId = Any
@@ -184,14 +181,41 @@ def poset_category(
     return FinCat(elements, mors, identities, composition)
 
 
+class _ChainLevel(Level):
+    """Level k of a chain table: per chain, as indices into the category's
+    objects and morphisms, its start and end object and first and last
+    morphism, and its parent d_k in the level below.  The chain at p is
+    (x0, ms, xk), ms its parent's morphisms followed by its last one."""
+
+    __slots__ = ("objects", "mids", "below", "parent", "start", "end", "first", "last")
+
+    def __init__(self, objects: tuple, mids: tuple, below: Level | None, parent, start, end, first, last):
+        self.objects, self.mids, self.below, self.parent = objects, mids, below, parent
+        self.start, self.end, self.first, self.last = start, end, first, last
+
+    def __len__(self) -> int:
+        return len(self.end)
+
+    def __getitem__(self, p: int) -> tuple:
+        xk = self.objects[self.end[p]]
+        if self.below is None:
+            return xk, (), xk
+        x0, ms, _ = self.below[self.parent[p]]
+        return x0, (*ms, self.mids[self.last[p]]), xk
+
+    def extend(self, below: Sequence, steps: Sequence) -> list:
+        """Per chain, its parent's entry of below followed by its last morphism's of steps."""
+        return [below[q] + steps[j] for q, j in zip(self.parent, self.last)]
+
+
 def chains(cat: FinCat, dim_cap: int) -> SimplicialSet:
     """The nerve by position, built once per cap and kept on the category:
-    level k lists the k-chains (start, morphisms, end), identities allowed as
-    steps, in (start, morphisms) order under ckey.  The children of a chain,
-    one per morphism out of its end, are consecutive, and each k-chain is its
-    parent d_k followed by its last morphism m: d_i (i < k-1) and s_i (i < k)
-    are those of the parent followed by m, d_{k-1} is the grandparent followed
-    by m after the parent's last morphism, and s_k appends an identity."""
+    level k, a _ChainLevel, lists the k-chains, identities allowed as steps,
+    in (start, morphisms) order under ckey.  The children of a chain, one per
+    morphism out of its end, are consecutive, and each k-chain is its parent
+    d_k followed by its last morphism m: d_i (i < k-1) and s_i (i < k) are
+    those of the parent followed by m, d_{k-1} is the grandparent followed by
+    m after the parent's last morphism, and s_k appends an identity."""
     if dim_cap in cat._chains:
         return cat._chains[dim_cap]
     mors = list(cat.morphisms.values())
@@ -203,23 +227,28 @@ def chains(cat: FinCat, dim_cap: int) -> SimplicialSet:
     tgt = [obj[m.tgt] for m in mors]
     comp = {(at[g], at[f]): at[h] for (g, f), h in cat.composition.items()}
     ident = [rank[at[cat.identity(x)]] for x in cat.objects]
-    # steps: each chain's parent and last morphism; ends: its end object
-    levels, steps, ends = [tuple((x, (), x) for x in cat.objects)], [], list(range(len(obj)))
+    objects = array("i", range(len(obj)))
+    levels = [_ChainLevel(cat.objects, tuple(at), None, None, objects, objects, None, None)]
     faces, degeneracies, prev = [()], [], []
     for k in range(dim_cap):
-        first = list(accumulate((len(out[e]) for e in ends), initial=0))
+        level = levels[k]
+        first = list(accumulate((len(out[e]) for e in level.end), initial=0))
+        steps = list(zip(level.parent, level.last)) if k else []
         below = degeneracies[k - 1] if k else ()
         cols = [array("i", [first[col[q]] + rank[j] for q, j in steps]) for col in below]
-        cols.append(array("i", [first[p] + ident[e] for p, e in enumerate(ends)]))
+        cols.append(array("i", [first[p] + ident[e] for p, e in enumerate(level.end)]))
         degeneracies.append(tuple(cols))
-        new = [(q, j) for q, e in enumerate(ends) for j in out[e]]
-        ch = levels[k]
-        levels.append(tuple([(ch[q][0], ch[q][1] + (mors[j].mid,), mors[j].tgt) for q, j in new]))
+        parent = array("i", [q for q, e in enumerate(level.end) for _ in out[e]])
+        last = array("i", [j for e in level.end for j in out[e]])
+        new, end = list(zip(parent, last)), array("i", map(tgt.__getitem__, last))
         cols = [array("i", [prev[col[q]] + rank[j] for q, j in new]) for col in faces[k][:k]]
-        # d_k (k > 0) is q's parent steps[q][0] followed by m after q's last morphism
-        last = [tgt[j] if not k else prev[steps[q][0]] + rank[comp[j, steps[q][1]]] for q, j in new]
-        faces.append((*cols, array("i", last), array("i", [q for q, _ in new])))
-        steps, ends, prev = new, [tgt[j] for _, j in new], first
+        # d_k is q's parent followed by m after q's last morphism, or m's end for k = 0
+        inner = array("i", [prev[steps[q][0]] + rank[comp[j, steps[q][1]]] for q, j in new]) if k else end
+        faces.append((*cols, inner, parent))
+        start = array("i", map(level.start.__getitem__, parent))
+        head = array("i", map(level.first.__getitem__, parent)) if k else last
+        levels.append(_ChainLevel(cat.objects, level.mids, level, parent, start, end, head, last))
+        prev = first
     cat._chains[dim_cap] = SimplicialSet(dim_cap, tuple(levels), tuple(faces), tuple(degeneracies))
     return cat._chains[dim_cap]
 
@@ -228,8 +257,10 @@ def nerve(cat: FinCat, dim_cap: int) -> SimplicialSet:
     """Nerve truncated at dim_cap: the chain table with each 0-chain named
     ("o", x) and each k-chain ("m", *morphisms), sorted by tabulate."""
     ch = chains(cat, dim_cap)
-    names = [[("o", x) for x, _, _ in ch.levels[0]]]
-    names += [[("m",) + ms for _, ms, _ in level] for level in ch.levels[1:]]
+    steps, named = [(m,) for m in cat.morphisms], [("m",)] * len(cat.objects)
+    names = [[("o", x) for x in cat.objects]]
+    for level in ch.levels[1:]:
+        names.append(named := level.extend(named, steps))
     at = [dict(zip(level, range(len(level)))) for level in names]
     return tabulate(
         dim_cap,

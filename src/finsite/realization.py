@@ -9,32 +9,15 @@ simplex parts.  This is the diagonal of the evident bisimplicial set, so the
 simplicial identities hold whenever F and G are functorial; validate_sset
 confirms it on any concrete instance.
 
-A simplex's identifier is (start object, morphism chain, F simplex, G
-simplex), but no level stores one: a level is a _BarLevel, which reads the
-identifier at a position off its chain table, block starts and the values'
-levels.  write_realization streams a realization's canonical JSON, these
-parts as per-simplex annotations beside the simplicial-set tables, level by
-level in sorted-key order, read by position, each identifier rendered once.
-Each level goes out in bounded pieces of simplices, so neither the payload
-dict nor a level's text is ever built, and the only per-position memory the
-writer adds is json_layout's orders of names; of the chains it holds the
-rendered one in hand.
-
-Levels are laid out by chain position, from catsite.chains.  ckey orders a
-bar simplex by its parts in turn, so canonical level k is the concatenation,
-over the table's k-chains in order, of the product blocks F(x_0)_k x
-G(x_k)_k, each factor in its own canonical order: (chain c, a-th F simplex,
-b-th G simplex) sits at c's block start + a * |G(x_k)_k| + b.  One column
-rule (_column) places every block: an operator or a map sends c to a chain
-t and (c, a, b) to t's start + fcol[a] * t's width + gcol[b].  d_i and s_i
-read t from the chain table and the columns from F's and G's tables, d_0
-pushing F's along the first morphism and d_k pulling G's back along the
-last; a map of realizations (the tests' _block_map) reads t from a map of
-chain tables and the starts and widths from the target realization's
-levels, keeps the F column and moves the G column through a map of values.
-Tables and map images are stored as such columns, so realize keeps each
-operator's column as the level's table column of that operator, filled a
-bounded part at a time.
+Everything but the tables is kept by position.  A level is a _BarLevel over
+a chain level of catsite.chains: ckey orders a bar simplex by its parts in
+turn, so canonical level k is the concatenation, over the k-chains in order,
+of the product blocks F(x_0)_k x G(x_k)_k, and (chain c, a-th F simplex, b-th
+G simplex) sits at c's block start + a * |G(x_k)_k| + b.  One column rule
+(_column) places every block: an operator or a map sends c to a chain t and
+(c, a, b) to t's start + fcol[a] * t's width + gcol[b]; a map of
+realizations (the tests' _block_map) reads t from a map of chain tables.
+write_realization streams the canonical JSON in bounded pieces of simplices.
 
 When G is a set presheaf on a space's opens and F is the point or the order
 complex, homology needs no bar realization: Re(F, G) is equivalent to the
@@ -49,11 +32,10 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain, islice
-from operator import eq, mul
+from itertools import accumulate, chain, compress, islice, product
+from operator import mul
 from typing import Any, Callable, Iterator, Sequence
 
-from finsite import sset
 from finsite.canon import cstr
 from finsite.catsite import (
     FinCat,
@@ -86,23 +68,21 @@ from finsite.presheaf import (
 )
 from finsite.reports import InputError, InternalCheckError
 from finsite.sset import (
-    SimplicialMap, SimplicialSet, _write_pieces, components, json_layout, pi0, write_tables
+    Level, SimplicialMap, SimplicialSet, _write_pieces, components, json_layout, pi0, write_tables
 )
 
 ObjId = Any
 MorId = Any
 
 
-class _BarLevel(Sequence):
-    """Level k of a bar realization, read by position and never stored
-    simplex by simplex: the k-chains (x0, ms, xk) of catsite.chains, each
+class _BarLevel(Level):
+    """Level k of a bar realization: the k-chains of catsite.chains, each
     chain's block start and width |G(x_k)_k| (starts ends with the level's
-    size), and each object's level k of F and of G.  The simplex at p is
-    (x0, ms, F part, G part) of the chain whose block holds p."""
+    size), and each object's level k of F and of G."""
 
     __slots__ = ("chains", "starts", "widths", "fk", "gk")
 
-    def __init__(self, chains: Sequence, starts: list[int], widths: list[int], fk: dict, gk: dict):
+    def __init__(self, chains: Level, starts: array, widths: array, fk: dict, gk: dict):
         self.chains, self.starts, self.widths, self.fk, self.gk = chains, starts, widths, fk, gk
 
     def __len__(self) -> int:
@@ -123,39 +103,39 @@ class _BarLevel(Sequence):
         fk, gk = self.fk, self.gk
         return ((x0, ms, a, b) for x0, ms, xk in self.chains for a in fk[x0] for b in gk[xk])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _BarLevel)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
 
 def _layout(ch: SimplicialSet, f: Functor, g: Functor) -> tuple[_BarLevel, ...]:
-    """Per level k, the bar level of f against g over ch's k-chains: each
-    chain's block start and width |G(x_k)_k|, and each object's level k of F
-    and of G."""
+    """Per level k, the bar level of f against g over ch's k-chains."""
     out = []
     for k, level in enumerate(ch.levels):
         fk = {x: v.levels[k] for x, v in f.values.items()}
         gk = {x: v.levels[k] for x, v in g.values.items()}
-        widths = [len(gk[xk]) for _, _, xk in level]
-        starts = list(accumulate(map(mul, [len(fk[x0]) for x0, _, _ in level], widths), initial=0))
+        fn, gn = [len(fk[x]) for x in level.objects], [len(gk[x]) for x in level.objects]
+        widths = array("i", map(gn.__getitem__, level.end))
+        starts = array("i", accumulate(map(mul, map(fn.__getitem__, level.start), widths), initial=0))
         out.append(_BarLevel(level, starts, widths, fk, gk))
     return tuple(out)
+
+
+# the most entries one part of a column holds as int objects, unless one block has more
+_PART = 4096
 
 
 def _column(there: _BarLevel, to: Sequence[int], fcols: Sequence, gcols: Sequence) -> array:
     """Where one operator or one map sends a whole level, an array("i") of
     exactly the level's length: chain c with its a-th F and b-th G simplex
     goes to starts[t] + fcols[c][a] * widths[t] + gcols[c][b], t = to[c], in
-    the bar level there.  The array is filled sset._PIECE chains at a time,
-    so the only entries held as int objects are one part's."""
+    the bar level there.  It is filled a run of whole blocks of at most _PART
+    entries at a time, or one block alone when it has more."""
     starts, widths = there.starts, there.widths
-    out, at = array("i", [0]) * sum(map(mul, map(len, fcols), map(len, gcols))), 0
+    ends = list(accumulate(map(mul, map(len, fcols), map(len, gcols)), initial=0))
+    out, c = array("i", [0]) * ends[-1], 0
     blocks = zip(map(starts.__getitem__, to), map(widths.__getitem__, to), fcols, gcols)
-    for _ in range(0, len(to), sset._PIECE):
-        part = [s + a * w + b for s, w, fcol, gcol in islice(blocks, sset._PIECE) for a in fcol for b in gcol]
-        out[at : at + len(part)] = array("i", part)
-        at += len(part)
+    while c < len(to):
+        d = max(bisect_right(ends, ends[c] + _PART) - 1, c + 1)
+        part = [s + a * w + b for s, w, fs, gs in islice(blocks, d - c) for a, b in product(fs, gs)]
+        out[ends[c] : ends[d]] = array("i", part)
+        c = d
     return out
 
 
@@ -176,21 +156,23 @@ def realize(cat: FinCat, f: Functor, g: Functor, dim_cap: int) -> SimplicialSet:
         raise InputError("dim_cap must be nonnegative")
     ch = chains(cat, dim_cap)
     levels = _layout(ch, f, g)
-    fv, gv = f.values, g.values
+    # F's and G's values by object index, their actions by morphism index
+    fv, gv = [f.values[x] for x in cat.objects], [g.values[x] for x in cat.objects]
+    fa, ga = [f.action[m] for m in cat.morphisms], [g.action[m] for m in cat.morphisms]
     faces, degeneracies = [()], []
     for k, level in enumerate(ch.levels):
         # each chain's F value at its start and G value at its end
-        fs, gs = [fv[x0] for x0, _, _ in level], [gv[xk] for _, _, xk in level]
+        fs, gs = [*map(fv.__getitem__, level.start)], [*map(gv.__getitem__, level.end)]
         moves = []
         if k:
             low = k - 1
             # d_0 pushes F's column along the first morphism, d_k pulls G's back
-            push = {m: [a.images[low][q] for q in fv[cat.src(m)]._faces[k][0]] for m, a in f.action.items()}
-            pull = {m: [a.images[low][q] for q in gv[cat.tgt(m)]._faces[k][k]] for m, a in g.action.items()}
+            push = [[a.images[low][q] for q in a.source._faces[k][0]] for a in fa]
+            pull = [[a.images[low][q] for q in a.source._faces[k][k]] for a in ga]
             fcols = ([v._faces[k][i] for v in fs] for i in range(1, k + 1))
             gcols = ([v._faces[k][i] for v in gs] for i in range(k))
-            fcols = chain([[push[ms[0]] for _, ms, _ in level]], fcols)
-            gcols = chain(gcols, [[pull[ms[-1]] for _, ms, _ in level]])
+            fcols = chain([[*map(push.__getitem__, level.first)]], fcols)
+            gcols = chain(gcols, [[*map(pull.__getitem__, level.last)]])
             moves.append((faces, levels[low], ch._faces[k], fcols, gcols))
         if k < dim_cap:
             fcols = ([v._degeneracies[k][i] for v in fs] for i in range(k + 1))
@@ -216,23 +198,26 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
     sset.write_tables and, under "annotations", the start object, chain, F
     part and G part of each simplex by name.
 
-    Each simplex is read off its level by position and named by formatting
-    its position.  Only the chain in hand is kept rendered, its object and
-    morphisms as the annotation's head and tail: string order visits a
-    block in runs of positions, and when it moves to another chain, that
-    chain is rendered.  Each level goes out in sorted-key order, in pieces
-    of sset._PIECE simplices, so the text held at once is one piece; beside
-    it, the memory the writer adds is json_layout's orders, one chain's head
-    and tail, and the level's value simplices by name.
+    Each level goes out in sorted-key order, in pieces of sset._PIECE
+    simplices read off the level by position.  String order visits a block
+    in runs of positions, and only the chain in hand is kept rendered: its
+    parent's rendered morphism list, held for the whole level below, and
+    its last morphism.
     """
     orders = json_layout(s)
     leaf = _Leaves()
 
     def entries() -> Iterator[str]:
+        # each morphism rendered with a comma after it
+        steps = [f"{leaf[m]}," for m in s.levels[0].chains.mids]
         # "10_0" sorts before "1_0": levels go in the order of their name prefix
         for k in sorted(range(len(s.levels)), key=lambda k: f"{k}_"):
             level, key = s.levels[k], f'"{k}_'
-            starts, widths = level.starts, level.widths
+            starts, widths, ch = list(level.starts), level.widths, level.chains
+            # each (k-1)-chain's morphisms so rendered
+            below = [""] * len(s.levels[0].chains)
+            for j in range(1, k):
+                below = s.levels[j].chains.extend(below, steps)
             # each object's value simplices by name, in their order
             fk = {x: [*map(leaf.__getitem__, zs)] for x, zs in level.fk.items()}
             gk = {x: [*map(leaf.__getitem__, zs)] for x, zs in level.gk.items()}
@@ -242,8 +227,8 @@ def write_realization(s: SimplicialSet, write: Callable[[str], Any]) -> None:
                     # the order left the chain in hand: render the one holding p
                     c = bisect_right(starts, p) - 1
                     start, stop, width = starts[c], starts[c + 1], widths[c]
-                    x0, ms, xk = level.chains[c]
-                    mors = ",".join(map(leaf.__getitem__, ms))
+                    x0, xk = ch.objects[ch.start[c]], ch.objects[ch.end[c]]
+                    mors = f"{below[ch.parent[c]]}{leaf[ch.mids[ch.last[c]]]}" if k else ""
                     head, tail = f'":{{"chain":[{mors}],"f":', f',"object":{leaf[x0]}}}'
                     fs, gs = fk[x0], gk[xk]
                 a, b = divmod(p - start, width)
@@ -264,20 +249,32 @@ def order_complex_functor(space: FiniteSpace, dim_cap: int, site: Site) -> Funct
 
     The value at an open U is the nerve of the specialization order on the
     points of U (p <= q iff p lies in every open containing q); inclusions of
-    opens act as the induced nerve inclusions.
+    opens act as the induced nerve inclusions.  All are read off the nerve of
+    the whole space: an open holds every point below one of its own, so the
+    chains of U are those whose last point lies in U, in the whole nerve's
+    order, and tables and inclusions are computed by position.
     """
     cat = site.category
-    by_id = {open_id(o): o for o in space.opens}
-    values = {}
-    for uid in cat.objects:
-        sub = poset_category(by_id[uid], space.specialization_leq)
-        values[uid] = nerve(sub, dim_cap)
-    action = {}
-    for m in cat.morphisms.values():
-        # chains of a subposet keep their identifiers in the bigger nerve
-        action[m.mid] = SimplicialMap.from_function(
-            values[m.src], values[m.tgt], lambda k, z: z
-        )
+    pc = poset_category(space.points, space.specialization_leq)
+    whole = nerve(pc, dim_cap)
+    # each simplex's last point: the vertex x of ("o", x), or the last morphism's end
+    tops = [[z[-1] if not k else pc.tgt(z[-1]) for z in level] for k, level in enumerate(whole.levels)]
+    opens = {open_id(o): o.__contains__ for o in space.opens}
+    kept = {u: [array("i", compress(range(len(t)), map(has, t))) for t in tops] for u, has in opens.items()}
+    values, images = {}, {}
+
+    def gather(to: array, cols: tuple, ps: array) -> tuple[array, ...]:
+        return tuple(array("i", map(to.__getitem__, map(col.__getitem__, ps))) for col in cols)
+
+    for u in cat.objects:
+        at, ps = [array("i", accumulate(map(opens[u], t), initial=0)) for t in tops], kept[u]
+        levels = tuple(tuple(map(level.__getitem__, p)) for level, p in zip(whole.levels, ps))
+        faces = tuple(gather(at[k - 1], whole._faces[k], ps[k]) for k in range(dim_cap + 1))
+        degeneracies = tuple(gather(at[k + 1], whole._degeneracies[k], ps[k]) for k in range(dim_cap))
+        values[u] = SimplicialSet(dim_cap, levels, faces, degeneracies)
+        for m in cat.hom_into(u):
+            images[m] = tuple(array("i", map(a.__getitem__, p)) for a, p in zip(at, kept[cat.src(m)]))
+    action = {m: SimplicialMap(values[cat.src(m)], values[cat.tgt(m)], images[m]) for m in cat.morphisms}
     return Functor(cat, dim_cap, values, action, covariant=True)
 
 

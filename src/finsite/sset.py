@@ -11,33 +11,21 @@ nondegenerate reads that off the s_i table alone.
 Storage is by position.  Each level lists its simplices once, in canonical
 order.  d_i and s_i of level k are k + 1 int array columns, one per operator:
 entry p of column i is the position in the adjacent level of op_i of the
-simplex at p.  Builders fill a table one operator column at a time, and
-readers index t[i][p].  nondegenerate lists positions too, and a built
-simplex has no other address than its position.  The {simplex: position}
-index of the levels is derived only where a formula names simplices by
-identifier: in tabulate, in SimplicialMap.from_function, and in has, which
-from_json needs.  tabulate builds a set from formulas: it sorts each level,
-evaluates the formulas once per simplex through that index, and refuses an
-image outside its level.  The bar realization (realization.realize) computes
-every position inside a block from tables already in range, so it needs
-neither the sort, the check nor the index.  A map between two sets is stored
-the same way: per level, an int array of the target position of each source
-simplex's image, like one operator's column.  SimplicialMap.from_function
-evaluates a formula once per simplex and refuses an image outside the target.
-pi0 answers by position too: each component is the tuple of its vertex
-positions in level 0.
+simplex at p.  nondegenerate lists positions too, and a map between two sets
+is stored the same way: per level, an array of the target position of each
+source simplex's image.  The {simplex: position} index of the levels is
+derived only where a formula names simplices by identifier: in tabulate,
+SimplicialMap.from_function and has.  tabulate and from_function evaluate
+their formulas once per simplex and refuse an image outside its level;
+realize, catsite.chains and the order complex compute every position from
+tables already in range.  pi0 answers by position too.
 
 Identifiers are opaque: strings for user data, nested tuples for constructed
-simplices (chains of a category, bar simplices).  Serialization names
-the simplex at position p of level k "k_p", so internal tuple ids never leak
-into output.  write_tables writes the tables in the form from_json reads back,
-as canonical JSON text straight from the position tables, keys in sorted
-order, each level in bounded pieces of simplices, so neither a dict of the
-tables nor a level's text is built.  A piece of rows is one % format, filled
-from the columns of the table, and the only per-position memory it adds is
-json_layout's orders, each level's positions in the string order of their
-names, found by a walk of the decimal digits.
-from_json accepts one spelling of a level key, the one str(k) gives.
+simplices.  Serialization names the simplex at position p of level k "k_p",
+so internal ids never leak into output.  write_tables writes the tables as
+canonical JSON straight from the position tables, each level in bounded
+pieces of simplices; from_json reads them back and accepts one spelling of a
+level key, the one str(k) gives.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ from array import array
 from functools import cached_property
 from itertools import chain, combinations, compress, islice
 from math import comb
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from finsite.canon import ckey, csorted, cstr
@@ -61,18 +49,29 @@ Table = tuple[array, ...]
 Op = Callable[[int, SimplexId, int], SimplexId]
 
 
+class Level(Sequence):
+    """A level computed by position, never stored simplex by simplex: equal
+    to a tuple or a level of the same simplices in the same order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, Level)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class SimplicialSet:
     """Immutable-by-convention simplicial set truncated at dim_cap.
 
     levels[k] holds the k-simplices in canonical order, as any read-only
-    sequence addressed by position: a tuple, or a bar level that computes
-    the simplex at p (realization._BarLevel); simplices(k) gives it as a
-    tuple.  _faces[k][i][p] is the position in level k-1 of d_i of the
-    simplex at p of level k, and _degeneracies[k][i][p] the position in
-    level k+1 of s_i; _faces[0] has no columns, and _degeneracies covers
-    levels 0..dim_cap-1 only.
+    sequence addressed by position: a tuple, or a Level that computes the
+    simplex at p; simplices(k) gives it as a tuple.  _faces[k][i][p] is the
+    position in level k-1 of d_i of the simplex at p of level k, and
+    _degeneracies[k][i][p] the position in level k+1 of s_i; _faces[0] has
+    no columns, and _degeneracies covers levels 0..dim_cap-1 only.
     Every constructor keeps each position in its level: tabulate checks each
-    image, realize and catsite.chains compute each one inside the level.
+    image, and the others compute each one inside the level.
     """
 
     def __init__(
@@ -86,7 +85,7 @@ class SimplicialSet:
         self.levels = levels
         self._faces = faces
         self._degeneracies = degeneracies
-        self._nondeg_cache: dict[int, tuple[int, ...]] = {}
+        self._nondeg_cache: dict[int, array] = {}
 
     @cached_property
     def _index(self) -> tuple[dict[SimplexId, int], ...]:
@@ -106,16 +105,15 @@ class SimplicialSet:
     def has(self, k: int, z: SimplexId) -> bool:
         return 0 <= k <= self.dim_cap and z in self._index[k]
 
-    def nondegenerate(self, k: int) -> tuple[int, ...]:
-        """Positions in level k of the nondegenerate k-simplices, ascending:
-        those that no entry of the s_i columns of level k-1 hits, kept as a
-        bytearray of one byte a position that each hit clears."""
+    def nondegenerate(self, k: int) -> array:
+        """Positions in level k of the nondegenerate k-simplices, an ascending
+        array("i"): those that no entry of the s_i columns of level k-1 hits."""
         if k not in self._nondeg_cache:
             n = len(self._level(k))
             free = bytearray(b"\1") * n
             for q in chain.from_iterable(self._degeneracies[k - 1] if k else ()):
                 free[q] = 0
-            self._nondeg_cache[k] = tuple(compress(range(n), free))
+            self._nondeg_cache[k] = array("i", compress(range(n), free))
         return self._nondeg_cache[k]
 
     def counts(self) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ These recompute results the package already produces, by different
 algorithms (fraction-free determinants, determinant divisors, exhaustive
 stalk-family search), so agreement between the two routes is evidence and
 not circularity.  Beside them are reference routes that no command runs:
-the former identifier-keyed tables and formulas, the tables as a JSON dict
+the former identifier-keyed tables and formulas, the order complex built
+one open at a time (per_open_order_complex), the tables as a JSON dict
 (sset_to_json), homology one degree at a time (homology), and the global
 sections of a set presheaf (sections_set), the route through the sieve
 category that matching families and descent realizations are checked against
@@ -45,7 +46,9 @@ from finsite.catsite import (
     chains,
     full_subcategory,
     maximal_sieve,
+    nerve,
     open_id,
+    poset_category,
     pullback_sieve,
 )
 from finsite.homology import (
@@ -702,6 +705,41 @@ def formula_realize(cat, f, g, dim_cap: int):
         return (x0, ext, degeneracy(f.values[x0], k, fs, i), degeneracy(g.values[xk], k, gs, i))
 
     return tabulate(dim_cap, levels, bar_face, bar_degeneracy)
+
+
+def per_open_order_complex(space: FiniteSpace, dim_cap: int, site: Site) -> Functor:
+    """The former order-complex functor, kept as a reference: the value at
+    each open U is the nerve of the specialization order on U's points,
+    built and sorted on its own, and each inclusion acts by looking every
+    chain up by identifier in the bigger nerve."""
+    cat = site.category
+    by_id = {open_id(o): o for o in space.opens}
+    values = {u: nerve(poset_category(by_id[u], space.specialization_leq), dim_cap) for u in cat.objects}
+    action = {
+        m.mid: SimplicialMap.from_function(values[m.src], values[m.tgt], lambda k, z: z)
+        for m in cat.morphisms.values()
+    }
+    return Functor(cat, dim_cap, values, action, covariant=True)
+
+
+def functor_mismatches(f: Functor, ref: Functor) -> list[tuple]:
+    """Where two functors on one category differ, position by position: per
+    value, its levels and every face and degeneracy column; per action, its
+    images, level by level."""
+    found = []
+    for x, v in f.values.items():
+        w = ref.values[x]
+        found += [(x, "level", k) for k, (a, b) in enumerate(zip(v.levels, w.levels, strict=True)) if tuple(a) != tuple(b)]
+        for name, mine, theirs in (("d", v._faces, w._faces), ("s", v._degeneracies, w._degeneracies)):
+            found += [
+                (x, name, k, i)
+                for k, (t, u) in enumerate(zip(mine, theirs, strict=True))
+                for i, (a, b) in enumerate(zip(t, u, strict=True))
+                if list(a) != list(b)
+            ]
+    for m, a in f.action.items():
+        found += [(m, "image", k) for k, (p, q) in enumerate(zip(a.images, ref.action[m].images, strict=True)) if list(p) != list(q)]
+    return found
 
 
 def push_rule(cat, m):

@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,7 +49,7 @@ from finsite.presheaf import (
 )
 from finsite.realization import covariant_descent_check, order_complex_functor, realize, write_realization
 from finsite.reports import InputError, ValidationError
-from finsite.sset import SimplicialMap, pi0, validate_map, validate_sset
+from finsite.sset import SimplicialMap, SimplicialSet, pi0, validate_map, validate_sset
 
 import fixtures
 import oracles
@@ -237,9 +238,11 @@ def test_streamed_realization_json_sorts_names_and_levels_as_strings():
 def test_streamed_realization_json_is_the_same_in_any_piece_size(monkeypatch, piece):
     # with a level cut into pieces of 1, 2 or 3 simplices, every seam between
     # pieces and between levels falls somewhere in the two tests' texts; and
-    # realize, filling each column 1, 2 or 3 chains at a time, still matches
-    # the formula oracle
+    # realize, filling each column in parts of at most 1, 2 or 3 entries, so
+    # that every block of more entries is filled alone, still matches the
+    # formula oracle
     monkeypatch.setattr(sset, "_PIECE", piece)
+    monkeypatch.setattr(realization, "_PART", piece)
     test_realize_matches_the_formula_oracle()
     test_streamed_realization_json_matches_the_reference_renderer()
     test_streamed_realization_json_sorts_names_and_levels_as_strings()
@@ -323,10 +326,11 @@ def test_realize_holds_flat_tables_and_one_column_at_a_time():
 
 
 def test_realize_at_cap_5_keeps_no_table_of_identifiers():
-    # levels read by position keep 1.66 MiB at cap 5 (5.8 MB when each of
+    # levels read by position keep 1.54 MiB at cap 5 (5.8 MB when each of
     # the 55,987 simplices held its (x0, ms, F part, G part) tuple, 1.78 MiB
-    # with columns grown by +=); columns filled _PIECE chains at a time hold
-    # 1.18 MiB beside that (1.65 MiB with a whole column of int objects)
+    # with columns grown by +=); columns filled in parts of at most _PART
+    # entries hold 0.51 MiB beside that (1.18 MiB in parts of 256 chains,
+    # 1.65 MiB with a whole column of int objects)
     cat, f, g = _interval_cover_case(5)
     tracemalloc.start()
     try:
@@ -336,7 +340,47 @@ def test_realize_at_cap_5_keeps_no_table_of_identifiers():
         tracemalloc.stop()
     assert sum(re.counts()) == 55987
     assert kept < 1.7 * 2**20
-    assert peak - kept < 1.25 * 2**20
+    assert peak - kept < 0.75 * 2**20
+
+
+def test_realize_at_cap_5_keeps_positions_with_its_chain_table():
+    # the chain table built inside realize is included: a chain by its
+    # parent, its last morphism and the index arrays of its ends keeps the
+    # table and realize's levels at 1.69 MiB together (2.12 MiB with a
+    # (x0, ms, xk) tuple per chain and lists of block starts and widths)
+    space = interval_cover_space()
+    site = site_from_finite_space(space)
+    cat = site.category
+    f, g = order_complex_functor(space, 5, site), point_functor(cat, 5, covariant=False)
+    assert cat._chains == {}
+    tracemalloc.start()
+    try:
+        re = realize(cat, f, g, 5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(re.counts()) == 55987 and list(cat._chains) == [5]
+    assert kept < 1.85 * 2**20
+
+
+def test_column_parts_hold_at_most_their_entry_bound(monkeypatch):
+    # a part is a run of whole blocks of at most _PART entries, or one block
+    # alone; at cap 5 no block has more than 265 entries, so no part passes
+    # the bound (a part of 256 chains held 24,774 of level 5's 37,779).  Each
+    # part's entries are counted off the blocks it takes.
+    parts, real = [], realization.islice
+
+    def counted(blocks, n):
+        taken = list(real(blocks, n))
+        parts.append(sum(len(fs) * len(gs) for _, _, fs, gs in taken))
+        return iter(taken)
+
+    monkeypatch.setattr(realization, "islice", counted)
+    re = realize(*_interval_cover_case(5), 5)
+    # every entry of every column is in one part
+    columns = sum(len(re.levels[k]) * (k + 1) * ((k > 0) + (k < 5)) for k in range(6))
+    assert sum(re.counts()) == 55987 and sum(parts) == columns
+    assert max(parts) <= realization._PART
 
 
 def test_streamed_realization_json_at_cap_5_holds_one_digit_table():
@@ -602,6 +646,49 @@ def test_order_complex_values_are_nerves_of_specialization():
     top = open_id("oc")
     assert f.values[top].nondegenerate_counts() == (2, 1, 0, 0)
     assert f.values[open_id("o")].nondegenerate_counts() == (1, 0, 0, 0)
+
+
+def _order_complex_spaces():
+    """(space, cap): the gallery spaces, McCord's S^1 to S^3 at a cap past
+    their top homology, and seeded random spaces at caps 1 to 5."""
+    from test_homology import mccord_sphere
+
+    gallery = (sierpinski_space(), pseudo_circle_space(), interval_cover_space())
+    cases = [(space, cap) for space in gallery for cap in (1, 3)]
+    cases += [(mccord_sphere(n), n + 1) for n in (1, 2, 3)]
+    rng = random.Random(36)
+    return cases + [(random_space(rng), cap) for cap in range(1, 6) for _ in range(4)]
+
+
+def test_order_complex_values_match_the_per_open_nerves():
+    # each value read off the whole space's nerve is, level by level and
+    # column by column, the nerve of its open built and sorted on its own,
+    # and each action the inclusion looked up by identifier
+    for space, cap in _order_complex_spaces():
+        site = site_from_finite_space(space)
+        f, ref = order_complex_functor(space, cap, site), oracles.per_open_order_complex(space, cap, site)
+        assert oracles.functor_mismatches(f, ref) == []
+        assert all(f.values[x] == v for x, v in ref.values.items())
+
+
+def test_a_moved_order_complex_position_is_a_mismatch():
+    space, site = _pc_site()
+    f, ref = order_complex_functor(space, 3, site), oracles.per_open_order_complex(space, 3, site)
+    u = open_id(space.points)
+    v = f.values[u]
+    d1 = array("i", v._faces[2][1])
+    d1[0] = (d1[0] + 1) % len(v.levels[1])
+    faces = (*v._faces[:2], (v._faces[2][0], d1, v._faces[2][2]), *v._faces[3:])
+    moved = SimplicialSet(3, v.levels, faces, v._degeneracies)
+    values = {**f.values, u: moved}
+    assert oracles.functor_mismatches(SimpleNamespace(values=values, action=f.action), ref) == [(u, "d", 2, 1)]
+    m = next(m for m in site.category.hom_into(u) if not site.category.is_identity(m))
+    a = f.action[m]
+    image = array("i", a.images[1])
+    image[-1] = (image[-1] + 1) % len(a.target.levels[1])
+    action = {**f.action, m: SimplicialMap(a.source, a.target, (a.images[0], image, *a.images[2:]))}
+    got = oracles.functor_mismatches(SimpleNamespace(values=f.values, action=action), ref)
+    assert got == [(m, "image", 1)]
 
 
 def test_descent_passes_on_all_pseudo_circle_covers():
@@ -879,12 +966,13 @@ def _map_workloads(cap: int) -> list[SimplicialMap]:
     the interval cover, the discretized sheafification unit of the collapse
     presheaf with both its ends, the map it induces on realizations, and the
     projector maps a and b of the Sierpinski triples, all at the given cap.
-    The last three are built by block and checked against the former rules
-    here."""
+    The order-complex actions and the last three are built by position and
+    checked against the former rules here: an action keeps each chain's
+    identifier."""
     maps = []
     for space in (pseudo_circle_space(), interval_cover_space()):
         f = order_complex_functor(space, cap, site_from_finite_space(space))
-        maps += f.action.values()
+        maps += [_checked(m, lambda k, z: z) for m in f.action.values()]
     space, site = _pc_site()
     cat = site.category
     sh = sheafify_set(site, collapse_set_presheaf(cat, has_final_object(cat)))
@@ -901,10 +989,11 @@ def test_maps_match_reference_on_every_constructor(maps_checked):
     # 19 + 57 order-complex actions; the unit's 2 x 19 actions and 6
     # components; the induced map, a and b
     assert len(maps) == 76 + 2 * 19 + 6 + 3
-    # the induced map, a and b are built by block arithmetic and checked
-    # where they are built, against the former rules read by identifier
+    # the order-complex actions, the induced map, a and b are built by
+    # position and checked where they are built, against the former rules
+    # read by identifier
     n = len(maps)
-    assert [i for i, m in enumerate(maps) if id(m) not in checked] == [n - 3, n - 2, n - 1]
+    assert [i for i, m in enumerate(maps) if id(m) not in checked] == [*range(76), n - 3, n - 2, n - 1]
 
 
 def _moved_report(m, fn, k, z, w):
@@ -927,6 +1016,10 @@ def test_maps_with_one_image_moved_fail_alike(maps_checked):
     _map_workloads(2)
     d, f, g = _triples_case(sierpinski_space(), 2)
     cases = [*maps_checked, *zip(projector_maps(d, f, g, 2), projector_rules(d, g))]
+    # the order-complex actions, built by position, keep each identifier
+    for space in (pseudo_circle_space(), interval_cover_space()):
+        oc = order_complex_functor(space, 2, site_from_finite_space(space))
+        cases += [(m, lambda k, z: z) for m in oc.action.values()]
     rng = random.Random(8)
     kinds = []
     for m, fn in cases:

@@ -53,6 +53,9 @@ def test_standard_simplex_counts():
 def test_standard_simplex_nondegenerate():
     s = standard_simplex(2, 4)
     assert s.nondegenerate_counts() == (3, 3, 1, 0, 0)
+    # positions, an int array like every other position table
+    top = s.nondegenerate(2)
+    assert type(top) is array and top.typecode == "i" and top.tolist() == [s.simplices(2).index((0, 1, 2))]
 
 
 def test_simplicial_identities_random_spotcheck():
